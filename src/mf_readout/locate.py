@@ -285,11 +285,8 @@ class SiteGeometry:
             self.fallbacks = (False,) * n
         if np.any(self.sigmas <= 0):
             raise DataError("fitted sigma must be positive for every site")
-        diff = self.centers[:, None, :] - self.centers[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        dist[np.diag_indices(n)] = np.inf
-        if n > 1 and dist.min() < 2.0:
-            raise DataError(f"site centers closer than 2 px: min distance {dist.min():.3f}")
+        if n > 1 and (nearest := _nearest_distances(self.centers).min()) < 2.0:
+            raise DataError(f"site centers closer than 2 px: min distance {nearest:.3f}")
 
     @property
     def n_sites(self) -> int:
@@ -430,10 +427,7 @@ def _fit_lattice(centers):
     """
     centers = np.asarray(centers, dtype=np.float64)
     n = centers.shape[0]
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    dist[np.diag_indices(n)] = np.inf
-    nn = dist.min(axis=1)
+    nn = _nearest_distances(centers)
     s0 = float(np.median(nn))
     if not np.isfinite(s0) or s0 <= 0:
         return None
@@ -496,12 +490,18 @@ def _fit_lattice(centers):
     return predict(params, full), rows, cols
 
 
-def _median_spacing(centers) -> float:
+def _nearest_distances(centers) -> np.ndarray:
+    """Distance from each center to its nearest other center; inf for a
+    lone center."""
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     diff = centers[:, None, :] - centers[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     dist[np.diag_indices(centers.shape[0])] = np.inf
-    return float(np.median(dist.min(axis=1)))
+    return dist.min(axis=1)
+
+
+def _median_spacing(centers) -> float:
+    return float(np.median(_nearest_distances(centers)))
 
 
 def _joint_refine(img, anchors, sigma0: float, sigma_band, max_iter: int = 80):
@@ -602,12 +602,8 @@ def _usable_centers(centers, shape) -> bool:
         or np.any(centers[:, 1] >= w - 1)
     ):
         return False
-    if centers.shape[0] > 1:
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        dist[np.diag_indices(centers.shape[0])] = np.inf
-        if dist.min() < 2.0:
-            return False
+    if centers.shape[0] > 1 and _nearest_distances(centers).min() < 2.0:
+        return False
     return True
 
 

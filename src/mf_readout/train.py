@@ -1,11 +1,22 @@
 """Dataset splitting, closed-form and recursive least-squares weight
-fitting, and metaparameter search over window size and threshold."""
+fitting, and metaparameter search over window size and threshold.
+
+The matched filters are tuned from moments of the train frames, computed
+once per TrainingData: the pixel Gram matrix with a bias row and column,
+[X, c]^T [X, c], and its products with every site's labels. Each
+candidate's normal equations are then a sub-block of these moments (plus
+one averaged row and column per neighbor for mf-array), so no feature
+matrix is built while tuning. Every ridge system is solved by one helper:
+Cholesky decides whether an unregularized system has full rank, and a
+rank-deficient one gets the minimum-norm least-squares weights.
+"""
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +25,17 @@ from .errors import ConfigError, DataError, NumericalError
 from .filters import (
     BIAS_C,
     FilterModel,
-    extract_array_features,
-    extract_site_features,
+    extract_array_features,  # noqa: F401  kept in this namespace: the traced benchmark
+    extract_site_features,  # noqa: F401  rebinds train.extract_*_features by name
     gaussian_score,
     gaussian_weight_map,
     neighbor_sites,
     square_score,
     unsupervised_threshold,
     window_fits,
+    window_slice,
 )
-from .locate import SiteGeometry, grid_shape
+from .locate import SiteGeometry, _median_spacing, grid_shape
 from .util import round_half_up
 
 S_GRID = tuple(range(2, 15))
@@ -88,6 +100,36 @@ def split_dataset(n_frames: int, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> Da
     )
 
 
+def _full_rank(gram) -> bool:
+    """Cholesky test: positive definite, with the smallest squared pivot
+    above sqrt(eps) times the largest."""
+    try:
+        pivots = np.diag(np.linalg.cholesky(gram)) ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return bool(pivots.min() > np.sqrt(np.finfo(np.float64).eps) * pivots.max())
+
+
+def _solve_normal(gram, rhs, alpha: float) -> np.ndarray:
+    """Weights w with (gram + alpha I) w = rhs.
+
+    alpha > 0 makes the system positive definite and it is solved
+    directly. At alpha = 0 the Cholesky test decides: a full-rank system
+    is solved directly (numpy has no triangular solver, so the factor
+    serves only as the test), any other gets the minimum-norm
+    least-squares solution from lstsq.
+    """
+    if alpha > 0:
+        w = np.linalg.solve(gram + alpha * np.eye(gram.shape[0]), rhs)
+    elif _full_rank(gram):
+        w = np.linalg.solve(gram, rhs)
+    else:
+        w = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    if not np.all(np.isfinite(w)):
+        raise NumericalError("ridge solve produced non-finite weights")
+    return w
+
+
 def fit_ridge(X, Y, alpha: float = 0.0) -> np.ndarray:
     """Ridge weights W = Y X^T (X X^T + alpha I)^{-1}, returned as (d,).
 
@@ -108,16 +150,7 @@ def fit_ridge(X, Y, alpha: float = 0.0) -> np.ndarray:
         raise ConfigError("alpha must be non-negative")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NumericalError("non-finite values in the design matrices")
-
-    gram = X @ X.T
-    rhs = X @ y
-    if alpha > 0:
-        w = np.linalg.solve(gram + alpha * np.eye(d), rhs)
-    else:
-        w = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    if not np.all(np.isfinite(w)):
-        raise NumericalError("ridge solve produced non-finite weights")
-    return w
+    return _solve_normal(X @ X.T, X @ y, alpha)
 
 
 def fit_rls(feature_stream, alpha0: float) -> np.ndarray:
@@ -147,11 +180,13 @@ def fit_rls(feature_stream, alpha0: float) -> np.ndarray:
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingData:
     """Train and validation material for tuning; test frames stay outside.
 
     Labels are (n_frames, n_sites) 0/1 arrays aligned with the images.
+    Frozen, so the moments cached on first use always describe the
+    arrays the instance holds.
     """
 
     train_images: np.ndarray
@@ -171,6 +206,31 @@ class TrainingData:
     @property
     def image_shape(self) -> tuple[int, int]:
         return self.train_images.shape[1:]
+
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(G, R, V): G = [X, c]^T [X, c] and R = [X, c]^T Y over the train
+        frames X (one row per frame, pixels row-major) with the bias slot
+        last, and V the validation frames as rows, all float64.
+
+        The bias row and column of G come from column sums, so the train
+        stack is never copied with a bias column appended.
+        """
+        m = self.train_images.shape[0]
+        x = np.asarray(self.train_images, dtype=np.float64).reshape(m, -1)
+        y = np.asarray(self.train_labels, dtype=np.float64)
+        p = x.shape[1]
+        gram = np.empty((p + 1, p + 1))
+        np.matmul(x.T, x, out=gram[:p, :p])
+        gram[p, :p] = gram[:p, p] = BIAS_C * x.sum(axis=0)
+        gram[p, p] = BIAS_C * BIAS_C * m
+        cross = np.empty((p + 1, y.shape[1]))
+        np.matmul(x.T, y, out=cross[:p])
+        cross[p] = BIAS_C * y.sum(axis=0)
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross))):
+            raise NumericalError("non-finite values in the training frames")
+        val = np.asarray(self.val_images, dtype=np.float64).reshape(self.val_images.shape[0], -1)
+        return gram, cross, val
 
 
 @dataclass
@@ -193,6 +253,27 @@ def _fidelity_curve(scores, labels, thetas) -> np.ndarray:
     false_bright = (preds & ~labels[None, :]).sum(axis=1)
     false_dark = (~preds & labels[None, :]).sum(axis=1)
     return 1.0 - 0.5 * (false_bright / n_dark + false_dark / n_bright)
+
+
+def _window_index(center, s: int, shape) -> np.ndarray:
+    """Flat row-major pixel indices of the s x s window, in feature order."""
+    rs, cs = window_slice(center, s, shape)
+    return (np.arange(rs.start, rs.stop)[:, None] * shape[1] + np.arange(cs.start, cs.stop)).ravel()
+
+
+def _candidate_system(gram, rhs, idx, avg) -> tuple[np.ndarray, np.ndarray]:
+    """Normal equations A^T G A w = A^T r of one candidate, from moments.
+
+    The features are the pixels idx, then one weighted pixel sum per
+    column of avg (a neighbor's window mean), then the bias slot: the
+    order extract_site_features and extract_array_features use. gram and
+    rhs carry the bias slot last.
+    """
+    p = gram.shape[0] - 1
+    g_cols = np.concatenate([gram[:, idx], gram[:, :p] @ avg, gram[:, p:]], axis=1)
+    a = np.concatenate([g_cols[idx], avg.T @ g_cols[:p], g_cols[p:]])
+    b = np.concatenate([rhs[idx], avg.T @ rhs[:p], rhs[p:]])
+    return a, b
 
 
 def _threshold_fidelity(train_scores, train_labels, val_scores, val_labels):
@@ -221,6 +302,14 @@ def tune(
     default grid to the lattice pitch so the baseline stays untrained) or
     is a single candidate (gaussian, whose footprint is set by the fitted
     sigma).
+
+    The learned kinds never build feature matrices: each candidate's
+    normal equations are taken from the train-frame moments cached on
+    data (see TrainingData._moments) and solved like fit_ridge solves
+    them, and its weights are spread into a full-frame map (window
+    weights, each neighbor weight divided by s^2 over that neighbor's
+    window, sums where windows overlap) so one matrix-vector product
+    scores every validation frame.
     """
     if theta_grid is None:
         theta_grid = theta_grid_default()
@@ -253,20 +342,21 @@ def tune(
         consider(fid, 0, theta)
         return TuneResult(0, best[2], None, best[0], trace)
 
+    neighbors: tuple[int, ...] = ()
     if kind == "mf-array":
         rows, cols, row_ids, col_ids = grid_shape(data.geometry.centers)
         if any(r * cols + c != i for i, (r, c) in enumerate(zip(row_ids, col_ids))):
             raise DataError("site ordering is not row-major; relocalize first")
         neighbors = neighbor_sites(_Grid(rows, cols, rows * cols), site)
+    if kind in ("mf-site", "mf-array"):
+        if alpha < 0:
+            raise ConfigError("alpha must be non-negative")
+        gram, cross, val = data._moments
 
     for s in s_grid:
         if s < 2:
             continue
-        if kind == "mf-array":
-            fits = all(window_fits(data.geometry.centers[k], s, shape) for k in (site, *neighbors))
-        else:
-            fits = window_fits(center, s, shape)
-        if not fits:
+        if not all(window_fits(data.geometry.centers[k], s, shape) for k in (site, *neighbors)):
             continue
         if kind == "square":
             theta, fid = _threshold_fidelity(
@@ -276,14 +366,14 @@ def tune(
             trace.append((s, theta, fid))
             consider(fid, s, theta)
             continue
-        if kind == "mf-site":
-            x_train = extract_site_features(data.train_images, center, s)
-            x_val = extract_site_features(data.val_images, center, s)
-        else:
-            x_train = extract_array_features(data.train_images, data.geometry.centers, site, s, neighbors)
-            x_val = extract_array_features(data.val_images, data.geometry.centers, site, s, neighbors)
-        weights = fit_ridge(x_train, y_train, alpha)
-        fids = _fidelity_curve(weights @ x_val, y_val, theta_grid)
+        idx = _window_index(center, s, shape)
+        avg = np.zeros((val.shape[1], len(neighbors)))
+        for j, k in enumerate(neighbors):
+            avg[_window_index(data.geometry.centers[k], s, shape), j] = 1.0 / (s * s)
+        weights = _solve_normal(*_candidate_system(gram, cross[:, site], idx, avg), alpha)
+        wmap = avg @ weights[idx.size : -1]
+        wmap[idx] += weights[: idx.size]
+        fids = _fidelity_curve(val @ wmap + BIAS_C * weights[-1], y_val, theta_grid)
         for theta, fid in zip(theta_grid, fids):
             trace.append((s, theta, float(fid)))
             consider(fid, s, theta, weights)
@@ -308,7 +398,8 @@ class ModelSet:
 
     def ordered(self) -> list[FilterModel]:
         if self.failures:
-            raise DataError(f"model set has failed sites: {sorted(self.failures)}")
+            failed = "; ".join(f"site {k + 1}: {self.failures[k]}" for k in sorted(self.failures))
+            raise DataError(f"{self.kind} model set has failed sites: {failed}")
         return [self.models[k] for k in sorted(self.models)]
 
     def save(self, out_dir) -> list[Path]:
@@ -350,11 +441,7 @@ def square_boundary_default(geometry) -> int:
     centers = np.asarray(geometry.centers, dtype=np.float64).reshape(-1, 2)
     if centers.shape[0] < 2:
         raise ConfigError("square boundary default needs at least two sites")
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    dist[np.diag_indices(centers.shape[0])] = np.inf
-    pitch = float(np.median(dist.min(axis=1)))
-    return max(int(round_half_up(pitch)), 2)
+    return max(int(round_half_up(_median_spacing(centers))), 2)
 
 
 def train_all_sites(

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,18 +12,22 @@ from mf_readout import (
     SiteGeometry,
     TrainingData,
     count_complexity,
+    extract_array_features,
+    extract_site_features,
     fit_rls,
     fit_ridge,
     gaussian_weight_map,
     load_models,
+    neighbor_sites,
     split_dataset,
     square_boundary_default,
     theta_grid_default,
     train_all_sites,
     tune,
 )
-from mf_readout.filters import FilterModel
-from mf_readout.train import S_GRID
+from mf_readout.filters import FilterModel, window_fits
+from mf_readout.locate import grid_shape
+from mf_readout.train import S_GRID, _fidelity_curve
 
 
 # -------------------------------------------------------------- split
@@ -77,6 +82,19 @@ def test_ridge_minimum_norm_when_underdetermined():
     w = fit_ridge(X, y, 0.0)
     assert np.allclose(X.T @ w, y, atol=1e-9)  # interpolates
     assert np.allclose(w, np.linalg.pinv(X.T) @ y, atol=1e-9)
+
+
+def test_ridge_minimum_norm_when_features_are_collinear():
+    # the fourth feature is a combination of two others, so the Gram is
+    # singular; on many of these seeds rounding still lets Cholesky factor
+    # it, with a pivot near eps, and only the pivot test keeps solve away
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(3, 40))
+        X = np.vstack([f, 3.0 * f[:1] + f[1:2]])
+        y = rng.normal(size=40)
+        expected = np.linalg.pinv(X.T) @ y
+        assert np.abs(fit_ridge(X, y) - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
 def test_ridge_shrinks_with_alpha():
@@ -208,6 +226,76 @@ def test_tune_skips_windows_that_do_not_fit():
     assert all(s == 3 for s, _, _ in result.search_trace)
 
 
+def test_training_data_is_frozen():
+    data = _separable_data()
+    with pytest.raises(FrozenInstanceError):
+        data.train_images = data.val_images
+
+
+# --------------------------------------------- moments vs feature path
+
+def _feature_path_tune(data, site, kind, s_grid=S_GRID, theta_grid=None, alpha=0.0):
+    """Reference tuner: fit_ridge on extract_*_features of the train frames,
+    validation scored through extract_*_features, ties to the first cell.
+    Returns (fidelity, s, theta, weights) of the best cell."""
+    theta_grid = theta_grid_default() if theta_grid is None else theta_grid
+    centers = data.geometry.centers
+    neighbors = ()
+    if kind == "mf-array":
+        rows, cols, _, _ = grid_shape(centers)
+        neighbors = neighbor_sites(SimpleNamespace(rows=rows, cols=cols, n_sites=rows * cols), site)
+    best = None
+    for s in s_grid:
+        if not all(window_fits(centers[k], s, data.image_shape) for k in (site, *neighbors)):
+            continue
+        if kind == "mf-site":
+            x_train, x_val = (extract_site_features(im, centers[site], s)
+                              for im in (data.train_images, data.val_images))
+        else:
+            x_train, x_val = (extract_array_features(im, centers, site, s, neighbors)
+                              for im in (data.train_images, data.val_images))
+        w = fit_ridge(x_train, data.train_labels[:, site], alpha)
+        fids = _fidelity_curve(w @ x_val, data.val_labels[:, site], theta_grid)
+        for theta, fid in zip(theta_grid, fids):
+            if best is None or fid > best[0]:
+                best = (float(fid), s, theta, w)
+    return best
+
+
+def _assert_same_choice(result, reference, rel_tol=1e-9):
+    fid, s, theta, w = reference
+    assert (result.best_s, result.best_theta, result.val_fidelity) == (s, theta, fid)
+    assert np.abs(result.weights - w).max() <= rel_tol * np.abs(w).max()
+
+
+@pytest.mark.parametrize("kind", ["mf-site", "mf-array"])
+def test_moment_path_matches_feature_path(small_training, kind):
+    data = small_training.data
+    for site in range(data.geometry.n_sites):
+        _assert_same_choice(tune(data, site, kind), _feature_path_tune(data, site, kind))
+
+
+def test_moment_path_matches_feature_path_with_ridge():
+    data = _separable_data()
+    grids = dict(s_grid=(3, 4, 5), theta_grid=(0.2, 0.5, 0.8), alpha=0.1)
+    _assert_same_choice(tune(data, 0, "mf-site", **grids), _feature_path_tune(data, 0, "mf-site", **grids))
+
+
+def test_moment_path_is_minimum_norm_when_rank_deficient():
+    data = _separable_data()  # 24 train frames, 26 features at s = 5
+    result = tune(data, 0, "mf-site", s_grid=(5,), theta_grid=(0.5,))
+    x = extract_site_features(data.train_images, data.geometry.centers[0], 5)
+    y = data.train_labels[:, 0].astype(float)
+    expected = np.linalg.pinv(x.T) @ y
+    # solving the Gram system squares cond(X) (about 4e5 here), so a Gram
+    # solve is exact to about eps * cond^2 of max |w|; any null-space
+    # component, the failure this guards against, is off by order one
+    sv = np.linalg.svd(x, compute_uv=False)
+    tol = np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * np.abs(expected).max()
+    assert np.abs(result.weights - expected).max() <= tol
+    assert np.abs(result.weights - fit_ridge(x, y)).max() <= tol
+
+
 # ------------------------------------------------------ whole lattice
 
 def test_train_all_sites_square_uses_pitch_by_default(small_training):
@@ -270,7 +358,7 @@ def test_ordered_refuses_partial_sets():
     model = FilterModel(kind="square", site=0, center=(4.0, 4.0), s=3, theta=1.0)
     broken = ModelSet(kind="square", models={0: model}, failures={1: "no fit"})
     assert broken.n_sites == 2
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="square model set has failed sites: site 2: no fit"):
         broken.ordered()
 
 
