@@ -72,7 +72,7 @@ def _seed(args) -> int:
     return 0 if args.seed is None else args.seed
 
 
-def _labels_for(stack: LabeledImageStack, source: str, threads: int) -> np.ndarray:
+def _labels_for(stack: LabeledImageStack, source: str) -> np.ndarray:
     """Training/evaluation labels for a stack read back from disk.
 
     The second-path render only needs the config echo and the true states,
@@ -81,7 +81,7 @@ def _labels_for(stack: LabeledImageStack, source: str, threads: int) -> np.ndarr
     """
     if source == "truth":
         return stack.truth
-    return generate_label_path(stack.config, stack.truth, threads=threads)
+    return generate_label_path(stack.config, stack.truth)
 
 
 def _parse_crop(text: str) -> tuple[int, int, int, int]:
@@ -128,7 +128,7 @@ def cmd_simulate(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         config = replace(config, **overrides)
-    stack = generate_dataset(config, threads=args.threads)
+    stack = generate_dataset(config)
     write_stack(Path(f"{args.out}.qimg"), stack)
     print(f"wrote {stack.n_images} frames ({config.image_height}x{config.image_width}) to {args.out}.qimg")
     return 0
@@ -169,7 +169,7 @@ def cmd_locate(args) -> int:
 
 def cmd_train(args) -> int:
     stack = _read_stem(args.in_stem)
-    labels = _labels_for(stack, args.labels, args.threads)
+    labels = _labels_for(stack, args.labels)
     split = split_dataset(stack.n_images, seed=_seed(args))
     geometry = SiteGeometry.load(args.geometry)
     data = TrainingData(
@@ -209,7 +209,7 @@ def cmd_classify(args) -> int:
 def cmd_evaluate(args) -> int:
     sets = load_models(args.models)
     stack = _read_stem(args.in_stem)
-    labels = _labels_for(stack, args.labels, args.threads)
+    labels = _labels_for(stack, args.labels)
     baseline = None
     if args.baseline:
         base_sets = load_models(args.baseline)
@@ -269,7 +269,7 @@ def cmd_sweep(args) -> int:
         run = replace(run, output_dir=args.out)
     if args.seed is not None:
         run = replace(run, seed=args.seed)
-    report = run_pipeline(run, threads=args.threads)
+    report = run_pipeline(run)
     for row in report.rows:
         print(
             f"{row.exposure_ms:g} ms {row.kind}: "
@@ -288,7 +288,6 @@ def cmd_plot(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for rendering")
 
     parser = argparse.ArgumentParser(
         prog="mf-readout",

@@ -8,6 +8,7 @@ evaluation, aggregated CSV reports, and the sweep chart.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,7 +38,7 @@ from .train import (
     theta_grid_default,
     train_all_sites,
 )
-from .util import canonical_json, content_hash, derive_seed
+from .util import canonical_json, content_hash, derive_seed, write_atomic
 
 LABEL_SOURCES = ("label", "truth")
 
@@ -176,40 +177,51 @@ def dataset_cache_key(sim: SimConfig) -> str:
 
 
 def load_or_generate(
-    sim: SimConfig, label_source: str, cache_dir, threads: int = 1
+    sim: SimConfig, label_source: str, cache_dir
 ) -> tuple[LabeledImageStack, np.ndarray]:
     """Dataset and its training labels, cached under the config hash.
 
     Sweeps revisit the same (config, exposure) many times; the first call
     renders and writes cache files, later calls read them back bit-exactly.
+    Entries are written whole (see write_atomic); one that still cannot be
+    read, such as a truncated binary, a lost sidecar or broken label JSON,
+    counts as a miss and is rendered again.
     """
     cache_dir = Path(cache_dir)
     key = dataset_cache_key(sim)
     stack_path = cache_dir / f"{key}.qimg"
+    stack = None
     if stack_path.exists():
-        stack = read_stack(stack_path)
-        if stack.config != sim:
-            raise DataError(f"{stack_path}: cache collision, config does not match")
-    else:
-        stack = generate_dataset(sim, threads=threads)
+        with contextlib.suppress(DataError):  # unreadable: a miss
+            stack = read_stack(stack_path)
+    if stack is None:
+        stack = generate_dataset(sim)
         cache_dir.mkdir(parents=True, exist_ok=True)
         write_stack(stack_path, stack)
+    elif stack.config != sim:
+        raise DataError(f"{stack_path}: cache collision, config does not match")
     if label_source == "truth":
         return stack, stack.truth
 
     label_path = cache_dir / f"{key}.labels.json"
-    if label_path.exists():
-        payload = json.loads(label_path.read_text())
-        labels = np.asarray(payload["labels"], dtype=np.uint8)
-        if labels.shape != stack.truth.shape:
-            raise DataError(f"{label_path}: cached label shape {labels.shape} is wrong")
-    else:
-        labels = generate_label_path(sim, stack.truth, threads=threads)
+    labels = _read_cached_labels(label_path, stack.truth.shape)
+    if labels is None:
+        labels = generate_label_path(sim, stack.truth)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        label_path.write_text(
-            canonical_json({"labels": labels.astype(int).tolist(), "source": "label"}) + "\n"
-        )
+        text = canonical_json({"labels": labels.astype(int).tolist(), "source": "label"}) + "\n"
+        write_atomic(label_path, text.encode())
     return stack, labels
+
+
+def _read_cached_labels(path: Path, shape) -> np.ndarray | None:
+    """Cached second-path labels, or None when missing, invalid or misshaped."""
+    if not path.exists():
+        return None
+    try:
+        labels = np.asarray(json.loads(path.read_text())["labels"], dtype=np.uint8)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError):
+        return None
+    return labels if labels.shape == shape else None
 
 
 def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
@@ -274,7 +286,7 @@ def _aggregate(run: RunConfig, per_kind: dict, n_sites: int):
     return fid_rows, cross_rows, red_rows
 
 
-def _holdout_rows(run: RunConfig, exposure: float, sim_e: SimConfig, cache_dir, stats0, sets0, threads):
+def _holdout_rows(run: RunConfig, exposure: float, sim_e: SimConfig, cache_dir, stats0, sets0):
     """Cross-fidelities of the shuffle-0 models on a fresh held-out stack.
 
     Cross-fidelity only reads predictions, so the held-out stack keeps its
@@ -285,7 +297,7 @@ def _holdout_rows(run: RunConfig, exposure: float, sim_e: SimConfig, cache_dir, 
         n_images=run.crossfid_frames,
         seed=derive_seed(run.seed, "crossfid", repr(float(exposure))),
     )
-    stack, labels = load_or_generate(sim_h, "truth", cache_dir, threads)
+    stack, labels = load_or_generate(sim_h, "truth", cache_dir)
     if run.crop is not None:
         stack = crop(stack, *run.crop)
     norm = apply_stats(stack.images, stats0)
@@ -300,7 +312,7 @@ def _holdout_rows(run: RunConfig, exposure: float, sim_e: SimConfig, cache_dir, 
     return rows
 
 
-def run_pipeline(run: RunConfig, threads: int = 1) -> SweepReport:
+def run_pipeline(run: RunConfig) -> SweepReport:
     """Execute the sweep described by run and write all artifacts.
 
     Layout under run.output_dir:
@@ -331,7 +343,7 @@ def run_pipeline(run: RunConfig, threads: int = 1) -> SweepReport:
             seed=derive_seed(run.seed, "sim", repr(float(exposure))),
         )
         try:
-            stack, labels = load_or_generate(sim_e, run.label_source, cache_dir, threads)
+            stack, labels = load_or_generate(sim_e, run.label_source, cache_dir)
             if run.crop is not None:
                 stack = crop(stack, *run.crop)
         except MFReadoutError as exc:
@@ -377,7 +389,7 @@ def run_pipeline(run: RunConfig, threads: int = 1) -> SweepReport:
 
         if run.crossfid_frames > 0:
             try:
-                hold = _holdout_rows(run, exposure, sim_e, cache_dir, stats0, sets0, threads)
+                hold = _holdout_rows(run, exposure, sim_e, cache_dir, stats0, sets0)
             except MFReadoutError as exc:
                 raise type(exc)(f"exposure {exposure:g} ms, held-out stage: {exc}") from exc
             write_crossfidelity_csv(exp_dir / "crossfidelity_holdout.csv", hold)

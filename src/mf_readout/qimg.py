@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DataError
 from .sim import LabeledImageStack, SimConfig
+from .util import write_atomic
 
 MAGIC = b"QIMG"
 VERSION = 1
@@ -30,21 +31,21 @@ _HEADER = struct.Struct("<4sHIHH")
 
 
 def write_stack(path, stack: LabeledImageStack) -> None:
-    """Write the stack to path plus its JSON sidecar next to it."""
+    """Write the stack to path plus its JSON sidecar next to it.
+
+    The sidecar goes first and each file is moved into place whole, so a
+    binary under its final name always has its sidecar beside it.
+    """
     path = Path(path)
     n, h, w = stack.images.shape
-    payload = np.ascontiguousarray(stack.images, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, n, h, w))
-        f.write(payload.tobytes())
     sidecar = {
         "config": stack.config.to_dict(),
         "truth": stack.truth.astype(int).tolist(),
         "seed": stack.config.seed,
     }
-    with open(path.with_suffix(".json"), "w") as f:
-        json.dump(sidecar, f, sort_keys=True)
-        f.write("\n")
+    write_atomic(path.with_suffix(".json"), (json.dumps(sidecar, sort_keys=True) + "\n").encode())
+    payload = np.ascontiguousarray(stack.images, dtype="<f4")
+    write_atomic(path, _HEADER.pack(MAGIC, VERSION, n, h, w), payload)
 
 
 def read_stack(path) -> LabeledImageStack:

@@ -5,7 +5,9 @@ drawn from an isotropic Gaussian point-spread function and binned into the
 hit pixel. On top of that every pixel sees Poisson background counts and
 additive Gaussian read noise. All randomness is drawn from named
 counter-style streams derived from the dataset seed, so frame k depends
-only on (seed, k) and generation parallelizes without changing output.
+only on (seed, k). The draw order inside a frame is pinned by a digest
+test: dataset caches are keyed by the SimConfig alone, so any change to
+the drawn bytes must also version the cache key.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import map_indexed, stream
+from .filters import gaussian_weight_map, unsupervised_threshold
+from .util import stream
+
+# Frames per float64 block of the label path: large enough that one
+# matrix product scores many frames, small enough to stay in cache.
+_LABEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -253,22 +260,66 @@ def sample_states(n_images: int, n_sites: int, p_bright: float, rng: np.random.G
     return (rng.random((n_images, n_sites)) < p_bright).astype(np.uint8)
 
 
-def _bin_photons(rows, cols, height, width):
-    """Histogram photon positions into pixels; positions off the sensor are lost."""
-    ri = np.floor(rows + 0.5).astype(np.int64)
-    ci = np.floor(cols + 0.5).astype(np.int64)
-    ok = (ri >= 0) & (ri < height) & (ci >= 0) & (ci < width)
-    flat = ri[ok] * width + ci[ok]
-    counts = np.bincount(flat, minlength=height * width)
-    return counts.reshape(height, width).astype(np.float64)
+def _render_into(out, states_row, config: SimConfig, centers, rng: np.random.Generator) -> None:
+    """Render one frame into the flat (H*W,) row out, of any float dtype.
+
+    Draws per bright site in site order (decay, photon count, photon
+    offsets), then background, then read noise, and bins every photon of
+    the frame at once. Photon counts are integers, so the float64 pixel
+    values, and out after its one rounding, equal those of adding the
+    sites one at a time.
+    """
+    h, w = config.image_height, config.image_width
+    mean_rate = config.bright_photon_rate * config.attenuation
+    offsets, sites, n_list = [], [], []
+    for site in states_row.nonzero()[0]:
+        emit_ms = config.exposure_ms
+        if config.decay_prob_per_ms > 0:
+            emit_ms = min(emit_ms, rng.exponential(1.0 / config.decay_prob_per_ms))
+        n_photons = rng.poisson(mean_rate * emit_ms)
+        if n_photons == 0:
+            continue
+        offsets.append(rng.standard_normal((n_photons, 2)))
+        sites.append(site)
+        n_list.append(n_photons)
+
+    if offsets:
+        # floor(offset * sigma + center + 0.5): the same float operations
+        # per photon as binning each site alone, so each lands in the
+        # same pixel. Columns are updated one at a time because numpy
+        # loops slowly over a trailing axis of length 2.
+        pos = np.concatenate(offsets)
+        pos *= config.geometry.psf_sigma_px
+        for axis in (0, 1):
+            pos[:, axis] += np.repeat(centers[sites, axis], n_list)
+        pos += 0.5
+        pix = np.floor(pos, out=pos).astype(np.int64)
+        ri, ci = pix[:, 0], pix[:, 1]
+        # a negative index wraps to a huge unsigned one, so one comparison
+        # per axis drops the photons that miss the sensor on either side
+        on = (ri.view(np.uint64) < h) & (ci.view(np.uint64) < w)
+        counts = np.bincount((ri * w + ci)[on], minlength=h * w)
+    else:
+        counts = np.zeros(h * w, dtype=np.int64)
+
+    if config.dark_count_rate > 0:
+        counts += rng.poisson(config.dark_count_rate * config.exposure_ms, size=h * w)
+    if config.read_noise_sigma > 0:
+        noise = rng.standard_normal(h * w)
+        noise *= config.read_noise_sigma
+        np.add(noise, counts, out=out)
+    else:
+        out[:] = counts
 
 
 def render_image(states_row, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """Render one frame for the given per-site bright/dark states.
+    """Render one float64 frame for the given per-site bright/dark states.
 
     Draw order is fixed (per-atom decay, photon count, photon positions in
     site order; then background; then read noise) so a frame is a pure
-    function of the generator state.
+    function of the generator state. The order is pinned by the digest
+    test in the test suite: dataset_cache_key hashes the SimConfig alone,
+    so changing it would serve stale caches.
     """
     states_row = np.asarray(states_row)
     geometry = config.geometry
@@ -276,50 +327,27 @@ def render_image(states_row, config: SimConfig, rng: np.random.Generator) -> np.
         raise DataError(
             f"states row has {states_row.shape[0]} entries for {geometry.n_sites} sites"
         )
-    h, w = config.image_height, config.image_width
-    image = np.zeros((h, w), dtype=np.float64)
-
-    centers = geometry.site_centers()
-    mean_rate = config.bright_photon_rate * config.attenuation
-    for site in range(geometry.n_sites):
-        if not states_row[site]:
-            continue
-        emit_ms = config.exposure_ms
-        if config.decay_prob_per_ms > 0:
-            emit_ms = min(emit_ms, rng.exponential(1.0 / config.decay_prob_per_ms))
-        n_photons = rng.poisson(mean_rate * emit_ms)
-        if n_photons == 0:
-            continue
-        offsets = rng.standard_normal((n_photons, 2)) * geometry.psf_sigma_px
-        image += _bin_photons(
-            centers[site, 0] + offsets[:, 0], centers[site, 1] + offsets[:, 1], h, w
-        )
-
-    if config.dark_count_rate > 0:
-        image += rng.poisson(config.dark_count_rate * config.exposure_ms, size=(h, w))
-    if config.read_noise_sigma > 0:
-        image += rng.standard_normal((h, w)) * config.read_noise_sigma
-    return image
+    image = np.empty(config.image_height * config.image_width, dtype=np.float64)
+    _render_into(image, states_row, config, geometry.site_centers(), rng)
+    return image.reshape(config.image_height, config.image_width)
 
 
-def generate_dataset(config: SimConfig, threads: int = 1) -> LabeledImageStack:
+def generate_dataset(config: SimConfig) -> LabeledImageStack:
     """Generate the full labeled stack described by config.
 
     States come from the "states" stream and frame k from the ("frame", k)
-    stream, so output is byte-identical for a given config regardless of
-    worker count or generation order.
+    stream, so frame k is a pure function of (seed, k) and its bytes do
+    not depend on the other frames.
     """
     truth = sample_states(
         config.n_images, config.geometry.n_sites, config.p_bright, stream(config.seed, "states")
     )
-
-    def _render(k):
-        return render_image(truth[k], config, stream(config.seed, "frame", k))
-
-    frames = map_indexed(_render, config.n_images, threads)
-    images = np.zeros((config.n_images, config.image_height, config.image_width), dtype=np.float32)
-    for k, frame in enumerate(frames):
-        images[k] = frame.astype(np.float32)
+    h, w = config.image_height, config.image_width
+    images = np.empty((config.n_images, h, w), dtype=np.float32)
+    rows = images.reshape(config.n_images, h * w)
+    centers = config.geometry.site_centers()
+    for k in range(config.n_images):
+        _render_into(rows[k], truth[k], config, centers, stream(config.seed, "frame", k))
     return LabeledImageStack(images=images, truth=truth, config=config)
 
 
@@ -330,8 +358,6 @@ def _class_threshold(dark_scores, bright_scores):
     cases (an empty or zero-variance class) fall back to midpoints so label
     generation never aborts.
     """
-    from .filters import unsupervised_threshold
-
     dark_scores = np.asarray(dark_scores, dtype=float)
     bright_scores = np.asarray(bright_scores, dtype=float)
     if dark_scores.size == 0 and bright_scores.size == 0:
@@ -345,9 +371,36 @@ def _class_threshold(dark_scores, bright_scores):
     return unsupervised_threshold(dark_scores, bright_scores)
 
 
-def generate_label_path(
-    config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0, threads: int = 1
-) -> np.ndarray:
+def _label_scores(config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0) -> np.ndarray:
+    """(n_images, n_sites) Gaussian-filter scores of the second-path frames.
+
+    Frames are rendered into a reused float64 block and scored block by
+    block with one matrix product, so no float64 copy of the whole stack
+    is held.
+    """
+    label_config = replace(
+        config,
+        attenuation=1.0,
+        bright_photon_rate=config.bright_photon_rate * rate_boost,
+    )
+    centers = config.geometry.site_centers()
+    shape = (config.image_height, config.image_width)
+    maps = np.stack(
+        [gaussian_weight_map(tuple(c), config.geometry.psf_sigma_px, shape) for c in centers]
+    ).reshape(len(centers), -1)
+
+    n = config.n_images
+    scores = np.empty((n, len(centers)), dtype=np.float64)
+    block = np.empty((min(n, _LABEL_BLOCK), maps.shape[1]), dtype=np.float64)
+    for start in range(0, n, _LABEL_BLOCK):
+        stop = min(start + _LABEL_BLOCK, n)
+        for j, k in enumerate(range(start, stop)):
+            _render_into(block[j], truth[k], label_config, centers, stream(config.seed, "label", k))
+        np.matmul(block[: stop - start], maps.T, out=scores[start:stop])
+    return scores
+
+
+def generate_label_path(config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0) -> np.ndarray:
     """Near-perfect labels from a second, unattenuated imaging path.
 
     Renders every frame again at attenuation 1 (optionally with a boosted
@@ -357,34 +410,13 @@ def generate_label_path(
     essentially exact at high SNR but not guaranteed to equal the true
     states.
     """
-    from .filters import gaussian_score, gaussian_weight_map
-
     truth = np.asarray(truth)
     if truth.shape != (config.n_images, config.geometry.n_sites):
         raise DataError(
             f"truth shape {truth.shape} does not match config "
             f"({config.n_images}, {config.geometry.n_sites})"
         )
-    label_config = replace(
-        config,
-        attenuation=1.0,
-        bright_photon_rate=config.bright_photon_rate * rate_boost,
-    )
-
-    centers = config.geometry.site_centers()
-    shape = (config.image_height, config.image_width)
-    maps = [
-        gaussian_weight_map(tuple(centers[s]), config.geometry.psf_sigma_px, shape)
-        for s in range(config.geometry.n_sites)
-    ]
-
-    def _score_frame(k):
-        frame = render_image(truth[k], label_config, stream(config.seed, "label", k))
-        return [gaussian_score(frame, m) for m in maps]
-
-    scores = np.array(map_indexed(_score_frame, config.n_images, threads), dtype=float)
-    scores = scores.reshape(config.n_images, config.geometry.n_sites)
-
+    scores = _label_scores(config, truth, rate_boost)
     labels = np.zeros_like(truth, dtype=np.uint8)
     for s in range(config.geometry.n_sites):
         col = scores[:, s]

@@ -1,11 +1,12 @@
-"""Small shared helpers: seeded RNG streams, deterministic parallel map,
-canonical hashing, and stable number formatting."""
+"""Small shared helpers: seeded RNG streams, canonical hashing, atomic
+file writes, and stable number formatting."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -44,16 +45,23 @@ def derive_seed(seed: int, *key) -> int:
     return int(seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
-def map_indexed(fn, n: int, threads: int = 1) -> list:
-    """Evaluate fn(i) for i in range(n), optionally on a thread pool.
+def write_atomic(path, *chunks) -> None:
+    """Write the bytes-like chunks to path as one file, whole or not at all.
 
-    Results are returned in index order, so the output is independent of the
-    number of workers.
+    The chunks go to a temporary file in the same directory, which
+    os.replace then moves over path, so an interrupted write never leaves
+    a half-written file under the final name.
     """
-    if threads <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def round_half_up(x: float) -> int:

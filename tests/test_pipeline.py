@@ -8,6 +8,7 @@ import pytest
 
 from mf_readout import (
     ConfigError,
+    DataError,
     RunConfig,
     dataset_cache_key,
     default_config,
@@ -128,6 +129,55 @@ def test_load_or_generate_caches_second_path_labels(tmp_path):
     _, labels2 = load_or_generate(sim, "label", tmp_path)
     assert np.array_equal(labels1, labels2)
     assert json.loads(label_file.read_text())["source"] == "label"
+
+
+def _damage_truncate_binary(stem: Path):
+    qimg = stem.with_suffix(".qimg")
+    qimg.write_bytes(qimg.read_bytes()[:-100])
+
+
+def _damage_delete_sidecar(stem: Path):
+    stem.with_suffix(".json").unlink()
+
+
+def _damage_half_write_labels(stem: Path):
+    labels = stem.with_suffix(".labels.json")
+    labels.write_text(labels.read_text()[: len(labels.read_text()) // 2])
+
+
+def _damage_misshape_labels(stem: Path):
+    stem.with_suffix(".labels.json").write_text('{"labels":[[0,1]],"source":"label"}\n')
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_damage_truncate_binary, _damage_delete_sidecar, _damage_half_write_labels,
+     _damage_misshape_labels],
+)
+def test_damaged_cache_entries_are_regenerated(tmp_path, damage):
+    sim = default_config(n_images=40, seed=7)
+    fresh_stack, fresh_labels = load_or_generate(sim, "label", tmp_path / "fresh")
+    fresh = _tree_digest(tmp_path / "fresh")
+
+    cache = tmp_path / "cache"
+    load_or_generate(sim, "label", cache)
+    damage(cache / dataset_cache_key(sim))
+    stack, labels = load_or_generate(sim, "label", cache)
+    assert stack.images.tobytes() == fresh_stack.images.tobytes()
+    assert np.array_equal(labels, fresh_labels)
+    # every file is back with its fresh bytes and no temporary file is left
+    assert _tree_digest(cache) == fresh
+
+
+def test_cache_collision_is_still_an_error(tmp_path):
+    sim = default_config(n_images=40, seed=7)
+    load_or_generate(sim, "truth", tmp_path)
+    other = default_config(n_images=40, seed=8)
+    key = dataset_cache_key(other)
+    (tmp_path / f"{dataset_cache_key(sim)}.qimg").rename(tmp_path / f"{key}.qimg")
+    (tmp_path / f"{dataset_cache_key(sim)}.json").rename(tmp_path / f"{key}.json")
+    with pytest.raises(DataError, match="cache collision"):
+        load_or_generate(other, "truth", tmp_path)
 
 
 # ------------------------------------------------------------ pipeline

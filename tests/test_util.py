@@ -10,9 +10,9 @@ from mf_readout.util import (
     content_hash,
     derive_seed,
     fmt,
-    map_indexed,
     round_half_up,
     stream,
+    write_atomic,
 )
 
 
@@ -42,11 +42,15 @@ def test_negative_or_odd_key_parts_rejected():
         derive_seed(1, 2.5)
 
 
-def test_map_indexed_is_ordered_and_thread_independent():
-    fn = lambda i: i * i
-    serial = map_indexed(fn, 50, threads=1)
-    assert serial == [i * i for i in range(50)]
-    assert map_indexed(fn, 50, threads=4) == serial
+def test_write_atomic_replaces_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "f.bin"
+    write_atomic(path, b"old")
+    write_atomic(path, b"ab", np.arange(3, dtype="<f4"))
+    assert path.read_bytes() == b"ab" + np.arange(3, dtype="<f4").tobytes()
+    with pytest.raises(TypeError):
+        write_atomic(path, b"half", object())  # fails after the first chunk
+    assert path.read_bytes() == b"ab" + np.arange(3, dtype="<f4").tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin"]
 
 
 def test_round_half_up():
