@@ -161,7 +161,7 @@ def cmd_locate(args) -> int:
     geometry = locate_sites(mean_image(stack.images[split.train_idx]), args.sites)
     for i, used in enumerate(geometry.fallbacks):
         if used:
-            print(f"warning: site {i + 1} center comes from the lattice fallback", file=sys.stderr)
+            print(f"warning: site {i + 1}: per-site refit did not confirm the joint fit", file=sys.stderr)
     geometry.save(args.out)
     print(f"located {geometry.n_sites} sites -> {args.out}")
     return 0

@@ -1,8 +1,9 @@
 """Per-site image filters and the linear classifier built on them.
 
-Every classifier here is a linear score over some pixel summary followed
-by a threshold: score >= theta reads out bright, with the tie going to
-bright. The four kinds are
+Every classifier here is a linear functional of the frame plus a bias,
+followed by a threshold: score = frame . w + b, and score >= theta reads
+out bright, with the tie going to bright. The kinds differ only in how
+the full-frame weight map w and the bias b are built:
 
     square    unweighted sum over an s x s window
     gaussian  fixed Gaussian-weighted sum matched to the point spread
@@ -13,12 +14,14 @@ bright. The four kinds are
 Windows are anchored by rounding the site center to the nearest pixel and
 going s // 2 pixels up and left, so an odd s is centered and an even s
 leans down-right. Learned feature vectors end with a constant bias slot
-(c = 1 by default); the trained bias weight absorbs any scale.
+(c = 1 by default); the trained bias weight absorbs any scale. The
+feature extractors and the square / gaussian score helpers describe the
+same scores feature by feature; FilterModel scores through the map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,12 +43,10 @@ def window_origin(center, s: int) -> tuple[int, int]:
 
 def window_slice(center, s: int, shape) -> tuple[slice, slice]:
     """Row/col slices of the window; errors if it crosses the image edge."""
+    if not window_fits(center, s, shape):
+        h, w = shape
+        raise ConfigError(f"{s}x{s} window at center {tuple(center)} leaves the {h}x{w} image")
     r0, c0 = window_origin(center, s)
-    h, w = shape
-    if r0 < 0 or c0 < 0 or r0 + s > h or c0 + s > w:
-        raise ConfigError(
-            f"{s}x{s} window at center {tuple(center)} leaves the {h}x{w} image"
-        )
     return slice(r0, r0 + s), slice(c0, c0 + s)
 
 
@@ -158,15 +159,9 @@ def neighbor_sites(geometry, site: int) -> tuple[int, ...]:
 
 
 def extract_site_features(images, center, s: int, c: float = BIAS_C) -> np.ndarray:
-    """Design matrix for mf-site: window pixels row-major, then the bias c.
-
-    Shape (s*s + 1, M) for M frames.
-    """
-    stack = _as_stack(images)
-    rs, cs = window_slice(center, s, stack.shape[1:])
-    m = stack.shape[0]
-    pix = stack[:, rs, cs].reshape(m, s * s).T.astype(np.float64)
-    return np.vstack([pix, np.full((1, m), c)])
+    """Design matrix for mf-site, (s*s + 1, M): window pixels row-major,
+    then the bias c; extract_array_features without neighbors."""
+    return extract_array_features(images, [center], 0, s, (), c)
 
 
 def extract_array_features(
@@ -190,14 +185,40 @@ def extract_array_features(
     return np.vstack(rows)
 
 
-@dataclass
+def window_index(center, s: int, shape) -> np.ndarray:
+    """Flat row-major pixel indices of the s x s window, in feature order."""
+    rs, cs = window_slice(center, s, shape)
+    return (np.arange(rs.start, rs.stop)[:, None] * shape[1] + np.arange(cs.start, cs.stop)).ravel()
+
+
+def neighbor_means(centers, neighbors, s: int, shape) -> np.ndarray:
+    """(H*W, len(neighbors)) maps; column j averages neighbor j's window."""
+    avg = np.zeros((shape[0] * shape[1], len(neighbors)))
+    for j, k in enumerate(neighbors):
+        avg[window_index(centers[k], s, shape), j] = 1.0 / (s * s)
+    return avg
+
+
+def learned_weight_map(weights, idx, avg) -> np.ndarray:
+    """Full-frame map of weights in extract_*_features order (pixels idx,
+    one per column of avg, then the bias, which is left out); overlapping
+    windows add, so frame @ map + c * weights[-1] == weights @ features."""
+    wmap = avg @ weights[idx.size : -1]
+    wmap[idx] += weights[: idx.size]
+    return wmap
+
+
+@dataclass(frozen=True)
 class FilterModel:
     """One trained (or fixed) per-site classifier.
 
-    weights is the learned coefficient vector for mf-site / mf-array with
-    the bias weight last, and None for the fixed kinds. site and neighbors
-    are zero-based in memory; serialization uses one-based site numbers to
-    match the row-major site labels on reports.
+    Every kind scores frame . w + b; the kind only decides how the
+    full-frame map w and the bias b are built (see linear_map). weights is
+    the learned coefficient vector for mf-site / mf-array with the bias
+    weight last, and None for the fixed kinds. site and neighbors are
+    zero-based in memory; serialization uses one-based site numbers to
+    match the row-major site labels on reports. Frozen, with read-only
+    arrays, so a map cached per image shape always matches the fields.
     """
 
     kind: str
@@ -211,56 +232,52 @@ class FilterModel:
     all_centers: np.ndarray | None = None
     bias_c: float = BIAS_C
     image_shape: tuple[int, int] | None = None
+    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown filter kind {self.kind!r}")
         if self.kind == "gaussian" and (self.sigma is None or self.sigma <= 0):
             raise ConfigError("gaussian filter needs a positive sigma")
+        if self.neighbors and self.kind != "mf-array":
+            raise ConfigError(f"{self.kind} filter takes no neighbors")
+        if self.kind == "mf-array" and self.all_centers is None:
+            raise ConfigError("mf-array filter needs the full center list")
+        for name in ("weights", "all_centers"):
+            if getattr(self, name) is not None:
+                value = np.array(getattr(self, name), dtype=np.float64)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
         if self.kind in ("mf-site", "mf-array"):
-            if self.weights is None:
-                raise ConfigError(f"{self.kind} filter needs weights")
+            d = self.s * self.s + len(self.neighbors) + 1
+            if self.weights is None or self.weights.size != d:
+                raise ConfigError(f"{self.kind} filter needs s^2 + neighbors + 1 = {d} weights")
             if not 0.0 < self.theta < 1.0:
-                raise ConfigError(
-                    f"threshold for {self.kind} must lie in (0, 1), got {self.theta}"
-                )
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.kind == "mf-array":
-            if self.all_centers is None:
-                raise ConfigError("mf-array filter needs the full center list")
-            self.all_centers = np.asarray(self.all_centers, dtype=np.float64)
-        if self.kind == "mf-site" and self.weights.size != self.s * self.s + 1:
-            raise ConfigError(
-                f"mf-site weights length {self.weights.size} != s^2+1 = {self.s * self.s + 1}"
-            )
-        if self.kind == "mf-array" and self.weights.size != self.s * self.s + len(self.neighbors) + 1:
-            raise ConfigError("mf-array weights length does not match s^2 + neighbors + 1")
+                raise ConfigError(f"threshold for {self.kind} must lie in (0, 1), got {self.theta}")
 
-    def features(self, images) -> np.ndarray:
-        """Design matrix (d, M) for the learned kinds."""
-        if self.kind == "mf-site":
-            return extract_site_features(images, self.center, self.s, self.bias_c)
-        if self.kind == "mf-array":
-            return extract_array_features(
-                images, self.all_centers, self.site, self.s, self.neighbors, self.bias_c
-            )
-        raise ConfigError(f"{self.kind} filter has no feature vector")
+    def linear_map(self, shape) -> tuple[np.ndarray, float]:
+        """(w, b), score = frame.ravel() @ w + b, built once per image shape."""
+        shape = (int(shape[0]), int(shape[1]))
+        if shape not in self._maps:
+            b = 0.0
+            if self.kind == "square":
+                w = np.zeros(shape[0] * shape[1])
+                w[window_index(self.center, self.s, shape)] = 1.0
+            elif self.kind == "gaussian":
+                w = gaussian_weight_map(self.center, self.sigma, shape).ravel()
+            else:
+                avg = neighbor_means(self.all_centers, self.neighbors, self.s, shape)
+                w = learned_weight_map(self.weights, window_index(self.center, self.s, shape), avg)
+                b = self.bias_c * float(self.weights[-1])
+            w.setflags(write=False)
+            self._maps[shape] = (w, b)
+        return self._maps[shape]
 
     def scores(self, images) -> np.ndarray:
         """Linear score per frame, shape (M,)."""
         stack = _as_stack(images)
-        if self.kind == "square":
-            return square_score(stack, self.center, self.s)
-        if self.kind == "gaussian":
-            wmap = gaussian_weight_map(self.center, self.sigma, stack.shape[1:])
-            return gaussian_score(stack, wmap)
-        x = self.features(stack)
-        if x.shape[0] != self.weights.size:
-            raise DataError(
-                f"model expects {self.weights.size} features, images give {x.shape[0]}"
-            )
-        return self.weights @ x
+        w, b = self.linear_map(stack.shape[1:])
+        return stack.reshape(stack.shape[0], -1) @ w + b
 
     def predict(self, images) -> np.ndarray:
         """0/1 readout per frame; a score exactly at theta reads bright."""
@@ -312,7 +329,8 @@ class FilterModel:
 
 def classify_stack(models, images) -> np.ndarray:
     """Predictions for every frame and model, shape (M, len(models))."""
-    stack = _as_stack(images)
+    # every score is a float64 product: cast once here, not once per model
+    stack = _as_stack(np.asarray(images, dtype=np.float64))
     out = np.zeros((stack.shape[0], len(models)), dtype=np.uint8)
     for j, model in enumerate(models):
         out[:, j] = model.predict(stack)

@@ -1,5 +1,6 @@
 """Readout quality metrics: fidelity, cross-fidelity between site pairs,
-infidelity reduction against a baseline, and multi-shuffle error bars.
+infidelity reduction against a baseline, and the standard error over
+shuffles.
 
 All metrics are exact rational functions of integer counts, so
 recomputing them on the same predictions is bitwise stable.
@@ -14,7 +15,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .filters import classify_stack
 from .locate import grid_shape
-from .util import derive_seed
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,6 @@ def standard_error(values) -> float:
     if arr.size < 2:
         raise ConfigError("need at least two values for a standard error")
     return float(arr.std() / np.sqrt(arr.size))
-
-
-def shuffle_statistics(metric_fn, dataset, n_shuffles: int = 10, base_seed: int = 0):
-    """(mean, stderr) of metric_fn(dataset, seed_i) over derived shuffle seeds."""
-    if n_shuffles < 2:
-        raise ConfigError("need at least two shuffles")
-    values = [
-        float(metric_fn(dataset, derive_seed(base_seed, "shuffle", i)))
-        for i in range(n_shuffles)
-    ]
-    arr = np.asarray(values)
-    return float(arr.mean()), standard_error(arr)
 
 
 def center_site(rows: int, cols: int) -> int | None:

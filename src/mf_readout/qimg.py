@@ -52,20 +52,24 @@ def read_stack(path) -> LabeledImageStack:
     """Read a stack written by write_stack, validating header and sizes."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        size = path.stat().st_size
+        with open(path, "rb") as f:
+            header = f.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise DataError(f"{path}: truncated header")
+            magic, version, n, h, w = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise DataError(f"{path}: bad magic {magic!r}")
+            if version != VERSION:
+                raise DataError(f"{path}: unsupported format version {version}")
+            expected = _HEADER.size + 4 * n * h * w
+            if size != expected:
+                raise DataError(f"{path}: expected {expected} bytes, found {size}")
+            # read straight into the result, so the payload is held once
+            images = np.empty((n, h, w), dtype="<f4")
+            f.readinto(images)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise DataError(f"{path}: truncated header")
-    magic, version, n, h, w = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported format version {version}")
-    expected = _HEADER.size + 4 * n * h * w
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    images = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n, h, w).copy()
 
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():

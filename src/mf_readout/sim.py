@@ -354,9 +354,10 @@ def generate_dataset(config: SimConfig) -> LabeledImageStack:
 def _class_threshold(dark_scores, bright_scores):
     """Score threshold between two labeled score populations.
 
-    Uses the Gaussian-intersection rule where it is defined; degenerate
-    cases (an empty or zero-variance class) fall back to midpoints so label
-    generation never aborts.
+    The Gaussian-intersection rule where it is defined, else (a class
+    with fewer than two scores or zero variance) the midpoint of the class
+    means; 0 with both classes empty, 1 past the other class's mean with
+    one empty. So label generation never aborts.
     """
     dark_scores = np.asarray(dark_scores, dtype=float)
     bright_scores = np.asarray(bright_scores, dtype=float)
@@ -366,9 +367,10 @@ def _class_threshold(dark_scores, bright_scores):
         return float(bright_scores.mean()) - 1.0
     if bright_scores.size == 0:
         return float(dark_scores.mean()) + 1.0
-    if dark_scores.size < 2 or bright_scores.size < 2 or dark_scores.std() == 0 or bright_scores.std() == 0:
+    try:
+        return unsupervised_threshold(dark_scores, bright_scores)
+    except DataError:
         return 0.5 * (float(dark_scores.mean()) + float(bright_scores.mean()))
-    return unsupervised_threshold(dark_scores, bright_scores)
 
 
 def _label_scores(config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0) -> np.ndarray:

@@ -29,11 +29,13 @@ from .filters import (
     extract_site_features,  # noqa: F401  rebinds train.extract_*_features by name
     gaussian_score,
     gaussian_weight_map,
+    learned_weight_map,
+    neighbor_means,
     neighbor_sites,
     square_score,
     unsupervised_threshold,
     window_fits,
-    window_slice,
+    window_index,
 )
 from .locate import SiteGeometry, _median_spacing, grid_shape
 from .util import round_half_up
@@ -255,12 +257,6 @@ def _fidelity_curve(scores, labels, thetas) -> np.ndarray:
     return 1.0 - 0.5 * (false_bright / n_dark + false_dark / n_bright)
 
 
-def _window_index(center, s: int, shape) -> np.ndarray:
-    """Flat row-major pixel indices of the s x s window, in feature order."""
-    rs, cs = window_slice(center, s, shape)
-    return (np.arange(rs.start, rs.stop)[:, None] * shape[1] + np.arange(cs.start, cs.stop)).ravel()
-
-
 def _candidate_system(gram, rhs, idx, avg) -> tuple[np.ndarray, np.ndarray]:
     """Normal equations A^T G A w = A^T r of one candidate, from moments.
 
@@ -274,6 +270,14 @@ def _candidate_system(gram, rhs, idx, avg) -> tuple[np.ndarray, np.ndarray]:
     a = np.concatenate([g_cols[idx], avg.T @ g_cols[:p], g_cols[p:]])
     b = np.concatenate([rhs[idx], avg.T @ rhs[:p], rhs[p:]])
     return a, b
+
+
+def _array_neighbors(geometry, site: int) -> tuple[int, ...]:
+    """Neighbor sites of the mf-array filter on the located grid."""
+    rows, cols, row_ids, col_ids = grid_shape(geometry.centers)
+    if any(r * cols + c != i for i, (r, c) in enumerate(zip(row_ids, col_ids))):
+        raise DataError("site ordering is not row-major; relocalize first")
+    return neighbor_sites(_Grid(rows, cols, rows * cols), site)
 
 
 def _threshold_fidelity(train_scores, train_labels, val_scores, val_labels):
@@ -306,10 +310,9 @@ def tune(
     The learned kinds never build feature matrices: each candidate's
     normal equations are taken from the train-frame moments cached on
     data (see TrainingData._moments) and solved like fit_ridge solves
-    them, and its weights are spread into a full-frame map (window
-    weights, each neighbor weight divided by s^2 over that neighbor's
-    window, sums where windows overlap) so one matrix-vector product
-    scores every validation frame.
+    them, and its weights are spread into a full-frame map by
+    filters.learned_weight_map, the map FilterModel scores with, so one
+    matrix-vector product scores every validation frame.
     """
     if theta_grid is None:
         theta_grid = theta_grid_default()
@@ -338,16 +341,9 @@ def tune(
             gaussian_score(data.train_images, wmap), y_train,
             gaussian_score(data.val_images, wmap), y_val,
         )
-        trace.append((0, theta, fid))
-        consider(fid, 0, theta)
-        return TuneResult(0, best[2], None, best[0], trace)
+        return TuneResult(0, theta, None, fid, [(0, theta, fid)])
 
-    neighbors: tuple[int, ...] = ()
-    if kind == "mf-array":
-        rows, cols, row_ids, col_ids = grid_shape(data.geometry.centers)
-        if any(r * cols + c != i for i, (r, c) in enumerate(zip(row_ids, col_ids))):
-            raise DataError("site ordering is not row-major; relocalize first")
-        neighbors = neighbor_sites(_Grid(rows, cols, rows * cols), site)
+    neighbors = _array_neighbors(data.geometry, site) if kind == "mf-array" else ()
     if kind in ("mf-site", "mf-array"):
         if alpha < 0:
             raise ConfigError("alpha must be non-negative")
@@ -366,13 +362,10 @@ def tune(
             trace.append((s, theta, fid))
             consider(fid, s, theta)
             continue
-        idx = _window_index(center, s, shape)
-        avg = np.zeros((val.shape[1], len(neighbors)))
-        for j, k in enumerate(neighbors):
-            avg[_window_index(data.geometry.centers[k], s, shape), j] = 1.0 / (s * s)
+        idx = window_index(center, s, shape)
+        avg = neighbor_means(data.geometry.centers, neighbors, s, shape)
         weights = _solve_normal(*_candidate_system(gram, cross[:, site], idx, avg), alpha)
-        wmap = avg @ weights[idx.size : -1]
-        wmap[idx] += weights[: idx.size]
+        wmap = learned_weight_map(weights, idx, avg)
         fids = _fidelity_curve(val @ wmap + BIAS_C * weights[-1], y_val, theta_grid)
         for theta, fid in zip(theta_grid, fids):
             trace.append((s, theta, float(fid)))
@@ -453,7 +446,6 @@ def train_all_sites(
 ) -> ModelSet:
     """Tune one model per site; per-site failures are collected, not fatal."""
     geometry = data.geometry
-    shape = data.image_shape
     if kind == "square" and s_grid is S_GRID and geometry.n_sites > 1:
         s_grid = (square_boundary_default(geometry),)
     models: dict[int, FilterModel] = {}
@@ -462,24 +454,16 @@ def train_all_sites(
     for site in range(geometry.n_sites):
         try:
             result = tune(data, site, kind, s_grid, theta_grid, alpha)
-            center = tuple(geometry.centers[site])
-            if kind == "square":
-                model = FilterModel(kind=kind, site=site, center=center,
-                                    s=result.best_s, theta=result.best_theta)
-            elif kind == "gaussian":
-                model = FilterModel(kind=kind, site=site, center=center, s=0,
-                                    theta=result.best_theta, sigma=float(geometry.sigmas[site]))
-            elif kind == "mf-site":
-                model = FilterModel(kind=kind, site=site, center=center, s=result.best_s,
-                                    theta=result.best_theta, weights=result.weights)
-            else:
-                rows, cols, _, _ = grid_shape(geometry.centers)
-                neighbors = neighbor_sites(_Grid(rows, cols, rows * cols), site)
-                model = FilterModel(kind=kind, site=site, center=center, s=result.best_s,
-                                    theta=result.best_theta, weights=result.weights,
-                                    neighbors=neighbors, all_centers=geometry.centers.copy())
-            model.image_shape = shape
-            models[site] = model
+            array = kind == "mf-array"
+            models[site] = FilterModel(
+                kind=kind, site=site, center=tuple(geometry.centers[site]), s=result.best_s,
+                theta=result.best_theta,
+                sigma=float(geometry.sigmas[site]) if kind == "gaussian" else None,
+                weights=result.weights,
+                neighbors=_array_neighbors(geometry, site) if array else (),
+                all_centers=geometry.centers if array else None,
+                image_shape=data.image_shape,
+            )
             tune_results[site] = result
         except (ConfigError, DataError, NumericalError) as exc:
             failures[site] = str(exc)
@@ -493,8 +477,9 @@ def count_complexity(model_set: ModelSet) -> dict:
 
     Trainable parameters count learned weight entries (thresholds are
     excluded; the gaussian's sigma and amplitude count as 2 per site).
-    Multiplications count nonzero weights per frame; none of these kinds
-    evaluates a nonlinear function.
+    Multiplications count nonzero weights per frame: the gaussian's map,
+    the learned weights (one per neighbor mean, not per neighbor pixel),
+    none for the square sum. No kind evaluates a nonlinear function.
     """
     models = model_set.ordered()
     kind = model_set.kind
@@ -502,12 +487,9 @@ def count_complexity(model_set: ModelSet) -> dict:
         trainable = mults = 0
     elif kind == "gaussian":
         trainable = 2 * len(models)
-        mults = 0
-        for m in models:
-            if m.image_shape is None:
-                raise DataError("gaussian model lacks an image shape for its weight map")
-            wmap = gaussian_weight_map(m.center, m.sigma, m.image_shape)
-            mults += int(np.count_nonzero(wmap))
+        if any(m.image_shape is None for m in models):
+            raise DataError("gaussian model lacks an image shape for its weight map")
+        mults = sum(int(np.count_nonzero(m.linear_map(m.image_shape)[0])) for m in models)
     else:
         trainable = sum(m.weights.size for m in models)
         mults = sum(int(np.count_nonzero(m.weights)) for m in models)

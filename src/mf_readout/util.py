@@ -3,6 +3,7 @@ file writes, and stable number formatting."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -24,9 +25,15 @@ def _key_words(part) -> tuple[int, ...]:
             if p == 0:
                 return tuple(words)
     if isinstance(part, str):
-        digest = hashlib.sha256(part.encode("utf-8")).digest()
-        return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+        return _name_words(part)
     raise TypeError(f"unsupported seed key part: {part!r}")
+
+
+@functools.lru_cache(maxsize=256)
+def _name_words(name: str) -> tuple[int, ...]:
+    """Words of a string key part; cached, as every frame rehashes a name."""
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
 
 
 def seed_sequence(seed: int, *key) -> np.random.SeedSequence:

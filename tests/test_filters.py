@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mf_readout import (
     ConfigError,
     DataError,
+    KINDS,
     FilterModel,
     classify_stack,
     extract_array_features,
@@ -218,6 +220,91 @@ def test_mf_site_model_is_linear_in_features():
     assert np.allclose(model.scores(imgs), weights @ feats)
 
 
+@st.composite
+def _linear_cases(draw):
+    """A model of any kind, frames of either dtype, and its reference scores.
+
+    Window origins are drawn with the image edges as likely as any other
+    position, and one neighbor window is drawn on top of the site window.
+    """
+    kind = draw(st.sampled_from(KINDS))
+    h, w = draw(st.integers(6, 14)), draw(st.integers(6, 14))
+    s = draw(st.integers(1, min(h, w, 5)))
+
+    def center(r0=None, c0=None):
+        if r0 is None:
+            r0 = draw(st.one_of(st.just(0), st.just(h - s), st.integers(0, h - s)))
+            c0 = draw(st.one_of(st.just(0), st.just(w - s), st.integers(0, w - s)))
+        frac = st.floats(-0.5, 0.5, exclude_max=True)
+        return (r0 + s // 2 + draw(frac), c0 + s // 2 + draw(frac))
+
+    site_center = center()
+    r0, c0 = window_origin(site_center, s)
+    over = center(min(max(r0 + draw(st.integers(-1, 1)), 0), h - s),
+                  min(max(c0 + draw(st.integers(-1, 1)), 0), w - s))
+    all_centers = np.array([site_center, over] + [center() for _ in range(draw(st.integers(0, 2)))])
+    neighbors = tuple(range(1, len(all_centers)))
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    m = draw(st.sampled_from([None, 1, 7]))
+    images = rng.normal(1.0, 2.0, size=(h, w) if m is None else (m, h, w)).astype(dtype)
+    c = draw(st.sampled_from([1.0, 0.5, 3.0]))
+
+    fields = dict(kind=kind, site=0, center=site_center, s=s, image_shape=(h, w))
+    if kind == "square":
+        ref = square_score(images, site_center, s)
+    elif kind == "gaussian":
+        sigma = draw(st.floats(0.5, 3.0))
+        fields.update(s=0, sigma=sigma)
+        ref = gaussian_score(images, gaussian_weight_map(site_center, sigma, (h, w)))
+    else:
+        weights = rng.normal(size=s * s + (len(neighbors) if kind == "mf-array" else 0) + 1)
+        if kind == "mf-site":
+            feats = extract_site_features(images, site_center, s, c)
+        else:
+            feats = extract_array_features(images, all_centers, 0, s, neighbors, c)
+            fields.update(neighbors=neighbors, all_centers=all_centers)
+        # move the median score onto theta = 0.5, so both outcomes occur
+        weights[-1] -= (np.median(weights @ feats) - 0.5) / c
+        fields.update(weights=weights, bias_c=c)
+        ref = weights @ feats
+    ref = np.atleast_1d(np.asarray(ref, dtype=np.float64))
+    theta = 0.5 if kind.startswith("mf") else float(np.median(ref))
+    return FilterModel(theta=theta, **fields), images, ref
+
+
+@given(_linear_cases())
+def test_full_frame_map_scores_equal_the_reference_paths(case):
+    model, images, ref = case
+    tol = 1e-9 * max(float(np.abs(ref).max()), 1e-300)
+    scores = model.scores(images)
+    assert scores.shape == ref.shape
+    assert np.abs(scores - ref).max() <= tol
+    clear = np.abs(ref - model.theta) > tol
+    assert np.array_equal(model.predict(images)[clear], (ref >= model.theta)[clear])
+
+
+def test_filter_model_is_frozen():
+    centers = np.array([[6.0, 6.0], [6.0, 12.0]])
+    model = FilterModel(
+        kind="mf-array", site=0, center=(6.0, 6.0), s=3, theta=0.5,
+        weights=np.arange(11.0), neighbors=(1,), all_centers=centers, image_shape=(20, 20),
+    )
+    for f in dataclasses.fields(model):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, f.name, getattr(model, f.name))
+    # the arrays behind a cached map cannot change under it either
+    w, _ = model.linear_map((20, 20))
+    assert model.linear_map((20, 20))[0] is w
+    for arr in (model.weights, model.all_centers, w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # the model holds its own copies of what it was built from
+    centers[0, 0] = 9.0
+    assert model.all_centers[0, 0] == 6.0
+
+
 def test_model_round_trip_all_kinds():
     centers = np.array([[6.0, 6.0], [6.0, 12.0]])
     models = [
@@ -257,7 +344,8 @@ def test_classify_stack_column_order():
         FilterModel(kind="square", site=0, center=(6.0, 6.0), s=3, theta=8.0),
         FilterModel(kind="square", site=1, center=(12.0, 12.0), s=3, theta=9.5),
     ]
-    preds = classify_stack(models, imgs)
-    assert preds.shape == (12, 2)
-    for j, model in enumerate(models):
-        assert np.array_equal(preds[:, j], model.predict(imgs))
+    for stack in (imgs, imgs.astype(np.float32)):
+        preds = classify_stack(models, stack)
+        assert preds.shape == (12, 2)
+        for j, model in enumerate(models):
+            assert np.array_equal(preds[:, j], model.predict(stack))

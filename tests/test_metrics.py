@@ -16,7 +16,6 @@ from mf_readout import (
     evaluate,
     fidelity,
     infidelity_reduction,
-    shuffle_statistics,
     standard_error,
     train_all_sites,
 )
@@ -136,21 +135,6 @@ def test_standard_error_by_hand():
     assert standard_error([0.5, 0.5, 0.5]) == 0.0
     with pytest.raises(ConfigError):
         standard_error([1.0])
-
-
-def test_shuffle_statistics_derives_distinct_seeds():
-    seen = []
-
-    def metric(dataset, seed):
-        seen.append(seed)
-        return float(seed % 97)
-
-    mean, err = shuffle_statistics(metric, None, n_shuffles=5, base_seed=3)
-    assert len(set(seen)) == 5
-    assert mean == pytest.approx(np.mean([s % 97 for s in seen]))
-    assert err == pytest.approx(standard_error([s % 97 for s in seen]))
-    with pytest.raises(ConfigError):
-        shuffle_statistics(metric, None, n_shuffles=1)
 
 
 # ----------------------------------------------------------- geometry

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,20 @@ def test_round_trip(tmp_path, stack):
     assert back.images.dtype == np.float32
     assert np.array_equal(back.truth, stack.truth)
     assert back.config == stack.config
+
+
+def test_read_holds_the_payload_once(tmp_path):
+    stack = generate_dataset(default_config(n_images=1000, seed=14))
+    path = tmp_path / "big.qimg"
+    write_stack(path, stack)
+    tracemalloc.start()
+    try:
+        back = read_stack(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.images, stack.images)
+    assert peak < 1.5 * stack.images.nbytes
 
 
 def test_write_is_deterministic(tmp_path, stack):

@@ -248,6 +248,22 @@ def _reference_label_path(config, truth):
     return scores, labels
 
 
+@pytest.mark.parametrize(
+    "dark, bright, expected",
+    [
+        ([], [], 0.0),  # both classes empty
+        ([], [3.0, 5.0], 3.0),  # no dark scores: 1 below the bright mean
+        ([1.0, 3.0], [], 3.0),  # no bright scores: 1 above the dark mean
+        ([1.0], [4.0, 6.0], 3.0),  # a single score: midpoint of the means
+        ([0.0, 2.0], [7.0], 4.0),
+        ([2.0, 2.0], [4.0, 8.0], 4.0),  # zero variance: midpoint of the means
+        ([0.0, 4.0], [6.0, 6.0], 4.0),
+    ],
+)
+def test_class_threshold_degenerate_cases(dark, bright, expected):
+    assert _class_threshold(dark, bright) == expected
+
+
 @given(
     preset=st.sampled_from([default_config, crosstalk_config]),
     n_images=st.integers(0, 24),
