@@ -3,12 +3,16 @@ fitting, and metaparameter search over window size and threshold.
 
 The matched filters are tuned from moments of the train frames, computed
 once per TrainingData: the pixel Gram matrix with a bias row and column,
-[X, c]^T [X, c], and its products with every site's labels. Each
-candidate's normal equations are then a sub-block of these moments (plus
-one averaged row and column per neighbor for mf-array), so no feature
-matrix is built while tuning. Every ridge system is solved by one helper:
-Cholesky decides whether an unregularized system has full rank, and a
-rank-deficient one gets the minimum-norm least-squares weights.
+[X, c]^T [X, c], and its products with every site's labels. No feature
+matrix is built while tuning. All sites of one learned kind are tuned
+together: per window size s, the neighbor window means A_s (one column
+per site) meet the moments once, every site's normal equations are
+slices of G, G[:, :p] A_s and A_s^T [G A_s, R], and the systems of one
+dimension are stacked and solved by one helper. Cholesky decides whether
+an unregularized system has full rank, and a rank-deficient one gets the
+minimum-norm least-squares weights. One product scores every site's
+validation frames, and the fidelity of every threshold is counted from
+the sorted scores.
 """
 
 from __future__ import annotations
@@ -102,33 +106,44 @@ def split_dataset(n_frames: int, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> Da
     )
 
 
-def _full_rank(gram) -> bool:
-    """Cholesky test: positive definite, with the smallest squared pivot
-    above sqrt(eps) times the largest."""
+_NON_FINITE = "ridge solve produced non-finite weights"
+
+
+def _full_rank(grams) -> np.ndarray:
+    """Cholesky test for each matrix of a (k, d, d) stack: positive
+    definite, with the smallest squared pivot above sqrt(eps) times the
+    largest. One factorization serves the whole stack; only when it
+    fails is each matrix tested on its own."""
     try:
-        pivots = np.diag(np.linalg.cholesky(gram)) ** 2
+        pivots = np.diagonal(np.linalg.cholesky(grams), axis1=-2, axis2=-1) ** 2
     except np.linalg.LinAlgError:
-        return False
-    return bool(pivots.min() > np.sqrt(np.finfo(np.float64).eps) * pivots.max())
+        if len(grams) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_full_rank(g[None]) for g in grams])
+    return pivots.min(axis=-1) > np.sqrt(np.finfo(np.float64).eps) * pivots.max(axis=-1)
 
 
-def _solve_normal(gram, rhs, alpha: float) -> np.ndarray:
-    """Weights w with (gram + alpha I) w = rhs.
+def _solve_normal(grams, rhs, alpha: float) -> np.ndarray:
+    """Weights w[i] with (grams[i] + alpha I) w[i] = rhs[i], for a (k, d, d)
+    stack of systems and (k, d) right-hand sides.
 
-    alpha > 0 makes the system positive definite and it is solved
-    directly. At alpha = 0 the Cholesky test decides: a full-rank system
-    is solved directly (numpy has no triangular solver, so the factor
-    serves only as the test), any other gets the minimum-norm
-    least-squares solution from lstsq.
+    alpha > 0 makes every system positive definite and the stack is
+    solved directly. At alpha = 0 the Cholesky test decides per system:
+    the full-rank ones are solved directly in one call (numpy has no
+    triangular solver, so the factor serves only as the test), any other
+    gets the minimum-norm least-squares solution from lstsq. Rows may be
+    non-finite; the callers decide what that fails.
     """
     if alpha > 0:
-        w = np.linalg.solve(gram + alpha * np.eye(gram.shape[0]), rhs)
-    elif _full_rank(gram):
-        w = np.linalg.solve(gram, rhs)
-    else:
-        w = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    if not np.all(np.isfinite(w)):
-        raise NumericalError("ridge solve produced non-finite weights")
+        grams = grams + alpha * np.eye(grams.shape[-1])
+        return np.linalg.solve(grams, rhs[..., None])[..., 0]
+    full = _full_rank(grams)
+    w = np.empty(rhs.shape)
+    if full.any():
+        rows = slice(None) if full.all() else full  # a mask would copy the whole stack
+        w[rows] = np.linalg.solve(grams[rows], rhs[rows, :, None])[..., 0]
+    for i in np.flatnonzero(~full):
+        w[i] = np.linalg.lstsq(grams[i], rhs[i], rcond=None)[0]
     return w
 
 
@@ -152,7 +167,10 @@ def fit_ridge(X, Y, alpha: float = 0.0) -> np.ndarray:
         raise ConfigError("alpha must be non-negative")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NumericalError("non-finite values in the design matrices")
-    return _solve_normal(X @ X.T, X @ y, alpha)
+    w = _solve_normal((X @ X.T)[None], (X @ y)[None], alpha)[0]
+    if not np.all(np.isfinite(w)):
+        raise NumericalError(_NON_FINITE)
+    return w
 
 
 def fit_rls(feature_stream, alpha0: float) -> np.ndarray:
@@ -235,41 +253,72 @@ class TrainingData:
         return gram, cross, val
 
 
-@dataclass
+LEARNED_KINDS = ("mf-site", "mf-array")
+
+
+@dataclass(eq=False)
 class TuneResult:
+    """The chosen cell of one site's search and the table it came from.
+
+    windows lists the window sizes scored (0 for gaussian, which has
+    none), thetas and fidelities are (len(windows), n_theta) arrays, one
+    row per window (square and gaussian score one threshold per window).
+    """
+
     best_s: int
     best_theta: float
     weights: np.ndarray | None
     val_fidelity: float
-    search_trace: list[tuple[int, float, float]] = field(default_factory=list)
+    windows: tuple[int, ...]
+    thetas: np.ndarray
+    fidelities: np.ndarray
+
+    @cached_property
+    def search_trace(self) -> list[tuple[int, float, float]]:
+        """Every (s, theta, fidelity) cell scored, window by window."""
+        return [
+            (int(s), t, f)
+            for s, ts, fs in zip(self.windows, self.thetas.tolist(), self.fidelities.tolist())
+            for t, f in zip(ts, fs)
+        ]
+
+
+def _best_cell(windows, thetas, fidelities, weights=None) -> TuneResult:
+    """The first maximum of a fidelity table, rows in window order and
+    columns in threshold order: ties go to the earlier window, then the
+    earlier threshold. weights, if given, holds one vector per window."""
+    fidelities = np.asarray(fidelities, dtype=np.float64)
+    thetas = np.broadcast_to(np.asarray(thetas, dtype=np.float64), fidelities.shape)
+    i, j = np.unravel_index(np.argmax(fidelities), fidelities.shape)
+    return TuneResult(
+        best_s=int(windows[i]),
+        best_theta=float(thetas[i, j]),
+        weights=None if weights is None else weights[i],
+        val_fidelity=float(fidelities[i, j]),
+        windows=tuple(int(s) for s in windows),
+        thetas=thetas,
+        fidelities=fidelities,
+    )
 
 
 def _fidelity_curve(scores, labels, thetas) -> np.ndarray:
-    """Fidelity of (scores >= theta) against labels, for every theta."""
+    """Fidelity of (scores >= theta) against labels, for every theta.
+
+    The false counts come from each class's sorted finite scores: the
+    dark frames at or above theta and the bright frames below it are
+    found by searchsorted, so they are the same integers an elementwise
+    comparison gives and the fidelities are exact.
+    """
     labels = np.asarray(labels).astype(bool)
     n_bright = int(labels.sum())
     n_dark = labels.size - n_bright
     if n_bright == 0 or n_dark == 0:
         raise DataError("validation labels contain a single class")
-    preds = scores[None, :] >= np.asarray(thetas, dtype=np.float64)[:, None]
-    false_bright = (preds & ~labels[None, :]).sum(axis=1)
-    false_dark = (~preds & labels[None, :]).sum(axis=1)
+    scores = np.asarray(scores, dtype=np.float64)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    false_bright = n_dark - np.searchsorted(np.sort(scores[~labels]), thetas, side="left")
+    false_dark = np.searchsorted(np.sort(scores[labels]), thetas, side="left")
     return 1.0 - 0.5 * (false_bright / n_dark + false_dark / n_bright)
-
-
-def _candidate_system(gram, rhs, idx, avg) -> tuple[np.ndarray, np.ndarray]:
-    """Normal equations A^T G A w = A^T r of one candidate, from moments.
-
-    The features are the pixels idx, then one weighted pixel sum per
-    column of avg (a neighbor's window mean), then the bias slot: the
-    order extract_site_features and extract_array_features use. gram and
-    rhs carry the bias slot last.
-    """
-    p = gram.shape[0] - 1
-    g_cols = np.concatenate([gram[:, idx], gram[:, :p] @ avg, gram[:, p:]], axis=1)
-    a = np.concatenate([g_cols[idx], avg.T @ g_cols[:p], g_cols[p:]])
-    b = np.concatenate([rhs[idx], avg.T @ rhs[:p], rhs[p:]])
-    return a, b
 
 
 def _array_neighbors(geometry, site: int) -> tuple[int, ...]:
@@ -288,6 +337,133 @@ def _threshold_fidelity(train_scores, train_labels, val_scores, val_labels):
     return theta, fid
 
 
+def _check_request(kind: str, s_grid, theta_grid, alpha: float) -> tuple[float, ...]:
+    """Reject a bad tuning request before any site is touched; returns
+    the threshold grid with the default filled in."""
+    if theta_grid is None:
+        theta_grid = theta_grid_default()
+    if kind not in KIND_TOKENS:
+        raise ConfigError(f"unknown filter kind {kind!r}")
+    if len(s_grid) == 0 or len(theta_grid) == 0:
+        raise ConfigError("empty search grid")
+    if alpha < 0:
+        raise ConfigError("alpha must be non-negative")
+    return theta_grid
+
+
+def _no_window(s_grid, site: int, center) -> ConfigError:
+    return ConfigError(f"no window size in {tuple(s_grid)} fits site {site} at {center}")
+
+
+def _window_systems(gram, cross, moments_s, pix, nbr, sites):
+    """Stacked normal equations A^T G A w = A^T r of one window size, one
+    system per site: (k, d, d) and (k, d).
+
+    The features are each site's window pixels (rows of pix, which end
+    with the bias slot p), then its neighbors' window means (rows of nbr,
+    columns of A_s), then the bias slot: the order extract_site_features
+    and extract_array_features use. moments_s holds G[:, :p] A_s,
+    A_s^T G[:p, :p] A_s and A_s^T R[:p]; by the symmetry of G each
+    site's mean-by-pixel block is a slice of the first.
+    """
+    ga, aga, ar = moments_s
+    k, q = pix.shape
+    n = nbr.shape[1]
+    d = q + n
+    at_g = np.r_[0 : q - 1, d - 1]  # pixel and bias positions
+    at_n = np.arange(q - 1, d - 1)  # neighbor-mean positions
+    a = np.empty((k, d, d))
+    a[:, at_g[:, None], at_g] = gram[pix[:, :, None], pix[:, None, :]]
+    g_by_mean = ga[pix[:, :, None], nbr[:, None, :]]
+    a[:, at_g[:, None], at_n] = g_by_mean
+    a[:, at_n[:, None], at_g] = g_by_mean.transpose(0, 2, 1)
+    a[:, at_n[:, None], at_n] = aga[nbr[:, :, None], nbr[:, None, :]]
+    b = np.empty((k, d))
+    b[:, at_g] = cross[pix, sites[:, None]]
+    b[:, at_n] = ar[nbr, sites[:, None]]
+    return a, b
+
+
+def _window_candidates(data, moments_s, a_s, s, sites, nbr, alpha):
+    """Weights (k, d) and validation scores (n_val, k) of the window-s
+    candidate of each site in sites; nbr gives each site's neighbors as
+    columns of A_s, the same number for every site. The stacked systems
+    are dropped on return, so only one window's stack is ever held."""
+    gram, cross, val = data._moments
+    p = gram.shape[0] - 1
+    centers, shape = data.geometry.centers, data.image_shape
+    pix = np.array([np.append(window_index(centers[k], s, shape), p) for k in sites])
+    weights = _solve_normal(*_window_systems(gram, cross, moments_s, pix, nbr, sites), alpha)
+    maps = np.empty((p, len(sites)))
+    for j, w in enumerate(weights):
+        maps[:, j] = learned_weight_map(w, pix[j, :-1], a_s[:, nbr[j]])
+    return weights, val @ maps + BIAS_C * weights[:, -1]
+
+
+def _tune_learned(data: TrainingData, sites, kind: str, s_grid, theta_grid, alpha: float) -> dict:
+    """Tune one learned kind for every site in sites at once.
+
+    Returns {site: TuneResult, or the exception that failed the site}, in
+    the order of sites. For each window size s the window means A_s of
+    the sites whose windows fit are built once and meet the moments once
+    (G[:, :p] A_s, A_s^T G A_s, A_s^T R); the systems of equal dimension
+    are solved as one stack, and one product scores every site's
+    validation frames. A site fails alone, as tune would fail it: its
+    neighbors cannot be found, its weights are not finite, its
+    validation labels hold one class, or no window fits it.
+    """
+    geometry, shape = data.geometry, data.image_shape
+    centers = geometry.centers
+    failed: dict[int, Exception] = {}
+    neighbors: dict[int, tuple[int, ...]] = {}
+    for site in sites:
+        try:
+            neighbors[site] = _array_neighbors(geometry, site) if kind == "mf-array" else ()
+        except DataError as exc:
+            failed[site] = exc
+    try:
+        gram, cross, _ = data._moments
+    except NumericalError as exc:
+        return {site: failed.get(site, exc) for site in sites}
+    p = gram.shape[0] - 1
+    thetas = np.asarray(theta_grid, dtype=np.float64)
+    cells: dict[int, list] = {site: [] for site in neighbors}  # (s, fidelity curve, weights)
+    for s in s_grid:
+        fits = [s >= 2 and window_fits(c, s, shape) for c in centers]
+        live = [k for k in neighbors if k not in failed and all(fits[j] for j in (k, *neighbors[k]))]
+        if not live:
+            continue
+        means_of = [j for j in range(geometry.n_sites) if fits[j]] if kind == "mf-array" else []
+        column = {j: c for c, j in enumerate(means_of)}
+        a_s = neighbor_means(centers, means_of, s, shape)
+        ga = gram[:, :p] @ a_s
+        moments_s = (ga, a_s.T @ ga[:p], a_s.T @ cross[:p])
+        for n_nbr in sorted({len(neighbors[k]) for k in live}):
+            group = np.array([k for k in live if len(neighbors[k]) == n_nbr])
+            nbr = np.array([[column[j] for j in neighbors[k]] for k in group], dtype=np.intp)
+            weights, scores = _window_candidates(data, moments_s, a_s, s, group, nbr, alpha)
+            for j, site in enumerate(group.tolist()):
+                if not np.all(np.isfinite(weights[j])):
+                    failed[site] = NumericalError(_NON_FINITE)
+                    continue
+                try:
+                    curve = _fidelity_curve(scores[:, j], data.val_labels[:, site], thetas)
+                except DataError as exc:
+                    failed[site] = exc
+                    continue
+                cells[site].append((s, curve, weights[j]))
+    out = {}
+    for site in sites:
+        if site in failed:
+            out[site] = failed[site]
+        elif not cells[site]:
+            out[site] = _no_window(s_grid, site, tuple(centers[site]))
+        else:
+            windows, curves, weights = zip(*cells[site])
+            out[site] = _best_cell(windows, thetas, np.array(curves), weights)
+    return out
+
+
 def tune(
     data: TrainingData,
     site: int,
@@ -299,81 +475,52 @@ def tune(
     """Pick the window size and threshold maximizing validation fidelity.
 
     For the learned kinds every (s, theta) cell is scored and ties go to
-    the smaller s, then the smaller theta. The fixed kinds take their
-    threshold from the training-score intersection instead of the theta
-    grid (their scores are raw sums, not trained toward 0/1), so for them
-    the search runs over s only (square; train_all_sites collapses its
-    default grid to the lattice pitch so the baseline stays untrained) or
-    is a single candidate (gaussian, whose footprint is set by the fitted
-    sigma).
+    the smaller s, then the smaller theta (the earlier one in each grid).
+    The fixed kinds take their threshold from the training-score
+    intersection instead of the theta grid (their scores are raw sums,
+    not trained toward 0/1), so for them the search runs over s only
+    (square; train_all_sites collapses its default grid to the lattice
+    pitch so the baseline stays untrained) or is a single candidate
+    (gaussian, whose footprint is set by the fitted sigma).
 
-    The learned kinds never build feature matrices: each candidate's
-    normal equations are taken from the train-frame moments cached on
-    data (see TrainingData._moments) and solved like fit_ridge solves
-    them, and its weights are spread into a full-frame map by
+    The learned kinds go through the pass train_all_sites makes over all
+    sites at once (_tune_learned), here with one site. Each candidate's
+    normal equations are slices of the train-frame moments cached on
+    data (see TrainingData._moments); per (kind, s) the systems of all
+    sites are stacked and solved together by _solve_normal, the solver
+    fit_ridge also uses. The weights are spread into full-frame maps by
     filters.learned_weight_map, the map FilterModel scores with, so one
-    matrix-vector product scores every validation frame.
+    product per s scores every site's validation frames, and the
+    fidelity of every threshold is counted from the sorted scores.
     """
-    if theta_grid is None:
-        theta_grid = theta_grid_default()
-    if kind not in KIND_TOKENS:
-        raise ConfigError(f"unknown filter kind {kind!r}")
-    if not s_grid or not theta_grid:
-        raise ConfigError("empty search grid")
+    theta_grid = _check_request(kind, s_grid, theta_grid, alpha)
+    if kind in LEARNED_KINDS:
+        outcome = _tune_learned(data, [site], kind, s_grid, theta_grid, alpha)[site]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
     center = tuple(data.geometry.centers[site])
     shape = data.image_shape
     y_train = data.train_labels[:, site]
     y_val = data.val_labels[:, site]
-
-    best: tuple[float, int, float] | None = None  # (fidelity, s, theta)
-    best_weights = None
-    trace: list[tuple[int, float, float]] = []
-
-    def consider(fid, s, theta, weights=None):
-        nonlocal best, best_weights
-        if best is None or fid > best[0]:
-            best = (float(fid), int(s), float(theta))
-            best_weights = weights
-
     if kind == "gaussian":
         wmap = gaussian_weight_map(center, float(data.geometry.sigmas[site]), shape)
         theta, fid = _threshold_fidelity(
             gaussian_score(data.train_images, wmap), y_train,
             gaussian_score(data.val_images, wmap), y_val,
         )
-        return TuneResult(0, theta, None, fid, [(0, theta, fid)])
-
-    neighbors = _array_neighbors(data.geometry, site) if kind == "mf-array" else ()
-    if kind in ("mf-site", "mf-array"):
-        if alpha < 0:
-            raise ConfigError("alpha must be non-negative")
-        gram, cross, val = data._moments
-
+        return _best_cell((0,), [[theta]], [[fid]])
+    cells = []
     for s in s_grid:
-        if s < 2:
-            continue
-        if not all(window_fits(data.geometry.centers[k], s, shape) for k in (site, *neighbors)):
-            continue
-        if kind == "square":
-            theta, fid = _threshold_fidelity(
+        if s >= 2 and window_fits(center, s, shape):
+            cells.append((s, *_threshold_fidelity(
                 square_score(data.train_images, center, s), y_train,
                 square_score(data.val_images, center, s), y_val,
-            )
-            trace.append((s, theta, fid))
-            consider(fid, s, theta)
-            continue
-        idx = window_index(center, s, shape)
-        avg = neighbor_means(data.geometry.centers, neighbors, s, shape)
-        weights = _solve_normal(*_candidate_system(gram, cross[:, site], idx, avg), alpha)
-        wmap = learned_weight_map(weights, idx, avg)
-        fids = _fidelity_curve(val @ wmap + BIAS_C * weights[-1], y_val, theta_grid)
-        for theta, fid in zip(theta_grid, fids):
-            trace.append((s, theta, float(fid)))
-            consider(fid, s, theta, weights)
-
-    if best is None:
-        raise ConfigError(f"no window size in {tuple(s_grid)} fits site {site} at {center}")
-    return TuneResult(best[1], best[2], best_weights, best[0], trace)
+            )))
+    if not cells:
+        raise _no_window(s_grid, site, center)
+    windows, thetas, fids = zip(*cells)
+    return _best_cell(windows, np.array(thetas)[:, None], np.array(fids)[:, None])
 
 
 @dataclass
@@ -444,17 +591,35 @@ def train_all_sites(
     theta_grid=None,
     alpha: float = 0.0,
 ) -> ModelSet:
-    """Tune one model per site; per-site failures are collected, not fatal."""
+    """Tune one model per site; per-site failures are collected, not fatal.
+
+    A bad request (unknown kind, empty grid, negative alpha) raises
+    ConfigError before any site is tuned. The learned kinds tune every
+    site in one pass (see _tune_learned), the fixed kinds site by site.
+    """
+    theta_grid = _check_request(kind, s_grid, theta_grid, alpha)
     geometry = data.geometry
     if kind == "square" and s_grid is S_GRID and geometry.n_sites > 1:
         s_grid = (square_boundary_default(geometry),)
+    sites = range(geometry.n_sites)
+    if kind in LEARNED_KINDS:
+        outcomes = _tune_learned(data, sites, kind, s_grid, theta_grid, alpha)
+    else:
+        outcomes = {}
+        for site in sites:
+            try:
+                outcomes[site] = tune(data, site, kind, s_grid, theta_grid, alpha)
+            except (ConfigError, DataError, NumericalError) as exc:
+                outcomes[site] = exc
     models: dict[int, FilterModel] = {}
     tune_results: dict[int, TuneResult] = {}
     failures: dict[int, str] = {}
-    for site in range(geometry.n_sites):
+    array = kind == "mf-array"
+    for site, result in outcomes.items():
+        if isinstance(result, Exception):
+            failures[site] = str(result)
+            continue
         try:
-            result = tune(data, site, kind, s_grid, theta_grid, alpha)
-            array = kind == "mf-array"
             models[site] = FilterModel(
                 kind=kind, site=site, center=tuple(geometry.centers[site]), s=result.best_s,
                 theta=result.best_theta,

@@ -121,6 +121,17 @@ def test_exit_codes_map_error_kinds(tmp_path, capsys):
     assert rc == 2
 
 
+def test_train_rejects_negative_alpha_as_a_config_error(chain, tmp_path, capsys):
+    rc = main([
+        "train", "--in", str(chain / "pre"), "--kind", "mfsite",
+        "--geometry", str(chain / "geometry.json"), "--labels", "truth",
+        "--alpha", "-1", "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 2
+    assert "alpha must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 SUBCOMMANDS = {"simulate", "preprocess", "locate", "train", "classify",
                "evaluate", "complexity", "sweep", "plot"}
 

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mf_readout import (
     ConfigError,
@@ -25,9 +27,10 @@ from mf_readout import (
     train_all_sites,
     tune,
 )
+from mf_readout import train
 from mf_readout.filters import FilterModel, window_fits
 from mf_readout.locate import grid_shape
-from mf_readout.train import S_GRID, _fidelity_curve
+from mf_readout.train import S_GRID, _fidelity_curve, _solve_normal
 
 
 # -------------------------------------------------------------- split
@@ -116,6 +119,45 @@ def test_ridge_input_validation():
         fit_ridge(np.array([[1.0, np.nan]]), np.ones(2))
 
 
+def _gram_system(rng, n_features, n_samples):
+    x = rng.normal(size=(n_features, n_samples))
+    y = rng.normal(size=n_samples)
+    return x, y, x @ x.T, x @ y
+
+
+def test_stacked_solve_isolates_rank_deficient_systems():
+    # two full-rank systems, one with fewer samples than features (rank
+    # 4 of 6) and one with no data at all: the zero Gram makes the stacked
+    # Cholesky raise, so each system is then tested on its own
+    rng = np.random.default_rng(15)
+    systems = [_gram_system(rng, 6, 40), _gram_system(rng, 6, 4), _gram_system(rng, 6, 40)]
+    systems.append((np.zeros((6, 3)), np.zeros(3), np.zeros((6, 6)), np.zeros(6)))
+    grams = np.stack([g for _, _, g, _ in systems])
+    rhs = np.stack([r for _, _, _, r in systems])
+    w = _solve_normal(grams, rhs, 0.0)
+    for i in (0, 2):
+        assert np.array_equal(w[i], _solve_normal(grams[i : i + 1], rhs[i : i + 1], 0.0)[0])
+    x, y, _, _ = systems[1]
+    expected = np.linalg.pinv(x.T) @ y
+    sv = np.linalg.svd(x, compute_uv=False)
+    tol = np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * np.abs(expected).max()
+    assert np.abs(w[1] - expected).max() <= tol
+    assert np.array_equal(w[3], np.zeros(6))
+
+
+def test_stacked_solve_with_ridge_matches_pseudoinverse():
+    rng = np.random.default_rng(16)
+    alpha = 0.1
+    systems = [_gram_system(rng, 5, m) for m in (30, 3, 12)]
+    grams = np.stack([g for _, _, g, _ in systems])
+    rhs = np.stack([r for _, _, _, r in systems])
+    w = _solve_normal(grams, rhs, alpha)
+    for i, (x, y, g, r) in enumerate(systems):
+        assert np.array_equal(w[i], _solve_normal(g[None], r[None], alpha)[0])
+        expected = np.linalg.pinv(g + alpha * np.eye(5)) @ r
+        assert np.allclose(w[i], expected, atol=1e-10)
+
+
 # ---------------------------------------------------------- recursive
 
 def test_rls_equals_batch_ridge():
@@ -162,6 +204,51 @@ def test_square_boundary_default_is_lattice_pitch():
     assert square_boundary_default(SimpleNamespace(centers=np.array(centers))) == 6
     with pytest.raises(ConfigError):
         square_boundary_default(SimpleNamespace(centers=np.array([(5.0, 5.0)])))
+
+
+# ----------------------------------------------------------- fidelity
+
+def _reference_fidelity_curve(scores, labels, thetas):
+    """Fidelity by comparing every score with every theta."""
+    labels = np.asarray(labels).astype(bool)
+    n_bright = int(labels.sum())
+    n_dark = labels.size - n_bright
+    if n_bright == 0 or n_dark == 0:
+        raise DataError("validation labels contain a single class")
+    preds = scores[None, :] >= np.asarray(thetas, dtype=np.float64)[:, None]
+    false_bright = (preds & ~labels[None, :]).sum(axis=1)
+    false_dark = (~preds & labels[None, :]).sum(axis=1)
+    return 1.0 - 0.5 * (false_bright / n_dark + false_dark / n_bright)
+
+
+# a few values drawn often, so scores repeat and thresholds land on them
+_LEVELS = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5 + 2**-52, 1.0])
+_FINITE = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@given(
+    st.lists(st.tuples(st.one_of(_LEVELS, _FINITE), st.booleans()), min_size=1, max_size=60),
+    st.lists(st.one_of(_LEVELS, _FINITE), min_size=1, max_size=30),
+)
+def test_sorted_fidelity_equals_elementwise_counts(frames, thetas):
+    scores = np.array([score for score, _ in frames])
+    labels = np.array([bright for _, bright in frames], dtype=np.uint8)
+    thetas = thetas + [float(scores[0])]  # one threshold exactly at a score
+    if labels.min() == labels.max():
+        for curve in (_fidelity_curve, _reference_fidelity_curve):
+            with pytest.raises(DataError, match="single class"):
+                curve(scores, labels, thetas)
+        return
+    assert np.array_equal(
+        _fidelity_curve(scores, labels, thetas), _reference_fidelity_curve(scores, labels, thetas)
+    )
+
+
+def test_sorted_fidelity_reads_a_tie_as_bright():
+    scores = np.array([0.5, 0.5, 0.2, 0.9])
+    labels = np.array([1, 0, 0, 1])
+    # theta 0.5: both 0.5 scores read bright, so one dark frame is wrong
+    assert _fidelity_curve(scores, labels, [0.9, 0.5, 0.1]).tolist() == [0.75, 0.75, 0.5]
 
 
 # --------------------------------------------------------------- tune
@@ -255,7 +342,7 @@ def _feature_path_tune(data, site, kind, s_grid=S_GRID, theta_grid=None, alpha=0
             x_train, x_val = (extract_array_features(im, centers, site, s, neighbors)
                               for im in (data.train_images, data.val_images))
         w = fit_ridge(x_train, data.train_labels[:, site], alpha)
-        fids = _fidelity_curve(w @ x_val, data.val_labels[:, site], theta_grid)
+        fids = _reference_fidelity_curve(w @ x_val, data.val_labels[:, site], theta_grid)
         for theta, fid in zip(theta_grid, fids):
             if best is None or fid > best[0]:
                 best = (float(fid), s, theta, w)
@@ -328,6 +415,89 @@ def test_train_all_sites_learned_kinds(small_training):
             assert 0.3 <= model.theta <= 0.7
         if kind == "mf-array":
             assert all(len(m.neighbors) == 8 for m in model_set.ordered())
+
+
+@pytest.mark.parametrize("kind", ["mf-site", "mf-array"])
+def test_batch_matches_feature_path(small_training, kind):
+    data = small_training.data
+    model_set = train_all_sites(data, kind)
+    assert not model_set.failures
+    for site in range(data.geometry.n_sites):
+        _assert_same_choice(model_set.tune_results[site], _feature_path_tune(data, site, kind))
+
+
+def _assert_same_result(batched, alone):
+    assert (batched.best_s, batched.best_theta, batched.val_fidelity) == (
+        alone.best_s, alone.best_theta, alone.val_fidelity,
+    )
+    assert np.array_equal(batched.weights, alone.weights)
+    assert batched.search_trace == alone.search_trace
+
+
+def _with_broken_sites(data):
+    """Site 1's center on the frame corner, so no window fits it, and
+    site 5 with dark-only validation labels."""
+    centers = data.geometry.centers.copy()
+    centers[0] = (0.0, 0.0)
+    geometry = SiteGeometry(centers, data.geometry.sigmas, data.geometry.amplitudes)
+    val_labels = data.val_labels.copy()
+    val_labels[:, 4] = 0
+    return TrainingData(data.train_images, data.train_labels, data.val_images, val_labels, geometry)
+
+
+def test_batch_failures_stay_per_site(small_training, monkeypatch):
+    data = _with_broken_sites(small_training.data)
+    grids = dict(s_grid=(3, 4, 5), theta_grid=(0.3, 0.5, 0.7))
+    candidates = train._window_candidates
+
+    def non_finite_site_3(data, moments_s, a_s, s, sites, nbr, alpha):
+        weights, scores = candidates(data, moments_s, a_s, s, sites, nbr, alpha)
+        weights[sites == 2] = np.nan
+        return weights, scores
+
+    monkeypatch.setattr(train, "_window_candidates", non_finite_site_3)
+    model_set = train_all_sites(data, "mf-site", **grids)
+    monkeypatch.undo()
+    assert model_set.failures == {
+        0: f"no window size in (3, 4, 5) fits site 0 at {tuple(data.geometry.centers[0])}",
+        2: "ridge solve produced non-finite weights",
+        4: "validation labels contain a single class",
+    }
+    with pytest.raises(ConfigError, match="no window size"):
+        tune(data, 0, "mf-site", **grids)
+    with pytest.raises(DataError, match="single class"):
+        tune(data, 4, "mf-site", **grids)
+    for site in (1, 3, 5, 6, 7, 8):
+        _assert_same_result(model_set.tune_results[site], tune(data, site, "mf-site", **grids))
+
+
+def test_batch_single_class_site_fails_alone_in_the_array(small_training):
+    base = small_training.data
+    val_labels = base.val_labels.copy()
+    val_labels[:, 4] = 1
+    data = TrainingData(base.train_images, base.train_labels, base.val_images, val_labels, base.geometry)
+    grids = dict(s_grid=(3, 4, 5), theta_grid=(0.3, 0.5, 0.7))
+    model_set = train_all_sites(data, "mf-array", **grids)
+    assert model_set.failures == {4: "validation labels contain a single class"}
+    for site in sorted(model_set.models):
+        _assert_same_result(model_set.tune_results[site], tune(data, site, "mf-array", **grids))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(kind="nearest-centroid"),
+    dict(s_grid=()),
+    dict(theta_grid=()),
+    dict(alpha=-1.0),
+])
+def test_train_all_sites_rejects_a_bad_request_before_tuning(small_training, monkeypatch, bad):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a site was tuned")
+
+    monkeypatch.setattr(train, "tune", must_not_run)
+    monkeypatch.setattr(train, "_tune_learned", must_not_run)
+    request = dict(kind="mf-site") | bad
+    with pytest.raises(ConfigError):
+        train_all_sites(small_training.data, **request)
 
 
 def test_train_all_sites_collects_per_site_failures(small_training):
