@@ -29,7 +29,13 @@ from .report import (
     write_reduction_csv,
     write_sweep_csv,
 )
-from .sim import LabeledImageStack, SimConfig, generate_dataset, generate_label_path
+from .sim import (
+    GENERATOR_VERSION,
+    LabeledImageStack,
+    SimConfig,
+    generate_dataset,
+    generate_label_path,
+)
 from .train import (
     S_GRID,
     TOKEN_KINDS,
@@ -172,8 +178,12 @@ class RunConfig:
 
 
 def dataset_cache_key(sim: SimConfig) -> str:
-    """Content hash identifying one generated dataset (exposure included)."""
-    return content_hash(sim.to_dict())
+    """Content hash identifying one generated dataset (exposure included).
+
+    The generator version is hashed with the config, so a stack cached by
+    a generator that drew other bytes is never read as this one's.
+    """
+    return content_hash({"generator": GENERATOR_VERSION, "sim": sim.to_dict()})
 
 
 def load_or_generate(

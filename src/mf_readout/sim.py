@@ -1,17 +1,23 @@
 """Synthetic fluorescence-image generator for a square array of trapped atoms.
 
-Bright atoms emit a Poisson number of photons, each landing at a position
-drawn from an isotropic Gaussian point-spread function and binned into the
-hit pixel. On top of that every pixel sees Poisson background counts and
-additive Gaussian read noise. All randomness is drawn from named
-counter-style streams derived from the dataset seed, so frame k depends
-only on (seed, k). The draw order inside a frame is pinned by a digest
-test: dataset caches are keyed by the SimConfig alone, so any change to
-the drawn bytes must also version the cache key.
+Bright atoms emit a Poisson number of photons, and each photon lands in a
+pixel with the probability mass the isotropic Gaussian point-spread
+function puts there (photons that miss the sensor are lost). By Poisson
+splitting, the count in a pixel is then Poisson with mean summed over the
+bright sites, independent across pixels, so a frame is rendered as one
+Poisson draw per pixel from its mean image plus the background counts,
+with additive Gaussian read noise on top. Frames are rendered a block at
+a time, and each block draws from its own named counter-style streams
+derived from the dataset seed: (seed, "frame"|"label", "decay"|"photons"|
+"noise", block). So a stack's first m frames do not depend on how many
+follow. Dataset caches are keyed by the SimConfig together with
+GENERATOR_VERSION, which must be bumped with any change to the drawn
+bytes; a digest test pins them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,9 +26,13 @@ from .errors import ConfigError, DataError
 from .filters import gaussian_weight_map, unsupervised_threshold
 from .util import stream
 
-# Frames per float64 block of the label path: large enough that one
-# matrix product scores many frames, small enough to stay in cache.
-_LABEL_BLOCK = 256
+# Frames per rendered block: enough that the per-block stream set-up is
+# small against the draws, few enough that the float64 block stays small.
+_BLOCK = 64
+
+# Version of the drawn bytes, hashed into the dataset cache key. Bump it
+# with any change to what the generator draws for a given SimConfig.
+GENERATOR_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -260,66 +270,82 @@ def sample_states(n_images: int, n_sites: int, p_bright: float, rng: np.random.G
     return (rng.random((n_images, n_sites)) < p_bright).astype(np.uint8)
 
 
-def _render_into(out, states_row, config: SimConfig, centers, rng: np.random.Generator) -> None:
-    """Render one frame into the flat (H*W,) row out, of any float dtype.
+def _pixel_masses(config: SimConfig) -> np.ndarray:
+    """(n_sites, H*W) point-spread mass of each site in each pixel.
 
-    Draws per bright site in site order (decay, photon count, photon
-    offsets), then background, then read noise, and bins every photon of
-    the frame at once. Photon counts are integers, so the float64 pixel
-    values, and out after its one rounding, equal those of adding the
-    sites one at a time.
+    Pixel r covers [r - 0.5, r + 0.5) along each axis, so its mass per axis
+    is a difference of erf at those edges. Mass off the sensor is dropped,
+    so a row sums to less than one.
     """
-    h, w = config.image_height, config.image_width
-    mean_rate = config.bright_photon_rate * config.attenuation
-    offsets, sites, n_list = [], [], []
-    for site in states_row.nonzero()[0]:
-        emit_ms = config.exposure_ms
-        if config.decay_prob_per_ms > 0:
-            emit_ms = min(emit_ms, rng.exponential(1.0 / config.decay_prob_per_ms))
-        n_photons = rng.poisson(mean_rate * emit_ms)
-        if n_photons == 0:
-            continue
-        offsets.append(rng.standard_normal((n_photons, 2)))
-        sites.append(site)
-        n_list.append(n_photons)
+    geometry = config.geometry
+    scale = 1.0 / (geometry.psf_sigma_px * math.sqrt(2.0))
 
-    if offsets:
-        # floor(offset * sigma + center + 0.5): the same float operations
-        # per photon as binning each site alone, so each lands in the
-        # same pixel. Columns are updated one at a time because numpy
-        # loops slowly over a trailing axis of length 2.
-        pos = np.concatenate(offsets)
-        pos *= config.geometry.psf_sigma_px
-        for axis in (0, 1):
-            pos[:, axis] += np.repeat(centers[sites, axis], n_list)
-        pos += 0.5
-        pix = np.floor(pos, out=pos).astype(np.int64)
-        ri, ci = pix[:, 0], pix[:, 1]
-        # a negative index wraps to a huge unsigned one, so one comparison
-        # per axis drops the photons that miss the sensor on either side
-        on = (ri.view(np.uint64) < h) & (ci.view(np.uint64) < w)
-        counts = np.bincount((ri * w + ci)[on], minlength=h * w)
-    else:
-        counts = np.zeros(h * w, dtype=np.int64)
+    def axis_masses(n, centers):
+        edges = np.arange(n + 1) - 0.5
+        cdf = np.array([[math.erf((e - c) * scale) for e in edges] for c in centers])
+        return 0.5 * np.diff(cdf, axis=1)
 
-    if config.dark_count_rate > 0:
-        counts += rng.poisson(config.dark_count_rate * config.exposure_ms, size=h * w)
+    centers = geometry.site_centers()
+    rows = axis_masses(config.image_height, centers[:, 0])
+    cols = axis_masses(config.image_width, centers[:, 1])
+    return (rows[:, :, None] * cols[:, None, :]).reshape(geometry.n_sites, -1)
+
+
+def _render_block(out, states, config: SimConfig, masses, decay_rng, photon_rng, noise_rng) -> None:
+    """Render the m frames of states (m, n_sites) into out[:m], float64 rows.
+
+    A site's photons land in pixel j with probability masses[site, j], so
+    by Poisson splitting a frame is one Poisson draw per pixel from the
+    mean (rate * attenuation * emit time) @ masses plus the dark counts.
+    Every row of out gets a mean, the rows past m from zero emit times, so
+    the product has the same shape for a full and a partial block and a
+    frame's mean does not depend on how many frames follow it. Draw order:
+    the decay times, then the pixel counts, then the read noise, each
+    frame by frame.
+    """
+    m = states.shape[0]
+    emit = np.zeros((out.shape[0], masses.shape[0]))
+    emit[:m][states != 0] = config.exposure_ms
+    if config.decay_prob_per_ms > 0:
+        decay = decay_rng.exponential(1.0 / config.decay_prob_per_ms, size=states.shape)
+        np.minimum(emit[:m], decay, out=emit[:m])
+    emit *= config.bright_photon_rate * config.attenuation
+    np.matmul(emit, masses, out=out)
+    frames = out[:m]
+    frames += config.dark_count_rate * config.exposure_ms
+    counts = photon_rng.poisson(frames)
     if config.read_noise_sigma > 0:
-        noise = rng.standard_normal(h * w)
-        noise *= config.read_noise_sigma
-        np.add(noise, counts, out=out)
+        noise_rng.standard_normal(out=frames)
+        frames *= config.read_noise_sigma
+        frames += counts
     else:
-        out[:] = counts
+        frames[:] = counts
+
+
+def _frame_blocks(config: SimConfig, states, name: str):
+    """Yield (start, frames) for the frames of states, _BLOCK at a time.
+
+    frames is a float64 (m, H*W) view of one reused buffer, valid until the
+    next block. Block b draws from the (seed, name, "decay"|"photons"|
+    "noise", b) streams, so the first m frames of a stack do not depend on
+    how many follow.
+    """
+    masses = _pixel_masses(config)
+    buf = np.empty((_BLOCK, masses.shape[1]), dtype=np.float64)
+    n = states.shape[0]
+    for b, start in enumerate(range(0, n, _BLOCK)):
+        stop = min(start + _BLOCK, n)
+        rngs = (stream(config.seed, name, part, b) for part in ("decay", "photons", "noise"))
+        _render_block(buf, states[start:stop], config, masses, *rngs)
+        yield start, buf[: stop - start]
 
 
 def render_image(states_row, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     """Render one float64 frame for the given per-site bright/dark states.
 
-    Draw order is fixed (per-atom decay, photon count, photon positions in
-    site order; then background; then read noise) so a frame is a pure
-    function of the generator state. The order is pinned by the digest
-    test in the test suite: dataset_cache_key hashes the SimConfig alone,
-    so changing it would serve stale caches.
+    The one-frame case of the block renderer, with every draw taken from
+    rng in the block order (decay times, pixel counts, read noise), so a
+    frame is a pure function of the generator state.
     """
     states_row = np.asarray(states_row)
     geometry = config.geometry
@@ -327,17 +353,17 @@ def render_image(states_row, config: SimConfig, rng: np.random.Generator) -> np.
         raise DataError(
             f"states row has {states_row.shape[0]} entries for {geometry.n_sites} sites"
         )
-    image = np.empty(config.image_height * config.image_width, dtype=np.float64)
-    _render_into(image, states_row, config, geometry.site_centers(), rng)
+    image = np.empty((1, config.image_height * config.image_width), dtype=np.float64)
+    _render_block(image, states_row[None], config, _pixel_masses(config), rng, rng, rng)
     return image.reshape(config.image_height, config.image_width)
 
 
 def generate_dataset(config: SimConfig) -> LabeledImageStack:
     """Generate the full labeled stack described by config.
 
-    States come from the "states" stream and frame k from the ("frame", k)
-    stream, so frame k is a pure function of (seed, k) and its bytes do
-    not depend on the other frames.
+    States come from the "states" stream and frames from the per-block
+    "frame" streams, so the first m frames and states of an n-frame stack
+    equal those of an m-frame stack.
     """
     truth = sample_states(
         config.n_images, config.geometry.n_sites, config.p_bright, stream(config.seed, "states")
@@ -345,9 +371,8 @@ def generate_dataset(config: SimConfig) -> LabeledImageStack:
     h, w = config.image_height, config.image_width
     images = np.empty((config.n_images, h, w), dtype=np.float32)
     rows = images.reshape(config.n_images, h * w)
-    centers = config.geometry.site_centers()
-    for k in range(config.n_images):
-        _render_into(rows[k], truth[k], config, centers, stream(config.seed, "frame", k))
+    for start, frames in _frame_blocks(config, truth, "frame"):
+        rows[start : start + len(frames)] = frames
     return LabeledImageStack(images=images, truth=truth, config=config)
 
 
@@ -376,9 +401,8 @@ def _class_threshold(dark_scores, bright_scores):
 def _label_scores(config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0) -> np.ndarray:
     """(n_images, n_sites) Gaussian-filter scores of the second-path frames.
 
-    Frames are rendered into a reused float64 block and scored block by
-    block with one matrix product, so no float64 copy of the whole stack
-    is held.
+    Each float64 block of frames is scored with one matrix product, so no
+    copy of the whole stack is held.
     """
     label_config = replace(
         config,
@@ -391,14 +415,9 @@ def _label_scores(config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0)
         [gaussian_weight_map(tuple(c), config.geometry.psf_sigma_px, shape) for c in centers]
     ).reshape(len(centers), -1)
 
-    n = config.n_images
-    scores = np.empty((n, len(centers)), dtype=np.float64)
-    block = np.empty((min(n, _LABEL_BLOCK), maps.shape[1]), dtype=np.float64)
-    for start in range(0, n, _LABEL_BLOCK):
-        stop = min(start + _LABEL_BLOCK, n)
-        for j, k in enumerate(range(start, stop)):
-            _render_into(block[j], truth[k], label_config, centers, stream(config.seed, "label", k))
-        np.matmul(block[: stop - start], maps.T, out=scores[start:stop])
+    scores = np.empty((config.n_images, len(centers)), dtype=np.float64)
+    for start, frames in _frame_blocks(label_config, truth, "label"):
+        np.matmul(frames, maps.T, out=scores[start : start + len(frames)])
     return scores
 
 

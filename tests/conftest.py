@@ -64,6 +64,16 @@ def small_training(small_stack):
 
 
 @pytest.fixture(scope="session")
+def truth_training():
+    """1200-frame default stack with true-state labels: 240 test frames."""
+    stack = generate_dataset(default_config(n_images=1200, seed=11))
+    split, stats, norm, geometry, data = build_training(stack, stack.truth, 0)
+    return SimpleNamespace(
+        stack=stack, split=split, stats=stats, norm=norm, geometry=geometry, data=data
+    )
+
+
+@pytest.fixture(scope="session")
 def crosstalk_study():
     """Ten-shuffle training pass on the crosstalk-dominated dataset.
 

@@ -22,6 +22,7 @@ from mf_readout import (
     unsupervised_threshold,
 )
 from mf_readout.filters import window_fits, window_origin, window_slice
+from mf_readout.util import round_half_up
 
 
 # ------------------------------------------------------------ windows
@@ -235,8 +236,15 @@ def _linear_cases(draw):
         if r0 is None:
             r0 = draw(st.one_of(st.just(0), st.just(h - s), st.integers(0, h - s)))
             c0 = draw(st.one_of(st.just(0), st.just(w - s), st.integers(0, w - s)))
+        r, c = r0 + s // 2, c0 + s // 2
+        # the largest float below 0.5 still rounds r + frac up to r + 0.5,
+        # which the half-up rule puts in the next pixel; keep the center in
+        # the pixel whose window was drawn
         frac = st.floats(-0.5, 0.5, exclude_max=True)
-        return (r0 + s // 2 + draw(frac), c0 + s // 2 + draw(frac))
+        return (
+            r + draw(frac.filter(lambda f: round_half_up(r + f) == r)),
+            c + draw(frac.filter(lambda f: round_half_up(c + f) == c)),
+        )
 
     site_center = center()
     r0, c0 = window_origin(site_center, s)

@@ -9,6 +9,7 @@ from mf_readout import (
     DataError,
     MetricsReport,
     center_site,
+    classify_stack,
     cnn_pairs,
     confusion,
     cross_fidelity,
@@ -156,12 +157,14 @@ def test_edge_pairs_collapse_for_degenerate_arrays():
 
 # ----------------------------------------------------------- evaluate
 
-def test_evaluate_perfect_models_on_truth(small_training):
-    data = small_training.data
+def test_evaluate_perfect_models_on_truth(truth_training):
+    # 240 test frames: every site's fidelity estimate is tight enough that
+    # the 0.9 bound tests the models, not the sampling of a few frames
+    data = truth_training.data
     sets = {kind: train_all_sites(data, kind) for kind in ("gaussian", "mf-site")}
-    norm = small_training.norm
-    split = small_training.split
-    labels = small_training.stack.truth
+    norm = truth_training.norm
+    split = truth_training.split
+    labels = truth_training.stack.truth
     report = evaluate(
         sets["mf-site"], norm[split.test_idx], labels[split.test_idx], sets["gaussian"]
     )
@@ -174,6 +177,15 @@ def test_evaluate_perfect_models_on_truth(small_training):
     assert len(report.cross_values) == 10
     assert report.baseline_kind == "gaussian"
     assert len(report.eta_vs_baseline) == 9
+
+    # the fidelities are exactly those of the models' own predictions
+    preds = classify_stack(sets["mf-site"].ordered(), norm[split.test_idx])
+    test_labels = labels[split.test_idx]
+    for s in range(9):
+        pred, label = preds[:, s], test_labels[:, s]
+        false_bright = np.mean(pred[label == 0] == 1)
+        false_dark = np.mean(pred[label == 1] == 0)
+        assert report.fidelities[s] == 1.0 - 0.5 * (false_bright + false_dark)
 
     # a model set is never worse than itself
     self_report = evaluate(

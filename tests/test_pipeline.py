@@ -107,6 +107,31 @@ def test_dataset_cache_key_tracks_the_config():
     assert dataset_cache_key(a) != dataset_cache_key(replace(a, seed=2))
 
 
+def test_generator_version_is_part_of_the_cache_key(tmp_path, monkeypatch):
+    sim = default_config(n_images=40, seed=5)
+    old_key = dataset_cache_key(sim)
+    old_stack, _ = load_or_generate(sim, "label", tmp_path)
+    old_files = _tree_digest(tmp_path)
+
+    monkeypatch.setattr(pipeline_mod, "GENERATOR_VERSION", pipeline_mod.GENERATOR_VERSION + 1)
+    new_key = dataset_cache_key(sim)
+    assert new_key != old_key
+    read = []
+    real_read_stack = pipeline_mod.read_stack
+    monkeypatch.setattr(pipeline_mod, "read_stack", lambda p: read.append(p) or real_read_stack(p))
+    rendered = []
+    real_generate = pipeline_mod.generate_dataset
+    monkeypatch.setattr(pipeline_mod, "generate_dataset", lambda c: rendered.append(c) or real_generate(c))
+
+    stack, _ = load_or_generate(sim, "label", tmp_path)
+    # the old entry is neither read nor touched; the new one is rendered
+    assert read == [] and rendered == [sim]
+    assert stack.images.tobytes() == old_stack.images.tobytes()
+    assert {k: v for k, v in _tree_digest(tmp_path).items() if k.startswith(old_key)} == old_files
+    assert (tmp_path / f"{new_key}.qimg").exists()
+    assert (tmp_path / f"{new_key}.labels.json").exists()
+
+
 def test_load_or_generate_uses_the_cache(tmp_path, monkeypatch):
     sim = default_config(n_images=40, seed=5)
     stack1, labels1 = load_or_generate(sim, "truth", tmp_path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from mf_readout import (
     ArrayGeometry,
@@ -19,7 +20,14 @@ from mf_readout import (
     sample_states,
 )
 from mf_readout.filters import gaussian_score, gaussian_weight_map
-from mf_readout.sim import _class_threshold, _label_scores
+from mf_readout.sim import (
+    _BLOCK,
+    GENERATOR_VERSION,
+    _class_threshold,
+    _frame_blocks,
+    _label_scores,
+    _pixel_masses,
+)
 from mf_readout.util import stream
 
 
@@ -117,15 +125,6 @@ def test_generation_is_deterministic_and_seeded():
     assert not np.array_equal(a.images, c.images)
 
 
-def test_frame_depends_only_on_its_own_stream():
-    # the property that makes frame k cacheable and renderable on its own
-    config = crosstalk_config(n_images=40, seed=2, decay_prob_per_ms=0.05)
-    stack = generate_dataset(config)
-    for k in (0, 1, 17, 39):
-        alone = render_image(stack.truth[k], config, stream(config.seed, "frame", k))
-        assert np.array_equal(alone.astype(np.float32), stack.images[k])
-
-
 def test_decay_reduces_collected_light():
     base = default_config(n_images=60, seed=4, p_bright=1.0)
     with_decay = replace(base, decay_prob_per_ms=0.05)
@@ -177,69 +176,109 @@ def test_crosstalk_config_regime():
     assert config.n_images == 6000
 
 
-# ------------------------------------------- reference: the per-site loop
+# ------------------------------------------ reference: one photon at a time
 #
-# The simulator bins all of a frame's photons at once and scores the label
-# path in blocks. These are the per-site, per-frame versions it replaced,
-# kept as the reference it must reproduce.
+# The simulator draws one Poisson count per pixel from the frame's mean
+# image. This is the per-photon renderer it replaced, which drew and binned
+# every photon, kept as the reference its law must match.
 
 
-def _reference_bin(rows, cols, height, width):
-    ri = np.floor(rows + 0.5).astype(np.int64)
-    ci = np.floor(cols + 0.5).astype(np.int64)
-    ok = (ri >= 0) & (ri < height) & (ci >= 0) & (ci < width)
-    counts = np.bincount(ri[ok] * width + ci[ok], minlength=height * width)
-    return counts.reshape(height, width).astype(np.float64)
-
-
-def _reference_render(states_row, config, rng):
-    geometry = config.geometry
+def _per_photon_render_into(out, states_row, config, centers, rng):
     h, w = config.image_height, config.image_width
-    image = np.zeros((h, w), dtype=np.float64)
-    centers = geometry.site_centers()
     mean_rate = config.bright_photon_rate * config.attenuation
-    for site in range(geometry.n_sites):
-        if not states_row[site]:
-            continue
+    offsets, sites, n_list = [], [], []
+    for site in states_row.nonzero()[0]:
         emit_ms = config.exposure_ms
         if config.decay_prob_per_ms > 0:
             emit_ms = min(emit_ms, rng.exponential(1.0 / config.decay_prob_per_ms))
         n_photons = rng.poisson(mean_rate * emit_ms)
         if n_photons == 0:
             continue
-        offsets = rng.standard_normal((n_photons, 2)) * geometry.psf_sigma_px
-        image += _reference_bin(
-            centers[site, 0] + offsets[:, 0], centers[site, 1] + offsets[:, 1], h, w
-        )
+        offsets.append(rng.standard_normal((n_photons, 2)))
+        sites.append(site)
+        n_list.append(n_photons)
+
+    if offsets:
+        # photon at center + sigma * offset lands in pixel floor(pos + 0.5)
+        pos = np.concatenate(offsets)
+        pos *= config.geometry.psf_sigma_px
+        for axis in (0, 1):
+            pos[:, axis] += np.repeat(centers[sites, axis], n_list)
+        pos += 0.5
+        pix = np.floor(pos, out=pos).astype(np.int64)
+        ri, ci = pix[:, 0], pix[:, 1]
+        on = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
+        counts = np.bincount((ri * w + ci)[on], minlength=h * w)
+    else:
+        counts = np.zeros(h * w, dtype=np.int64)
+
     if config.dark_count_rate > 0:
-        image += rng.poisson(config.dark_count_rate * config.exposure_ms, size=(h, w))
+        counts += rng.poisson(config.dark_count_rate * config.exposure_ms, size=h * w)
     if config.read_noise_sigma > 0:
-        image += rng.standard_normal((h, w)) * config.read_noise_sigma
-    return image
+        noise = rng.standard_normal(h * w)
+        noise *= config.read_noise_sigma
+        np.add(noise, counts, out=out)
+    else:
+        out[:] = counts
 
 
-def _reference_images(config, truth):
-    images = np.zeros((config.n_images, config.image_height, config.image_width), np.float32)
-    for k in range(config.n_images):
-        images[k] = _reference_render(truth[k], config, stream(config.seed, "frame", k))
-    return images
+def _per_photon_frames(config, truth):
+    """(n, H*W) float64 frames, frame k from its own (seed, "reference", k) stream."""
+    rows = np.empty((len(truth), config.image_height * config.image_width))
+    centers = config.geometry.site_centers()
+    for k, states_row in enumerate(truth):
+        _per_photon_render_into(rows[k], states_row, config, centers, stream(config.seed, "reference", k))
+    return rows
+
+
+def _closed_form_means(config, truth):
+    """(n, H*W) expected frames: rate * attenuation * E[emit] * PSF pixel mass + dark."""
+    geo = config.geometry
+    centers = geo.site_centers()
+
+    def axis_masses(n, axis):
+        edges = np.arange(n + 1) - 0.5
+        return np.diff(ndtr((edges[None] - centers[:, axis, None]) / geo.psf_sigma_px), axis=1)
+
+    rows = axis_masses(config.image_height, 0)
+    cols = axis_masses(config.image_width, 1)
+    masses = (rows[:, :, None] * cols[:, None, :]).reshape(geo.n_sites, -1)
+    emit = config.exposure_ms
+    if config.decay_prob_per_ms > 0:  # E[min(T, Exp(rate))] = (1 - exp(-rate T)) / rate
+        rate = config.decay_prob_per_ms
+        emit = -np.expm1(-rate * config.exposure_ms) / rate
+    photons = config.bright_photon_rate * config.attenuation * emit
+    return photons * truth.astype(float) @ masses + config.dark_count_rate * config.exposure_ms
+
+
+def _z_scores(samples):
+    """Per-pixel z-score of the mean of samples (n, pixels) against zero."""
+    return samples.mean(axis=0) / (samples.std(axis=0, ddof=1) / np.sqrt(len(samples)))
+
+
+def _assert_standard_normal(z):
+    rms = float(np.sqrt(np.mean(z**2)))
+    assert 0.8 <= rms <= 1.2, rms
+    assert np.abs(z).max() < 5.0, np.abs(z).max()
+
+
+def _label_frames(config, truth):
+    """(n, H*W) second-path frames as the label path renders them."""
+    frames = np.empty((len(truth), config.image_height * config.image_width))
+    for start, block in _frame_blocks(replace(config, attenuation=1.0), truth, "label"):
+        frames[start : start + len(block)] = block
+    return frames
 
 
 def _reference_label_path(config, truth):
-    label_config = replace(config, attenuation=1.0)
+    """Per-frame gaussian_score of the label frames, thresholded per site."""
     centers = config.geometry.site_centers()
     shape = (config.image_height, config.image_width)
     maps = [gaussian_weight_map(tuple(c), config.geometry.psf_sigma_px, shape) for c in centers]
+    frames = _label_frames(config, truth).reshape(len(truth), *shape)
     scores = np.array(
-        [
-            [gaussian_score(frame, m) for m in maps]
-            for frame in (
-                _reference_render(truth[k], label_config, stream(config.seed, "label", k))
-                for k in range(config.n_images)
-            )
-        ],
-        dtype=float,
-    ).reshape(config.n_images, len(centers))
+        [[gaussian_score(frame, m) for m in maps] for frame in frames], dtype=float
+    ).reshape(len(truth), len(centers))
     labels = np.zeros_like(truth, dtype=np.uint8)
     for s in range(len(centers)):
         col = scores[:, s]
@@ -264,63 +303,130 @@ def test_class_threshold_degenerate_cases(dark, bright, expected):
     assert _class_threshold(dark, bright) == expected
 
 
+@pytest.mark.parametrize(
+    "preset, decay", [(default_config, 0.0), (crosstalk_config, 0.05)], ids=["default", "crosstalk-decay"]
+)
+def test_block_renderer_has_the_per_photon_law(preset, decay):
+    # same truth for both renderers, so frame k of each has the same law and
+    # the paired differences give exact per-pixel z-scores
+    config = preset(n_images=10_000, seed=7, decay_prob_per_ms=decay)
+    stack = generate_dataset(config)
+    n = config.n_images
+    new = stack.images.reshape(n, -1).astype(np.float64)
+    ref = _per_photon_frames(config, stack.truth)
+    _assert_standard_normal(_z_scores(new - ref))
+    _assert_standard_normal(
+        _z_scores((new - new.mean(axis=0)) ** 2 - (ref - ref.mean(axis=0)) ** 2)
+    )
+    means = _closed_form_means(config, stack.truth)
+    _assert_standard_normal(_z_scores(new - means))
+    _assert_standard_normal(_z_scores(ref - means))
+
+
+def test_stack_prefix_does_not_depend_on_its_length():
+    # the property that makes frame k cacheable: more frames never change it
+    config = crosstalk_config(n_images=3 * _BLOCK + 5, seed=2, decay_prob_per_ms=0.05)
+    full = generate_dataset(config)
+    full_label_frames = _label_frames(config, full.truth)
+    full_scores = _label_scores(config, full.truth)
+    for m in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK + 2):
+        part_config = replace(config, n_images=m)
+        part = generate_dataset(part_config)
+        assert np.array_equal(part.truth, full.truth[:m])
+        assert part.images.tobytes() == full.images[:m].tobytes()
+        assert _label_frames(part_config, part.truth).tobytes() == full_label_frames[:m].tobytes()
+        # a shorter matrix product may sum in another order
+        scores = _label_scores(part_config, part.truth)
+        assert np.abs(scores - full_scores[:m]).max() <= 1e-12 * np.abs(full_scores).max()
+    # each block draws from streams of its own: equal states, other frames
+    lit = generate_dataset(replace(config, n_images=2 * _BLOCK, p_bright=1.0))
+    assert not np.array_equal(lit.images[:_BLOCK], lit.images[_BLOCK:])
+
+
+def test_label_scores_equal_per_frame_gaussian_scores():
+    # more frames than several blocks, so block edges are exercised
+    config = default_config(n_images=600, seed=8)
+    truth = generate_dataset(config).truth
+    ref_scores, ref_labels = _reference_label_path(config, truth)
+    scores = _label_scores(config, truth)
+    assert np.abs(scores - ref_scores).max() <= 1e-12 * np.abs(ref_scores).max()
+    assert np.array_equal(generate_label_path(config, truth), ref_labels)
+
+
 @given(
     preset=st.sampled_from([default_config, crosstalk_config]),
-    n_images=st.integers(0, 24),
+    n_images=st.integers(0, 2 * _BLOCK + 1),
     seed=st.integers(0, 2**32 - 1),
     decay=st.sampled_from([0.0, 0.05]),
     dark=st.sampled_from([0.0, 0.04]),
     read_noise=st.sampled_from([0.0, 1.0]),
     p_bright=st.sampled_from([0.0, 0.5, 1.0]),
 )
-def test_fast_simulator_matches_the_per_site_loop(
-    preset, n_images, seed, decay, dark, read_noise, p_bright
-):
+def test_block_renderer_edge_cases(preset, n_images, seed, decay, dark, read_noise, p_bright):
     config = preset(
         n_images=n_images, seed=seed, decay_prob_per_ms=decay, dark_count_rate=dark,
         read_noise_sigma=read_noise, p_bright=p_bright,
     )
     stack = generate_dataset(config)
-    assert stack.images.tobytes() == _reference_images(config, stack.truth).tobytes()
+    assert stack.images.shape == (n_images, config.image_height, config.image_width)
+    if p_bright != 0.5:
+        assert np.all(stack.truth == int(p_bright))
+    if read_noise == 0.0:
+        # pure counts: non-negative integers, and none without any light
+        assert np.all(stack.images >= 0) and np.all(stack.images == np.round(stack.images))
+        if dark == 0.0 and p_bright == 0.0:
+            assert not stack.images.any()
+    m = n_images // 2
+    assert generate_dataset(replace(config, n_images=m)).images.tobytes() == stack.images[:m].tobytes()
 
     ref_scores, ref_labels = _reference_label_path(config, stack.truth)
     scores = _label_scores(config, stack.truth)
-    # a block matrix product sums in another order than per-frame tensordot
     scale = max(1.0, float(np.abs(ref_scores).max(initial=0.0)))
     assert np.abs(scores - ref_scores).max(initial=0.0) <= 1e-12 * scale
     assert np.array_equal(generate_label_path(config, stack.truth), ref_labels)
 
 
-def test_label_scores_span_several_blocks():
-    # more frames than one label block, so block edges are exercised
-    config = default_config(n_images=600, seed=8, read_noise_sigma=0.0)
-    stack = generate_dataset(config)
-    ref_scores, ref_labels = _reference_label_path(config, stack.truth)
-    scores = _label_scores(config, stack.truth)
-    assert np.abs(scores - ref_scores).max() <= 1e-12 * np.abs(ref_scores).max()
-    assert np.array_equal(generate_label_path(config, stack.truth), ref_labels)
+def test_pixel_masses_are_the_psf_mass_on_the_sensor():
+    # a site far from every edge keeps all its mass; one near an edge loses
+    # the part that misses the sensor
+    config = default_config(n_images=0)
+    masses = _pixel_masses(config)
+    assert masses.shape == (9, 28 * 28)
+    assert np.all(masses >= 0)
+    assert masses[4].sum() == pytest.approx(1.0, abs=1e-12)  # the central site
+    edge = single_site_config(
+        geometry=ArrayGeometry(rows=1, cols=1, spacing_px=6.0, origin_px=(1.0, 14.0), psf_sigma_px=1.8)
+    )
+    lost = 1.0 - _pixel_masses(edge).sum()
+    assert lost == pytest.approx(ndtr(-1.5 / 1.8), rel=1e-9)
+    # erf here, ndtr in the closed form: one site lit per row of states
+    one_photon = replace(config, dark_count_rate=0.0, bright_photon_rate=1.0, attenuation=1.0)
+    expected = _closed_form_means(one_photon, np.eye(9, dtype=np.uint8)) / config.exposure_ms
+    assert np.abs(masses - expected).max() <= 1e-14
 
 
-# Digests of the generator's output, recorded before the renderer was
-# vectorized. dataset_cache_key hashes the SimConfig alone, so any change
-# to these bytes must also version that key, or caches written by the old
-# generator are served as if they were new.
+# Digests of the generator's output at GENERATOR_VERSION 2, the block
+# renderer. dataset_cache_key hashes the SimConfig with that version, so
+# any change to these bytes must bump it together with the digests, or
+# caches written by the old generator are served as if they were new.
+PINNED_VERSION = 2
 PINNED_DIGESTS = {
     "default": (
         default_config(n_images=24, seed=11),
-        "8d626ad9abdc7d5e2be819ff14826a7e2d52535600a22c77798753174c292e1e",
+        "2b42b3131454f5a315756b4f149aac8df639c28a5c22e2199f5d5b976fe614e9",
         "7f3c17fc680c93119624a6c5a15297214117fde4a6faa209daef21f7ca2b7f3e",
     ),
     "crosstalk-decay": (
         crosstalk_config(n_images=24, seed=12, decay_prob_per_ms=0.05),
-        "821be071ef5e4b0eb9cf3f260de6a66bca22347734cdb8ce89c4ed8184afccd0",
-        "08c36ab941f6246f4206695998c3c083050b1bfeff7272f38d892376d73f1046",
+        "21c3ce45a68e0593c6f099bf353232e4ffeae75480cacc9fab96c7a2cb34913f",
+        "3ce594eac0423b491b91939c0dbf0fbc541942d0ebe92debe48efc0f4a73886b",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_generator_bytes_are_pinned(name):
+    assert GENERATOR_VERSION == PINNED_VERSION
     config, stack_digest, label_digest = PINNED_DIGESTS[name]
     stack = generate_dataset(config)
     got = hashlib.sha256(stack.images.tobytes() + stack.truth.tobytes()).hexdigest()
