@@ -1,9 +1,12 @@
 """Stack preprocessing and site localization.
 
 The localization chain is: average the training images, find one peak per
-site, then refine each peak with a subpixel 2D Gaussian fit. Normalization
-statistics always come from the training split alone and are then applied
-unchanged to every split.
+site, then refine each peak with a subpixel 2D Gaussian fit. Every window
+fit goes through one batched Levenberg-Marquardt fitter, _fit_windows,
+which runs each fit by its own rules on a (k, w, w) stack of windows;
+fit_gaussian_2d is its one-window case. Normalization statistics always
+come from the training split alone and are then applied unchanged to every
+split.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,27 +144,195 @@ class GaussianFit:
     residuals: tuple[float, ...]
 
 
-def _centroid_fallback(patch, r_lo, c_lo, n_iter, residuals) -> GaussianFit:
-    w = patch - patch.min()
-    total = w.sum()
-    rr, cc = np.mgrid[0 : patch.shape[0], 0 : patch.shape[1]]
-    if total <= 0:
-        r0, c0 = (patch.shape[0] - 1) / 2.0, (patch.shape[1] - 1) / 2.0
-        sigma = 1.0
-    else:
-        r0 = float((w * rr).sum() / total)
-        c0 = float((w * cc).sum() / total)
-        var = float((w * ((rr - r0) ** 2 + (cc - c0) ** 2)).sum() / total)
-        sigma = float(np.sqrt(max(var / 2.0, 0.25)))
-    return GaussianFit(
-        center=(r_lo + r0, c_lo + c0),
-        sigma=sigma,
-        amplitude=float(patch.max() - patch.min()),
-        offset=float(patch.min()),
-        ok=False,
-        n_iter=n_iter,
-        residuals=tuple(residuals),
+class _WindowFits(NamedTuple):
+    """Batched fit results, one row per window.
+
+    params holds (amplitude, row, col, sigma, offset) with the center in
+    window coordinates; a failed fit (ok False) holds its centroid
+    fallback. norms[i, :n_norms[i]] are fit i's accepted residual norms.
+    """
+
+    params: np.ndarray
+    ok: np.ndarray
+    n_iter: np.ndarray
+    norms: np.ndarray
+    n_norms: np.ndarray
+
+
+def _row_norms(x) -> np.ndarray:
+    """Euclidean norm of each row, one BLAS dot per row."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _solve_each(a, b):
+    """Solve each system of the stack; a singular one does not sink the rest."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        solved = np.zeros(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+                solved[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, solved
+
+
+def _centroid_fallbacks(patches) -> np.ndarray:
+    """Intensity-centroid (amplitude, row, col, sigma, offset) per window."""
+    wp = patches.shape[1]
+    rr, cc = np.mgrid[0:wp, 0:wp]
+    lo = patches.min(axis=(1, 2))
+    w = patches - lo[:, None, None]
+    total = w.sum(axis=(1, 2))
+    flat = total <= 0
+    denom = np.where(flat, 1.0, total)
+    r0 = (w * rr).sum(axis=(1, 2)) / denom
+    c0 = (w * cc).sum(axis=(1, 2)) / denom
+    d2 = (rr - r0[:, None, None]) ** 2 + (cc - c0[:, None, None]) ** 2
+    var = (w * d2).sum(axis=(1, 2)) / denom
+    sigma = np.sqrt(np.maximum(var / 2.0, 0.25))
+    mid = (wp - 1) / 2.0
+    return np.stack(
+        [
+            patches.max(axis=(1, 2)) - lo,
+            np.where(flat, mid, r0),
+            np.where(flat, mid, c0),
+            np.where(flat, 1.0, sigma),
+            lo,
+        ],
+        axis=1,
     )
+
+
+def _fit_windows(patches, start, sigma_bands) -> _WindowFits:
+    """Levenberg-Marquardt fit of A exp(-d^2 / 2 sigma^2) + b on each window.
+
+    patches is a (k, w, w) stack; start holds each fit's initial
+    (amplitude, row, col, sigma, offset) with the center in window
+    coordinates, sigma_bands each fit's (low, high) sigma bounds. Every fit
+    follows its own rules, exactly as if fitted alone: a start amplitude
+    <= 0 falls back at once; the start sigma is clipped into the band; each
+    iteration tries up to 12 damped steps, accepting the first that stays
+    finite, keeps sigma positive and inside the band, and does not raise
+    the residual norm (lambda / 10 on accept, floored at 1e-12, x 10 on
+    reject); no accepted step means the centroid fallback; a step below
+    1e-6 stops the fit, as do 100 iterations. A stopped fit is kept
+    only if its parameters are finite, sigma is positive and the center
+    lies within one pixel of the window. Fits that stop or fall back
+    leave the active set, so the others run on unchanged.
+    """
+    patches = np.asarray(patches, dtype=np.float64)
+    k, wp = patches.shape[0], patches.shape[1]
+    rr, cc = np.mgrid[0:wp, 0:wp].astype(np.float64)
+    params = np.array(start, dtype=np.float64).reshape(k, 5)
+    bands = np.asarray(sigma_bands, dtype=np.float64).reshape(k, 2)
+    lo_all, hi_all = bands[:, 0], bands[:, 1]
+    s0 = params[:, 3]
+    params[:, 3] = np.clip(s0, np.where(lo_all > 0, lo_all, s0), hi_all)
+    stopped = np.zeros(k, dtype=bool)
+    n_iter = np.zeros(k, dtype=np.int64)
+    norms = np.full((k, 101), np.nan)
+    n_norms = np.zeros(k, dtype=np.int64)
+
+    def residual(p, patch):
+        amp, r0, c0, sig, off = (p[:, j, None, None] for j in range(5))
+        g = np.exp(-((rr - r0) ** 2 + (cc - c0) ** 2) / (2.0 * sig**2))
+        return (amp * g + off - patch).reshape(len(p), wp * wp), g
+
+    # state of the active fits; act maps each row back to its window
+    act = np.flatnonzero(~(params[:, 0] <= 0))
+    p, patch = params[act], patches[act]
+    lo, hi = lo_all[act], hi_all[act]
+    res, g = residual(p, patch)
+    last = _row_norms(res)
+    norms[act, 0] = last
+    n_norms[act] = 1
+    lam = np.full(act.size, 1e-3)
+    eye = np.eye(5)
+    for it in range(1, 101):
+        if not act.size:
+            break
+        m = act.size
+        n_iter[act] = it
+        amp, r0, c0, sig = (p[:, j, None, None] for j in range(4))
+        dr, dc = rr - r0, cc - c0
+        ag = amp * g
+        sig2 = sig**2
+        jac = np.stack(
+            [g, ag * dr / sig2, ag * dc / sig2, ag * (dr**2 + dc**2) / sig**3, np.ones_like(g)],
+            axis=-1,
+        ).reshape(m, wp * wp, 5)
+        jac_t = jac.transpose(0, 2, 1)
+        gram = jac_t @ jac
+        grad = (jac_t @ res[:, :, None])[:, :, 0]
+        moved = np.zeros(m, dtype=bool)
+        step = np.zeros((m, 5))
+        pending = np.arange(m)
+        for _ in range(12):
+            cand, solved = _solve_each(
+                gram[pending] + lam[pending, None, None] * eye, -grad[pending]
+            )
+            trial = p[pending] + cand
+            t_sig = trial[:, 3]
+            valid = (
+                solved
+                & (t_sig > 0)
+                & (lo[pending] <= t_sig)
+                & (t_sig <= hi[pending])
+                & np.isfinite(trial).all(axis=1)
+            )
+            tried = pending[valid]
+            t_res, t_g = residual(trial[valid], patch[tried])
+            t_norm = _row_norms(t_res)
+            keep = t_norm <= last[tried]
+            better = np.zeros(pending.size, dtype=bool)
+            better[valid] = keep
+            take = tried[keep]
+            p[take], step[take] = trial[better], cand[better]
+            res[take], g[take], last[take] = t_res[keep], t_g[keep], t_norm[keep]
+            rows = act[take]
+            norms[rows, n_norms[rows]] = t_norm[keep]
+            n_norms[rows] += 1
+            moved[take] = True
+            lam[pending] = np.where(
+                better, np.maximum(lam[pending] / 10.0, 1e-12), lam[pending] * 10.0
+            )
+            pending = pending[~better]
+            if not pending.size:
+                break
+        converged = moved & (_row_norms(step) < 1e-6)
+        done = ~moved | converged
+        if done.any():
+            params[act[converged]] = p[converged]
+            stopped[act[converged]] = True
+            live = ~done
+            act, p, patch, lo, hi = act[live], p[live], patch[live], lo[live], hi[live]
+            res, g, last, lam = res[live], g[live], last[live], lam[live]
+    params[act] = p
+    stopped[act] = True
+
+    r0, c0, sig = params[:, 1], params[:, 2], params[:, 3]
+    in_window = (-1.0 <= r0) & (r0 <= wp) & (-1.0 <= c0) & (c0 <= wp)
+    ok = stopped & (sig > 0) & np.isfinite(params).all(axis=1) & in_window
+    if not ok.all():
+        params[~ok] = _centroid_fallbacks(patches[~ok])
+    return _WindowFits(params, ok, n_iter, norms, n_norms)
+
+
+def _window_origins(centers, window_px: int, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Top-left pixel of the window_px window around each rounded center,
+    and whether that window lies inside an image of the given shape."""
+    rounded = np.floor(np.asarray(centers, dtype=np.float64) + 0.5).astype(np.int64)
+    origin = rounded - window_px // 2
+    inside = (
+        (origin >= 0).all(axis=-1)
+        & (origin[..., 0] + window_px <= shape[0])
+        & (origin[..., 1] + window_px <= shape[1])
+    )
+    return origin, inside
 
 
 def fit_gaussian_2d(
@@ -179,89 +351,35 @@ def fit_gaussian_2d(
     100 iterations; failures return the intensity centroid with ok=False.
 
     init optionally seeds (amplitude, sigma, offset); sigma_bounds
-    optionally confines sigma, rejecting steps that leave the band.
+    optionally confines sigma, rejecting steps that leave the band. This
+    is the one-window case of the batched fitter localization uses.
     """
     img = np.asarray(image, dtype=np.float64)
-    r_pk = int(np.floor(initial_center[0] + 0.5))
-    c_pk = int(np.floor(initial_center[1] + 0.5))
-    half = window_px // 2
-    r_lo, c_lo = r_pk - half, c_pk - half
-    if r_lo < 0 or c_lo < 0 or r_lo + window_px > img.shape[0] or c_lo + window_px > img.shape[1]:
+    origin, inside = _window_origins(initial_center, window_px, img.shape)
+    if not inside:
         raise ConfigError(
             f"{window_px}x{window_px} fit window at {initial_center} leaves the image"
         )
+    r_lo, c_lo = int(origin[0]), int(origin[1])
     patch = img[r_lo : r_lo + window_px, c_lo : c_lo + window_px]
-    rr, cc = np.mgrid[0:window_px, 0:window_px].astype(np.float64)
-    sig_lo, sig_hi = sigma_bounds if sigma_bounds is not None else (0.0, np.inf)
-
     if init is not None:
         a0, s0, b0 = (float(v) for v in init)
     else:
         b0 = float(patch.min())
         a0 = float(patch.max()) - b0
         s0 = max(window_px / 4.0, 1.0)
-    if a0 <= 0:
-        return _centroid_fallback(patch, r_lo, c_lo, 0, [])
-    s0 = float(np.clip(s0, sig_lo if sig_lo > 0 else s0, sig_hi))
-    p = np.array([a0, initial_center[0] - r_lo, initial_center[1] - c_lo, s0, b0])
-
-    def residual(params):
-        amp, r0, c0, sig, off = params
-        g = np.exp(-((rr - r0) ** 2 + (cc - c0) ** 2) / (2.0 * sig**2))
-        return (amp * g + off - patch).ravel(), g
-
-    lam = 1e-3
-    res, g = residual(p)
-    norms = [float(np.linalg.norm(res))]
-    n_iter = 0
-    for n_iter in range(1, 101):
-        amp, r0, c0, sig, _ = p
-        dr, dc = rr - r0, cc - c0
-        jac = np.stack(
-            [
-                g.ravel(),
-                (amp * g * dr / sig**2).ravel(),
-                (amp * g * dc / sig**2).ravel(),
-                (amp * g * (dr**2 + dc**2) / sig**3).ravel(),
-                np.ones(patch.size),
-            ],
-            axis=1,
-        )
-        gram = jac.T @ jac
-        grad = jac.T @ res
-        step = None
-        for _ in range(12):
-            try:
-                cand = np.linalg.solve(gram + lam * np.eye(5), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = p + cand
-            if trial[3] <= 0 or not sig_lo <= trial[3] <= sig_hi or not np.all(np.isfinite(trial)):
-                lam *= 10.0
-                continue
-            trial_res, trial_g = residual(trial)
-            trial_norm = float(np.linalg.norm(trial_res))
-            if trial_norm <= norms[-1]:
-                step = cand
-                p, res, g = trial, trial_res, trial_g
-                norms.append(trial_norm)
-                lam = max(lam / 10.0, 1e-12)
-                break
-            lam *= 10.0
-        if step is None:
-            return _centroid_fallback(patch, r_lo, c_lo, n_iter, norms)
-        if float(np.linalg.norm(step)) < 1e-6:
-            break
-
-    amp, r0, c0, sig, off = (float(v) for v in p)
-    center = (r_lo + r0, c_lo + c0)
-    in_window = -1.0 <= r0 <= window_px and -1.0 <= c0 <= window_px
-    if sig <= 0 or not np.all(np.isfinite(p)) or not in_window:
-        return _centroid_fallback(patch, r_lo, c_lo, n_iter, norms)
+    band = sigma_bounds if sigma_bounds is not None else (0.0, np.inf)
+    start = [a0, initial_center[0] - r_lo, initial_center[1] - c_lo, s0, b0]
+    fit = _fit_windows(patch[None], [start], [band])
+    amp, r0, c0, sig, off = (float(v) for v in fit.params[0])
     return GaussianFit(
-        center=center, sigma=sig, amplitude=amp, offset=off, ok=True,
-        n_iter=n_iter, residuals=tuple(norms),
+        center=(r_lo + r0, c_lo + c0),
+        sigma=sig,
+        amplitude=amp,
+        offset=off,
+        ok=bool(fit.ok[0]),
+        n_iter=int(fit.n_iter[0]),
+        residuals=tuple(float(v) for v in fit.norms[0, : fit.n_norms[0]]),
     )
 
 
@@ -363,56 +481,64 @@ def grid_shape(centers) -> tuple[int, int, np.ndarray, np.ndarray]:
     return rows, cols, row_ids, col_ids
 
 
-def _render_peak(fit: GaussianFit, shape) -> np.ndarray:
-    """The fitted Gaussian bump (offset excluded) over a full frame."""
-    rr = np.arange(shape[0], dtype=np.float64)[:, None] - fit.center[0]
-    cc = np.arange(shape[1], dtype=np.float64)[None, :] - fit.center[1]
-    return fit.amplitude * np.exp(-(rr**2 + cc**2) / (2.0 * fit.sigma**2))
+def _refit_without_neighbors(img, fits, sigma_bands, window_px: int):
+    """Refit every site on the image minus every other site's fitted bump.
+
+    fits is an (..., n_sites, 5) stack of (amplitude, row, col, sigma,
+    offset) in image coordinates; each leading index is one independent
+    set of sites, and sigma_bands broadcasts to (..., n_sites, 2). All
+    windows go to the fitter as one batch: each is cut from
+    img - (total - bump_i), total being the sum of its set's bumps.
+    Returns (refits in image coordinates, ok): ok is False for a fit that
+    fell back or whose window leaves the image.
+    """
+    fits = np.asarray(fits, dtype=np.float64)
+    amp, r, c, sig = (fits[..., j, None, None] for j in range(4))
+    rr = np.arange(img.shape[0], dtype=np.float64)[:, None] - r
+    cc = np.arange(img.shape[1], dtype=np.float64)[None, :] - c
+    bumps = amp * np.exp(-(rr**2 + cc**2) / (2.0 * sig**2))
+    total = bumps.sum(axis=-3, keepdims=True)
+    lead = fits.shape[:-1]
+    origin, inside = _window_origins(fits[..., 1:3], window_px, img.shape)
+    origin, inside = origin.reshape(-1, 2), inside.ravel()
+    sel = np.flatnonzero(inside)
+    span = np.arange(window_px)
+    rows = origin[sel, 0, None, None] + span[:, None]
+    cols = origin[sel, 1, None, None] + span[None, :]
+    resid = (img - (total - bumps)).reshape(-1, *img.shape)
+    start = fits.reshape(-1, 5)[sel].copy()
+    start[:, 1:3] -= origin[sel]
+    bands = np.broadcast_to(sigma_bands, (*lead, 2)).reshape(-1, 2)[sel]
+    fit = _fit_windows(resid[sel[:, None, None], rows, cols], start, bands)
+
+    out = fits.reshape(-1, 5).copy()
+    out[sel] = fit.params
+    out[sel, 1:3] += origin[sel]
+    ok = np.zeros(inside.size, dtype=bool)
+    ok[sel] = fit.ok
+    return out.reshape(fits.shape), ok.reshape(lead)
 
 
-def _bootstrap_fit(img, pos, sigma, med) -> GaussianFit:
-    r, c = int(round(pos[0])), int(round(pos[1]))
-    r = min(max(r, 0), img.shape[0] - 1)
-    c = min(max(c, 0), img.shape[1] - 1)
-    return GaussianFit(
-        center=(float(pos[0]), float(pos[1])),
-        sigma=sigma,
-        amplitude=max(float(img[r, c]) - med, 1e-12),
-        offset=med,
-        ok=False,
-        n_iter=0,
-        residuals=(),
-    )
-
-
-def _subtraction_refits(img, anchors, fits, window_px, sigma_band, guard, passes):
+def _subtraction_refits(img, fits, window_px, sigma_bands, guards, passes):
     """Iterate per-site fits on the image minus every other fitted bump.
 
-    A refit is only accepted while its center stays within guard of its
-    anchor and its sigma inside sigma_band; rejected sites keep their
-    previous fit. Returns new fits plus a per-site acceptance count.
+    fits is an (n_sets, n_sites, 5) stack as in _refit_without_neighbors,
+    whose starting centers are the anchors; each pass refits every site of
+    every set in one batch from the fits the pass starts with. A refit is
+    only accepted while its center stays within its set's guard of its
+    anchor and its sigma inside its set's band; rejected sites keep their
+    previous fit.
     """
-    fits = list(fits)
-    accepted = [0] * len(fits)
+    fits = np.array(fits, dtype=np.float64)
+    anchors = fits[..., 1:3].copy()
+    bands = np.asarray(sigma_bands, dtype=np.float64)[:, None, :]
+    guards = np.asarray(guards, dtype=np.float64)[:, None]
     for _ in range(max(passes, 1)):
-        bumps = [_render_peak(f, img.shape) for f in fits]
-        total = np.sum(bumps, axis=0)
-        for i, (f, anchor) in enumerate(zip(fits, anchors)):
-            try:
-                trial = fit_gaussian_2d(
-                    img - (total - bumps[i]),
-                    f.center,
-                    window_px,
-                    init=(f.amplitude, f.sigma, f.offset),
-                    sigma_bounds=sigma_band,
-                )
-            except ConfigError:
-                continue
-            drift = np.hypot(trial.center[0] - anchor[0], trial.center[1] - anchor[1])
-            if trial.ok and drift <= guard:
-                fits[i] = trial
-                accepted[i] += 1
-    return fits, accepted
+        trial, ok = _refit_without_neighbors(img, fits, bands, window_px)
+        drift = np.hypot(trial[..., 1] - anchors[..., 0], trial[..., 2] - anchors[..., 1])
+        accept = ok & (drift <= guards)
+        fits[accept] = trial[accept]
+    return fits
 
 
 def _fit_lattice(centers):
@@ -547,19 +673,22 @@ def _joint_refine(img, anchors, sigma0: float, sigma_band, max_iter: int = 80):
     lam = 1e-3
     for _ in range(max_iter):
         g, dr, dc, d2 = bumps(rs, cs, sig)
-        ag = g * amps[None, :]
-        jac = np.concatenate(
-            [
-                ag * dr / sig**2,
-                ag * dc / sig**2,
-                (ag * d2).sum(axis=1, keepdims=True) / sig**3,
-                g,
-                np.ones((y.size, 1)),
-            ],
-            axis=1,
-        )
-        jtj = jac.T @ jac
-        jtr = jac.T @ resid
+        # the last accepted step may have flung a center far away; the
+        # non-finite checks below reject the steps its Jacobian gives
+        with np.errstate(over="ignore", invalid="ignore"):
+            ag = g * amps[None, :]
+            jac = np.concatenate(
+                [
+                    ag * dr / sig**2,
+                    ag * dc / sig**2,
+                    (ag * d2).sum(axis=1, keepdims=True) / sig**3,
+                    g,
+                    np.ones((y.size, 1)),
+                ],
+                axis=1,
+            )
+            jtj = jac.T @ jac
+            jtr = jac.T @ resid
         moved = False
         step = np.inf
         for _ in range(12):
@@ -621,13 +750,16 @@ def locate_sites(
     radii (on a heavily blended array a small radius picks noise bumps on
     the merged mound), each set refined by per-window fits with every
     other site's bump subtracted, then snapped to a robust affine lattice
-    when one fits. Second, each anchor set seeds a joint Gauss-Newton fit
-    of all sites with a shared width, and the candidate with the lowest
-    whole-frame residual wins; a lattice through the winning centers
-    seeds one more joint fit in case a stray anchor survived. Third, a
-    per-site polish refit (width banded around the shared fit) supplies
-    per-site sigma and amplitude; sites whose polish is rejected keep the
-    joint model values and are flagged as fallbacks.
+    when one fits. Radii that find the same peaks are fitted once, and
+    each refit round fits every site of every distinct peak set in one
+    batch. Second, each anchor set seeds a joint Gauss-Newton fit of all
+    sites with a shared width, and the candidate with the lowest
+    whole-frame residual wins (the first on a tie); a lattice through the
+    winning centers seeds one more joint fit in case a stray anchor
+    survived. Third, a per-site confirmation refit of all sites in one
+    batch (width banded around the shared fit) flags each site whose
+    refit fails or drifts more than 0.75 px as a fallback; every site
+    keeps the joint model's shared sigma and its amplitude.
 
     Sites come back row-major by fitted position.
     """
@@ -635,18 +767,29 @@ def locate_sites(
     med = float(np.median(img))
     h, w = img.shape
 
-    def stage1(peaks):
+    def stage1(peak_sets):
+        peaks = np.asarray(peak_sets, dtype=np.float64)  # (n_sets, n_sites, 2)
         if n_sites > 1:
-            d_min = _median_spacing(np.asarray(peaks, dtype=np.float64))
+            d_min = np.array([_median_spacing(p) for p in peaks])
         else:
-            d_min = 2.0 * window_px
-        band = (max(0.3, 0.1 * d_min), 0.75 * d_min)
+            d_min = np.full(len(peaks), 2.0 * window_px)
+        bands = np.stack([np.maximum(0.3, 0.1 * d_min), 0.75 * d_min], axis=1)
         # wide enough to walk off a blend-shifted peak, tight enough that
         # two drifting centers stay clearly apart
-        guard = max(0.5 * min_distance_px, 0.3 * d_min)
-        fits = [_bootstrap_fit(img, p, 0.4 * d_min, med) for p in peaks]
-        fits, _ = _subtraction_refits(img, peaks, fits, window_px, band, guard, refine_passes)
-        return fits
+        guards = np.maximum(0.5 * min_distance_px, 0.3 * d_min)
+        rows, cols = peaks[..., 0].astype(int), peaks[..., 1].astype(int)
+        fits = np.stack(
+            [
+                np.maximum(img[rows, cols] - med, 1e-12),
+                peaks[..., 0],
+                peaks[..., 1],
+                np.broadcast_to(0.4 * d_min[:, None], rows.shape),
+                np.full(rows.shape, med),
+            ],
+            axis=-1,
+        )
+        fits = _subtraction_refits(img, fits, window_px, bands, guards, refine_passes)
+        return fits[..., 1:3]
 
     def joint_from(anchors):
         if n_sites > 1:
@@ -659,18 +802,23 @@ def locate_sites(
         result = _joint_refine(img, anchors, sig0, band)
         return result if _usable_centers(result[0], (h, w)) else None
 
-    best = None
-    scales = (1.0, 1.5, 2.0, 3.0) if snap else (1.0,)
-    for scale in scales:
+    # scales that find the same peaks give the same candidate, and the
+    # first of equal candidates wins, so each distinct peak set runs once
+    peak_sets = []
+    for scale in (1.0, 1.5, 2.0, 3.0) if snap else (1.0,):
         try:
             peaks = find_peaks(img, min_distance_px * scale, n_sites)
         except DataError:
             continue
-        anchors = [f.center for f in stage1(peaks)]
+        if peaks not in peak_sets:
+            peak_sets.append(peaks)
+
+    best = None
+    for anchors in stage1(peak_sets) if peak_sets else ():
         if snap and n_sites >= 4:
             lattice = _fit_lattice(anchors)
             if lattice is not None:
-                anchors = [tuple(p) for p in lattice[0]]
+                anchors = lattice[0]
         cand = joint_from(anchors)
         if cand is not None and (best is None or cand[4] < best[4]):
             best = cand
@@ -680,51 +828,34 @@ def locate_sites(
     # a stray anchor can survive scale selection; a lattice through the
     # winning centers gives one more chance to correct it
     if snap and n_sites >= 4:
-        lattice = _fit_lattice([tuple(c) for c in best[0]])
+        lattice = _fit_lattice(best[0])
         if lattice is not None:
-            cand = joint_from([tuple(p) for p in lattice[0]])
+            cand = joint_from(lattice[0])
             if cand is not None and cand[4] < best[4]:
                 best = cand
 
     centers, sig_shared, amps, off, _ = best
-    order = None
     if n_sites > 1:
         row_ids, _ = axis_clusters(centers[:, 0])
         order = np.lexsort((centers[:, 1], row_ids))
         centers, amps = centers[order], amps[order]
 
-    sigmas = np.full(n_sites, sig_shared)
     amplitudes = np.maximum(amps, 1e-12)
-    fallbacks = []
-    bump_stack = [
-        _render_peak(
-            GaussianFit(tuple(c), sig_shared, float(a), off, True, 0, ()), img.shape
-        )
-        for c, a in zip(centers, amplitudes)
-    ]
-    total = np.sum(bump_stack, axis=0)
     # confirmation only: a truncated-window fit at low contrast drifts to
     # its sigma bound, so the shared-width joint estimates always win; the
     # per-site refit just has to land close to flag the site as trusted
-    for i in range(n_sites):
-        confirmed = False
-        try:
-            trial = fit_gaussian_2d(
-                img - (total - bump_stack[i]),
-                tuple(centers[i]),
-                window_px,
-                init=(float(amplitudes[i]), sig_shared, off),
-                sigma_bounds=(0.8 * sig_shared, 1.25 * sig_shared),
-            )
-            drift = np.hypot(trial.center[0] - centers[i][0], trial.center[1] - centers[i][1])
-            confirmed = trial.ok and drift <= 0.75
-        except ConfigError:
-            pass
-        fallbacks.append(not confirmed)
+    joint = np.column_stack(
+        [amplitudes, centers, np.full(n_sites, sig_shared), np.full(n_sites, off)]
+    )
+    trial, ok = _refit_without_neighbors(
+        img, joint, (0.8 * sig_shared, 1.25 * sig_shared), window_px
+    )
+    drift = np.hypot(trial[:, 1] - centers[:, 0], trial[:, 2] - centers[:, 1])
+    confirmed = ok & (drift <= 0.75)
 
     return SiteGeometry(
         centers=centers,
-        sigmas=sigmas,
+        sigmas=np.full(n_sites, sig_shared),
         amplitudes=amplitudes,
-        fallbacks=tuple(fallbacks),
+        fallbacks=tuple(bool(b) for b in ~confirmed),
     )

@@ -44,7 +44,7 @@ from .train import (
     theta_grid_default,
     train_all_sites,
 )
-from .util import canonical_json, content_hash, derive_seed, write_atomic
+from .util import canonical_json, content_hash, derive_seed, release_free_heap, write_atomic
 
 LABEL_SOURCES = ("label", "truth")
 
@@ -337,8 +337,17 @@ def run_pipeline(run: RunConfig) -> SweepReport:
 
     Reruns with an identical RunConfig rewrite every artifact with the
     same bytes. audit.json records each shuffle's train/val/test index
-    partition; training and tuning never see the test block.
+    partition; training and tuning never see the test block. The heap the
+    sweep freed goes back to the operating system before it returns.
     """
+    try:
+        return _sweep(run)
+    finally:
+        release_free_heap()
+
+
+def _sweep(run: RunConfig) -> SweepReport:
+    """The body of run_pipeline: every exposure, shuffle and artifact."""
     out_dir = Path(run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"

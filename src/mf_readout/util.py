@@ -1,8 +1,10 @@
 """Small shared helpers: seeded RNG streams, canonical hashing, atomic
-file writes, and stable number formatting."""
+file writes, stable number formatting, and handing freed heap memory back
+to the operating system."""
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import json
@@ -69,6 +71,22 @@ def write_atomic(path, *chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def release_free_heap() -> None:
+    """Return the C heap's free pages to the operating system (glibc only).
+
+    glibc keeps freed memory below its trim threshold (up to 64 MB once
+    large arrays have come and gone) and every free hole under a live
+    block resident, so after a sweep the process holds an amount that
+    depends on the order of its allocations rather than on what is live.
+    A no-op where the C library has no malloc_trim.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
 
 
 def round_half_up(x: float) -> int:

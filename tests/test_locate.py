@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mf_readout import (
     SiteGeometry,
     apply_stats,
     crop,
+    crosstalk_config,
     default_config,
     find_peaks,
     fit_gaussian_2d,
@@ -14,8 +17,24 @@ from mf_readout import (
     generate_dataset,
     locate_sites,
     mean_image,
+    split_dataset,
 )
-from mf_readout.locate import axis_clusters, grid_shape
+from mf_readout.locate import (
+    GaussianFit,
+    _fit_lattice,
+    _fit_windows,
+    _joint_refine,
+    _median_spacing,
+    _usable_centers,
+    axis_clusters,
+    grid_shape,
+)
+
+# any numeric warning in localization is a defect: a flung fit must be
+# rejected by the finite checks, not announced on stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+PRESETS = {"default": default_config, "crosstalk": crosstalk_config}
 
 
 def gaussian_image(shape, center, sigma, amplitude, offset=0.0):
@@ -144,6 +163,109 @@ def test_fit_gaussian_2d_respects_sigma_bounds():
 def test_fit_gaussian_2d_flat_window_falls_back():
     fit = fit_gaussian_2d(np.zeros((20, 20)), (10, 10))
     assert not fit.ok
+    # the flat window's centroid fallback is the window center, width 1
+    assert fit.center == (10.0, 10.0)
+    assert (fit.sigma, fit.amplitude, fit.offset) == (1.0, 0.0, 0.0)
+    assert fit == _reference_fit(np.zeros((20, 20)), (10, 10))
+
+
+def test_fit_gaussian_2d_nonpositive_amplitude_falls_back_at_once():
+    img = gaussian_image((20, 20), (10.3, 9.8), 1.6, 3.0, offset=0.2)
+    for a0 in (0.0, -1.0):
+        fit = fit_gaussian_2d(img, (10, 10), init=(a0, 1.6, 0.2))
+        assert not fit.ok
+        assert fit.n_iter == 0 and fit.residuals == ()
+        assert fit == _reference_fit(img, (10, 10), init=(a0, 1.6, 0.2))
+
+
+def test_fit_gaussian_2d_band_rejecting_every_step_falls_back():
+    img = gaussian_image((20, 20), (10.3, 9.8), 1.6, 3.0, offset=0.2)
+    # a zero-width band rejects any step that moves sigma at all
+    fit = fit_gaussian_2d(img, (10, 10), init=(3.0, 1.2, 0.2), sigma_bounds=(1.2, 1.2))
+    assert not fit.ok
+    assert fit.n_iter == 1 and len(fit.residuals) == 1
+    ref = _reference_fit(img, (10, 10), init=(3.0, 1.2, 0.2), sigma_bounds=(1.2, 1.2))
+    assert fit == ref
+
+
+def test_fit_gaussian_2d_window_leaving_the_image_raises():
+    img = gaussian_image((20, 20), (10.0, 10.0), 1.6, 3.0)
+    for center in ((2.4, 10.0), (10.0, 16.6), (-0.2, 3.0)):
+        with pytest.raises(ConfigError):
+            fit_gaussian_2d(img, center)
+    # a window touching the image edge is still inside
+    fit_gaussian_2d(img, (3.0, 16.49))
+
+
+def _assert_same_fit(fit, ref):
+    assert (fit.ok, fit.n_iter, len(fit.residuals)) == (ref.ok, ref.n_iter, len(ref.residuals))
+    assert np.allclose(fit.center, ref.center, rtol=0, atol=1e-9)
+    assert np.allclose(
+        [fit.sigma, fit.amplitude, fit.offset], [ref.sigma, ref.amplitude, ref.offset],
+        rtol=1e-9, atol=1e-12,
+    )
+    assert np.allclose(fit.residuals, ref.residuals, rtol=1e-9, atol=1e-12)
+
+
+def test_fit_gaussian_2d_matches_reference_on_noisy_windows():
+    rng = np.random.default_rng(5)
+    for shift, scale in [(0.6, 1.0)] * 40 + [(5.0, 1.0)] * 40 + [(0.6, 1e-4)] * 20:
+        # shift 5 puts many bumps outside the window, so some fits walk
+        # out of it and must fall back; on faint bumps the center columns
+        # of the Jacobian are tiny, so the damping floor shows
+        center = rng.uniform(8.0, 12.0, size=2)
+        img = gaussian_image((20, 20), center, rng.uniform(0.8, 2.5), scale * rng.uniform(0.2, 4.0))
+        img += rng.normal(0.0, 0.1 * scale, size=img.shape)
+        start = tuple(np.round(center + rng.uniform(-shift, shift, size=2), 1))
+        band = (rng.uniform(0.3, 1.0), rng.uniform(1.5, 3.0))
+        _assert_same_fit(
+            fit_gaussian_2d(img, start, sigma_bounds=band),
+            _reference_fit(img, start, sigma_bounds=band),
+        )
+
+
+def test_fit_gaussian_2d_matches_reference_in_narrow_sigma_bands():
+    # the narrower the band, the more damping a step needs to stay in it,
+    # so these widths walk the accepted try through all twelve
+    img = gaussian_image((20, 20), (10.3, 9.8), 1.6, 3.0, offset=0.2)
+    img += np.random.default_rng(6).normal(0.0, 0.05, size=img.shape)
+    for width in np.logspace(-12, -1, 45):
+        band = (1.3 - width, 1.3 + width)
+        _assert_same_fit(
+            fit_gaussian_2d(img, (10, 10), init=(2.5, 1.3, 0.2), sigma_bounds=band),
+            _reference_fit(img, (10, 10), init=(2.5, 1.3, 0.2), sigma_bounds=band),
+        )
+
+
+def test_batched_fits_are_isolated_from_a_failing_window():
+    rng = np.random.default_rng(9)
+    good = [
+        gaussian_image((7, 7), (3.0 + dr, 3.0 + dc), s, a, offset=0.1)
+        + rng.normal(0.0, 0.05, size=(7, 7))
+        for dr, dc, s, a in ((0.3, -0.2, 1.4, 2.0), (-0.4, 0.1, 1.9, 1.0), (0.1, 0.4, 1.1, 3.0))
+    ]
+    starts = [[2.0, 3.0, 3.0, 1.5, 0.1], [1.0, 3.0, 3.0, 1.5, 0.1], [3.0, 3.0, 3.0, 1.5, 0.1]]
+    bands = [[0.3, 4.0]] * 3
+    alone = [_fit_windows(p[None], [s], [b]) for p, s, b in zip(good, starts, bands)]
+    assert all(f.ok[0] for f in alone)
+    failing = [
+        (np.zeros((7, 7)), [0.0, 3.0, 3.0, 1.5, 0.0], [0.3, 4.0]),  # falls back at once
+        (good[0], [2.0, 3.0, 3.0, 1.2, 0.1], [1.2, 1.2]),  # every step rejected
+    ]
+    for patch, start, band in failing:
+        for at in range(4):
+            patches = good[:at] + [patch] + good[at:]
+            batch = _fit_windows(
+                np.stack(patches),
+                starts[:at] + [start] + starts[at:],
+                bands[:at] + [band] + bands[at:],
+            )
+            assert not batch.ok[at]
+            others = [i for i in range(4) if i != at]
+            for i, one in zip(others, alone):
+                assert batch.ok[i] and batch.n_iter[i] == one.n_iter[0]
+                assert batch.n_norms[i] == one.n_norms[0]
+                assert np.allclose(batch.params[i], one.params[0], rtol=1e-12, atol=1e-12)
 
 
 # ------------------------------------------------------------ lattice
@@ -187,6 +309,23 @@ def test_locate_sites_single_site():
     stack = generate_dataset(single)
     geo = locate_sites(mean_image(stack.images), 1)
     assert np.linalg.norm(geo.centers[0] - np.array([13.6, 14.3])) < 0.3
+
+
+def test_locate_sites_flags_sites_whose_window_leaves_the_image():
+    # the top row sits at row 2.4, so its 7x7 windows start at row -1:
+    # those sites are never refitted and come back as fallbacks
+    rng = np.random.default_rng(3)
+    img = sum(
+        gaussian_image((28, 28), (2.4 + 6 * r, 8.0 + 6 * c), 1.8, 1.0)
+        for r in range(3)
+        for c in range(3)
+    )
+    img = img + rng.normal(0.0, 0.02, size=img.shape)
+    geo = locate_sites(img, 9)
+    ref = _reference_locate_sites(img, 9)
+    assert geo.fallbacks == ref.fallbacks == (True,) * 3 + (False,) * 6
+    assert np.allclose(geo.centers, ref.centers, rtol=0, atol=1e-6)
+    assert np.abs(geo.centers[:3, 0] - 2.4).max() < 0.1
 
 
 def test_locate_sites_rejects_pure_noise():
@@ -267,3 +406,295 @@ def test_find_peaks_agrees_with_maximum_filter():
         map(tuple, np.argwhere(is_max)), key=lambda rc: -img[rc[0], rc[1]]
     )[:4]
     assert sorted(ours) == sorted(oracle)
+
+
+# ------------------------------------------- reference: one window at a time
+#
+# Localization fits all windows of a refit round as one batch. These are
+# the per-window fitter and the locate_sites it served, kept as the
+# reference the batched path must match.
+
+
+def _reference_centroid_fallback(patch, r_lo, c_lo, n_iter, residuals):
+    w = patch - patch.min()
+    total = w.sum()
+    rr, cc = np.mgrid[0 : patch.shape[0], 0 : patch.shape[1]]
+    if total <= 0:
+        r0, c0 = (patch.shape[0] - 1) / 2.0, (patch.shape[1] - 1) / 2.0
+        sigma = 1.0
+    else:
+        r0 = float((w * rr).sum() / total)
+        c0 = float((w * cc).sum() / total)
+        var = float((w * ((rr - r0) ** 2 + (cc - c0) ** 2)).sum() / total)
+        sigma = float(np.sqrt(max(var / 2.0, 0.25)))
+    return GaussianFit(
+        center=(r_lo + r0, c_lo + c0),
+        sigma=sigma,
+        amplitude=float(patch.max() - patch.min()),
+        offset=float(patch.min()),
+        ok=False,
+        n_iter=n_iter,
+        residuals=tuple(residuals),
+    )
+
+
+def _reference_fit(image, initial_center, window_px=7, *, init=None, sigma_bounds=None):
+    img = np.asarray(image, dtype=np.float64)
+    r_pk = int(np.floor(initial_center[0] + 0.5))
+    c_pk = int(np.floor(initial_center[1] + 0.5))
+    half = window_px // 2
+    r_lo, c_lo = r_pk - half, c_pk - half
+    if r_lo < 0 or c_lo < 0 or r_lo + window_px > img.shape[0] or c_lo + window_px > img.shape[1]:
+        raise ConfigError(f"{window_px}x{window_px} window at {initial_center} leaves the image")
+    patch = img[r_lo : r_lo + window_px, c_lo : c_lo + window_px]
+    rr, cc = np.mgrid[0:window_px, 0:window_px].astype(np.float64)
+    sig_lo, sig_hi = sigma_bounds if sigma_bounds is not None else (0.0, np.inf)
+    if init is not None:
+        a0, s0, b0 = (float(v) for v in init)
+    else:
+        b0 = float(patch.min())
+        a0 = float(patch.max()) - b0
+        s0 = max(window_px / 4.0, 1.0)
+    if a0 <= 0:
+        return _reference_centroid_fallback(patch, r_lo, c_lo, 0, [])
+    s0 = float(np.clip(s0, sig_lo if sig_lo > 0 else s0, sig_hi))
+    p = np.array([a0, initial_center[0] - r_lo, initial_center[1] - c_lo, s0, b0])
+
+    def residual(params):
+        amp, r0, c0, sig, off = params
+        g = np.exp(-((rr - r0) ** 2 + (cc - c0) ** 2) / (2.0 * sig**2))
+        return (amp * g + off - patch).ravel(), g
+
+    lam = 1e-3
+    res, g = residual(p)
+    norms = [float(np.linalg.norm(res))]
+    n_iter = 0
+    for n_iter in range(1, 101):
+        amp, r0, c0, sig, _ = p
+        dr, dc = rr - r0, cc - c0
+        jac = np.stack(
+            [
+                g.ravel(),
+                (amp * g * dr / sig**2).ravel(),
+                (amp * g * dc / sig**2).ravel(),
+                (amp * g * (dr**2 + dc**2) / sig**3).ravel(),
+                np.ones(patch.size),
+            ],
+            axis=1,
+        )
+        gram = jac.T @ jac
+        grad = jac.T @ res
+        step = None
+        for _ in range(12):
+            try:
+                cand = np.linalg.solve(gram + lam * np.eye(5), -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial = p + cand
+            if trial[3] <= 0 or not sig_lo <= trial[3] <= sig_hi or not np.all(np.isfinite(trial)):
+                lam *= 10.0
+                continue
+            trial_res, trial_g = residual(trial)
+            trial_norm = float(np.linalg.norm(trial_res))
+            if trial_norm <= norms[-1]:
+                step = cand
+                p, res, g = trial, trial_res, trial_g
+                norms.append(trial_norm)
+                lam = max(lam / 10.0, 1e-12)
+                break
+            lam *= 10.0
+        if step is None:
+            return _reference_centroid_fallback(patch, r_lo, c_lo, n_iter, norms)
+        if float(np.linalg.norm(step)) < 1e-6:
+            break
+
+    amp, r0, c0, sig, off = (float(v) for v in p)
+    in_window = -1.0 <= r0 <= window_px and -1.0 <= c0 <= window_px
+    if sig <= 0 or not np.all(np.isfinite(p)) or not in_window:
+        return _reference_centroid_fallback(patch, r_lo, c_lo, n_iter, norms)
+    return GaussianFit(
+        center=(r_lo + r0, c_lo + c0), sigma=sig, amplitude=amp, offset=off, ok=True,
+        n_iter=n_iter, residuals=tuple(norms),
+    )
+
+
+def _reference_bump(fit, shape):
+    rr = np.arange(shape[0], dtype=np.float64)[:, None] - fit.center[0]
+    cc = np.arange(shape[1], dtype=np.float64)[None, :] - fit.center[1]
+    return fit.amplitude * np.exp(-(rr**2 + cc**2) / (2.0 * fit.sigma**2))
+
+
+def _reference_subtraction_refits(img, anchors, fits, window_px, sigma_band, guard, passes):
+    fits = list(fits)
+    for _ in range(max(passes, 1)):
+        bumps = [_reference_bump(f, img.shape) for f in fits]
+        total = np.sum(bumps, axis=0)
+        for i, (f, anchor) in enumerate(zip(fits, anchors)):
+            try:
+                trial = _reference_fit(
+                    img - (total - bumps[i]),
+                    f.center,
+                    window_px,
+                    init=(f.amplitude, f.sigma, f.offset),
+                    sigma_bounds=sigma_band,
+                )
+            except ConfigError:
+                continue
+            drift = np.hypot(trial.center[0] - anchor[0], trial.center[1] - anchor[1])
+            if trial.ok and drift <= guard:
+                fits[i] = trial
+    return fits
+
+
+def _reference_locate_sites(mean_img, n_sites, min_distance_px=3.0, window_px=7, refine_passes=4):
+    img = np.asarray(mean_img, dtype=np.float64)
+    med = float(np.median(img))
+    h, w = img.shape
+
+    def stage1(peaks):
+        d_min = _median_spacing(np.asarray(peaks, dtype=np.float64))
+        band = (max(0.3, 0.1 * d_min), 0.75 * d_min)
+        guard = max(0.5 * min_distance_px, 0.3 * d_min)
+        fits = [
+            GaussianFit(
+                (float(r), float(c)), 0.4 * d_min, max(float(img[r, c]) - med, 1e-12), med,
+                False, 0, (),
+            )
+            for r, c in peaks
+        ]
+        return _reference_subtraction_refits(
+            img, peaks, fits, window_px, band, guard, refine_passes
+        )
+
+    def joint_from(anchors):
+        spacing = _median_spacing(anchors)
+        result = _joint_refine(img, anchors, 0.35 * spacing, (0.3, 0.8 * spacing))
+        return result if _usable_centers(result[0], (h, w)) else None
+
+    best = None
+    for scale in (1.0, 1.5, 2.0, 3.0):
+        try:
+            peaks = find_peaks(img, min_distance_px * scale, n_sites)
+        except DataError:
+            continue
+        anchors = [f.center for f in stage1(peaks)]
+        lattice = _fit_lattice(anchors)
+        if lattice is not None:
+            anchors = [tuple(p) for p in lattice[0]]
+        cand = joint_from(anchors)
+        if cand is not None and (best is None or cand[4] < best[4]):
+            best = cand
+    if best is None:
+        raise DataError("sites could not be located in the mean image")
+    lattice = _fit_lattice([tuple(c) for c in best[0]])
+    if lattice is not None:
+        cand = joint_from([tuple(p) for p in lattice[0]])
+        if cand is not None and cand[4] < best[4]:
+            best = cand
+
+    centers, sig_shared, amps, off, _ = best
+    row_ids, _ = axis_clusters(centers[:, 0])
+    order = np.lexsort((centers[:, 1], row_ids))
+    centers, amps = centers[order], amps[order]
+    amplitudes = np.maximum(amps, 1e-12)
+    bump_stack = [
+        _reference_bump(GaussianFit(tuple(c), sig_shared, float(a), off, True, 0, ()), img.shape)
+        for c, a in zip(centers, amplitudes)
+    ]
+    total = np.sum(bump_stack, axis=0)
+    fallbacks = []
+    for i in range(n_sites):
+        confirmed = False
+        try:
+            trial = _reference_fit(
+                img - (total - bump_stack[i]),
+                tuple(centers[i]),
+                window_px,
+                init=(float(amplitudes[i]), sig_shared, off),
+                sigma_bounds=(0.8 * sig_shared, 1.25 * sig_shared),
+            )
+            drift = np.hypot(trial.center[0] - centers[i][0], trial.center[1] - centers[i][1])
+            confirmed = trial.ok and drift <= 0.75
+        except ConfigError:
+            pass
+        fallbacks.append(not confirmed)
+    return SiteGeometry(
+        centers=centers,
+        sigmas=np.full(n_sites, sig_shared),
+        amplitudes=amplitudes,
+        fallbacks=tuple(fallbacks),
+    )
+
+
+# -------------------------------------------- localization on rendered stacks
+
+
+@pytest.fixture(scope="module")
+def train_means():
+    """Normalized train-split mean (split seed 0) of a rendered stack, plus
+    its true centers and PSF width; memoized per (preset, frames, seed)."""
+    cache = {}
+
+    def get(preset, n_images, seed):
+        key = (preset, n_images, seed)
+        if key not in cache:
+            stack = generate_dataset(PRESETS[preset](n_images=n_images, seed=seed))
+            train = stack.images[split_dataset(n_images, seed=0).train_idx]
+            geo = stack.config.geometry
+            cache[key] = (
+                mean_image(apply_stats(train, fit_stats(train))),
+                geo.site_centers(),
+                geo.psf_sigma_px,
+            )
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("n_images", [600, 1200, 3000, 6000])
+@pytest.mark.parametrize("preset", ["default", "crosstalk"])
+def test_locate_sites_matches_the_per_window_reference(train_means, preset, n_images):
+    for seed in range(4):
+        img, _, _ = train_means(preset, n_images, seed)
+        try:
+            ref = _reference_locate_sites(img, 9)
+        except DataError:
+            with pytest.raises(DataError):
+                locate_sites(img, 9)
+            continue
+        geo = locate_sites(img, 9)
+        assert np.allclose(geo.centers, ref.centers, rtol=0, atol=1e-6), seed
+        assert np.allclose(geo.sigmas, ref.sigmas, rtol=1e-6, atol=0), seed
+        assert np.allclose(geo.amplitudes, ref.amplitudes, rtol=1e-6, atol=0), seed
+        assert geo.fallbacks == ref.fallbacks, seed
+
+
+@pytest.mark.parametrize(
+    "preset, n_images",
+    [("crosstalk", 600), ("crosstalk", 1200), ("crosstalk", 3000), ("default", 600)],
+)
+def test_locate_sites_raises_or_is_right(train_means, preset, n_images):
+    located = 0
+    for seed in range(8):
+        img, truth, sigma = train_means(preset, n_images, seed)
+        try:
+            geo = locate_sites(img, 9)
+        except DataError:
+            continue
+        located += 1
+        err = np.linalg.norm(geo.centers - truth, axis=1)
+        assert err.max() < 0.75, (seed, err.max())
+        assert np.all(np.abs(geo.sigmas - sigma) < 0.1 * sigma), (seed, geo.sigmas)
+    assert located >= 4
+
+
+def test_flung_joint_fit_raises_without_numeric_warnings(train_means):
+    # at this seed a joint fit flings a center to ~1e88 px before every
+    # scale is rejected
+    img, _, _ = train_means("crosstalk", 1200, 208)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError):
+            locate_sites(img, 9)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -276,6 +276,16 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
+def test_pipeline_releases_the_freed_heap_on_return_and_on_error(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline_mod, "release_free_heap", lambda: calls.append(1))
+    run_pipeline(_tiny_run(tmp_path / "a", kinds=("square",), n_shuffles=1))
+    assert calls == [1]
+    with pytest.raises(Exception, match=r"exposure 20 ms, shuffle 0"):
+        run_pipeline(_tiny_run(tmp_path / "b", kinds=("mf-site",), s_grid=(40,)))
+    assert calls == [1, 1]
+
+
 def test_pipeline_single_shuffle_reports_zero_spread(tmp_path):
     run = _tiny_run(tmp_path, kinds=("square",), n_shuffles=1)
     report = run_pipeline(run)

@@ -1,4 +1,6 @@
+import ctypes
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from mf_readout.util import (
     content_hash,
     derive_seed,
     fmt,
+    release_free_heap,
     round_half_up,
     stream,
     write_atomic,
@@ -51,6 +54,27 @@ def test_write_atomic_replaces_whole_or_not_at_all(tmp_path):
         write_atomic(path, b"half", object())  # fails after the first chunk
     assert path.read_bytes() == b"ab" + np.arange(3, dtype="<f4").tobytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin"]
+
+
+def _rss_mb() -> float:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * 4096 / 2**20
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not hasattr(ctypes.CDLL(None), "malloc_trim"),
+    reason="needs /proc and glibc's malloc_trim",
+)
+def test_release_free_heap_returns_freed_pages():
+    # 100 kB blocks stay under glibc's mmap threshold, so they live on the
+    # heap; the last block stays live, so free() cannot trim the hole below it
+    blocks = [np.ones(12_500) for _ in range(400)]
+    pin = blocks.pop()
+    del blocks
+    held = _rss_mb()
+    release_free_heap()
+    assert held - _rss_mb() > 20.0
+    assert pin.sum() == 12_500
 
 
 def test_round_half_up():
