@@ -4,15 +4,22 @@ fitting, and metaparameter search over window size and threshold.
 The matched filters are tuned from moments of the train frames, computed
 once per TrainingData: the pixel Gram matrix with a bias row and column,
 [X, c]^T [X, c], and its products with every site's labels. No feature
-matrix is built while tuning. All sites of one learned kind are tuned
-together: per window size s, the neighbor window means A_s (one column
-per site) meet the moments once, every site's normal equations are
-slices of G, G[:, :p] A_s and A_s^T [G A_s, R], and the systems of one
-dimension are stacked and solved by one helper. Cholesky decides whether
-an unregularized system has full rank, and a rank-deficient one gets the
-minimum-norm least-squares weights. One product scores every site's
-validation frames, and the fidelity of every threshold is counted from
-the sorted scores.
+matrix is built while tuning. Per window size s, the window means A_s
+(one column per site) meet the moments once, and every site's mf-site
+system A, over its window pixels and the bias, is a slice of G. It is
+solved once per site, s and alpha for both learned kinds, against the
+site's labels and G[pix, :p] A_s together, all sites as one stack, and
+the solves are cached on the TrainingData. mf-site reads its weights
+from them. mf-array's system, ordered [pixels, bias | neighbor means],
+holds A as its leading block, so its weights follow by block
+elimination through a small Schur complement over the neighbor means.
+Cholesky pivots decide whether an unregularized system has full rank,
+and a site whose system fails gets the minimum-norm least-squares
+weights of its full system. The fixed kinds are scored through their
+full-frame maps, every candidate of every site as one column, so one
+product scores the train frames and one the validation frames. Every
+kind scores its validation frames through the map FilterModel uses, and
+the fidelity of every threshold is counted from the sorted scores.
 """
 
 from __future__ import annotations
@@ -31,12 +38,12 @@ from .filters import (
     FilterModel,
     extract_array_features,  # noqa: F401  kept in this namespace: the traced benchmark
     extract_site_features,  # noqa: F401  rebinds train.extract_*_features by name
-    gaussian_score,
+    gaussian_score,  # noqa: F401  kept for the same reason: the traced benchmark
     gaussian_weight_map,
     learned_weight_map,
     neighbor_means,
     neighbor_sites,
-    square_score,
+    square_score,  # noqa: F401  rebinds train.square_score and train.gaussian_score
     unsupervised_threshold,
     window_fits,
     window_index,
@@ -109,23 +116,29 @@ def split_dataset(n_frames: int, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> Da
 _NON_FINITE = "ridge solve produced non-finite weights"
 
 
-def _full_rank(grams) -> np.ndarray:
-    """Cholesky test for each matrix of a (k, d, d) stack: positive
-    definite, with the smallest squared pivot above sqrt(eps) times the
-    largest. One factorization serves the whole stack; only when it
-    fails is each matrix tested on its own."""
+def _cholesky_pivots(grams) -> np.ndarray:
+    """Squared Cholesky pivots (k, d) of each matrix of a (k, d, d) stack,
+    a row of zeros for a matrix that is not positive definite. One
+    factorization serves the whole stack; only when it fails is each
+    matrix factored on its own."""
     try:
-        pivots = np.diagonal(np.linalg.cholesky(grams), axis1=-2, axis2=-1) ** 2
+        return np.diagonal(np.linalg.cholesky(grams), axis1=-2, axis2=-1) ** 2
     except np.linalg.LinAlgError:
         if len(grams) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_full_rank(g[None]) for g in grams])
+            return np.zeros((1, grams.shape[-1]))
+        return np.concatenate([_cholesky_pivots(g[None]) for g in grams])
+
+
+def _full_rank(pivots) -> np.ndarray:
+    """The rank test on squared pivots (k, d): the smallest above sqrt(eps)
+    times the largest, and never for a row of zeros."""
     return pivots.min(axis=-1) > np.sqrt(np.finfo(np.float64).eps) * pivots.max(axis=-1)
 
 
-def _solve_normal(grams, rhs, alpha: float) -> np.ndarray:
-    """Weights w[i] with (grams[i] + alpha I) w[i] = rhs[i], for a (k, d, d)
-    stack of systems and (k, d) right-hand sides.
+def _solve_stack(grams, rhs, alpha: float):
+    """(x, pivots): x[i] with (grams[i] + alpha I) x[i] = rhs[i], for a
+    (k, d, d) stack of systems and (k, d, r) right-hand sides, and the
+    squared Cholesky pivots (k, d) of the systems (None when alpha > 0).
 
     alpha > 0 makes every system positive definite and the stack is
     solved directly. At alpha = 0 the Cholesky test decides per system:
@@ -136,15 +149,23 @@ def _solve_normal(grams, rhs, alpha: float) -> np.ndarray:
     """
     if alpha > 0:
         grams = grams + alpha * np.eye(grams.shape[-1])
-        return np.linalg.solve(grams, rhs[..., None])[..., 0]
-    full = _full_rank(grams)
-    w = np.empty(rhs.shape)
+        return np.linalg.solve(grams, rhs), None
+    pivots = _cholesky_pivots(grams)
+    full = _full_rank(pivots)
+    x = np.empty(rhs.shape)
     if full.any():
         rows = slice(None) if full.all() else full  # a mask would copy the whole stack
-        w[rows] = np.linalg.solve(grams[rows], rhs[rows, :, None])[..., 0]
+        x[rows] = np.linalg.solve(grams[rows], rhs[rows])
     for i in np.flatnonzero(~full):
-        w[i] = np.linalg.lstsq(grams[i], rhs[i], rcond=None)[0]
-    return w
+        x[i] = np.linalg.lstsq(grams[i], rhs[i], rcond=None)[0]
+    return x, pivots
+
+
+def _solve_normal(grams, rhs, alpha: float) -> np.ndarray:
+    """Weights w[i] with (grams[i] + alpha I) w[i] = rhs[i], for a (k, d, d)
+    stack of systems and (k, d) right-hand sides: _solve_stack with one
+    right-hand side per system."""
+    return _solve_stack(grams, rhs[..., None], alpha)[0][..., 0]
 
 
 def fit_ridge(X, Y, alpha: float = 0.0) -> np.ndarray:
@@ -200,13 +221,19 @@ def fit_rls(feature_stream, alpha0: float) -> np.ndarray:
     return w
 
 
+def _frame_rows(images) -> np.ndarray:
+    """A frame stack as float64 rows, one per frame, pixels row-major."""
+    return np.asarray(images, dtype=np.float64).reshape(images.shape[0], -1)
+
+
 @dataclass(frozen=True)
 class TrainingData:
     """Train and validation material for tuning; test frames stay outside.
 
     Labels are (n_frames, n_sites) 0/1 arrays aligned with the images.
-    Frozen, so the moments cached on first use always describe the
-    arrays the instance holds.
+    Frozen, so the moments, window products and solves cached on first
+    use always describe the arrays the instance holds. The solves are
+    keyed by (s, alpha), so a call with another alpha never reads them.
     """
 
     train_images: np.ndarray
@@ -237,7 +264,7 @@ class TrainingData:
         stack is never copied with a bias column appended.
         """
         m = self.train_images.shape[0]
-        x = np.asarray(self.train_images, dtype=np.float64).reshape(m, -1)
+        x = _frame_rows(self.train_images)
         y = np.asarray(self.train_labels, dtype=np.float64)
         p = x.shape[1]
         gram = np.empty((p + 1, p + 1))
@@ -249,8 +276,17 @@ class TrainingData:
         cross[p] = BIAS_C * y.sum(axis=0)
         if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross))):
             raise NumericalError("non-finite values in the training frames")
-        val = np.asarray(self.val_images, dtype=np.float64).reshape(self.val_images.shape[0], -1)
-        return gram, cross, val
+        return gram, cross, _frame_rows(self.val_images)
+
+    @cached_property
+    def _products(self) -> dict:
+        """Window size s -> _Products, filled by _window_products."""
+        return {}
+
+    @cached_property
+    def _solves(self) -> dict:
+        """(s, alpha) -> _Solves, filled by _site_solves."""
+        return {}
 
 
 LEARNED_KINDS = ("mf-site", "mf-array")
@@ -364,7 +400,8 @@ def _window_systems(gram, cross, moments_s, pix, nbr, sites):
     columns of A_s), then the bias slot: the order extract_site_features
     and extract_array_features use. moments_s holds G[:, :p] A_s,
     A_s^T G[:p, :p] A_s and A_s^T R[:p]; by the symmetry of G each
-    site's mean-by-pixel block is a slice of the first.
+    site's mean-by-pixel block is a slice of the first. Only a site
+    that fails the rank test of _learned_weights is solved this way.
     """
     ga, aga, ar = moments_s
     k, q = pix.shape
@@ -384,36 +421,115 @@ def _window_systems(gram, cross, moments_s, pix, nbr, sites):
     return a, b
 
 
-def _window_candidates(data, moments_s, a_s, s, sites, nbr, alpha):
-    """Weights (k, d) and validation scores (n_val, k) of the window-s
+_Products = namedtuple("_Products", ["fits", "a_s", "ga", "aga", "ar"])
+_Solves = namedtuple("_Solves", ["pix", "x", "pivots"])
+
+
+def _window_products(data: TrainingData, s: int) -> _Products:
+    """The window-s products both learned kinds share, cached on data.
+
+    fits lists the sites whose s x s window fits the frame, a_s their
+    window means (one column each, in that order), and the moments meet
+    a_s once: ga = G[:, :p] A_s, aga = A_s^T G[:p, :p] A_s and
+    ar = A_s^T R[:p].
+    """
+    if s not in data._products:
+        gram, cross, _ = data._moments
+        p = gram.shape[0] - 1
+        centers, shape = data.geometry.centers, data.image_shape
+        fits = tuple(k for k, c in enumerate(centers) if s >= 2 and window_fits(c, s, shape))
+        a_s = neighbor_means(centers, fits, s, shape)
+        ga = gram[:, :p] @ a_s
+        data._products[s] = _Products(fits, a_s, ga, a_s.T @ ga[:p], a_s.T @ cross[:p])
+    return data._products[s]
+
+
+def _site_solves(data: TrainingData, s: int, alpha: float) -> _Solves:
+    """Every fitting site's mf-site system, solved once for both learned
+    kinds and cached on data per (s, alpha).
+
+    A site's mf-site system A = G[pix, pix] covers its window pixels and
+    the bias slot (its row of pix ends with the bias slot p). It is
+    solved against [b | G[pix, :p] A_s], b = R[pix, site], so x[:, :, 0]
+    holds the mf-site weights and x[:, :, 1:] holds A^{-1} B for every
+    window mean, the columns mf-array eliminates with. pivots are A's
+    squared Cholesky pivots (None when alpha > 0). The rows follow
+    _window_products(data, s).fits.
+    """
+    key = (s, alpha)
+    if key not in data._solves:
+        gram, cross, _ = data._moments
+        products = _window_products(data, s)
+        p = gram.shape[0] - 1
+        centers, shape = data.geometry.centers, data.image_shape
+        sites = np.array(products.fits, dtype=np.intp)
+        pix = np.array([np.append(window_index(centers[k], s, shape), p) for k in sites])
+        rhs = np.concatenate([cross[pix, sites[:, None]][..., None], products.ga[pix]], axis=2)
+        x, pivots = _solve_stack(gram[pix[:, :, None], pix[:, None, :]], rhs, alpha)
+        data._solves[key] = _Solves(pix, x, pivots)
+    return data._solves[key]
+
+
+def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np.ndarray:
+    """Weights (k, d), in extract_*_features order, of the window-s
     candidate of each site in sites; nbr gives each site's neighbors as
-    columns of A_s, the same number for every site. The stacked systems
-    are dropped on return, so only one window's stack is ever held."""
-    gram, cross, val = data._moments
-    p = gram.shape[0] - 1
-    centers, shape = data.geometry.centers, data.image_shape
-    pix = np.array([np.append(window_index(centers[k], s, shape), p) for k in sites])
-    weights = _solve_normal(*_window_systems(gram, cross, moments_s, pix, nbr, sites), alpha)
-    maps = np.empty((p, len(sites)))
-    for j, w in enumerate(weights):
-        maps[:, j] = learned_weight_map(w, pix[j, :-1], a_s[:, nbr[j]])
-    return weights, val @ maps + BIAS_C * weights[:, -1]
+    columns of A_s, the same number for every site (none for mf-site).
+
+    Without neighbors the weights are the shared solves' first column.
+    With them the system, ordered [pixels, bias | neighbor means], is
+    [[A, B], [B^T, C]] with A the mf-site system. The neighbor weights u
+    solve the Schur complement S u = r - B^T A^{-1} b, with
+    S = C - B^T A^{-1} B (alpha added to the diagonals of A and C), and
+    the rest are A^{-1} b - A^{-1} B u. At alpha = 0 the rank test reads
+    A's pivots with chol(S)'s, which are the pivots of the whole system
+    in that order; a site that fails it is solved through its full
+    system by _solve_normal, the minimum-norm lstsq weights.
+    """
+    solves = _site_solves(data, s, alpha)
+    products = _window_products(data, s)
+    rows = np.searchsorted(products.fits, sites)
+    if nbr.shape[1] == 0:
+        return solves.x[rows, :, 0]
+    pix, x = solves.pix[rows], solves.x[rows]
+    ga, aga, ar = products.ga, products.aga, products.ar
+    x0 = x[:, :, 0]
+    a_inv_b = np.take_along_axis(x, 1 + nbr[:, None, :], axis=2)
+    b_t = ga[pix[:, None, :], nbr[:, :, None]]
+    schur = aga[nbr[:, :, None], nbr[:, None, :]] - b_t @ a_inv_b
+    rhs = ar[nbr, sites[:, None]] - (b_t @ x0[..., None])[..., 0]
+    if alpha > 0:
+        schur += alpha * np.eye(nbr.shape[1])
+        full = np.ones(len(sites), dtype=bool)
+    else:
+        full = _full_rank(np.concatenate([solves.pivots[rows], _cholesky_pivots(schur)], axis=1))
+    weights = np.empty((len(sites), pix.shape[1] + nbr.shape[1]))
+    if full.any():
+        u = np.linalg.solve(schur[full], rhs[full, :, None])
+        v = x0[full] - (a_inv_b[full] @ u)[..., 0]
+        weights[full] = np.concatenate([v[:, :-1], u[..., 0], v[:, -1:]], axis=1)
+    if not full.all():
+        gram, cross, _ = data._moments
+        rest = ~full
+        systems = _window_systems(gram, cross, (ga, aga, ar), pix[rest], nbr[rest], sites[rest])
+        weights[rest] = _solve_normal(*systems, alpha)
+    return weights
 
 
 def _tune_learned(data: TrainingData, sites, kind: str, s_grid, theta_grid, alpha: float) -> dict:
     """Tune one learned kind for every site in sites at once.
 
     Returns {site: TuneResult, or the exception that failed the site}, in
-    the order of sites. For each window size s the window means A_s of
-    the sites whose windows fit are built once and meet the moments once
-    (G[:, :p] A_s, A_s^T G A_s, A_s^T R); the systems of equal dimension
-    are solved as one stack, and one product scores every site's
-    validation frames. A site fails alone, as tune would fail it: its
-    neighbors cannot be found, its weights are not finite, its
-    validation labels hold one class, or no window fits it.
+    the order of sites. For each window size s the products and solves
+    both learned kinds share come from the caches on data
+    (_window_products, _site_solves), and the sites with the same number
+    of neighbors get their weights as one stack (_learned_weights). Every
+    candidate's weights are spread into one column of a full-frame map
+    matrix, so one product scores the validation frames of every site
+    and window. A site fails alone, at its first failing window, as tune
+    would fail it: its neighbors cannot be found, its weights are not
+    finite, its validation labels hold one class, or no window fits it.
     """
-    geometry, shape = data.geometry, data.image_shape
-    centers = geometry.centers
+    geometry = data.geometry
     failed: dict[int, Exception] = {}
     neighbors: dict[int, tuple[int, ...]] = {}
     for site in sites:
@@ -422,46 +538,119 @@ def _tune_learned(data: TrainingData, sites, kind: str, s_grid, theta_grid, alph
         except DataError as exc:
             failed[site] = exc
     try:
-        gram, cross, _ = data._moments
+        _, _, val = data._moments
     except NumericalError as exc:
         return {site: failed.get(site, exc) for site in sites}
-    p = gram.shape[0] - 1
-    thetas = np.asarray(theta_grid, dtype=np.float64)
-    cells: dict[int, list] = {site: [] for site in neighbors}  # (s, fidelity curve, weights)
+    candidates: dict[int, list] = {site: [] for site in neighbors if site not in failed}  # (s, column, weights)
+    maps, biases = [], []
     for s in s_grid:
-        fits = [s >= 2 and window_fits(c, s, shape) for c in centers]
-        live = [k for k in neighbors if k not in failed and all(fits[j] for j in (k, *neighbors[k]))]
+        products = _window_products(data, s)
+        column = {j: c for c, j in enumerate(products.fits)}
+        live = [k for k in candidates if all(j in column for j in (k, *neighbors[k]))]
         if not live:
             continue
-        means_of = [j for j in range(geometry.n_sites) if fits[j]] if kind == "mf-array" else []
-        column = {j: c for c, j in enumerate(means_of)}
-        a_s = neighbor_means(centers, means_of, s, shape)
-        ga = gram[:, :p] @ a_s
-        moments_s = (ga, a_s.T @ ga[:p], a_s.T @ cross[:p])
+        pix = _site_solves(data, s, alpha).pix
         for n_nbr in sorted({len(neighbors[k]) for k in live}):
             group = np.array([k for k in live if len(neighbors[k]) == n_nbr])
             nbr = np.array([[column[j] for j in neighbors[k]] for k in group], dtype=np.intp)
-            weights, scores = _window_candidates(data, moments_s, a_s, s, group, nbr, alpha)
+            weights = _learned_weights(data, s, group, nbr, alpha)
             for j, site in enumerate(group.tolist()):
-                if not np.all(np.isfinite(weights[j])):
-                    failed[site] = NumericalError(_NON_FINITE)
-                    continue
-                try:
-                    curve = _fidelity_curve(scores[:, j], data.val_labels[:, site], thetas)
-                except DataError as exc:
-                    failed[site] = exc
-                    continue
-                cells[site].append((s, curve, weights[j]))
+                candidates[site].append((s, len(maps), weights[j]))
+                maps.append(learned_weight_map(weights[j], pix[column[site], :-1], products.a_s[:, nbr[j]]))
+                biases.append(BIAS_C * weights[j, -1])
+    if maps:
+        scores = val @ np.stack(maps, axis=1) + np.array(biases)
+    thetas = np.asarray(theta_grid, dtype=np.float64)
+    cells: dict[int, list] = {site: [] for site in candidates}  # (s, fidelity curve, weights)
+    for site, found in candidates.items():
+        for s, j, weights in found:
+            if not np.all(np.isfinite(weights)):
+                failed[site] = NumericalError(_NON_FINITE)
+                break
+            try:
+                cells[site].append((s, _fidelity_curve(scores[:, j], data.val_labels[:, site], thetas), weights))
+            except DataError as exc:
+                failed[site] = exc
+                break
     out = {}
     for site in sites:
         if site in failed:
             out[site] = failed[site]
         elif not cells[site]:
-            out[site] = _no_window(s_grid, site, tuple(centers[site]))
+            out[site] = _no_window(s_grid, site, tuple(geometry.centers[site]))
         else:
             windows, curves, weights = zip(*cells[site])
             out[site] = _best_cell(windows, thetas, np.array(curves), weights)
     return out
+
+
+def _tune_fixed(data: TrainingData, sites, kind: str, s_grid) -> dict:
+    """Tune a fixed kind for every site in sites at once.
+
+    Returns {site: TuneResult, or the exception that failed the site}, in
+    the order of sites. Every candidate is one column of a full-frame map
+    matrix, the map FilterModel scores with: the indicator of each
+    window that fits (square, one column per s) or the point-spread map
+    (gaussian, one column, s = 0). One product scores the train frames
+    and one the validation frames. The columns cover every site, asked
+    for or not, so a site's scores, to the last bit, do not depend on
+    which sites are asked for. A candidate's threshold is the
+    intersection of its train-score classes, and its fidelity is counted
+    on validation. A site fails alone, at its first failing candidate, as
+    tune would fail it: its sigma is not positive, a train class is too
+    small or has no spread, its validation labels hold one class, or no
+    window fits it.
+    """
+    geometry, shape = data.geometry, data.image_shape
+    failed: dict[int, Exception] = {}
+    cells = []  # (site, s), one per column of the maps
+    for site in range(geometry.n_sites):
+        center = tuple(geometry.centers[site])
+        if kind == "gaussian":
+            windows = [0]
+        else:
+            windows = [s for s in s_grid if s >= 2 and window_fits(center, s, shape)]
+            if not windows:
+                failed[site] = _no_window(s_grid, site, center)
+        cells += [(site, s) for s in windows]
+    maps = np.zeros((shape[0] * shape[1], len(cells)))
+    for j, (site, s) in enumerate(cells):
+        center = tuple(geometry.centers[site])
+        if kind == "square":
+            maps[window_index(center, s, shape), j] = 1.0
+            continue
+        try:
+            maps[:, j] = gaussian_weight_map(center, float(geometry.sigmas[site]), shape).ravel()
+        except ConfigError as exc:
+            failed[site] = exc
+    train_scores = _frame_rows(data.train_images) @ maps
+    val_scores = _frame_rows(data.val_images) @ maps
+    found: dict[int, list] = {site: [] for site in sites}  # (s, theta, fidelity)
+    for j, (site, s) in enumerate(cells):
+        if site not in found or site in failed:
+            continue
+        try:
+            found[site].append((s, *_threshold_fidelity(
+                train_scores[:, j], data.train_labels[:, site],
+                val_scores[:, j], data.val_labels[:, site],
+            )))
+        except DataError as exc:
+            failed[site] = exc
+    out = {}
+    for site in sites:
+        if site in failed:
+            out[site] = failed[site]
+        else:
+            windows, thetas, fids = zip(*found[site])
+            out[site] = _best_cell(windows, np.array(thetas)[:, None], np.array(fids)[:, None])
+    return out
+
+
+def _tune_sites(data: TrainingData, sites, kind: str, s_grid, theta_grid, alpha: float) -> dict:
+    """{site: TuneResult, or the exception that failed the site}."""
+    if kind in LEARNED_KINDS:
+        return _tune_learned(data, sites, kind, s_grid, theta_grid, alpha)
+    return _tune_fixed(data, sites, kind, s_grid)
 
 
 def tune(
@@ -483,44 +672,21 @@ def tune(
     pitch so the baseline stays untrained) or is a single candidate
     (gaussian, whose footprint is set by the fitted sigma).
 
-    The learned kinds go through the pass train_all_sites makes over all
-    sites at once (_tune_learned), here with one site. Each candidate's
-    normal equations are slices of the train-frame moments cached on
-    data (see TrainingData._moments); per (kind, s) the systems of all
-    sites are stacked and solved together by _solve_normal, the solver
-    fit_ridge also uses. The weights are spread into full-frame maps by
-    filters.learned_weight_map, the map FilterModel scores with, so one
-    product per s scores every site's validation frames, and the
-    fidelity of every threshold is counted from the sorted scores.
+    This is the one-site case of the pass train_all_sites makes over all
+    sites at once: _tune_learned for the learned kinds, _tune_fixed for
+    the fixed ones. Each learned candidate's normal equations are slices
+    of the train-frame moments cached on data (see
+    TrainingData._moments), and the solves per (s, alpha) are cached
+    there too, shared by both learned kinds and by every site. Every
+    candidate is scored through the full-frame map FilterModel scores
+    with, and the fidelity of every threshold is counted from the sorted
+    scores.
     """
     theta_grid = _check_request(kind, s_grid, theta_grid, alpha)
-    if kind in LEARNED_KINDS:
-        outcome = _tune_learned(data, [site], kind, s_grid, theta_grid, alpha)[site]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-    center = tuple(data.geometry.centers[site])
-    shape = data.image_shape
-    y_train = data.train_labels[:, site]
-    y_val = data.val_labels[:, site]
-    if kind == "gaussian":
-        wmap = gaussian_weight_map(center, float(data.geometry.sigmas[site]), shape)
-        theta, fid = _threshold_fidelity(
-            gaussian_score(data.train_images, wmap), y_train,
-            gaussian_score(data.val_images, wmap), y_val,
-        )
-        return _best_cell((0,), [[theta]], [[fid]])
-    cells = []
-    for s in s_grid:
-        if s >= 2 and window_fits(center, s, shape):
-            cells.append((s, *_threshold_fidelity(
-                square_score(data.train_images, center, s), y_train,
-                square_score(data.val_images, center, s), y_val,
-            )))
-    if not cells:
-        raise _no_window(s_grid, site, center)
-    windows, thetas, fids = zip(*cells)
-    return _best_cell(windows, np.array(thetas)[:, None], np.array(fids)[:, None])
+    outcome = _tune_sites(data, [site], kind, s_grid, theta_grid, alpha)[site]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass
@@ -594,23 +760,14 @@ def train_all_sites(
     """Tune one model per site; per-site failures are collected, not fatal.
 
     A bad request (unknown kind, empty grid, negative alpha) raises
-    ConfigError before any site is tuned. The learned kinds tune every
-    site in one pass (see _tune_learned), the fixed kinds site by site.
+    ConfigError before any site is tuned. Every kind tunes all sites in
+    one pass (see _tune_learned and _tune_fixed).
     """
     theta_grid = _check_request(kind, s_grid, theta_grid, alpha)
     geometry = data.geometry
     if kind == "square" and s_grid is S_GRID and geometry.n_sites > 1:
         s_grid = (square_boundary_default(geometry),)
-    sites = range(geometry.n_sites)
-    if kind in LEARNED_KINDS:
-        outcomes = _tune_learned(data, sites, kind, s_grid, theta_grid, alpha)
-    else:
-        outcomes = {}
-        for site in sites:
-            try:
-                outcomes[site] = tune(data, site, kind, s_grid, theta_grid, alpha)
-            except (ConfigError, DataError, NumericalError) as exc:
-                outcomes[site] = exc
+    outcomes = _tune_sites(data, range(geometry.n_sites), kind, s_grid, theta_grid, alpha)
     models: dict[int, FilterModel] = {}
     tune_results: dict[int, TuneResult] = {}
     failures: dict[int, str] = {}

@@ -7,7 +7,15 @@ the acceptance checks share one build.
 
 from __future__ import annotations
 
-import time
+import os
+
+# One BLAS thread, set before numpy is first imported (below, through
+# mf_readout), so the suite's wall time does not depend on what else the
+# host runs.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import time  # noqa: E402
 from dataclasses import replace
 from types import SimpleNamespace
 

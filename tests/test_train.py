@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,17 +18,20 @@ from mf_readout import (
     extract_site_features,
     fit_rls,
     fit_ridge,
+    gaussian_score,
     gaussian_weight_map,
     load_models,
     neighbor_sites,
     split_dataset,
     square_boundary_default,
+    square_score,
     theta_grid_default,
     train_all_sites,
     tune,
+    unsupervised_threshold,
 )
 from mf_readout import train
-from mf_readout.filters import FilterModel, window_fits
+from mf_readout.filters import FilterModel, window_fits, window_slice
 from mf_readout.locate import grid_shape
 from mf_readout.train import S_GRID, _fidelity_curve, _solve_normal
 
@@ -448,14 +451,16 @@ def _with_broken_sites(data):
 def test_batch_failures_stay_per_site(small_training, monkeypatch):
     data = _with_broken_sites(small_training.data)
     grids = dict(s_grid=(3, 4, 5), theta_grid=(0.3, 0.5, 0.7))
-    candidates = train._window_candidates
+    learned_weights = train._learned_weights
 
-    def non_finite_site_3(data, moments_s, a_s, s, sites, nbr, alpha):
-        weights, scores = candidates(data, moments_s, a_s, s, sites, nbr, alpha)
-        weights[sites == 2] = np.nan
-        return weights, scores
+    def non_finite_weights(data, s, sites, nbr, alpha):
+        # site 3 at every window; site 5, which its validation labels fail
+        # at the first window already, only at the last
+        weights = learned_weights(data, s, sites, nbr, alpha)
+        weights[(sites == 2) | ((sites == 4) & (s == 5))] = np.nan
+        return weights
 
-    monkeypatch.setattr(train, "_window_candidates", non_finite_site_3)
+    monkeypatch.setattr(train, "_learned_weights", non_finite_weights)
     model_set = train_all_sites(data, "mf-site", **grids)
     monkeypatch.undo()
     assert model_set.failures == {
@@ -483,6 +488,178 @@ def test_batch_single_class_site_fails_alone_in_the_array(small_training):
         _assert_same_result(model_set.tune_results[site], tune(data, site, "mf-array", **grids))
 
 
+# --------------------------------------- shared solves, block elimination
+
+def _all_neighbors(n_sites):
+    """Neighbor columns of every site on a lattice of at most 3 x 3, where
+    every other site is a neighbor and every window fits."""
+    return np.array([[j for j in range(n_sites) if j != k] for k in range(n_sites)], dtype=np.intp)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_block_elimination_matches_the_full_system(small_training, monkeypatch, alpha):
+    data = replace(small_training.data)
+    gram, cross, _ = data._moments
+    sites, nbr = np.arange(9), _all_neighbors(9)
+    for s in (3, 5, 8):
+        products = train._window_products(data, s)
+        assert products.fits == tuple(range(9))
+        pix = train._site_solves(data, s, alpha).pix
+        grams, rhs = train._window_systems(gram, cross, products[2:], pix, nbr, sites)
+        expected = _solve_normal(grams, rhs, alpha)
+        with monkeypatch.context() as m:
+            # no site falls back: every weight comes from the elimination
+            m.setattr(train, "_solve_normal", None)
+            got = train._learned_weights(data, s, sites, nbr, alpha)
+        # both are backward-stable solves of the same system, so they agree
+        # to about eps * cond of max |w| (cond up to 1.2e4 here; measured
+        # at most 0.11 of it)
+        cond = np.linalg.cond(grams + alpha * np.eye(grams.shape[-1]))
+        tol = np.finfo(float).eps * cond[:, None] * np.abs(expected).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - expected) <= 10 * tol)
+
+
+def _lattice_data(n_train=60, n_val=40, seed=30):
+    """A 3 x 3 lattice of pitch 6 on 21 x 21 frames of noise with random
+    labels. In the train frames site 9's 3 x 3 window holds a constant,
+    so at s = 3 its own system A is rank 1, and its window mean is the
+    bias times a constant in every other site's mf-array system, so A
+    passes the rank test there and the Schur complement fails it."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([(4.0 + 6 * r, 4.0 + 6 * c) for r in range(3) for c in range(3)])
+    geometry = SiteGeometry(centers, np.full(9, 1.5), np.ones(9))
+    train_images = rng.normal(size=(n_train, 21, 21))
+    train_images[:, 15:18, 15:18] = 0.5
+    return TrainingData(
+        train_images, rng.integers(0, 2, size=(n_train, 9)).astype(np.uint8),
+        rng.normal(size=(n_val, 21, 21)), rng.integers(0, 2, size=(n_val, 9)).astype(np.uint8),
+        geometry,
+    )
+
+
+def _assert_minimum_norm(w, x, y):
+    """w is the minimum-norm least-squares solution of x^T w = y, exact
+    to d * eps * cond^2 of max |w| for d features (a Gram solve squares
+    cond(x); d covers the rank-1 system, whose cond is 1), cond taken
+    over the singular values above the numerical-rank cutoff."""
+    expected = np.linalg.pinv(x.T) @ y
+    sv = np.linalg.svd(x, compute_uv=False)
+    sv = sv[sv > sv[0] * np.finfo(float).eps * max(x.shape)]
+    tol = x.shape[0] * np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * np.abs(expected).max()
+    assert np.abs(w - expected).max() <= tol
+
+
+def test_block_elimination_falls_back_when_a_or_the_schur_complement_fails(monkeypatch):
+    data = _lattice_data()
+    s, sites, nbr = 3, np.arange(9), _all_neighbors(9)
+    solves = train._site_solves(data, s, 0.0)
+    assert train._full_rank(solves.pivots).tolist() == [True] * 8 + [False]
+    fallbacks = []
+    solve_normal = train._solve_normal
+
+    def spy(grams, rhs, alpha):
+        fallbacks.append(len(grams))
+        return solve_normal(grams, rhs, alpha)
+
+    monkeypatch.setattr(train, "_solve_normal", spy)
+    weights = train._learned_weights(data, s, sites, nbr, 0.0)
+    assert fallbacks == [9]  # site 9 for its A, every other site for its Schur complement
+    centers = data.geometry.centers
+    for k in sites:
+        y = data.train_labels[:, k].astype(float)
+        x = extract_array_features(data.train_images, centers, k, s, tuple(nbr[k]))
+        _assert_minimum_norm(weights[k], x, y)
+    y = data.train_labels[:, 8].astype(float)
+    _assert_minimum_norm(solves.x[8, :, 0], extract_site_features(data.train_images, centers[8], s), y)
+
+
+def test_mf_array_alone_equals_mf_array_after_mf_site(small_training):
+    grids = dict(s_grid=(3, 4, 5, 6), theta_grid=(0.3, 0.5, 0.7))
+    alone = train_all_sites(replace(small_training.data), "mf-array", **grids)
+    data = replace(small_training.data)
+    train_all_sites(data, "mf-site", **grids)
+    after = train_all_sites(data, "mf-array", **grids)
+    assert sorted(after.tune_results) == sorted(alone.tune_results) == list(range(9))
+    for site in range(9):
+        _assert_same_result(after.tune_results[site], alone.tune_results[site])
+    # another alpha solves afresh: equal to a cold start, unlike alpha = 0
+    ridge = train_all_sites(data, "mf-array", alpha=0.1, **grids)
+    ridge_alone = train_all_sites(replace(small_training.data), "mf-array", alpha=0.1, **grids)
+    for site in range(9):
+        _assert_same_result(ridge.tune_results[site], ridge_alone.tune_results[site])
+    assert not any(
+        np.array_equal(ridge.tune_results[site].weights, after.tune_results[site].weights) for site in range(9)
+    )
+    assert sorted(data._solves) == [(s, a) for s in grids["s_grid"] for a in (0.0, 0.1)]
+
+
+# ------------------------------------------------------- fixed kinds
+
+def _reference_fixed_tune(data, site, kind, s_grid):
+    """Reference for the fixed kinds, site by site: the square_score /
+    gaussian_score sums, unsupervised_threshold on the train scores and
+    the elementwise fidelity on validation. Returns [(s, theta, fidelity)]
+    per window, or raises what fails the site."""
+    center = tuple(data.geometry.centers[site])
+    shape = data.image_shape
+    y_train = data.train_labels[:, site].astype(bool)
+    y_val = data.val_labels[:, site]
+
+    def cell(train_scores, val_scores):
+        theta = unsupervised_threshold(train_scores[~y_train], train_scores[y_train])
+        return theta, float(_reference_fidelity_curve(val_scores, y_val, [theta])[0])
+
+    if kind == "gaussian":
+        wmap = gaussian_weight_map(center, float(data.geometry.sigmas[site]), shape)
+        return [(0, *cell(gaussian_score(data.train_images, wmap), gaussian_score(data.val_images, wmap)))]
+    cells = [
+        (s, *cell(square_score(data.train_images, center, s), square_score(data.val_images, center, s)))
+        for s in s_grid
+        if s >= 2 and window_fits(center, s, shape)
+    ]
+    if not cells:
+        raise ConfigError(f"no window size in {tuple(s_grid)} fits site {site} at {center}")
+    return cells
+
+
+@pytest.mark.parametrize("kind, s_grid", [("square", (1, 3, 4, 6, 30)), ("gaussian", S_GRID)])
+def test_fixed_pass_matches_the_per_site_scores(small_training, kind, s_grid):
+    # site 1 has no window, site 5 dark-only validation labels, site 7
+    # bright-only train labels; site 8's 3 x 3 window is constant in the
+    # train frames and its validation labels are bright-only, so the
+    # first failure, not the last, must name a square site's fault
+    data = _with_broken_sites(small_training.data)
+    train_images = data.train_images.copy()
+    train_images[(slice(None), *window_slice(data.geometry.centers[7], 3, data.image_shape))] = 0.5
+    train_labels = data.train_labels.copy()
+    train_labels[:, 6] = 1
+    val_labels = data.val_labels.copy()
+    val_labels[:, 7] = 1
+    data = replace(data, train_images=train_images, train_labels=train_labels, val_labels=val_labels)
+    model_set = train_all_sites(data, kind, s_grid=s_grid)
+    expected_failures = {
+        4: "validation labels contain a single class",
+        6: "both classes need at least two scores",
+        7: "validation labels contain a single class",
+    }
+    if kind == "square":
+        expected_failures[0] = f"no window size in {s_grid} fits site 0 at {tuple(data.geometry.centers[0])}"
+        expected_failures[7] = "zero-variance score class, threshold undefined"
+    assert model_set.failures == expected_failures
+    for site in range(9):
+        try:
+            reference = _reference_fixed_tune(data, site, kind, s_grid)
+        except (ConfigError, DataError) as exc:
+            assert model_set.failures[site] == str(exc)
+            continue
+        result = model_set.tune_results[site]
+        assert [(s, f) for s, _, f in result.search_trace] == [(s, f) for s, _, f in reference]
+        # the sums add the same pixels in another order
+        for (_, theta, _), (_, ref_theta, _) in zip(result.search_trace, reference):
+            assert theta == pytest.approx(ref_theta, rel=1e-12, abs=1e-12)
+        _assert_same_result(tune(data, site, kind, s_grid=s_grid), result)
+
+
 @pytest.mark.parametrize("bad", [
     dict(kind="nearest-centroid"),
     dict(s_grid=()),
@@ -495,6 +672,7 @@ def test_train_all_sites_rejects_a_bad_request_before_tuning(small_training, mon
 
     monkeypatch.setattr(train, "tune", must_not_run)
     monkeypatch.setattr(train, "_tune_learned", must_not_run)
+    monkeypatch.setattr(train, "_tune_fixed", must_not_run)
     request = dict(kind="mf-site") | bad
     with pytest.raises(ConfigError):
         train_all_sites(small_training.data, **request)
