@@ -22,6 +22,7 @@ from .errors import ConfigError, DataError
 from .sim import LabeledImageStack
 
 PEAK_MIN_DISTANCE = 3.0
+PEAK_SCALES = (1.0, 1.5, 2.0, 3.0)
 FIT_WINDOW = 7
 REFINE_PASSES = 4
 
@@ -481,64 +482,70 @@ def grid_shape(centers) -> tuple[int, int, np.ndarray, np.ndarray]:
     return rows, cols, row_ids, col_ids
 
 
-def _refit_without_neighbors(img, fits, sigma_bands, window_px: int):
+def _refit_without_neighbors(img, fits, sigma_band):
     """Refit every site on the image minus every other site's fitted bump.
 
-    fits is an (..., n_sites, 5) stack of (amplitude, row, col, sigma,
-    offset) in image coordinates; each leading index is one independent
-    set of sites, and sigma_bands broadcasts to (..., n_sites, 2). All
-    windows go to the fitter as one batch: each is cut from
-    img - (total - bump_i), total being the sum of its set's bumps.
+    fits is an (n_sites, 5) array of (amplitude, row, col, sigma, offset)
+    in image coordinates. All windows go to the fitter as one batch: each
+    is cut from img - (total - bump_i), total being the sum of all bumps.
     Returns (refits in image coordinates, ok): ok is False for a fit that
     fell back or whose window leaves the image.
     """
-    fits = np.asarray(fits, dtype=np.float64)
-    amp, r, c, sig = (fits[..., j, None, None] for j in range(4))
+    amp, r, c, sig = (fits[:, j, None, None] for j in range(4))
     rr = np.arange(img.shape[0], dtype=np.float64)[:, None] - r
     cc = np.arange(img.shape[1], dtype=np.float64)[None, :] - c
     bumps = amp * np.exp(-(rr**2 + cc**2) / (2.0 * sig**2))
-    total = bumps.sum(axis=-3, keepdims=True)
-    lead = fits.shape[:-1]
-    origin, inside = _window_origins(fits[..., 1:3], window_px, img.shape)
-    origin, inside = origin.reshape(-1, 2), inside.ravel()
+    resid = img - (bumps.sum(axis=0) - bumps)
+    origin, inside = _window_origins(fits[:, 1:3], FIT_WINDOW, img.shape)
     sel = np.flatnonzero(inside)
-    span = np.arange(window_px)
+    span = np.arange(FIT_WINDOW)
     rows = origin[sel, 0, None, None] + span[:, None]
     cols = origin[sel, 1, None, None] + span[None, :]
-    resid = (img - (total - bumps)).reshape(-1, *img.shape)
-    start = fits.reshape(-1, 5)[sel].copy()
+    start = fits[sel].copy()
     start[:, 1:3] -= origin[sel]
-    bands = np.broadcast_to(sigma_bands, (*lead, 2)).reshape(-1, 2)[sel]
+    bands = np.broadcast_to(sigma_band, (sel.size, 2))
     fit = _fit_windows(resid[sel[:, None, None], rows, cols], start, bands)
 
-    out = fits.reshape(-1, 5).copy()
+    out = fits.copy()
     out[sel] = fit.params
     out[sel, 1:3] += origin[sel]
-    ok = np.zeros(inside.size, dtype=bool)
+    ok = np.zeros(len(fits), dtype=bool)
     ok[sel] = fit.ok
-    return out.reshape(fits.shape), ok.reshape(lead)
+    return out, ok
 
 
-def _subtraction_refits(img, fits, window_px, sigma_bands, guards, passes):
-    """Iterate per-site fits on the image minus every other fitted bump.
+def _refine_peaks(img, peaks):
+    """Anchors from one peak set: REFINE_PASSES rounds of per-site fits on
+    the image minus every other fitted bump.
 
-    fits is an (n_sets, n_sites, 5) stack as in _refit_without_neighbors,
-    whose starting centers are the anchors; each pass refits every site of
-    every set in one batch from the fits the pass starts with. A refit is
-    only accepted while its center stays within its set's guard of its
-    anchor and its sigma inside its set's band; rejected sites keep their
-    previous fit.
+    Each round refits every site from the fits it starts with. A refit is
+    only accepted while its center stays within a guard of its peak and
+    its sigma inside a band set by the peak spacing; rejected sites keep
+    their previous fit.
     """
-    fits = np.array(fits, dtype=np.float64)
-    anchors = fits[..., 1:3].copy()
-    bands = np.asarray(sigma_bands, dtype=np.float64)[:, None, :]
-    guards = np.asarray(guards, dtype=np.float64)[:, None]
-    for _ in range(max(passes, 1)):
-        trial, ok = _refit_without_neighbors(img, fits, bands, window_px)
-        drift = np.hypot(trial[..., 1] - anchors[..., 0], trial[..., 2] - anchors[..., 1])
-        accept = ok & (drift <= guards)
+    peaks = np.asarray(peaks, dtype=np.float64)
+    n = len(peaks)
+    d_min = _median_spacing(peaks) if n > 1 else 2.0 * FIT_WINDOW
+    band = (max(0.3, 0.1 * d_min), 0.75 * d_min)
+    # wide enough to walk off a blend-shifted peak, tight enough that
+    # two drifting centers stay clearly apart
+    guard = max(0.5 * PEAK_MIN_DISTANCE, 0.3 * d_min)
+    med = float(np.median(img))
+    rows, cols = peaks[:, 0].astype(int), peaks[:, 1].astype(int)
+    fits = np.column_stack(
+        [
+            np.maximum(img[rows, cols] - med, 1e-12),
+            peaks,
+            np.full(n, 0.4 * d_min),
+            np.full(n, med),
+        ]
+    )
+    for _ in range(REFINE_PASSES):
+        trial, ok = _refit_without_neighbors(img, fits, band)
+        drift = np.hypot(trial[:, 1] - peaks[:, 0], trial[:, 2] - peaks[:, 1])
+        accept = ok & (drift <= guard)
         fits[accept] = trial[accept]
-    return fits
+    return fits[:, 1:3]
 
 
 def _fit_lattice(centers):
@@ -630,23 +637,23 @@ def _median_spacing(centers) -> float:
     return float(np.median(_nearest_distances(centers)))
 
 
-def _joint_refine(img, anchors, sigma0: float, sigma_band, max_iter: int = 80):
+def _joint_refine(img, anchors, sigma0: float, sigma_band):
     """Levenberg-damped Gauss-Newton fit of every site bump at once.
 
     All sites share one width (they share one optical system), each has a
     free center and amplitude, and there is one global offset. Fitting
     the whole frame in one model removes the neighbor-leakage bias that
-    per-window fits suffer on blended arrays. Returns (centers, sigma,
-    amplitudes, offset, sse).
+    per-window fits suffer on blended arrays. Each parameter is damped by
+    its own curvature, floored at 1e-3 of the largest: plain Marquardt
+    scaling leaves a center undamped once its amplitude nears zero, and
+    such a center can be flung far off the frame. Returns (centers, sigma,
+    amplitudes, offset).
     """
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
-    grid_r = np.repeat(np.arange(h, dtype=np.float64), w)
-    grid_c = np.tile(np.arange(w, dtype=np.float64), h)
+    grid_r, grid_c = np.indices(img.shape, dtype=np.float64).reshape(2, -1)
     y = img.ravel()
     n = len(anchors)
-    rs = np.array([a[0] for a in anchors], dtype=np.float64)
-    cs = np.array([a[1] for a in anchors], dtype=np.float64)
+    rs, cs = np.array(anchors, dtype=np.float64).T
     lo, hi = sigma_band
     sig = float(np.clip(sigma0, lo, hi))
 
@@ -671,7 +678,7 @@ def _joint_refine(img, anchors, sigma0: float, sigma_band, max_iter: int = 80):
 
     sse, resid = objective(rs, cs, sig, amps, off)
     lam = 1e-3
-    for _ in range(max_iter):
+    for _ in range(80):
         g, dr, dc, d2 = bumps(rs, cs, sig)
         # the last accepted step may have flung a center far away; the
         # non-finite checks below reject the steps its Jacobian gives
@@ -689,11 +696,12 @@ def _joint_refine(img, anchors, sigma0: float, sigma_band, max_iter: int = 80):
             )
             jtj = jac.T @ jac
             jtr = jac.T @ resid
+            curv = np.diag(jtj)
+            damping = np.diag(np.maximum(curv, 1e-3 * curv.max()))
         moved = False
-        step = np.inf
         for _ in range(12):
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), jtr)
+                delta = np.linalg.solve(jtj + lam * damping, jtr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -716,7 +724,7 @@ def _joint_refine(img, anchors, sigma0: float, sigma_band, max_iter: int = 80):
             lam *= 10.0
         if not moved or step < 1e-6:
             break
-    return np.stack([rs, cs], axis=1), sig, amps, off, sse
+    return np.stack([rs, cs], axis=1), sig, amps, off
 
 
 def _usable_centers(centers, shape) -> bool:
@@ -736,105 +744,48 @@ def _usable_centers(centers, shape) -> bool:
     return True
 
 
-def locate_sites(
-    mean_img,
-    n_sites: int,
-    min_distance_px: float = PEAK_MIN_DISTANCE,
-    window_px: int = FIT_WINDOW,
-    refine_passes: int = REFINE_PASSES,
-    snap: bool = True,
-) -> SiteGeometry:
+def locate_sites(mean_img, n_sites: int) -> SiteGeometry:
     """Full localization: peaks in the mean image, then model fits.
 
-    Three stages. First, candidate anchors: peaks at several exclusion
-    radii (on a heavily blended array a small radius picks noise bumps on
-    the merged mound), each set refined by per-window fits with every
-    other site's bump subtracted, then snapped to a robust affine lattice
-    when one fits. Radii that find the same peaks are fitted once, and
-    each refit round fits every site of every distinct peak set in one
-    batch. Second, each anchor set seeds a joint Gauss-Newton fit of all
-    sites with a shared width, and the candidate with the lowest
-    whole-frame residual wins (the first on a tie); a lattice through the
-    winning centers seeds one more joint fit in case a stray anchor
-    survived. Third, a per-site confirmation refit of all sites in one
-    batch (width banded around the shared fit) flags each site whose
-    refit fails or drifts more than 0.75 px as a fallback; every site
-    keeps the joint model's shared sigma and its amplitude.
+    One chain per peak exclusion radius, taken in order (on a heavily
+    blended array a small radius picks noise bumps on the merged mound);
+    a radius that finds the same peaks as an earlier one is skipped. The
+    peaks are refined by per-window fits with every other site's bump
+    subtracted, snapped to a robust affine lattice when one fits, and
+    seed a joint fit of all sites with a shared width. The first radius
+    whose joint centers are usable wins. A per-site confirmation refit of
+    all sites in one batch (width banded around the shared fit) then
+    flags each site whose refit fails or drifts more than 0.75 px as a
+    fallback; every site keeps the joint model's shared sigma and its
+    amplitude.
 
     Sites come back row-major by fitted position.
     """
     img = np.asarray(mean_img, dtype=np.float64)
-    med = float(np.median(img))
-    h, w = img.shape
-
-    def stage1(peak_sets):
-        peaks = np.asarray(peak_sets, dtype=np.float64)  # (n_sets, n_sites, 2)
-        if n_sites > 1:
-            d_min = np.array([_median_spacing(p) for p in peaks])
-        else:
-            d_min = np.full(len(peaks), 2.0 * window_px)
-        bands = np.stack([np.maximum(0.3, 0.1 * d_min), 0.75 * d_min], axis=1)
-        # wide enough to walk off a blend-shifted peak, tight enough that
-        # two drifting centers stay clearly apart
-        guards = np.maximum(0.5 * min_distance_px, 0.3 * d_min)
-        rows, cols = peaks[..., 0].astype(int), peaks[..., 1].astype(int)
-        fits = np.stack(
-            [
-                np.maximum(img[rows, cols] - med, 1e-12),
-                peaks[..., 0],
-                peaks[..., 1],
-                np.broadcast_to(0.4 * d_min[:, None], rows.shape),
-                np.full(rows.shape, med),
-            ],
-            axis=-1,
-        )
-        fits = _subtraction_refits(img, fits, window_px, bands, guards, refine_passes)
-        return fits[..., 1:3]
-
-    def joint_from(anchors):
-        if n_sites > 1:
-            spacing = _median_spacing(anchors)
-            band = (0.3, 0.8 * spacing)
-            sig0 = 0.35 * spacing
-        else:
-            band = (0.3, 0.9 * window_px)
-            sig0 = 0.3 * window_px
-        result = _joint_refine(img, anchors, sig0, band)
-        return result if _usable_centers(result[0], (h, w)) else None
-
-    # scales that find the same peaks give the same candidate, and the
-    # first of equal candidates wins, so each distinct peak set runs once
-    peak_sets = []
-    for scale in (1.0, 1.5, 2.0, 3.0) if snap else (1.0,):
+    tried = []
+    for scale in PEAK_SCALES:
         try:
-            peaks = find_peaks(img, min_distance_px * scale, n_sites)
+            peaks = find_peaks(img, PEAK_MIN_DISTANCE * scale, n_sites)
         except DataError:
             continue
-        if peaks not in peak_sets:
-            peak_sets.append(peaks)
-
-    best = None
-    for anchors in stage1(peak_sets) if peak_sets else ():
-        if snap and n_sites >= 4:
-            lattice = _fit_lattice(anchors)
-            if lattice is not None:
-                anchors = lattice[0]
-        cand = joint_from(anchors)
-        if cand is not None and (best is None or cand[4] < best[4]):
-            best = cand
-    if best is None:
+        if peaks in tried:
+            continue
+        tried.append(peaks)
+        anchors = _refine_peaks(img, peaks)
+        lattice = _fit_lattice(anchors)
+        if lattice is not None:
+            anchors = lattice[0]
+        if n_sites > 1:
+            spacing = _median_spacing(anchors)
+            sig0, band = 0.35 * spacing, (0.3, 0.8 * spacing)
+        else:
+            sig0, band = 0.3 * FIT_WINDOW, (0.3, 0.9 * FIT_WINDOW)
+        centers, sig_shared, amps, off = _joint_refine(img, anchors, sig0, band)
+        if _usable_centers(centers, img.shape):
+            break
+    else:
         raise DataError("sites could not be located in the mean image")
 
-    # a stray anchor can survive scale selection; a lattice through the
-    # winning centers gives one more chance to correct it
-    if snap and n_sites >= 4:
-        lattice = _fit_lattice(best[0])
-        if lattice is not None:
-            cand = joint_from(lattice[0])
-            if cand is not None and cand[4] < best[4]:
-                best = cand
-
-    centers, sig_shared, amps, off, _ = best
     if n_sites > 1:
         row_ids, _ = axis_clusters(centers[:, 0])
         order = np.lexsort((centers[:, 1], row_ids))
@@ -847,9 +798,7 @@ def locate_sites(
     joint = np.column_stack(
         [amplitudes, centers, np.full(n_sites, sig_shared), np.full(n_sites, off)]
     )
-    trial, ok = _refit_without_neighbors(
-        img, joint, (0.8 * sig_shared, 1.25 * sig_shared), window_px
-    )
+    trial, ok = _refit_without_neighbors(img, joint, (0.8 * sig_shared, 1.25 * sig_shared))
     drift = np.hypot(trial[:, 1] - centers[:, 0], trial[:, 2] - centers[:, 1])
     confirmed = ok & (drift <= 0.75)
 

@@ -38,7 +38,7 @@ def confusion(preds, labels) -> ConfusionCounts:
     labels = np.asarray(labels).ravel()
     if preds.size != labels.size:
         raise DataError(f"{preds.size} predictions vs {labels.size} labels")
-    if not (np.isin(preds, (0, 1)).all() and np.isin(labels, (0, 1)).all()):
+    if not (((preds == 0) | (preds == 1)).all() and ((labels == 0) | (labels == 1)).all()):
         raise DataError("predictions and labels must be 0/1")
     bright = labels == 1
     return ConfusionCounts(

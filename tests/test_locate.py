@@ -567,12 +567,7 @@ def _reference_locate_sites(mean_img, n_sites, min_distance_px=3.0, window_px=7,
             img, peaks, fits, window_px, band, guard, refine_passes
         )
 
-    def joint_from(anchors):
-        spacing = _median_spacing(anchors)
-        result = _joint_refine(img, anchors, 0.35 * spacing, (0.3, 0.8 * spacing))
-        return result if _usable_centers(result[0], (h, w)) else None
-
-    best = None
+    # the first radius whose joint fit gives usable centers wins
     for scale in (1.0, 1.5, 2.0, 3.0):
         try:
             peaks = find_peaks(img, min_distance_px * scale, n_sites)
@@ -582,18 +577,15 @@ def _reference_locate_sites(mean_img, n_sites, min_distance_px=3.0, window_px=7,
         lattice = _fit_lattice(anchors)
         if lattice is not None:
             anchors = [tuple(p) for p in lattice[0]]
-        cand = joint_from(anchors)
-        if cand is not None and (best is None or cand[4] < best[4]):
-            best = cand
-    if best is None:
+        spacing = _median_spacing(anchors)
+        centers, sig_shared, amps, off = _joint_refine(
+            img, anchors, 0.35 * spacing, (0.3, 0.8 * spacing)
+        )
+        if _usable_centers(centers, (h, w)):
+            break
+    else:
         raise DataError("sites could not be located in the mean image")
-    lattice = _fit_lattice([tuple(c) for c in best[0]])
-    if lattice is not None:
-        cand = joint_from([tuple(p) for p in lattice[0]])
-        if cand is not None and cand[4] < best[4]:
-            best = cand
 
-    centers, sig_shared, amps, off, _ = best
     row_ids, _ = axis_clusters(centers[:, 0])
     order = np.lexsort((centers[:, 1], row_ids))
     centers, amps = centers[order], amps[order]
@@ -675,26 +667,22 @@ def test_locate_sites_matches_the_per_window_reference(train_means, preset, n_im
     [("crosstalk", 600), ("crosstalk", 1200), ("crosstalk", 3000), ("default", 600)],
 )
 def test_locate_sites_raises_or_is_right(train_means, preset, n_images):
-    located = 0
+    # every seed locates, and none is silently wrong
     for seed in range(8):
         img, truth, sigma = train_means(preset, n_images, seed)
-        try:
-            geo = locate_sites(img, 9)
-        except DataError:
-            continue
-        located += 1
+        geo = locate_sites(img, 9)
         err = np.linalg.norm(geo.centers - truth, axis=1)
         assert err.max() < 0.75, (seed, err.max())
         assert np.all(np.abs(geo.sigmas - sigma) < 0.1 * sigma), (seed, geo.sigmas)
-    assert located >= 4
 
 
-def test_flung_joint_fit_raises_without_numeric_warnings(train_means):
-    # at this seed a joint fit flings a center to ~1e88 px before every
-    # scale is rejected
-    img, _, _ = train_means("crosstalk", 1200, 208)
+def test_damped_joint_fit_locates_without_numeric_warnings(train_means):
+    # with plain Marquardt scaling a joint fit at this seed flings a center
+    # to ~1e88 px and every radius is rejected; the damping floor keeps it
+    img, truth, sigma = train_means("crosstalk", 1200, 208)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(DataError):
-            locate_sites(img, 9)
+        geo = locate_sites(img, 9)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert np.linalg.norm(geo.centers - truth, axis=1).max() < 0.75
+    assert np.all(np.abs(geo.sigmas - sigma) < 0.1 * sigma), geo.sigmas

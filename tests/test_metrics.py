@@ -40,6 +40,11 @@ def test_confusion_rejects_bad_vectors():
         confusion([0, 1], [0, 1, 1])
     with pytest.raises(DataError):
         confusion([0, 2], [0, 1])
+    for bad in (0.5, -1, np.nan):
+        with pytest.raises(DataError):
+            confusion([0, bad], [0, 1])
+        with pytest.raises(DataError):
+            confusion([0, 1], [bad, 1])
     with pytest.raises(DataError):
         ConfusionCounts(2, 2, 3, 0)
 
