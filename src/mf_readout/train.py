@@ -4,22 +4,26 @@ fitting, and metaparameter search over window size and threshold.
 The matched filters are tuned from moments of the train frames, computed
 once per TrainingData: the pixel Gram matrix with a bias row and column,
 [X, c]^T [X, c], and its products with every site's labels. No feature
-matrix is built while tuning. Per window size s, the window means A_s
-(one column per site) meet the moments once, and every site's mf-site
-system A, over its window pixels and the bias, is a slice of G. It is
-solved once per site, s and alpha for both learned kinds, against the
-site's labels and G[pix, :p] A_s together, all sites as one stack, and
-the solves are cached on the TrainingData. mf-site reads its weights
-from them. mf-array's system, ordered [pixels, bias | neighbor means],
-holds A as its leading block, so its weights follow by block
-elimination through a small Schur complement over the neighbor means.
-Cholesky pivots decide whether an unregularized system has full rank,
-and a site whose system fails gets the minimum-norm least-squares
-weights of its full system. The fixed kinds are scored through their
-full-frame maps, every candidate of every site as one column, so one
-product scores the train frames and one the validation frames. Every
-kind scores its validation frames through the map FilterModel uses, and
-the fidelity of every threshold is counted from the sorted scores.
+matrix is built while tuning. The window means A_s of every window size
+s (one column per site) meet the moments in one product, and every
+site's mf-site system A, over its window pixels and the bias, is a slice
+of G. A site's windows are nested, so in nesting order the system of
+each window is a leading block of the system of the site's largest
+window: that one system is Cholesky-factored and its factor inverted
+once per alpha, and every window size reads its solve, against the
+site's labels and G[pix, :p] A_s together, from the leading blocks, all
+sites as stacks. The solves are cached on the TrainingData and serve
+both learned kinds. mf-site reads its weights from them. mf-array's
+system, ordered [pixels, bias | neighbor means], holds A as its leading
+block, so its weights follow by block elimination through a small Schur
+complement over the neighbor means. Cholesky pivots decide whether an
+unregularized system has full rank, and a site whose system fails gets
+the minimum-norm least-squares weights of its full system. The fixed
+kinds are scored through their full-frame maps, every candidate of every
+site as one column, so one product scores the train frames and one the
+validation frames. Every kind scores its validation frames through the
+map FilterModel uses, and the fidelity of every threshold is counted
+from the sorted scores.
 """
 
 from __future__ import annotations
@@ -116,17 +120,40 @@ def split_dataset(n_frames: int, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> Da
 _NON_FINITE = "ridge solve produced non-finite weights"
 
 
-def _cholesky_pivots(grams) -> np.ndarray:
-    """Squared Cholesky pivots (k, d) of each matrix of a (k, d, d) stack,
-    a row of zeros for a matrix that is not positive definite. One
-    factorization serves the whole stack; only when it fails is each
-    matrix factored on its own."""
+def _cholesky(grams) -> np.ndarray:
+    """Lower Cholesky factors (k, d, d) of a (k, d, d) stack, a matrix of
+    zeros for a matrix that is not positive definite. One factorization
+    serves the whole stack; only when it fails is each matrix factored on
+    its own."""
     try:
-        return np.diagonal(np.linalg.cholesky(grams), axis1=-2, axis2=-1) ** 2
+        return np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
         if len(grams) == 1:
-            return np.zeros((1, grams.shape[-1]))
-        return np.concatenate([_cholesky_pivots(g[None]) for g in grams])
+            return np.zeros(grams.shape)
+        return np.concatenate([_cholesky(g[None]) for g in grams])
+
+
+def _cholesky_pivots(grams) -> np.ndarray:
+    """Squared Cholesky pivots (k, d) of each matrix of a (k, d, d) stack,
+    a row of zeros for a matrix that is not positive definite."""
+    return np.diagonal(_cholesky(grams), axis1=-2, axis2=-1) ** 2
+
+
+def _invert_lower(factors) -> None:
+    """Overwrite each matrix of a (k, d, d) stack of nonsingular
+    lower-triangular matrices with its inverse, by block recursion:
+    [[L11, 0], [L21, L22]]^{-1} is [[L11^{-1}, 0], [-L22^{-1} L21 L11^{-1},
+    L22^{-1}]], so all but the diagonal blocks of at most 32 rows are
+    matmuls. The upper triangle stays exactly zero, so each leading block
+    of the result inverts the same leading block of the input."""
+    d = factors.shape[-1]
+    if d <= 32:
+        factors[...] = np.tril(np.linalg.inv(factors))
+        return
+    h = d // 2
+    _invert_lower(factors[:, :h, :h])
+    _invert_lower(factors[:, h:, h:])
+    factors[:, h:, :h] = -factors[:, h:, h:] @ (factors[:, h:, :h] @ factors[:, :h, :h])
 
 
 def _full_rank(pivots) -> np.ndarray:
@@ -234,6 +261,8 @@ class TrainingData:
     Frozen, so the moments, window products and solves cached on first
     use always describe the arrays the instance holds. The solves are
     keyed by (s, alpha), so a call with another alpha never reads them.
+    The first request whose grid holds s solves it and later requests
+    reuse it; its last bits depend on that grid's largest window.
     """
 
     train_images: np.ndarray
@@ -280,12 +309,12 @@ class TrainingData:
 
     @cached_property
     def _products(self) -> dict:
-        """Window size s -> _Products, filled by _window_products."""
+        """Window size s -> _Products, filled by _fill_products."""
         return {}
 
     @cached_property
     def _solves(self) -> dict:
-        """(s, alpha) -> _Solves, filled by _site_solves."""
+        """(s, alpha) -> _Solves, filled by _fill_solves."""
         return {}
 
 
@@ -425,55 +454,128 @@ _Products = namedtuple("_Products", ["fits", "a_s", "ga", "aga", "ar"])
 _Solves = namedtuple("_Solves", ["pix", "x", "pivots"])
 
 
-def _window_products(data: TrainingData, s: int) -> _Products:
-    """The window-s products both learned kinds share, cached on data.
+def _fill_products(data: TrainingData, s_grid) -> None:
+    """Cache on data the window products both learned kinds share, for
+    every size of s_grid not cached yet, with one product for them all.
 
-    fits lists the sites whose s x s window fits the frame, a_s their
-    window means (one column each, in that order), and the moments meet
-    a_s once: ga = G[:, :p] A_s, aga = A_s^T G[:p, :p] A_s and
-    ar = A_s^T R[:p].
+    Per size s, fits lists the sites whose s x s window fits the frame,
+    a_s their window means (one column each, in that order), and the
+    moments meet a_s once: ga = G[:, :p] A_s, aga = A_s^T G[:p, :p] A_s
+    and ar = A_s^T R[:p]. The ga of every size are column blocks of
+    G[:, :p] [A_s1 | A_s2 | ...].
     """
-    if s not in data._products:
-        gram, cross, _ = data._moments
-        p = gram.shape[0] - 1
-        centers, shape = data.geometry.centers, data.image_shape
-        fits = tuple(k for k, c in enumerate(centers) if s >= 2 and window_fits(c, s, shape))
-        a_s = neighbor_means(centers, fits, s, shape)
-        ga = gram[:, :p] @ a_s
-        data._products[s] = _Products(fits, a_s, ga, a_s.T @ ga[:p], a_s.T @ cross[:p])
-    return data._products[s]
+    sizes = sorted({s for s in s_grid if s not in data._products})
+    if not sizes:
+        return
+    gram, cross, _ = data._moments
+    p = gram.shape[0] - 1
+    centers, shape = data.geometry.centers, data.image_shape
+    fits = [tuple(k for k, c in enumerate(centers) if s >= 2 and window_fits(c, s, shape)) for s in sizes]
+    means = [neighbor_means(centers, f, s, shape) for s, f in zip(sizes, fits)]
+    ga_all = gram[:, :p] @ np.concatenate(means, axis=1)
+    ends = np.cumsum([a_s.shape[1] for a_s in means])
+    for s, f, a_s, end in zip(sizes, fits, means, ends):
+        ga = ga_all[:, end - a_s.shape[1] : end]
+        data._products[s] = _Products(f, a_s, ga, a_s.T @ ga[:p], a_s.T @ cross[:p])
 
 
-def _site_solves(data: TrainingData, s: int, alpha: float) -> _Solves:
-    """Every fitting site's mf-site system, solved once for both learned
-    kinds and cached on data per (s, alpha).
+def _nesting_order(size: int) -> np.ndarray:
+    """Row-major positions in a size x size window, ordered so that every
+    smaller window about the same center is a prefix of the order.
 
-    A site's mf-site system A = G[pix, pix] covers its window pixels and
-    the bias slot (its row of pix ends with the bias slot p). It is
-    solved against [b | G[pix, :p] A_s], b = R[pix, site], so x[:, :, 0]
-    holds the mf-site weights and x[:, :, 1:] holds A^{-1} B for every
-    window mean, the columns mf-array eliminates with. pivots are A's
-    squared Cholesky pivots (None when alpha > 0). The rows follow
-    _window_products(data, s).fits.
+    Windows grow from round(center) - s // 2, so a pixel at offset d from
+    the rounded center, along one axis, lies in every window of size
+    1 (d = 0), 2|d| (d < 0) or 2d + 1 (d > 0) and up; it joins at the
+    larger of its two axes' sizes. Ties keep row-major order.
     """
-    key = (s, alpha)
-    if key not in data._solves:
-        gram, cross, _ = data._moments
-        products = _window_products(data, s)
-        p = gram.shape[0] - 1
-        centers, shape = data.geometry.centers, data.image_shape
-        sites = np.array(products.fits, dtype=np.intp)
-        pix = np.array([np.append(window_index(centers[k], s, shape), p) for k in sites])
-        rhs = np.concatenate([cross[pix, sites[:, None]][..., None], products.ga[pix]], axis=2)
-        x, pivots = _solve_stack(gram[pix[:, :, None], pix[:, None, :]], rhs, alpha)
-        data._solves[key] = _Solves(pix, x, pivots)
-    return data._solves[key]
+    d = np.arange(size) - size // 2
+    joins = np.where(d < 0, -2 * d, 2 * d + 1)
+    return np.argsort(np.maximum(joins[:, None], joins[None, :]).ravel(), kind="stable")
+
+
+def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
+    """Solve every fitting site's mf-site system for every size of s_grid
+    not cached yet at this alpha, once for both learned kinds, and cache
+    the _Solves on data per (s, alpha).
+
+    A site's window-s mf-site system A = G[pix, pix] covers its window
+    pixels and the bias slot. It is solved against [b | G[pix, :p] A_s],
+    b = R[pix, site], so x[:, :, 0] holds the mf-site weights and
+    x[:, :, 1:] holds A^{-1} B for every window mean, the columns
+    mf-array eliminates with. Rows of pix, x and pivots follow
+    data._products[s].fits; pix lists the window pixels
+    row-major, then the bias slot p, and x follows pix.
+
+    A site's windows are nested, so with the features in nesting order
+    (the bias, then the pixels of window 1, then the pixels each larger
+    window adds; see _nesting_order) the window-s system is the leading
+    1 + s^2 block of the system of the site's largest window among the
+    sizes, and so are its Cholesky factor L, the inverse of that factor
+    and its squared pivots. Each site's largest system is factored and
+    inverted once (sites with the same largest window as one stack), and
+    every size reads x = L^{-T} L^{-1} [b | G[pix, :p] A_s] from the
+    leading blocks. pivots are those leading squared pivots, in nesting
+    order (None when alpha > 0). A size whose pivots fail the rank test
+    at alpha = 0, or a site whose largest system is not positive
+    definite, is solved by _solve_stack on the row-major system instead,
+    with its minimum-norm lstsq fallback and that system's pivots.
+    """
+    sizes = sorted({s for s in s_grid if (s, alpha) not in data._solves})
+    if not sizes:
+        return
+    _fill_products(data, sizes)
+    gram, cross, _ = data._moments
+    p = gram.shape[0] - 1
+    centers, shape = data.geometry.centers, data.image_shape
+    for s in sizes:
+        n, d = len(data._products[s].fits), 1 + s * s
+        data._solves[(s, alpha)] = _Solves(
+            np.empty((n, d), dtype=np.intp), np.empty((n, d, 1 + n)), None if alpha > 0 else np.empty((n, d))
+        )
+    largest = {k: s for s in sizes for k in data._products[s].fits}
+    for top in sorted(set(largest.values())):
+        sites = np.array([k for k in sorted(largest) if largest[k] == top], dtype=np.intp)
+        order = _nesting_order(top)
+        nest = np.array([np.append(p, window_index(centers[k], top, shape)[order]) for k in sites])
+        a = gram[nest[:, :, None], nest[:, None, :]]
+        if alpha > 0:
+            a += alpha * np.eye(a.shape[-1])
+        inverses = _cholesky(a)
+        del a  # the largest arrays here; one at a time keeps the peak down
+        pivots = np.diagonal(inverses, axis1=-2, axis2=-1) ** 2
+        factored = pivots[:, 0] > 0
+        inverses[~factored] = np.eye(inverses.shape[-1])  # stands in for a failed factor; no size reads it
+        _invert_lower(inverses)
+        for s in sizes[: sizes.index(top) + 1]:
+            products, out = data._products[s], data._solves[(s, alpha)]
+            if not products.fits:  # s < 2, or a size no site fits
+                continue
+            d = 1 + s * s
+            back = np.append(1 + np.argsort(order[: s * s]), 0)  # nesting order -> pix order
+            rhs = np.concatenate([cross[nest[:, :d], sites[:, None]][..., None], products.ga[nest[:, :d]]], axis=2)
+            inv = inverses[:, :d, :d]
+            x = (inv.transpose(0, 2, 1) @ (inv @ rhs))[:, back]
+            pix = nest[:, back]
+            rows = np.searchsorted(products.fits, sites)
+            if alpha == 0:
+                out.pivots[rows] = pivots[:, :d]
+            solved = factored if alpha > 0 else _full_rank(pivots[:, :d])
+            if not solved.all():
+                rest = ~solved
+                x[rest], rest_pivots = _solve_stack(
+                    gram[pix[rest][:, :, None], pix[rest][:, None, :]], rhs[rest][:, back], alpha
+                )
+                if alpha == 0:
+                    out.pivots[rows[rest]] = rest_pivots
+            out.pix[rows] = pix
+            out.x[rows] = x
 
 
 def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np.ndarray:
     """Weights (k, d), in extract_*_features order, of the window-s
     candidate of each site in sites; nbr gives each site's neighbors as
     columns of A_s, the same number for every site (none for mf-site).
+    It reads the window-s products and solves _fill_solves cached on data.
 
     Without neighbors the weights are the shared solves' first column.
     With them the system, ordered [pixels, bias | neighbor means], is
@@ -485,8 +587,7 @@ def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np
     in that order; a site that fails it is solved through its full
     system by _solve_normal, the minimum-norm lstsq weights.
     """
-    solves = _site_solves(data, s, alpha)
-    products = _window_products(data, s)
+    solves, products = data._solves[(s, alpha)], data._products[s]
     rows = np.searchsorted(products.fits, sites)
     if nbr.shape[1] == 0:
         return solves.x[rows, :, 0]
@@ -519,10 +620,11 @@ def _tune_learned(data: TrainingData, sites, kind: str, s_grid, theta_grid, alph
     """Tune one learned kind for every site in sites at once.
 
     Returns {site: TuneResult, or the exception that failed the site}, in
-    the order of sites. For each window size s the products and solves
-    both learned kinds share come from the caches on data
-    (_window_products, _site_solves), and the sites with the same number
-    of neighbors get their weights as one stack (_learned_weights). Every
+    the order of sites. The products and solves both learned kinds share
+    are filled for the whole window grid at once and cached on data
+    (_fill_products, _fill_solves); for each window size s the sites with
+    the same number of neighbors get their weights as one stack
+    (_learned_weights). Every
     candidate's weights are spread into one column of a full-frame map
     matrix, so one product scores the validation frames of every site
     and window. A site fails alone, at its first failing window, as tune
@@ -541,15 +643,16 @@ def _tune_learned(data: TrainingData, sites, kind: str, s_grid, theta_grid, alph
         _, _, val = data._moments
     except NumericalError as exc:
         return {site: failed.get(site, exc) for site in sites}
+    _fill_solves(data, s_grid, alpha)
     candidates: dict[int, list] = {site: [] for site in neighbors if site not in failed}  # (s, column, weights)
     maps, biases = [], []
     for s in s_grid:
-        products = _window_products(data, s)
+        products = data._products[s]
         column = {j: c for c, j in enumerate(products.fits)}
         live = [k for k in candidates if all(j in column for j in (k, *neighbors[k]))]
         if not live:
             continue
-        pix = _site_solves(data, s, alpha).pix
+        pix = data._solves[(s, alpha)].pix
         for n_nbr in sorted({len(neighbors[k]) for k in live}):
             group = np.array([k for k in live if len(neighbors[k]) == n_nbr])
             nbr = np.array([[column[j] for j in neighbors[k]] for k in group], dtype=np.intp)

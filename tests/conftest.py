@@ -19,6 +19,7 @@ import time  # noqa: E402
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -59,6 +60,23 @@ def build_training(stack, labels, split_seed: int):
 
 
 @pytest.fixture(scope="session")
+def assert_minimum_norm():
+    """Check that w is the minimum-norm least-squares solution of
+    x^T w = y, exact to d * eps * cond^2 of max |w| for d features (a Gram
+    solve squares cond(x); d covers a rank-1 system, whose cond is 1),
+    cond taken over the singular values above the numerical-rank cutoff."""
+
+    def check(w, x, y):
+        expected = np.linalg.pinv(x.T) @ y
+        sv = np.linalg.svd(x, compute_uv=False)
+        sv = sv[sv > sv[0] * np.finfo(float).eps * max(x.shape)]
+        tol = x.shape[0] * np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * np.abs(expected).max()
+        assert np.abs(w - expected).max() <= tol
+
+    return check
+
+
+@pytest.fixture(scope="session")
 def small_stack():
     return generate_dataset(default_config(n_images=260, seed=11))
 
@@ -79,6 +97,20 @@ def truth_training():
     return SimpleNamespace(
         stack=stack, split=split, stats=stats, norm=norm, geometry=geometry, data=data
     )
+
+
+@pytest.fixture(scope="session")
+def preset_training():
+    """Split-seed-0 TrainingData of full-size stacks of both presets, with
+    true-state labels: default at 3000 frames, crosstalk at 6000."""
+    out = {}
+    for name, config in (
+        ("default", default_config(n_images=3000, seed=5)),
+        ("crosstalk", crosstalk_config(n_images=6000, seed=5)),
+    ):
+        stack = generate_dataset(config)
+        out[name] = build_training(stack, stack.truth, 0)[-1]
+    return out
 
 
 @pytest.fixture(scope="session")

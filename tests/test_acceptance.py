@@ -19,6 +19,8 @@ from mf_readout import (
     count_complexity,
     cross_fidelity,
     default_config,
+    extract_array_features,
+    extract_site_features,
     fidelity,
     fit_ridge,
     fit_rls,
@@ -28,6 +30,7 @@ from mf_readout import (
     mean_image,
     neighbor_sites,
     run_pipeline,
+    train_all_sites,
 )
 
 
@@ -253,3 +256,28 @@ def test_criterion_8_localization_accuracy(criterion):
         f"9 centers within {worst_center:.3f} px and sigma within "
         f"{worst_sigma:.2%} over 5 seeds at label-path light level",
     )
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_trained_weights_are_the_pseudoinverse_solution(preset_training, assert_minimum_norm, alpha):
+    """Criteria 1 and 2 pin fit_ridge and fit_rls, which training does not
+    call: it solves from the train-frame moments. This ties every site's
+    trained mf-site and mf-array weights, at its chosen window, to the
+    pseudo-inverse of its feature matrix on both presets. At alpha > 0
+    the ridge weights are the least-squares solution of the features
+    stacked over sqrt(alpha) I against the labels and zeros."""
+    for data in preset_training.values():
+        centers = data.geometry.centers
+        for kind in ("mf-site", "mf-array"):
+            model_set = train_all_sites(replace(data), kind, alpha=alpha)
+            assert not model_set.failures
+            for site, model in model_set.models.items():
+                if kind == "mf-site":
+                    x = extract_site_features(data.train_images, centers[site], model.s)
+                else:
+                    x = extract_array_features(data.train_images, centers, site, model.s, model.neighbors)
+                y = data.train_labels[:, site].astype(float)
+                if alpha > 0:
+                    x = np.hstack([x, np.sqrt(alpha) * np.eye(x.shape[0])])
+                    y = np.concatenate([y, np.zeros(x.shape[0])])
+                assert_minimum_norm(model.weights, x, y)

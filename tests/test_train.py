@@ -31,7 +31,7 @@ from mf_readout import (
     unsupervised_threshold,
 )
 from mf_readout import train
-from mf_readout.filters import FilterModel, window_fits, window_slice
+from mf_readout.filters import FilterModel, window_fits, window_index, window_slice
 from mf_readout.locate import grid_shape
 from mf_readout.train import S_GRID, _fidelity_curve, _solve_normal
 
@@ -501,10 +501,11 @@ def test_block_elimination_matches_the_full_system(small_training, monkeypatch, 
     data = replace(small_training.data)
     gram, cross, _ = data._moments
     sites, nbr = np.arange(9), _all_neighbors(9)
+    train._fill_solves(data, (3, 5, 8), alpha)
     for s in (3, 5, 8):
-        products = train._window_products(data, s)
+        products = data._products[s]
         assert products.fits == tuple(range(9))
-        pix = train._site_solves(data, s, alpha).pix
+        pix = data._solves[(s, alpha)].pix
         grams, rhs = train._window_systems(gram, cross, products[2:], pix, nbr, sites)
         expected = _solve_normal(grams, rhs, alpha)
         with monkeypatch.context() as m:
@@ -519,17 +520,19 @@ def test_block_elimination_matches_the_full_system(small_training, monkeypatch, 
         assert np.all(np.abs(got - expected) <= 10 * tol)
 
 
-def _lattice_data(n_train=60, n_val=40, seed=30):
+def _lattice_data(n_train=60, n_val=40, seed=30, constant=True):
     """A 3 x 3 lattice of pitch 6 on 21 x 21 frames of noise with random
-    labels. In the train frames site 9's 3 x 3 window holds a constant,
-    so at s = 3 its own system A is rank 1, and its window mean is the
-    bias times a constant in every other site's mf-array system, so A
-    passes the rank test there and the Schur complement fails it."""
+    labels. With constant, in the train frames site 9's 3 x 3 window
+    holds a constant, so at s = 3 its own system A is rank 1, and its
+    window mean is the bias times a constant in every other site's
+    mf-array system, so A passes the rank test there and the Schur
+    complement fails it."""
     rng = np.random.default_rng(seed)
     centers = np.array([(4.0 + 6 * r, 4.0 + 6 * c) for r in range(3) for c in range(3)])
     geometry = SiteGeometry(centers, np.full(9, 1.5), np.ones(9))
     train_images = rng.normal(size=(n_train, 21, 21))
-    train_images[:, 15:18, 15:18] = 0.5
+    if constant:
+        train_images[:, 15:18, 15:18] = 0.5
     return TrainingData(
         train_images, rng.integers(0, 2, size=(n_train, 9)).astype(np.uint8),
         rng.normal(size=(n_val, 21, 21)), rng.integers(0, 2, size=(n_val, 9)).astype(np.uint8),
@@ -537,22 +540,11 @@ def _lattice_data(n_train=60, n_val=40, seed=30):
     )
 
 
-def _assert_minimum_norm(w, x, y):
-    """w is the minimum-norm least-squares solution of x^T w = y, exact
-    to d * eps * cond^2 of max |w| for d features (a Gram solve squares
-    cond(x); d covers the rank-1 system, whose cond is 1), cond taken
-    over the singular values above the numerical-rank cutoff."""
-    expected = np.linalg.pinv(x.T) @ y
-    sv = np.linalg.svd(x, compute_uv=False)
-    sv = sv[sv > sv[0] * np.finfo(float).eps * max(x.shape)]
-    tol = x.shape[0] * np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * np.abs(expected).max()
-    assert np.abs(w - expected).max() <= tol
-
-
-def test_block_elimination_falls_back_when_a_or_the_schur_complement_fails(monkeypatch):
+def test_block_elimination_falls_back_when_a_or_the_schur_complement_fails(monkeypatch, assert_minimum_norm):
     data = _lattice_data()
     s, sites, nbr = 3, np.arange(9), _all_neighbors(9)
-    solves = train._site_solves(data, s, 0.0)
+    train._fill_solves(data, (s,), 0.0)
+    solves = data._solves[(s, 0.0)]
     assert train._full_rank(solves.pivots).tolist() == [True] * 8 + [False]
     fallbacks = []
     solve_normal = train._solve_normal
@@ -568,9 +560,9 @@ def test_block_elimination_falls_back_when_a_or_the_schur_complement_fails(monke
     for k in sites:
         y = data.train_labels[:, k].astype(float)
         x = extract_array_features(data.train_images, centers, k, s, tuple(nbr[k]))
-        _assert_minimum_norm(weights[k], x, y)
+        assert_minimum_norm(weights[k], x, y)
     y = data.train_labels[:, 8].astype(float)
-    _assert_minimum_norm(solves.x[8, :, 0], extract_site_features(data.train_images, centers[8], s), y)
+    assert_minimum_norm(solves.x[8, :, 0], extract_site_features(data.train_images, centers[8], s), y)
 
 
 def test_mf_array_alone_equals_mf_array_after_mf_site(small_training):
@@ -591,6 +583,132 @@ def test_mf_array_alone_equals_mf_array_after_mf_site(small_training):
         np.array_equal(ridge.tune_results[site].weights, after.tune_results[site].weights) for site in range(9)
     )
     assert sorted(data._solves) == [(s, a) for s in grids["s_grid"] for a in (0.0, 0.1)]
+
+
+@pytest.mark.parametrize("kind", ["mf-site", "mf-array"])
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_learned_kinds_skip_window_sizes_that_fit_no_site(small_training, kind, alpha):
+    # s = 1 fits no site by rule, s = 30 leaves the frame
+    grids = dict(theta_grid=(0.3, 0.5, 0.7), alpha=alpha)
+    got = train_all_sites(replace(small_training.data), kind, s_grid=(1, 3, 30), **grids)
+    expected = train_all_sites(replace(small_training.data), kind, s_grid=(3,), **grids)
+    assert sorted(got.tune_results) == sorted(expected.tune_results) == list(range(9))
+    for site in range(9):
+        _assert_same_result(got.tune_results[site], expected.tune_results[site])
+
+
+# ------------------------------------------------------ nested solves
+
+def test_nesting_order_puts_every_smaller_window_first():
+    shape = (40, 40)
+    for center in ((19.4, 20.6), (20.5, 19.5), (20.0, 20.0)):
+        for top in range(1, 16):
+            nested = window_index(center, top, shape)[train._nesting_order(top)]
+            for s in range(1, top + 1):
+                assert sorted(nested[: s * s]) == sorted(window_index(center, s, shape))
+
+
+def test_one_product_gives_every_window_size_its_products(small_training):
+    data = replace(small_training.data)
+    gram, cross, _ = data._moments
+    p = gram.shape[0] - 1
+    train._fill_products(data, S_GRID)
+    for s in S_GRID:
+        products = data._products[s]
+        ga = gram[:, :p] @ products.a_s
+        assert products.fits == tuple(range(9))
+        assert np.abs(products.ga - ga).max() <= 1e-13 * np.abs(ga).max()
+        assert np.allclose(products.aga, products.a_s.T @ ga[:p], rtol=1e-13, atol=0)
+        assert np.array_equal(products.ar, products.a_s.T @ cross[:p])
+
+
+def _per_size_solves(data, s, alpha):
+    """Reference for one window size: every fitting site's mf-site system
+    over its row-major window pixels and the bias, solved as one stack by
+    _solve_stack. Returns (pix, x, pivots, the systems)."""
+    gram, cross, _ = data._moments
+    products = data._products[s]
+    sites = np.array(products.fits, dtype=np.intp)
+    p = gram.shape[0] - 1
+    pix = np.array([np.append(window_index(data.geometry.centers[k], s, data.image_shape), p) for k in sites])
+    rhs = np.concatenate([cross[pix, sites[:, None]][..., None], products.ga[pix]], axis=2)
+    grams = gram[pix[:, :, None], pix[:, None, :]]
+    x, pivots = train._solve_stack(grams, rhs, alpha)
+    return pix, x, pivots, grams
+
+
+def _assert_nested_solves_match(data, s_grid, alpha):
+    """The nested solves of s_grid against the per-size stack, size by
+    size: the same pixels and the same rank-test decisions; a site that
+    passes within 10 eps cond(A) of its max |x| (both are backward-stable
+    solves of one system; measured at most 1.7 of it on the lattice and
+    both presets), and a site that fails bit for bit, since both send it
+    to _solve_stack alone."""
+    train._fill_solves(data, s_grid, alpha)
+    for s in s_grid:
+        got = data._solves[(s, alpha)]
+        pix, x, pivots, grams = _per_size_solves(data, s, alpha)
+        assert np.array_equal(got.pix, pix)
+        if alpha > 0:
+            assert got.pivots is None
+            full = np.ones(len(pix), dtype=bool)
+        else:
+            full = train._full_rank(pivots)
+            assert np.array_equal(train._full_rank(got.pivots), full)
+            assert np.array_equal(got.pivots[~full], pivots[~full])
+            assert np.array_equal(got.x[~full], x[~full])
+        cond = np.linalg.cond(grams[full] + alpha * np.eye(grams.shape[-1]))
+        tol = np.finfo(float).eps * cond[:, None, None] * np.abs(x[full]).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got.x[full] - x[full]) <= 10 * tol)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_nested_solves_match_the_per_size_stack(small_training, preset_training, alpha):
+    for data in (small_training.data, *preset_training.values()):
+        _assert_nested_solves_match(replace(data), S_GRID, alpha)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-6])
+def test_nested_solves_fall_back_for_a_site_whose_largest_system_fails(monkeypatch, assert_minimum_norm, jitter):
+    # without jitter site 9's largest system is not positive definite; with
+    # it, it factors but its pivots fail the rank test at every size
+    data = _lattice_data()
+    noise = np.random.default_rng(31).normal(size=data.train_images.shape)
+    data = replace(data, train_images=data.train_images + jitter * noise * (data.train_images == 0.5))
+    s_grid = (2, 3, 4, 5)
+    stacks = []
+    solve_stack = train._solve_stack
+
+    def spy(grams, rhs, alpha):
+        stacks.append(len(grams))
+        return solve_stack(grams, rhs, alpha)
+
+    monkeypatch.setattr(train, "_solve_stack", spy)
+    train._fill_solves(data, s_grid, 0.0)
+    monkeypatch.undo()
+    # site 9 alone is solved size by size, and only it
+    assert stacks == [1] * len(s_grid)
+    y = data.train_labels[:, 8].astype(float)
+    for s in s_grid:
+        solves = data._solves[(s, 0.0)]
+        assert train._full_rank(solves.pivots).tolist() == [True] * 8 + [False]
+        x = extract_site_features(data.train_images, data.geometry.centers[8], s)
+        assert_minimum_norm(solves.x[8, :, 0], x, y)
+    _assert_nested_solves_match(replace(data), s_grid, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_nested_solves_when_the_largest_window_leaves_edge_sites_out(alpha):
+    data = _lattice_data(n_train=400, constant=False)
+    s_grid = tuple(range(3, 13))
+    train._fill_products(data, s_grid)
+    fits = {s: data._products[s].fits for s in s_grid}
+    # three stacks: largest window 9 at the top and left edges, 10 at the
+    # bottom and right ones, 12 at the center
+    assert fits[9] == tuple(range(9))
+    assert fits[10] == (4, 5, 7, 8)
+    assert fits[11] == fits[12] == (4,)
+    _assert_nested_solves_match(data, s_grid, alpha)
 
 
 # ------------------------------------------------------- fixed kinds
