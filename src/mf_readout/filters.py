@@ -16,7 +16,10 @@ going s // 2 pixels up and left, so an odd s is centered and an even s
 leans down-right. Learned feature vectors end with a constant bias slot
 (c = 1 by default); the trained bias weight absorbs any scale. The
 feature extractors and the square / gaussian score helpers describe the
-same scores feature by feature; FilterModel scores through the map.
+same scores feature by feature; FilterModel scores through the map,
+applied over its nonzero span: the contiguous run of flat pixels from
+the first to the last nonzero weight, so pixels outside it are never
+multiplied.
 """
 
 from __future__ import annotations
@@ -53,6 +56,16 @@ def window_slice(center, s: int, shape) -> tuple[slice, slice]:
 def window_fits(center, s: int, shape) -> bool:
     r0, c0 = window_origin(center, s)
     return r0 >= 0 and c0 >= 0 and r0 + s <= shape[0] and c0 + s <= shape[1]
+
+
+def _scalar(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array. A one-frame readout adds the
+    bias and compares with theta once per site, and numpy does either about
+    a third faster with a 0-d array than with a Python float; the result
+    is the same float64 arithmetic."""
+    out = np.array(value, dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def _as_stack(images) -> np.ndarray:
@@ -213,7 +226,9 @@ class FilterModel:
     """One trained (or fixed) per-site classifier.
 
     Every kind scores frame . w + b; the kind only decides how the
-    full-frame map w and the bias b are built (see linear_map). weights is
+    full-frame map w and the bias b are built (see linear_map). scores
+    applies w over its nonzero span [lo, hi) of flat pixels, outside which
+    every weight is 0, derived once per image shape beside the map. weights is
     the learned coefficient vector for mf-site / mf-array with the bias
     weight last, and None for the fixed kinds. site and neighbors are
     zero-based in memory; serialization uses one-based site numbers to
@@ -233,6 +248,8 @@ class FilterModel:
     bias_c: float = BIAS_C
     image_shape: tuple[int, int] | None = None
     _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -254,6 +271,7 @@ class FilterModel:
                 raise ConfigError(f"{self.kind} filter needs s^2 + neighbors + 1 = {d} weights")
             if not 0.0 < self.theta < 1.0:
                 raise ConfigError(f"threshold for {self.kind} must lie in (0, 1), got {self.theta}")
+        object.__setattr__(self, "_theta", _scalar(self.theta))
 
     def linear_map(self, shape) -> tuple[np.ndarray, float]:
         """(w, b), score = frame.ravel() @ w + b, built once per image shape."""
@@ -270,18 +288,35 @@ class FilterModel:
                 w = learned_weight_map(self.weights, window_index(self.center, self.s, shape), avg)
                 b = self.bias_c * float(self.weights[-1])
             w.setflags(write=False)
+            nonzero = np.flatnonzero(w)
+            lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
             self._maps[shape] = (w, b)
+            self._spans[shape] = (lo, hi, w[lo:hi], _scalar(b))
         return self._maps[shape]
 
+    def span(self, shape) -> tuple[int, int, np.ndarray, np.ndarray]:
+        """(lo, hi, w[lo:hi], b): the flat pixel span holding every nonzero
+        weight of linear_map(shape), empty (0, 0) for an all-zero map, and
+        the bias as a 0-d array."""
+        shape = (int(shape[0]), int(shape[1]))
+        if shape not in self._spans:
+            self.linear_map(shape)
+        return self._spans[shape]
+
     def scores(self, images) -> np.ndarray:
-        """Linear score per frame, shape (M,)."""
+        """Linear score per frame, shape (M,).
+
+        Only the span's columns of the flattened frames are read: a
+        strided view with a contiguous inner axis, which BLAS takes
+        without a copy.
+        """
         stack = _as_stack(images)
-        w, b = self.linear_map(stack.shape[1:])
-        return stack.reshape(stack.shape[0], -1) @ w + b
+        lo, hi, w, b = self._spans.get(stack.shape[1:]) or self.span(stack.shape[1:])
+        return stack.reshape(len(stack), -1)[:, lo:hi] @ w + b
 
     def predict(self, images) -> np.ndarray:
         """0/1 readout per frame; a score exactly at theta reads bright."""
-        return (self.scores(images) >= self.theta).astype(np.uint8)
+        return (self.scores(images) >= self._theta).view(np.uint8)
 
     def to_dict(self) -> dict:
         d = {

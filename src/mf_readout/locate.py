@@ -83,8 +83,14 @@ def fit_stats(train_images) -> PreprocessStats:
 
 
 def apply_stats(images, stats: PreprocessStats) -> np.ndarray:
-    """(x - train_mean) / train_range, elementwise, on any split."""
-    return (np.asarray(images, dtype=np.float64) - stats.train_mean) / stats.train_range
+    """(x - train_mean) / train_range, elementwise, on any split.
+
+    One float64 array, divided in place: bit-equal to casting to float64
+    and then subtracting and dividing into fresh arrays.
+    """
+    out = np.subtract(images, stats.train_mean, dtype=np.float64)
+    out /= stats.train_range
+    return out
 
 
 def mean_image(images) -> np.ndarray:

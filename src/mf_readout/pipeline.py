@@ -243,9 +243,10 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
     split = split_dataset(images.shape[0], seed=split_seed)
     stats = fit_stats(images[split.train_idx])
     norm = apply_stats(images, stats)
-    geometry = locate_sites(mean_image(norm[split.train_idx]), n_sites)
+    train_norm = norm[split.train_idx]
+    geometry = locate_sites(mean_image(train_norm), n_sites)
     data = TrainingData(
-        train_images=norm[split.train_idx],
+        train_images=train_norm,
         train_labels=labels[split.train_idx],
         val_images=norm[split.val_idx],
         val_labels=labels[split.val_idx],

@@ -12,13 +12,16 @@ from mf_readout import (
     DataError,
     KINDS,
     FilterModel,
+    apply_stats,
     classify_stack,
     extract_array_features,
     extract_site_features,
     gaussian_score,
     gaussian_weight_map,
+    generate_dataset,
     neighbor_sites,
     square_score,
+    train_all_sites,
     unsupervised_threshold,
 )
 from mf_readout.filters import window_fits, window_origin, window_slice
@@ -293,6 +296,88 @@ def test_full_frame_map_scores_equal_the_reference_paths(case):
     assert np.array_equal(model.predict(images)[clear], (ref >= model.theta)[clear])
 
 
+def _full_map_scores(model, images):
+    """The full-frame product the span replaces: frame.ravel() @ w + b."""
+    rows = np.asarray(images, dtype=np.float64).reshape(-1, np.prod(images.shape[-2:]))
+    w, b = model.linear_map(images.shape[-2:])
+    return rows @ w + b
+
+
+def _assert_scores_like_the_full_map(model, images):
+    full = _full_map_scores(model, images)
+    tol = 1e-12 * max(float(np.abs(full).max()), 1e-300)
+    scores = model.scores(images)
+    assert scores.dtype == np.float64 and scores.shape == full.shape
+    assert np.abs(scores - full).max() <= tol
+    clear = np.abs(full - model.theta) > tol
+    assert np.array_equal(model.predict(images)[clear], (full >= model.theta)[clear])
+
+
+@given(_linear_cases())
+def test_span_holds_every_nonzero_weight(case):
+    model, images, _ = case
+    shape = images.shape[-2:]
+    w, b = model.linear_map(shape)
+    lo, hi, w_span, b_span = model.span(shape)
+    assert 0 <= lo < hi <= w.size
+    assert not w[:lo].any() and not w[hi:].any()
+    assert w[lo] != 0.0 and w[hi - 1] != 0.0
+    assert np.array_equal(w_span, w[lo:hi]) and b_span == b
+    # the span is cached beside the map, not rebuilt per call
+    assert model.span(shape)[2] is w_span
+
+
+@given(_linear_cases())
+def test_span_scores_equal_the_full_map_product(case):
+    model, images, _ = case
+    _assert_scores_like_the_full_map(model, images)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_span_scores_take_float32_single_and_strided_frames(kind):
+    rng = np.random.default_rng(8)
+    base = rng.normal(1.0, 0.3, size=(9, 20, 40))
+    centers = np.array([[6.0, 6.0], [6.0, 12.0], [13.0, 9.0]])
+    fields = dict(kind=kind, site=0, center=(6.0, 6.0), s=4, theta=0.5, image_shape=(20, 20))
+    if kind == "gaussian":
+        fields.update(s=0, sigma=1.8, theta=4.0)
+    elif kind == "square":
+        fields.update(theta=16.0)
+    else:
+        weights = rng.normal(size=16 + (2 if kind == "mf-array" else 0) + 1)
+        fields.update(weights=weights)
+        if kind == "mf-array":
+            fields.update(neighbors=(1, 2), all_centers=centers)
+    model = FilterModel(**fields)
+    strided = base[:, :, ::2]
+    assert not strided.flags.c_contiguous
+    for images in (
+        strided,
+        base[::2, :, :20],
+        np.ascontiguousarray(strided).astype(np.float32),
+        strided[3],
+        strided[3].astype(np.float32),
+    ):
+        _assert_scores_like_the_full_map(model, images)
+    assert model.scores(strided[3]).shape == (1,)
+
+
+def test_all_zero_map_has_an_empty_span_and_scores_its_bias():
+    weights = np.zeros(10)
+    weights[-1] = 0.3
+    model = FilterModel(
+        kind="mf-site", site=0, center=(6.0, 6.0), s=3, theta=0.5, weights=weights, bias_c=2.0
+    )
+    lo, hi, w_span, b = model.span((20, 20))
+    assert (lo, hi, w_span.size, b) == (0, 0, 0, 0.6)
+    imgs = _cross(5)
+    for images in (imgs, imgs.astype(np.float32), imgs[0]):
+        scores = model.scores(images)
+        assert scores.dtype == np.float64
+        assert np.array_equal(scores, np.full(scores.shape, 0.6))
+        assert np.array_equal(model.predict(images), np.ones(scores.shape, np.uint8))
+
+
 def test_filter_model_is_frozen():
     centers = np.array([[6.0, 6.0], [6.0, 12.0]])
     model = FilterModel(
@@ -357,3 +442,27 @@ def test_classify_stack_column_order():
         assert preds.shape == (12, 2)
         for j, model in enumerate(models):
             assert np.array_equal(preds[:, j], model.predict(stack))
+
+
+def _preset_readouts(truth_training, crosstalk_study):
+    """(model sets, normalized frames) of both presets' trained filters:
+    every frame of the default truth_training stack, and 1000 fresh
+    crosstalk frames read with the crosstalk study's shuffle-0 filters."""
+    default_sets = {kind: train_all_sites(truth_training.data, kind) for kind in KINDS}
+    fresh = generate_dataset(dataclasses.replace(crosstalk_study.config, n_images=1000, seed=903))
+    return [
+        (default_sets, truth_training.norm),
+        (crosstalk_study.sets0, apply_stats(fresh.images, crosstalk_study.stats0)),
+    ]
+
+
+def test_one_frame_readout_equals_the_batched_readout(truth_training, crosstalk_study):
+    # the readout benchmark's rule: classify_stack on one frame gives, bit
+    # for bit, the row the batched call gives for the same frame
+    for sets, norm in _preset_readouts(truth_training, crosstalk_study):
+        for kind in KINDS:
+            models = sets[kind].ordered()
+            batched = classify_stack(models, norm)
+            single = np.vstack([classify_stack(models, frame) for frame in norm])
+            assert single.dtype == batched.dtype == np.uint8
+            assert np.array_equal(single, batched), kind

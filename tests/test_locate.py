@@ -107,6 +107,19 @@ def test_apply_stats_uses_train_statistics_only(small_training):
     assert t.norm.shape == t.stack.images.shape
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_apply_stats_is_the_float64_formula_in_a_new_array(dtype):
+    x = np.random.default_rng(3).normal(300.0, 40.0, size=(6, 5, 7)).astype(dtype)
+    before = x.copy()
+    stats = fit_stats(x[:4])
+    out = apply_stats(x, stats)
+    ref = (np.asarray(x, np.float64) - stats.train_mean) / stats.train_range
+    assert out.dtype == np.float64
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(out, x)
+
+
 def test_mean_image_shape_and_value():
     imgs = np.stack([np.zeros((4, 4)), np.full((4, 4), 2.0)])
     assert np.array_equal(mean_image(imgs), np.ones((4, 4)))
