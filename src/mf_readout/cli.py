@@ -222,13 +222,14 @@ def cmd_evaluate(args) -> int:
                 f"baseline dir {args.baseline} holds {sorted(base_sets)}; "
                 "need a gaussian set or a single kind"
             )
+    base_report = None if baseline is None else evaluate(baseline, stack.images, labels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     fid_rows, cross_rows, red_rows = [], [], []
     for kind in KINDS:
         if kind not in sets:
             continue
-        report = evaluate(sets[kind], stack.images, labels, baseline_set=baseline)
+        report = evaluate(sets[kind], stack.images, labels, base_report)
         for s, f in enumerate(report.fidelities):
             fid_rows.append((s + 1, kind, float(f), 0.0))
         for (k, l), v in zip(report.cross_pairs, report.cross_values):

@@ -34,18 +34,18 @@ class ConfusionCounts:
 
 
 def confusion(preds, labels) -> ConfusionCounts:
-    preds = np.asarray(preds).ravel()
-    labels = np.asarray(labels).ravel()
+    preds = np.asarray(preds).reshape(-1)  # a view, also of a strided column
+    labels = np.asarray(labels).reshape(-1)
     if preds.size != labels.size:
         raise DataError(f"{preds.size} predictions vs {labels.size} labels")
     if not (((preds == 0) | (preds == 1)).all() and ((labels == 0) | (labels == 1)).all()):
         raise DataError("predictions and labels must be 0/1")
-    bright = labels == 1
+    n_bright = int(np.count_nonzero(labels))
     return ConfusionCounts(
-        n_bright_true=int(bright.sum()),
-        n_dark_true=int((~bright).sum()),
-        n_false_bright=int((preds[~bright] == 1).sum()),
-        n_false_dark=int((preds[bright] == 0).sum()),
+        n_bright_true=n_bright,
+        n_dark_true=labels.size - n_bright,
+        n_false_bright=int(np.count_nonzero(preds > labels)),
+        n_false_dark=int(np.count_nonzero(preds < labels)),
     )
 
 
@@ -65,19 +65,19 @@ def cross_fidelity(preds_k, preds_l) -> float:
     0 means no predicted-state coupling. Conditions on site l, so site l
     must show both outcomes.
     """
-    pk = np.asarray(preds_k).ravel()
-    pl = np.asarray(preds_l).ravel()
+    pk = np.asarray(preds_k).reshape(-1)
+    pl = np.asarray(preds_l).reshape(-1)
     if pk.size != pl.size:
         raise DataError(f"{pk.size} vs {pl.size} predictions")
     if pk.size == 0:
         raise DataError("empty prediction vectors")
     bright_l = pl == 1
-    n_bright = int(bright_l.sum())
+    n_bright = int(np.count_nonzero(bright_l))
     n_dark = pk.size - n_bright
     if n_bright == 0 or n_dark == 0:
         raise DataError("site l predictions are single-class, conditionals undefined")
-    p_dark_k_given_bright_l = float((pk[bright_l] == 0).sum()) / n_bright
-    p_bright_k_given_dark_l = float((pk[~bright_l] == 1).sum()) / n_dark
+    p_dark_k_given_bright_l = np.count_nonzero(bright_l & (pk == 0)) / n_bright
+    p_bright_k_given_dark_l = np.count_nonzero(~bright_l & (pk == 1)) / n_dark
     return 1.0 - p_dark_k_given_bright_l - p_bright_k_given_dark_l
 
 
@@ -153,11 +153,13 @@ class MetricsReport:
         return float(np.mean(self.fidelities))
 
 
-def evaluate(model_set, images, labels, baseline_set=None) -> MetricsReport:
+def evaluate(model_set, images, labels, baseline: MetricsReport | None = None) -> MetricsReport:
     """Per-site fidelity, cross-fidelities for the standard pair families, and eta.
 
-    labels must align with the frames; the baseline set (conventionally
-    the gaussian filter) is evaluated on the same frames for eta.
+    labels must align with the frames. baseline, if given, is the report
+    of the baseline set (conventionally the gaussian filter) on the same
+    frames and labels; eta compares each site's fidelity with its, so the
+    baseline set is classified once however many sets it serves.
     """
     models = model_set.ordered()
     labels = np.asarray(labels)
@@ -185,15 +187,13 @@ def evaluate(model_set, images, labels, baseline_set=None) -> MetricsReport:
         return float(np.mean(vals)) if vals else None
 
     eta = None
-    baseline_kind = None
-    if baseline_set is not None:
-        base_preds = classify_stack(baseline_set.ordered(), images)
-        baseline_kind = baseline_set.kind
+    if baseline is not None:
+        if baseline.fidelities.shape != fids.shape:
+            raise DataError(f"baseline has {baseline.fidelities.size} sites, {model_set.kind} has {fids.size}")
         eta = []
-        for s in range(len(models)):
-            f_base = fidelity(confusion(base_preds[:, s], labels[:, s]))
+        for f_base, f in zip(baseline.fidelities.tolist(), fids.tolist()):
             try:
-                eta.append(infidelity_reduction(f_base, float(fids[s])))
+                eta.append(infidelity_reduction(f_base, f))
             except DataError:
                 eta.append(None)
 
@@ -205,5 +205,5 @@ def evaluate(model_set, images, labels, baseline_set=None) -> MetricsReport:
         cnn_mean_abs=mean_abs(cross_values[: len(pairs_c)]),
         ee_mean_abs=mean_abs(cross_values[len(pairs_c) :]),
         eta_vs_baseline=eta,
-        baseline_kind=baseline_kind,
+        baseline_kind=None if baseline is None else baseline.kind,
     )

@@ -254,19 +254,20 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
     )
     s_grid = S_GRID if run.s_grid is None else run.s_grid
     theta_grid = theta_grid_default(*run.theta_grid)
-    sets = {}
-    for kind in run.kinds:
-        sets[kind] = train_all_sites(data, kind, s_grid, theta_grid, run.alpha)
-    base = sets.get("gaussian")
-    reports = {}
-    for kind in run.kinds:
-        reports[kind] = evaluate(
-            sets[kind],
-            norm[split.test_idx],
-            labels[split.test_idx],
-            baseline_set=None if kind == "gaussian" else base,
-        )
+    sets = {kind: train_all_sites(data, kind, s_grid, theta_grid, run.alpha) for kind in run.kinds}
+    reports = _evaluate_sets(sets, norm[split.test_idx], labels[split.test_idx])
     return split, stats, geometry, sets, reports
+
+
+def _evaluate_sets(sets: dict, images, labels) -> dict:
+    """{kind: MetricsReport} of every model set on one labeled stack, each
+    set classified once: every kind but the gaussian gets its eta from
+    the gaussian report."""
+    base = evaluate(sets["gaussian"], images, labels) if "gaussian" in sets else None
+    return {
+        kind: base if kind == "gaussian" else evaluate(model_set, images, labels, base)
+        for kind, model_set in sets.items()
+    }
 
 
 def _stderr(vals) -> float:
@@ -312,12 +313,8 @@ def _holdout_rows(run: RunConfig, exposure: float, sim_e: SimConfig, cache_dir, 
     if run.crop is not None:
         stack = crop(stack, *run.crop)
     norm = apply_stats(stack.images, stats0)
-    base = sets0.get("gaussian")
     rows = []
-    for kind in run.kinds:
-        rep = evaluate(
-            sets0[kind], norm, labels, baseline_set=None if kind == "gaussian" else base
-        )
+    for kind, rep in _evaluate_sets(sets0, norm, labels).items():
         for (k, l), v in zip(rep.cross_pairs, rep.cross_values):
             rows.append((k + 1, l + 1, kind, v, 0.0 if v is not None else None))
     return rows

@@ -19,11 +19,11 @@ block, so its weights follow by block elimination through a small Schur
 complement over the neighbor means. Cholesky pivots decide whether an
 unregularized system has full rank, and a site whose system fails gets
 the minimum-norm least-squares weights of its full system. The fixed
-kinds are scored through their full-frame maps, every candidate of every
-site as one column, so one product scores the train frames and one the
-validation frames. Every kind scores its validation frames through the
-map FilterModel uses, and the fidelity of every threshold is counted
-from the sorted scores.
+kinds never touch the moments. Every kind is tuned by one pass over all
+sites (_tune_all): each candidate is a full-frame map column and a bias,
+the map FilterModel scores with, so one product scores the validation
+frames of them all, and the fidelity of every threshold is counted from
+the sorted scores.
 """
 
 from __future__ import annotations
@@ -284,10 +284,10 @@ class TrainingData:
         return self.train_images.shape[1:]
 
     @cached_property
-    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G, R, V): G = [X, c]^T [X, c] and R = [X, c]^T Y over the train
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, R): G = [X, c]^T [X, c] and R = [X, c]^T Y over the train
         frames X (one row per frame, pixels row-major) with the bias slot
-        last, and V the validation frames as rows, all float64.
+        last, both float64.
 
         The bias row and column of G come from column sums, so the train
         stack is never copied with a bias column appended.
@@ -305,7 +305,7 @@ class TrainingData:
         cross[p] = BIAS_C * y.sum(axis=0)
         if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross))):
             raise NumericalError("non-finite values in the training frames")
-        return gram, cross, _frame_rows(self.val_images)
+        return gram, cross
 
     @cached_property
     def _products(self) -> dict:
@@ -348,17 +348,18 @@ class TuneResult:
         ]
 
 
-def _best_cell(windows, thetas, fidelities, weights=None) -> TuneResult:
-    """The first maximum of a fidelity table, rows in window order and
-    columns in threshold order: ties go to the earlier window, then the
-    earlier threshold. weights, if given, holds one vector per window."""
-    fidelities = np.asarray(fidelities, dtype=np.float64)
-    thetas = np.broadcast_to(np.asarray(thetas, dtype=np.float64), fidelities.shape)
+def _best_cell(cells) -> TuneResult:
+    """The first maximum of one site's fidelity table, from its cells
+    (s, thresholds, fidelities, weights) in window order, thresholds in
+    grid order: ties go to the earlier window, then the earlier
+    threshold."""
+    windows, thetas, fidelities, weights = zip(*cells)
+    thetas, fidelities = np.array(thetas), np.array(fidelities)
     i, j = np.unravel_index(np.argmax(fidelities), fidelities.shape)
     return TuneResult(
         best_s=int(windows[i]),
         best_theta=float(thetas[i, j]),
-        weights=None if weights is None else weights[i],
+        weights=weights[i],
         val_fidelity=float(fidelities[i, j]),
         windows=tuple(int(s) for s in windows),
         thetas=thetas,
@@ -392,14 +393,6 @@ def _array_neighbors(geometry, site: int) -> tuple[int, ...]:
     if any(r * cols + c != i for i, (r, c) in enumerate(zip(row_ids, col_ids))):
         raise DataError("site ordering is not row-major; relocalize first")
     return neighbor_sites(_Grid(rows, cols, rows * cols), site)
-
-
-def _threshold_fidelity(train_scores, train_labels, val_scores, val_labels):
-    """Unsupervised threshold from training scores, fidelity on validation."""
-    mask = np.asarray(train_labels).astype(bool)
-    theta = unsupervised_threshold(train_scores[~mask], train_scores[mask])
-    fid = float(_fidelity_curve(val_scores, val_labels, [theta])[0])
-    return theta, fid
 
 
 def _check_request(kind: str, s_grid, theta_grid, alpha: float) -> tuple[float, ...]:
@@ -467,7 +460,7 @@ def _fill_products(data: TrainingData, s_grid) -> None:
     sizes = sorted({s for s in s_grid if s not in data._products})
     if not sizes:
         return
-    gram, cross, _ = data._moments
+    gram, cross = data._moments
     p = gram.shape[0] - 1
     centers, shape = data.geometry.centers, data.image_shape
     fits = [tuple(k for k, c in enumerate(centers) if s >= 2 and window_fits(c, s, shape)) for s in sizes]
@@ -524,7 +517,7 @@ def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
     if not sizes:
         return
     _fill_products(data, sizes)
-    gram, cross, _ = data._moments
+    gram, cross = data._moments
     p = gram.shape[0] - 1
     centers, shape = data.geometry.centers, data.image_shape
     for s in sizes:
@@ -609,151 +602,137 @@ def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np
         v = x0[full] - (a_inv_b[full] @ u)[..., 0]
         weights[full] = np.concatenate([v[:, :-1], u[..., 0], v[:, -1:]], axis=1)
     if not full.all():
-        gram, cross, _ = data._moments
+        gram, cross = data._moments
         rest = ~full
         systems = _window_systems(gram, cross, (ga, aga, ar), pix[rest], nbr[rest], sites[rest])
         weights[rest] = _solve_normal(*systems, alpha)
     return weights
 
 
-def _tune_learned(data: TrainingData, sites, kind: str, s_grid, theta_grid, alpha: float) -> dict:
-    """Tune one learned kind for every site in sites at once.
-
-    Returns {site: TuneResult, or the exception that failed the site}, in
-    the order of sites. The products and solves both learned kinds share
-    are filled for the whole window grid at once and cached on data
-    (_fill_products, _fill_solves); for each window size s the sites with
-    the same number of neighbors get their weights as one stack
-    (_learned_weights). Every
-    candidate's weights are spread into one column of a full-frame map
-    matrix, so one product scores the validation frames of every site
-    and window. A site fails alone, at its first failing window, as tune
-    would fail it: its neighbors cannot be found, its weights are not
-    finite, its validation labels hold one class, or no window fits it.
+def _learned_candidates(data: TrainingData, kind: str, s_grid, alpha: float) -> tuple[list, dict]:
+    """(candidates, failed) of a learned kind. The candidates (site, s,
+    map column, bias, weights) run s-major, then grouped by neighbor
+    count: every window size at which a site and all its neighbors fit.
+    The products and solves both learned kinds share are filled for the
+    whole window grid at once and cached on data (_fill_products,
+    _fill_solves); the sites of one size with the same number of
+    neighbors get their weights as one stack (_learned_weights), and each
+    candidate's weights are spread into the full-frame map FilterModel
+    scores with. failed holds the exception of each site whose neighbors
+    cannot be found, and of every site when the train frames are not
+    finite.
     """
     geometry = data.geometry
     failed: dict[int, Exception] = {}
     neighbors: dict[int, tuple[int, ...]] = {}
-    for site in sites:
+    for site in range(geometry.n_sites):
         try:
             neighbors[site] = _array_neighbors(geometry, site) if kind == "mf-array" else ()
         except DataError as exc:
             failed[site] = exc
     try:
-        _, _, val = data._moments
+        _fill_solves(data, s_grid, alpha)
     except NumericalError as exc:
-        return {site: failed.get(site, exc) for site in sites}
-    _fill_solves(data, s_grid, alpha)
-    candidates: dict[int, list] = {site: [] for site in neighbors if site not in failed}  # (s, column, weights)
-    maps, biases = [], []
+        return [], {site: failed.get(site, exc) for site in range(geometry.n_sites)}
+    out = []
     for s in s_grid:
         products = data._products[s]
         column = {j: c for c, j in enumerate(products.fits)}
-        live = [k for k in candidates if all(j in column for j in (k, *neighbors[k]))]
-        if not live:
-            continue
+        live = [k for k in neighbors if all(j in column for j in (k, *neighbors[k]))]
         pix = data._solves[(s, alpha)].pix
         for n_nbr in sorted({len(neighbors[k]) for k in live}):
             group = np.array([k for k in live if len(neighbors[k]) == n_nbr])
             nbr = np.array([[column[j] for j in neighbors[k]] for k in group], dtype=np.intp)
             weights = _learned_weights(data, s, group, nbr, alpha)
             for j, site in enumerate(group.tolist()):
-                candidates[site].append((s, len(maps), weights[j]))
-                maps.append(learned_weight_map(weights[j], pix[column[site], :-1], products.a_s[:, nbr[j]]))
-                biases.append(BIAS_C * weights[j, -1])
-    if maps:
-        scores = val @ np.stack(maps, axis=1) + np.array(biases)
-    thetas = np.asarray(theta_grid, dtype=np.float64)
-    cells: dict[int, list] = {site: [] for site in candidates}  # (s, fidelity curve, weights)
-    for site, found in candidates.items():
-        for s, j, weights in found:
-            if not np.all(np.isfinite(weights)):
-                failed[site] = NumericalError(_NON_FINITE)
-                break
-            try:
-                cells[site].append((s, _fidelity_curve(scores[:, j], data.val_labels[:, site], thetas), weights))
-            except DataError as exc:
-                failed[site] = exc
-                break
-    out = {}
-    for site in sites:
-        if site in failed:
-            out[site] = failed[site]
-        elif not cells[site]:
-            out[site] = _no_window(s_grid, site, tuple(geometry.centers[site]))
-        else:
-            windows, curves, weights = zip(*cells[site])
-            out[site] = _best_cell(windows, thetas, np.array(curves), weights)
-    return out
+                w = weights[j]
+                column_map = learned_weight_map(w, pix[column[site], :-1], products.a_s[:, nbr[j]])
+                out.append((site, s, column_map, BIAS_C * w[-1], w))
+    return out, failed
 
 
-def _tune_fixed(data: TrainingData, sites, kind: str, s_grid) -> dict:
-    """Tune a fixed kind for every site in sites at once.
-
-    Returns {site: TuneResult, or the exception that failed the site}, in
-    the order of sites. Every candidate is one column of a full-frame map
-    matrix, the map FilterModel scores with: the indicator of each
-    window that fits (square, one column per s) or the point-spread map
-    (gaussian, one column, s = 0). One product scores the train frames
-    and one the validation frames. The columns cover every site, asked
-    for or not, so a site's scores, to the last bit, do not depend on
-    which sites are asked for. A candidate's threshold is the
-    intersection of its train-score classes, and its fidelity is counted
-    on validation. A site fails alone, at its first failing candidate, as
-    tune would fail it: its sigma is not positive, a train class is too
-    small or has no spread, its validation labels hold one class, or no
-    window fits it.
+def _fixed_candidates(data: TrainingData, kind: str, s_grid) -> tuple[list, dict]:
+    """(candidates, failed) of a fixed kind. The candidates (site, s, map
+    column, 0, None) run site-major: the indicator of each window that
+    fits (square, one per s) or the point-spread map (gaussian, one,
+    s = 0). failed holds the exception of each site whose sigma is not
+    positive.
     """
     geometry, shape = data.geometry, data.image_shape
     failed: dict[int, Exception] = {}
-    cells = []  # (site, s), one per column of the maps
+    out = []
     for site in range(geometry.n_sites):
         center = tuple(geometry.centers[site])
         if kind == "gaussian":
-            windows = [0]
-        else:
-            windows = [s for s in s_grid if s >= 2 and window_fits(center, s, shape)]
-            if not windows:
-                failed[site] = _no_window(s_grid, site, center)
-        cells += [(site, s) for s in windows]
-    maps = np.zeros((shape[0] * shape[1], len(cells)))
-    for j, (site, s) in enumerate(cells):
-        center = tuple(geometry.centers[site])
-        if kind == "square":
-            maps[window_index(center, s, shape), j] = 1.0
+            try:
+                column = gaussian_weight_map(center, float(geometry.sigmas[site]), shape).ravel()
+            except ConfigError as exc:
+                failed[site] = exc
+            else:
+                out.append((site, 0, column, 0.0, None))
+            continue
+        for s in s_grid:
+            if s >= 2 and window_fits(center, s, shape):
+                column = np.zeros(shape[0] * shape[1])
+                column[window_index(center, s, shape)] = 1.0
+                out.append((site, s, column, 0.0, None))
+    return out, failed
+
+
+def _tune_all(data: TrainingData, kind: str, s_grid, theta_grid, alpha: float) -> dict:
+    """Tune one kind for every site at once: {site: TuneResult, or the
+    exception that failed the site}, in site order.
+
+    Each kind family supplies its candidates (_learned_candidates,
+    _fixed_candidates); one product then scores the validation frames of
+    every candidate through its map and bias. The learned kinds count the
+    fidelity of every theta of the grid. The fixed kinds, whose scores
+    are raw sums not trained toward 0/1, take one threshold each, the
+    intersection of the candidate's train-score classes, from one product
+    over the train frames. A site fails alone, at its first failing
+    candidate in window order: its neighbors cannot be found, its sigma
+    is not positive, its weights are not finite, a train class is too
+    small or has no spread, or its validation labels hold one class; a
+    site with no candidate fails because no window fits it.
+    """
+    learned = kind in LEARNED_KINDS
+    if learned:
+        candidates, failed = _learned_candidates(data, kind, s_grid, alpha)
+    else:
+        candidates, failed = _fixed_candidates(data, kind, s_grid)
+    if candidates:
+        _, _, columns, biases, _ = zip(*candidates)
+        maps, biases = np.stack(columns, axis=1), np.array(biases)
+        val_scores = _frame_rows(data.val_images) @ maps + biases
+        if not learned:
+            train_scores = _frame_rows(data.train_images) @ maps + biases
+    grid = np.asarray(theta_grid, dtype=np.float64)
+    cells: dict[int, list] = {k: [] for k in range(data.geometry.n_sites)}  # (s, thetas, curve, weights)
+    for j, (site, s, _, _, weights) in enumerate(candidates):
+        if site in failed:
             continue
         try:
-            maps[:, j] = gaussian_weight_map(center, float(geometry.sigmas[site]), shape).ravel()
-        except ConfigError as exc:
+            if not learned:
+                bright = data.train_labels[:, site].astype(bool)
+                thetas = np.array([unsupervised_threshold(train_scores[~bright, j], train_scores[bright, j])])
+            elif np.all(np.isfinite(weights)):
+                thetas = grid
+            else:
+                raise NumericalError(_NON_FINITE)
+            curve = _fidelity_curve(val_scores[:, j], data.val_labels[:, site], thetas)
+        except (DataError, NumericalError) as exc:
             failed[site] = exc
-    train_scores = _frame_rows(data.train_images) @ maps
-    val_scores = _frame_rows(data.val_images) @ maps
-    found: dict[int, list] = {site: [] for site in sites}  # (s, theta, fidelity)
-    for j, (site, s) in enumerate(cells):
-        if site not in found or site in failed:
             continue
-        try:
-            found[site].append((s, *_threshold_fidelity(
-                train_scores[:, j], data.train_labels[:, site],
-                val_scores[:, j], data.val_labels[:, site],
-            )))
-        except DataError as exc:
-            failed[site] = exc
+        cells[site].append((s, thetas, curve, weights))
     out = {}
-    for site in sites:
+    for site, found in cells.items():
         if site in failed:
             out[site] = failed[site]
+        elif not found:
+            out[site] = _no_window(s_grid, site, tuple(data.geometry.centers[site]))
         else:
-            windows, thetas, fids = zip(*found[site])
-            out[site] = _best_cell(windows, np.array(thetas)[:, None], np.array(fids)[:, None])
+            out[site] = _best_cell(found)
     return out
-
-
-def _tune_sites(data: TrainingData, sites, kind: str, s_grid, theta_grid, alpha: float) -> dict:
-    """{site: TuneResult, or the exception that failed the site}."""
-    if kind in LEARNED_KINDS:
-        return _tune_learned(data, sites, kind, s_grid, theta_grid, alpha)
-    return _tune_fixed(data, sites, kind, s_grid)
 
 
 def tune(
@@ -775,18 +754,13 @@ def tune(
     pitch so the baseline stays untrained) or is a single candidate
     (gaussian, whose footprint is set by the fitted sigma).
 
-    This is the one-site case of the pass train_all_sites makes over all
-    sites at once: _tune_learned for the learned kinds, _tune_fixed for
-    the fixed ones. Each learned candidate's normal equations are slices
-    of the train-frame moments cached on data (see
-    TrainingData._moments), and the solves per (s, alpha) are cached
-    there too, shared by both learned kinds and by every site. Every
-    candidate is scored through the full-frame map FilterModel scores
-    with, and the fidelity of every threshold is counted from the sorted
-    scores.
+    This is one site's entry to the pass train_all_sites makes over all
+    sites (_tune_all), and it raises the exception that failed the site.
+    The learned kinds' moments and solves are cached on data and serve
+    every later call.
     """
     theta_grid = _check_request(kind, s_grid, theta_grid, alpha)
-    outcome = _tune_sites(data, [site], kind, s_grid, theta_grid, alpha)[site]
+    outcome = _tune_all(data, kind, s_grid, theta_grid, alpha)[site]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -864,13 +838,14 @@ def train_all_sites(
 
     A bad request (unknown kind, empty grid, negative alpha) raises
     ConfigError before any site is tuned. Every kind tunes all sites in
-    one pass (see _tune_learned and _tune_fixed).
+    one pass (_tune_all), whose outcome for a site is what tune returns
+    or raises for it.
     """
     theta_grid = _check_request(kind, s_grid, theta_grid, alpha)
     geometry = data.geometry
     if kind == "square" and s_grid is S_GRID and geometry.n_sites > 1:
         s_grid = (square_boundary_default(geometry),)
-    outcomes = _tune_sites(data, range(geometry.n_sites), kind, s_grid, theta_grid, alpha)
+    outcomes = _tune_all(data, kind, s_grid, theta_grid, alpha)
     models: dict[int, FilterModel] = {}
     tune_results: dict[int, TuneResult] = {}
     failures: dict[int, str] = {}

@@ -129,10 +129,11 @@ def crosstalk_study():
     for shuffle in range(10):
         split, stats, norm, geometry, data = build_training(stack, labels, shuffle)
         sets = {kind: train_all_sites(data, kind) for kind in KINDS}
+        test_images, test_labels = norm[split.test_idx], labels[split.test_idx]
+        base = evaluate(sets["gaussian"], test_images, test_labels)
         for kind in KINDS:
-            base = None if kind == "gaussian" else sets["gaussian"]
             reports[kind].append(
-                evaluate(sets[kind], norm[split.test_idx], labels[split.test_idx], base)
+                base if kind == "gaussian" else evaluate(sets[kind], test_images, test_labels, base)
             )
         if shuffle == 0:
             stats0, sets0 = stats, sets

@@ -170,9 +170,8 @@ def test_evaluate_perfect_models_on_truth(truth_training):
     norm = truth_training.norm
     split = truth_training.split
     labels = truth_training.stack.truth
-    report = evaluate(
-        sets["mf-site"], norm[split.test_idx], labels[split.test_idx], sets["gaussian"]
-    )
+    base = evaluate(sets["gaussian"], norm[split.test_idx], labels[split.test_idx])
+    report = evaluate(sets["mf-site"], norm[split.test_idx], labels[split.test_idx], base)
     assert isinstance(report, MetricsReport)
     assert report.kind == "mf-site"
     assert report.fidelities.shape == (9,)
@@ -193,9 +192,7 @@ def test_evaluate_perfect_models_on_truth(truth_training):
         assert report.fidelities[s] == 1.0 - 0.5 * (false_bright + false_dark)
 
     # a model set is never worse than itself
-    self_report = evaluate(
-        sets["gaussian"], norm[split.test_idx], labels[split.test_idx], sets["gaussian"]
-    )
+    self_report = evaluate(sets["gaussian"], norm[split.test_idx], labels[split.test_idx], base)
     for eta in self_report.eta_vs_baseline:
         if eta is not None:
             assert eta == pytest.approx(0.0)
@@ -221,3 +218,16 @@ def test_evaluate_without_baseline_has_no_eta(small_training):
     assert report.eta_vs_baseline is None
     assert report.baseline_kind is None
     assert report.mean_fidelity == pytest.approx(float(report.fidelities.mean()))
+
+
+def test_evaluate_rejects_a_baseline_of_other_sites(small_training):
+    model_set = train_all_sites(small_training.data, "square")
+    split = small_training.split
+    base = MetricsReport(kind="gaussian", fidelities=np.full(4, 0.9))
+    with pytest.raises(DataError, match="baseline has 4 sites"):
+        evaluate(
+            model_set,
+            small_training.norm[split.test_idx],
+            small_training.stack.truth[split.test_idx],
+            base,
+        )

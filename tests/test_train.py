@@ -499,7 +499,7 @@ def _all_neighbors(n_sites):
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 def test_block_elimination_matches_the_full_system(small_training, monkeypatch, alpha):
     data = replace(small_training.data)
-    gram, cross, _ = data._moments
+    gram, cross = data._moments
     sites, nbr = np.arange(9), _all_neighbors(9)
     train._fill_solves(data, (3, 5, 8), alpha)
     for s in (3, 5, 8):
@@ -610,7 +610,7 @@ def test_nesting_order_puts_every_smaller_window_first():
 
 def test_one_product_gives_every_window_size_its_products(small_training):
     data = replace(small_training.data)
-    gram, cross, _ = data._moments
+    gram, cross = data._moments
     p = gram.shape[0] - 1
     train._fill_products(data, S_GRID)
     for s in S_GRID:
@@ -626,7 +626,7 @@ def _per_size_solves(data, s, alpha):
     """Reference for one window size: every fitting site's mf-site system
     over its row-major window pixels and the bias, solved as one stack by
     _solve_stack. Returns (pix, x, pivots, the systems)."""
-    gram, cross, _ = data._moments
+    gram, cross = data._moments
     products = data._products[s]
     sites = np.array(products.fits, dtype=np.intp)
     p = gram.shape[0] - 1
@@ -789,11 +789,18 @@ def test_train_all_sites_rejects_a_bad_request_before_tuning(small_training, mon
         raise AssertionError("a site was tuned")
 
     monkeypatch.setattr(train, "tune", must_not_run)
-    monkeypatch.setattr(train, "_tune_learned", must_not_run)
-    monkeypatch.setattr(train, "_tune_fixed", must_not_run)
+    monkeypatch.setattr(train, "_tune_all", must_not_run)
     request = dict(kind="mf-site") | bad
     with pytest.raises(ConfigError):
         train_all_sites(small_training.data, **request)
+
+
+@pytest.mark.parametrize("kind", ["square", "gaussian"])
+def test_fixed_kinds_never_build_the_moments(small_training, kind):
+    # the 785 x 785 Gram serves only the learned kinds
+    data = replace(small_training.data)
+    train_all_sites(data, kind)
+    assert "_moments" not in data.__dict__
 
 
 def test_train_all_sites_collects_per_site_failures(small_training):
