@@ -83,9 +83,10 @@ def crosstalk_gates(seed: int) -> str:
             geometry=locate_sites(mean_image(norm[split.train_idx]), stack.n_sites),
         )
         sets = {kind: train_all_sites(data, kind) for kind in KINDS}
+        test_images, test_labels = norm[split.test_idx], labels[split.test_idx]
+        base = evaluate(sets["gaussian"], test_images, test_labels)
         for kind in KINDS:
-            base = None if kind == "gaussian" else sets["gaussian"]
-            report = evaluate(sets[kind], norm[split.test_idx], labels[split.test_idx], base)
+            report = base if kind == "gaussian" else evaluate(sets[kind], test_images, test_labels, base)
             infid[kind].append(1.0 - report.mean_fidelity)
         if shuffle == 0:
             stats0, sets0 = stats, sets

@@ -756,8 +756,8 @@ def tune(
 
     This is one site's entry to the pass train_all_sites makes over all
     sites (_tune_all), and it raises the exception that failed the site.
-    The learned kinds' moments and solves are cached on data and serve
-    every later call.
+    Every call makes that whole pass; only the learned kinds' moments and
+    solves are cached on data. To tune every site, call train_all_sites.
     """
     theta_grid = _check_request(kind, s_grid, theta_grid, alpha)
     outcome = _tune_all(data, kind, s_grid, theta_grid, alpha)[site]

@@ -191,8 +191,19 @@ def test_evaluate_perfect_models_on_truth(truth_training):
         false_dark = np.mean(pred[label == 1] == 0)
         assert report.fidelities[s] == 1.0 - 0.5 * (false_bright + false_dark)
 
-    # a model set is never worse than itself
-    self_report = evaluate(sets["gaussian"], norm[split.test_idx], labels[split.test_idx], base)
+    # eta compares with the baseline set's own predictions
+    base_preds = classify_stack(sets["gaussian"].ordered(), norm[split.test_idx])
+    for s in range(9):
+        f_base = fidelity(confusion(base_preds[:, s], test_labels[:, s]))
+        try:
+            expected = infidelity_reduction(f_base, float(report.fidelities[s]))
+        except DataError:
+            expected = None
+        assert report.eta_vs_baseline[s] == expected
+
+    # a model set is never worse than itself, classified a second time
+    again = evaluate(sets["gaussian"], norm[split.test_idx], labels[split.test_idx])
+    self_report = evaluate(sets["gaussian"], norm[split.test_idx], labels[split.test_idx], again)
     for eta in self_report.eta_vs_baseline:
         if eta is not None:
             assert eta == pytest.approx(0.0)
