@@ -239,23 +239,34 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
 
     Only train and validation frames feed fitting and tuning; the test
     block is touched once, for the final metrics.
+
+    Each split block is normalized on its own, straight from the caller's
+    frames, which are never modified: the train block when the stats are
+    fitted, the validation block when the TrainingData is built, and the
+    test block only after the TrainingData, with its cached moments and
+    solves, has been released. So every frame is held in float64 once,
+    and the blocks are bit-equal to slices of the normalized whole stack,
+    because apply_stats is elementwise.
     """
     split = split_dataset(images.shape[0], seed=split_seed)
-    stats = fit_stats(images[split.train_idx])
-    norm = apply_stats(images, stats)
-    train_norm = norm[split.train_idx]
-    geometry = locate_sites(mean_image(train_norm), n_sites)
+    train = images[split.train_idx]
+    stats = fit_stats(train)
+    train = apply_stats(train, stats)
+    geometry = locate_sites(mean_image(train), n_sites)
     data = TrainingData(
-        train_images=train_norm,
+        train_images=train,
         train_labels=labels[split.train_idx],
-        val_images=norm[split.val_idx],
+        val_images=apply_stats(images[split.val_idx], stats),
         val_labels=labels[split.val_idx],
         geometry=geometry,
     )
+    del train
     s_grid = S_GRID if run.s_grid is None else run.s_grid
     theta_grid = theta_grid_default(*run.theta_grid)
     sets = {kind: train_all_sites(data, kind, s_grid, theta_grid, run.alpha) for kind in run.kinds}
-    reports = _evaluate_sets(sets, norm[split.test_idx], labels[split.test_idx])
+    del data
+    test_norm = apply_stats(images[split.test_idx], stats)
+    reports = _evaluate_sets(sets, test_norm, labels[split.test_idx])
     return split, stats, geometry, sets, reports
 
 
@@ -345,7 +356,12 @@ def run_pipeline(run: RunConfig) -> SweepReport:
 
 
 def _sweep(run: RunConfig) -> SweepReport:
-    """The body of run_pipeline: every exposure, shuffle and artifact."""
+    """The body of run_pipeline: every exposure, shuffle and artifact.
+
+    An exposure's frames are held only through its shuffles: they are
+    dropped before its held-out stage loads the held-out stack, so the two
+    stacks are never resident together.
+    """
     out_dir = Path(run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
@@ -391,6 +407,7 @@ def _sweep(run: RunConfig) -> SweepReport:
                 per_kind[kind].append(reports[kind])
             if i == 0:
                 shuffle0 = (stats, geometry, sets)
+        del stack, labels
 
         stats0, geometry0, sets0 = shuffle0
         geometry0.save(exp_dir / "geometry.json")

@@ -791,9 +791,7 @@ class ModelSet:
         paths = []
         for site in sorted(self.models):
             path = out_dir / f"{KIND_TOKENS[self.kind]}_site{site + 1}.json"
-            with open(path, "w") as f:
-                json.dump(self.models[site].to_dict(), f, sort_keys=True)
-                f.write("\n")
+            path.write_text(json.dumps(self.models[site].to_dict(), sort_keys=True) + "\n")
             paths.append(path)
         return paths
 

@@ -36,8 +36,11 @@ from mf_readout import (
     locate_sites,
     mean_image,
     split_dataset,
+    theta_grid_default,
     train_all_sites,
 )
+from mf_readout.pipeline import _evaluate_sets
+from mf_readout.train import S_GRID
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
@@ -57,6 +60,28 @@ def build_training(stack, labels, split_seed: int):
         geometry=geometry,
     )
     return split, stats, norm, geometry, data
+
+
+@pytest.fixture(scope="session")
+def whole_stack_shuffle():
+    """The whole-stack reference of pipeline._one_shuffle: normalize every
+    frame, then index the split blocks out of the normalized stack.
+
+    Returns _one_shuffle's (split, stats, geometry, sets, reports) and the
+    normalized (train, validation, test) blocks.
+    """
+
+    def shuffle(run, images, labels, split_seed: int, n_sites: int):
+        frames = SimpleNamespace(n_images=images.shape[0], images=images, n_sites=n_sites)
+        split, stats, norm, geometry, data = build_training(frames, labels, split_seed)
+        s_grid = S_GRID if run.s_grid is None else run.s_grid
+        theta_grid = theta_grid_default(*run.theta_grid)
+        sets = {kind: train_all_sites(data, kind, s_grid, theta_grid, run.alpha) for kind in run.kinds}
+        test = norm[split.test_idx]
+        reports = _evaluate_sets(sets, test, labels[split.test_idx])
+        return split, stats, geometry, sets, reports, (data.train_images, data.val_images, test)
+
+    return shuffle
 
 
 @pytest.fixture(scope="session")

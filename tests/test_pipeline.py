@@ -1,5 +1,7 @@
 import hashlib
 import json
+import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,8 +12,11 @@ from mf_readout import (
     ConfigError,
     DataError,
     RunConfig,
+    apply_stats,
+    crosstalk_config,
     dataset_cache_key,
     default_config,
+    generate_dataset,
     load_or_generate,
     run_pipeline,
 )
@@ -297,3 +302,99 @@ def test_pipeline_errors_carry_stage_context(tmp_path):
     run = _tiny_run(tmp_path, kinds=("mf-site",), s_grid=(40,))
     with pytest.raises(Exception, match=r"exposure 20 ms, shuffle 0"):
         run_pipeline(run)
+
+
+def test_pipeline_drops_the_frames_before_the_held_out_stage(tmp_path, monkeypatch):
+    frames, alive = [], []
+    load, holdout = pipeline_mod.load_or_generate, pipeline_mod._holdout_rows
+
+    def loaded(*args):
+        stack, labels = load(*args)
+        frames.append(weakref.ref(stack.images))
+        return stack, labels
+
+    def held_out(*args):
+        alive.append(frames[-1]() is not None)
+        return holdout(*args)
+
+    monkeypatch.setattr(pipeline_mod, "load_or_generate", loaded)
+    monkeypatch.setattr(pipeline_mod, "_holdout_rows", held_out)
+    run_pipeline(_tiny_run(tmp_path, kinds=("square",), exposure_sweep_ms=(10.0, 20.0), crossfid_frames=60))
+    assert alive == [False, False]
+
+
+# ---------------------------------------------------------- one shuffle
+
+@pytest.fixture(scope="module")
+def shuffle_stacks():
+    """Float32 stacks of both presets, sized as the memory bounds below."""
+    return {
+        "default": generate_dataset(default_config(n_images=2000, seed=5)),
+        "crosstalk": generate_dataset(crosstalk_config(n_images=3000, seed=5)),
+    }
+
+
+def _shuffle_run(stack) -> RunConfig:
+    sim = stack.config
+    return RunConfig(sim=sim, output_dir="unused", exposure_sweep_ms=(sim.exposure_ms,), label_source="truth")
+
+
+def _bits(array: np.ndarray):
+    return array.dtype, array.shape, array.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("preset", ["default", "crosstalk"])
+def test_one_shuffle_matches_the_whole_stack_reference(
+    shuffle_stacks, whole_stack_shuffle, preset, dtype, tmp_path, monkeypatch
+):
+    """Normalizing each split block on its own gives the bits of slicing
+    the normalized whole stack: stats, blocks, geometry, models, reports."""
+    stack = shuffle_stacks[preset]
+    images = stack.images.astype(dtype)
+    before = _bits(images)
+    run = _shuffle_run(stack)
+    blocks = []
+
+    def recorded(frames, stats):
+        blocks.append(apply_stats(frames, stats))
+        return blocks[-1]
+
+    monkeypatch.setattr(pipeline_mod, "apply_stats", recorded)
+    split, stats, geometry, sets, reports = pipeline_mod._one_shuffle(run, images, stack.truth, 0, stack.n_sites)
+    monkeypatch.undo()
+    assert _bits(images) == before
+    ref_split, ref_stats, ref_geometry, ref_sets, ref_reports, ref_blocks = whole_stack_shuffle(
+        run, images, stack.truth, 0, stack.n_sites
+    )
+
+    assert split.to_dict() == ref_split.to_dict()
+    assert stats == ref_stats
+    assert [_bits(b) for b in blocks] == [_bits(b) for b in ref_blocks]
+    for field in ("centers", "sigmas", "amplitudes"):
+        assert _bits(getattr(geometry, field)) == _bits(getattr(ref_geometry, field))
+    assert geometry.fallbacks == ref_geometry.fallbacks
+    for kind in run.kinds:
+        paths = sets[kind].save(tmp_path / "shuffle")
+        ref_paths = ref_sets[kind].save(tmp_path / "reference")
+        assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in ref_paths]
+        got, want = vars(reports[kind]).copy(), vars(ref_reports[kind]).copy()
+        assert _bits(got.pop("fidelities")) == _bits(want.pop("fidelities"))
+        assert got == want
+
+
+# The whole-stack path peaked at 2.55x (crosstalk) and 2.92x (default)
+# the stack's float64 size; one float64 copy per frame peaks at 1.55x and
+# 1.92x. The rest is training's moments, products and solves, a larger
+# share of the smaller stack.
+@pytest.mark.parametrize("preset, bound", [("crosstalk", 2.0), ("default", 2.4)])
+def test_one_shuffle_holds_each_frame_in_float64_once(shuffle_stacks, preset, bound):
+    stack = shuffle_stacks[preset]
+    run = _shuffle_run(stack)
+    tracemalloc.start()
+    try:
+        pipeline_mod._one_shuffle(run, stack.images, stack.truth, 0, stack.n_sites)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * stack.images.size * 8
