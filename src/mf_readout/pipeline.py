@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError, MFReadoutError
 from .filters import KINDS
 from .locate import apply_stats, crop, fit_stats, locate_sites, mean_image
 from .metrics import evaluate, standard_error
-from .qimg import read_stack, write_stack
+from .qimg import label_matrix, read_stack, write_stack
 from .report import (
     SweepReport,
     SweepRow,
@@ -224,14 +224,13 @@ def load_or_generate(
 
 
 def _read_cached_labels(path: Path, shape) -> np.ndarray | None:
-    """Cached second-path labels, or None when missing, invalid or misshaped."""
+    """Cached second-path labels, or None when missing, invalid, misshaped or not 0/1."""
     if not path.exists():
         return None
     try:
-        labels = np.asarray(json.loads(path.read_text())["labels"], dtype=np.uint8)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError):
+        return label_matrix(json.loads(path.read_text())["labels"], shape)
+    except (OSError, ValueError, KeyError, TypeError, DataError):
         return None
-    return labels if labels.shape == shape else None
 
 
 def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):

@@ -21,13 +21,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .sim import LabeledImageStack, SimConfig
 from .util import write_atomic
 
 MAGIC = b"QIMG"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIHH")
+
+
+def label_matrix(values, shape, name: str = "labels") -> np.ndarray:
+    """values, nested lists of 0 and 1, as a uint8 array of the given shape.
+
+    Any other shape, entry type or value raises DataError naming name, so
+    a damaged sidecar or label file is never read as labels.
+    """
+    try:
+        labels = np.asarray(values)
+    except ValueError as exc:  # ragged rows
+        raise DataError(f"{name} is not a matrix: {exc}") from exc
+    if labels.shape == (0,) and shape[0] == 0:
+        return np.zeros(shape, dtype=np.uint8)  # JSON keeps no width for zero rows
+    if labels.shape != tuple(shape):
+        raise DataError(f"{name} shape {labels.shape} does not match {tuple(shape)}")
+    if labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
+        raise DataError(f"{name} holds entries other than 0 and 1")
+    return labels.astype(np.uint8)
 
 
 def write_stack(path, stack: LabeledImageStack) -> None:
@@ -49,7 +68,11 @@ def write_stack(path, stack: LabeledImageStack) -> None:
 
 
 def read_stack(path) -> LabeledImageStack:
-    """Read a stack written by write_stack, validating header and sizes."""
+    """Read a stack written by write_stack, validating header, sizes and sidecar.
+
+    Every fault found, in the binary or in its sidecar's config, seed or
+    truth, raises DataError.
+    """
     path = Path(path)
     try:
         size = path.stat().st_size
@@ -81,15 +104,17 @@ def read_stack(path) -> LabeledImageStack:
         raise DataError(f"{sidecar_path}: unreadable sidecar: {exc}") from exc
     if set(sidecar) != {"config", "truth", "seed"}:
         raise DataError(f"{sidecar_path}: sidecar keys {sorted(sidecar)} are not the expected trio")
-    config = SimConfig.from_dict(sidecar["config"])
-    truth = np.asarray(sidecar["truth"], dtype=np.uint8)
-    if truth.ndim != 2 or truth.shape[0] != n:
-        raise DataError(f"{sidecar_path}: truth shape {truth.shape} does not match {n} images")
+    try:
+        config = SimConfig.from_dict(sidecar["config"])
+        seed = int(sidecar["seed"])
+    except (ConfigError, ValueError, TypeError, OverflowError) as exc:
+        raise DataError(f"{sidecar_path}: bad config or seed: {exc}") from exc
+    truth = label_matrix(sidecar["truth"], (n, config.geometry.n_sites), f"{sidecar_path}: truth")
     if (h, w) != (config.image_height, config.image_width):
         raise DataError(
             f"{path}: header says {h}x{w} but config says "
             f"{config.image_height}x{config.image_width}"
         )
-    if int(sidecar["seed"]) != config.seed:
+    if seed != config.seed:
         raise DataError(f"{sidecar_path}: sidecar seed disagrees with config seed")
     return LabeledImageStack(images=images, truth=truth, config=config)

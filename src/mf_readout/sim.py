@@ -10,14 +10,18 @@ with additive Gaussian read noise on top. Frames are rendered a block at
 a time, and each block draws from its own named counter-style streams
 derived from the dataset seed: (seed, "frame"|"label", "decay"|"photons"|
 "noise", block). So a stack's first m frames do not depend on how many
-follow. Dataset caches are keyed by the SimConfig together with
-GENERATOR_VERSION, which must be bumped with any change to the drawn
-bytes; a digest test pins them.
+follow, and the blocks render concurrently on the usable CPUs with the
+same bytes whatever the number of worker threads. Dataset caches are
+keyed by the SimConfig together with GENERATOR_VERSION, which must be
+bumped with any change to the drawn bytes; a digest test pins them.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,8 +30,10 @@ from .errors import ConfigError, DataError
 from .filters import gaussian_weight_map, unsupervised_threshold
 from .util import stream
 
-# Frames per rendered block: enough that the per-block stream set-up is
-# small against the draws, few enough that the float64 block stays small.
+# Frames per rendered block, the unit of work of the render pool: enough
+# that the per-block stream set-up is small against the draws, few enough
+# that each worker's float64 block buffer stays small and a stack splits
+# into enough blocks to keep every worker busy.
 _BLOCK = 64
 
 # Version of the drawn bytes, hashed into the dataset cache key. Bump it
@@ -322,22 +328,51 @@ def _render_block(out, states, config: SimConfig, masses, decay_rng, photon_rng,
         frames[:] = counts
 
 
-def _frame_blocks(config: SimConfig, states, name: str):
-    """Yield (start, frames) for the frames of states, _BLOCK at a time.
+def _usable_cpus() -> int:
+    """CPUs this process may run on, the render pool's size before the cap."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    frames is a float64 (m, H*W) view of one reused buffer, valid until the
-    next block. Block b draws from the (seed, name, "decay"|"photons"|
-    "noise", b) streams, so the first m frames of a stack do not depend on
-    how many follow.
+
+def _render_blocks(config: SimConfig, states, name: str, sink) -> None:
+    """Render the frames of states _BLOCK at a time and call sink(start, frames).
+
+    frames is a float64 (m, H*W) view of the calling worker's block buffer,
+    valid only during the call, so sink must copy out what it keeps; it
+    should write only rows start..start+m of its output, as blocks arrive
+    in any order and from several threads. Block b draws from the (seed,
+    name, "decay"|"photons"|"noise", b) streams, so the first m frames of a
+    stack do not depend on how many follow nor on the number of workers,
+    one per usable CPU up to the block count. An error or interrupt in any
+    block cancels the blocks not yet started and is raised here once the
+    running ones have stopped; no worker outlives the call.
     """
     masses = _pixel_masses(config)
-    buf = np.empty((_BLOCK, masses.shape[1]), dtype=np.float64)
     n = states.shape[0]
-    for b, start in enumerate(range(0, n, _BLOCK)):
+    starts = range(0, n, _BLOCK)
+    if not starts:
+        return
+    buffers = threading.local()
+
+    def render(b, start):
+        buf = getattr(buffers, "buf", None)
+        if buf is None:
+            buf = buffers.buf = np.empty((_BLOCK, masses.shape[1]), dtype=np.float64)
         stop = min(start + _BLOCK, n)
-        rngs = (stream(config.seed, name, part, b) for part in ("decay", "photons", "noise"))
-        _render_block(buf, states[start:stop], config, masses, *rngs)
-        yield start, buf[: stop - start]
+        # the decay stream is drawn from only when decay is on
+        decay_rng = stream(config.seed, name, "decay", b) if config.decay_prob_per_ms > 0 else None
+        rngs = (stream(config.seed, name, part, b) for part in ("photons", "noise"))
+        _render_block(buf, states[start:stop], config, masses, decay_rng, *rngs)
+        sink(start, buf[: stop - start])
+
+    pool = ThreadPoolExecutor(min(_usable_cpus(), len(starts)), thread_name_prefix="render")
+    try:
+        for future in [pool.submit(render, b, start) for b, start in enumerate(starts)]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def render_image(states_row, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -371,8 +406,11 @@ def generate_dataset(config: SimConfig) -> LabeledImageStack:
     h, w = config.image_height, config.image_width
     images = np.empty((config.n_images, h, w), dtype=np.float32)
     rows = images.reshape(config.n_images, h * w)
-    for start, frames in _frame_blocks(config, truth, "frame"):
+
+    def sink(start, frames):
         rows[start : start + len(frames)] = frames
+
+    _render_blocks(config, truth, "frame", sink)
     return LabeledImageStack(images=images, truth=truth, config=config)
 
 
@@ -416,8 +454,11 @@ def _label_scores(config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0)
     ).reshape(len(centers), -1)
 
     scores = np.empty((config.n_images, len(centers)), dtype=np.float64)
-    for start, frames in _frame_blocks(label_config, truth, "label"):
+
+    def sink(start, frames):
         np.matmul(frames, maps.T, out=scores[start : start + len(frames)])
+
+    _render_blocks(label_config, truth, "label", sink)
     return scores
 
 

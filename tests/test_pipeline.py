@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import tracemalloc
@@ -179,10 +180,51 @@ def _damage_misshape_labels(stem: Path):
     stem.with_suffix(".labels.json").write_text('{"labels":[[0,1]],"source":"label"}\n')
 
 
+@contextlib.contextmanager
+def _edited_sidecar(stem: Path):
+    path = stem.with_suffix(".json")
+    sidecar = json.loads(path.read_text())
+    yield sidecar
+    path.write_text(json.dumps(sidecar))
+
+
+def _damage_truth_256(stem: Path):
+    with _edited_sidecar(stem) as sidecar:
+        sidecar["truth"][0][0] = 256
+
+
+def _damage_truth_x(stem: Path):
+    with _edited_sidecar(stem) as sidecar:
+        sidecar["truth"][0][0] = "x"
+
+
+def _damage_seed_abc(stem: Path):
+    with _edited_sidecar(stem) as sidecar:
+        sidecar["seed"] = "abc"
+
+
+def _damage_drop_config_key(stem: Path):
+    with _edited_sidecar(stem) as sidecar:
+        del sidecar["config"]["p_bright"]
+
+
+def _damage_truth_3_columns(stem: Path):
+    with _edited_sidecar(stem) as sidecar:
+        sidecar["truth"] = [row[:3] for row in sidecar["truth"]]
+
+
+def _damage_relabel_to_two(stem: Path):
+    path = stem.with_suffix(".labels.json")
+    labels = json.loads(path.read_text())
+    labels["labels"][0][0] = 2
+    path.write_text(json.dumps(labels))
+
+
 @pytest.mark.parametrize(
     "damage",
     [_damage_truncate_binary, _damage_delete_sidecar, _damage_half_write_labels,
-     _damage_misshape_labels],
+     _damage_misshape_labels, _damage_truth_256, _damage_truth_x, _damage_seed_abc,
+     _damage_drop_config_key, _damage_truth_3_columns, _damage_relabel_to_two],
 )
 def test_damaged_cache_entries_are_regenerated(tmp_path, damage):
     sim = default_config(n_images=40, seed=7)

@@ -123,3 +123,41 @@ def test_sidecar_truth_shape_check(tmp_path, stack):
     (tmp_path / "ds.json").write_text(json.dumps(sidecar))
     with pytest.raises(DataError, match="truth"):
         read_stack(path)
+
+
+def _set_truth_entry(sidecar, value):
+    sidecar["truth"][0][0] = value
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda sc: _set_truth_entry(sc, 256),
+        lambda sc: _set_truth_entry(sc, "x"),
+        lambda sc: _set_truth_entry(sc, 2),
+        lambda sc: _set_truth_entry(sc, 0.5),
+        lambda sc: sc.update(seed="abc"),
+        lambda sc: sc["config"].pop("p_bright"),
+        lambda sc: sc["config"].update(exposure_ms="long"),
+        lambda sc: sc.update(truth=[row[:3] for row in sc["truth"]]),
+        lambda sc: sc.update(truth=[row[:-1] for row in sc["truth"][:-1]] + [sc["truth"][-1]]),
+    ],
+    ids=["truth-256", "truth-x", "truth-2", "truth-half", "seed-abc", "config-key-removed",
+         "config-value", "truth-3-columns", "truth-ragged"],
+)
+def test_malformed_sidecar_is_a_data_error(tmp_path, stack, fault):
+    path = tmp_path / "ds.qimg"
+    write_stack(path, stack)
+    sidecar = json.loads((tmp_path / "ds.json").read_text())
+    fault(sidecar)
+    (tmp_path / "ds.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataError):
+        read_stack(path)
+
+
+def test_empty_stack_round_trips(tmp_path):
+    empty = generate_dataset(default_config(n_images=0))
+    write_stack(tmp_path / "e.qimg", empty)
+    back = read_stack(tmp_path / "e.qimg")
+    assert back.images.shape == (0, 28, 28) and back.truth.shape == (0, 9)
+    assert back.truth.dtype == np.uint8

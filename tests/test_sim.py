@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -24,9 +27,10 @@ from mf_readout.sim import (
     _BLOCK,
     GENERATOR_VERSION,
     _class_threshold,
-    _frame_blocks,
     _label_scores,
     _pixel_masses,
+    _render_block,
+    _render_blocks,
 )
 from mf_readout.util import stream
 
@@ -265,8 +269,11 @@ def _assert_standard_normal(z):
 def _label_frames(config, truth):
     """(n, H*W) second-path frames as the label path renders them."""
     frames = np.empty((len(truth), config.image_height * config.image_width))
-    for start, block in _frame_blocks(replace(config, attenuation=1.0), truth, "label"):
+
+    def sink(start, block):
         frames[start : start + len(block)] = block
+
+    _render_blocks(replace(config, attenuation=1.0), truth, "label", sink)
     return frames
 
 
@@ -341,6 +348,104 @@ def test_stack_prefix_does_not_depend_on_its_length():
     # each block draws from streams of its own: equal states, other frames
     lit = generate_dataset(replace(config, n_images=2 * _BLOCK, p_bright=1.0))
     assert not np.array_equal(lit.images[:_BLOCK], lit.images[_BLOCK:])
+
+
+# ------------------------------------------------------- the render pool
+#
+# Blocks render concurrently, one worker per usable CPU. The serial loop
+# the pool replaced, which built every stream of a block and rendered the
+# blocks one after another into one buffer, is kept here as the reference
+# whose bytes the pool must reproduce at every worker count.
+
+
+def _serial_reference(config, truth):
+    """float32 frames and float64 label scores from the serial block loop."""
+    shape = (config.image_height, config.image_width)
+    centers = config.geometry.site_centers()
+    maps = np.stack(
+        [gaussian_weight_map(tuple(c), config.geometry.psf_sigma_px, shape) for c in centers]
+    ).reshape(len(centers), -1)
+    images = np.empty((len(truth), shape[0] * shape[1]), dtype=np.float32)
+    scores = np.empty((len(truth), len(centers)))
+    for name, cfg in (("frame", config), ("label", replace(config, attenuation=1.0))):
+        masses = _pixel_masses(cfg)
+        buf = np.empty((_BLOCK, masses.shape[1]))
+        for b, start in enumerate(range(0, len(truth), _BLOCK)):
+            stop = min(start + _BLOCK, len(truth))
+            rngs = (stream(cfg.seed, name, part, b) for part in ("decay", "photons", "noise"))
+            _render_block(buf, truth[start:stop], cfg, masses, *rngs)
+            if name == "frame":
+                images[start:stop] = buf[: stop - start]
+            else:
+                np.matmul(buf[: stop - start], maps.T, out=scores[start:stop])
+    return images.reshape(len(truth), *shape), scores
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])  # 8 is more than the 4 blocks of 3 * 64 + 5
+@pytest.mark.parametrize("preset", [default_config, crosstalk_config], ids=["default", "crosstalk"])
+def test_render_pool_bytes_do_not_depend_on_the_worker_count(monkeypatch, preset, workers):
+    monkeypatch.setattr("mf_readout.sim._usable_cpus", lambda: workers)
+    for decay in (0.0, 0.05):
+        for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+            config = preset(n_images=n, seed=3, decay_prob_per_ms=decay)
+            stack = generate_dataset(config)
+            truth = sample_states(n, config.geometry.n_sites, config.p_bright, stream(3, "states"))
+            assert stack.truth.tobytes() == truth.tobytes()
+            images, scores = _serial_reference(config, truth)
+            assert stack.images.tobytes() == images.tobytes()
+            # tolerance 0: each block is still one (m, H*W) @ (H*W, sites) product
+            assert _label_scores(config, truth).tobytes() == scores.tobytes()
+
+
+def test_render_pool_keeps_its_bytes_under_a_short_switch_interval(monkeypatch):
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: a block written to the wrong rows or through another worker's
+    # buffer would change the bytes
+    monkeypatch.setattr("mf_readout.sim._usable_cpus", lambda: 8)
+    config = crosstalk_config(n_images=16 * _BLOCK + 3, seed=4, decay_prob_per_ms=0.05)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stack = generate_dataset(config)
+        scores = _label_scores(config, stack.truth)
+    finally:
+        sys.setswitchinterval(interval)
+    images, ref_scores = _serial_reference(config, stack.truth)
+    assert stack.images.tobytes() == images.tobytes()
+    assert scores.tobytes() == ref_scores.tobytes()
+
+
+def test_render_pool_runs_on_at_most_one_worker_per_usable_cpu(monkeypatch):
+    monkeypatch.setattr("mf_readout.sim._usable_cpus", lambda: 3)
+    config = default_config(n_images=10 * _BLOCK, seed=1)
+    seen = set()
+    _render_blocks(config, np.ones((config.n_images, 9), np.uint8), "frame",
+                   lambda start, frames: seen.add(threading.current_thread()))
+    assert 1 <= len(seen) <= 3 and threading.main_thread() not in seen
+    seen.clear()
+    _render_blocks(config, np.ones((_BLOCK, 9), np.uint8), "frame",
+                   lambda start, frames: seen.add(threading.current_thread()))
+    assert len(seen) == 1  # capped at the block count
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_render_pool_raises_a_block_error_and_stops_its_workers(monkeypatch, error):
+    monkeypatch.setattr("mf_readout.sim._usable_cpus", lambda: 2)
+    config = default_config(n_images=40 * _BLOCK, seed=1)
+    sunk = []
+
+    def sink(start, frames):
+        if start == _BLOCK:
+            raise error("block 1 failed")
+        time.sleep(0.01)
+        sunk.append(start)
+
+    before = threading.active_count()
+    with pytest.raises(error, match="block 1 failed"):
+        _render_blocks(config, np.ones((config.n_images, 9), np.uint8), "frame", sink)
+    assert threading.active_count() == before
+    # the blocks still queued when block 1 failed are cancelled, not rendered
+    assert len(sunk) < 39
 
 
 def test_label_scores_equal_per_frame_gaussian_scores():
