@@ -20,6 +20,14 @@ same scores feature by feature; FilterModel scores through the map,
 applied over its nonzero span: the contiguous run of flat pixels from
 the first to the last nonzero weight, so pixels outside it are never
 multiplied.
+
+Every (frame, site) score is one BLAS dot of the frame's span pixels
+with the span weights, then + b: np.vecdot over the rows of a stack,
+ndarray.dot on a lone frame. Both call the same kernel on the same row,
+so a frame's score, and hence its readout, has the same bits whether it
+is read alone or in a batch of any size. classify_stack reads a stack in
+blocks of at most BLOCK_FRAMES frames, every model reading a block while
+it is still in cache.
 """
 
 from __future__ import annotations
@@ -35,6 +43,15 @@ KINDS = ("square", "gaussian", "mf-site", "mf-array")
 
 GAUSSIAN_CUTOFF = 1e-3
 BIAS_C = 1.0
+# most frames in a classify_stack block: 256 frames of 28 x 28 float64
+# pixels are 1.6 MB, which stays in a core's L2 cache while every model
+# reads it (batched readout is memory-bound)
+BLOCK_FRAMES = 256
+
+# the two one-frame readouts, shared and read-only
+_DARK, _BRIGHT = np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8)
+_DARK.setflags(write=False)
+_BRIGHT.setflags(write=False)
 
 
 def window_origin(center, s: int) -> tuple[int, int]:
@@ -56,16 +73,6 @@ def window_slice(center, s: int, shape) -> tuple[slice, slice]:
 def window_fits(center, s: int, shape) -> bool:
     r0, c0 = window_origin(center, s)
     return r0 >= 0 and c0 >= 0 and r0 + s <= shape[0] and c0 + s <= shape[1]
-
-
-def _scalar(value: float) -> np.ndarray:
-    """value as a read-only 0-d float64 array. A one-frame readout adds the
-    bias and compares with theta once per site, and numpy does either about
-    a third faster with a 0-d array than with a Python float; the result
-    is the same float64 arithmetic."""
-    out = np.array(value, dtype=np.float64)
-    out.setflags(write=False)
-    return out
 
 
 def _as_stack(images) -> np.ndarray:
@@ -249,7 +256,6 @@ class FilterModel:
     image_shape: tuple[int, int] | None = None
     _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -271,7 +277,6 @@ class FilterModel:
                 raise ConfigError(f"{self.kind} filter needs s^2 + neighbors + 1 = {d} weights")
             if not 0.0 < self.theta < 1.0:
                 raise ConfigError(f"threshold for {self.kind} must lie in (0, 1), got {self.theta}")
-        object.__setattr__(self, "_theta", _scalar(self.theta))
 
     def linear_map(self, shape) -> tuple[np.ndarray, float]:
         """(w, b), score = frame.ravel() @ w + b, built once per image shape."""
@@ -291,13 +296,13 @@ class FilterModel:
             nonzero = np.flatnonzero(w)
             lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
             self._maps[shape] = (w, b)
-            self._spans[shape] = (lo, hi, w[lo:hi], _scalar(b))
+            self._spans[shape] = (lo, hi, w[lo:hi], float(b))
         return self._maps[shape]
 
-    def span(self, shape) -> tuple[int, int, np.ndarray, np.ndarray]:
+    def span(self, shape) -> tuple[int, int, np.ndarray, float]:
         """(lo, hi, w[lo:hi], b): the flat pixel span holding every nonzero
         weight of linear_map(shape), empty (0, 0) for an all-zero map, and
-        the bias as a 0-d array."""
+        the bias."""
         shape = (int(shape[0]), int(shape[1]))
         if shape not in self._spans:
             self.linear_map(shape)
@@ -306,17 +311,31 @@ class FilterModel:
     def scores(self, images) -> np.ndarray:
         """Linear score per frame, shape (M,).
 
-        Only the span's columns of the flattened frames are read: a
-        strided view with a contiguous inner axis, which BLAS takes
-        without a copy.
+        Each frame's score is one dot of its span pixels with the span
+        weights, np.vecdot running the same BLAS dot kernel row by row, so
+        a frame scores the same bits in a stack of any size. Only the
+        span's columns of the flattened frames are read, through a strided
+        view.
         """
         stack = _as_stack(images)
         lo, hi, w, b = self._spans.get(stack.shape[1:]) or self.span(stack.shape[1:])
-        return stack.reshape(len(stack), -1)[:, lo:hi] @ w + b
+        return np.vecdot(stack.reshape(len(stack), -1)[:, lo:hi], w) + b
 
     def predict(self, images) -> np.ndarray:
-        """0/1 readout per frame; a score exactly at theta reads bright."""
-        return (self.scores(images) >= self._theta).view(np.uint8)
+        """0/1 readout per frame, uint8 of shape (M,); a score exactly at
+        theta reads bright.
+
+        A one-frame stack skips the array plumbing: the dot of its span
+        pixels with the span weights, the kernel scores uses per row,
+        then the bias and the compare as Python floats, the same two
+        double operations. It returns one of two shared read-only
+        1-element arrays, with the bits of the batched readout.
+        """
+        stack = _as_stack(images)
+        if len(stack) != 1:
+            return (self.scores(stack) >= self.theta).view(np.uint8)
+        lo, hi, w, b = self._spans.get(stack.shape[1:]) or self.span(stack.shape[1:])
+        return _BRIGHT if float(stack.reshape(-1)[lo:hi].dot(w)) + b >= self.theta else _DARK
 
     def to_dict(self) -> dict:
         d = {
@@ -362,11 +381,26 @@ class FilterModel:
             raise DataError(f"bad filter model dict: {exc}") from exc
 
 
+def frame_blocks(n_frames: int) -> list[tuple[int, int]]:
+    """[lo, hi) bounds of ceil(n_frames / BLOCK_FRAMES) near-equal blocks.
+
+    A stack of more than one frame has no one-frame block: each block
+    holds at least half of BLOCK_FRAMES, or the whole stack.
+    """
+    k = -(-n_frames // BLOCK_FRAMES)
+    return [(n_frames * i // k, n_frames * (i + 1) // k) for i in range(k)]
+
+
 def classify_stack(models, images) -> np.ndarray:
-    """Predictions for every frame and model, shape (M, len(models))."""
-    # every score is a float64 product: cast once here, not once per model
-    stack = _as_stack(np.asarray(images, dtype=np.float64))
-    out = np.zeros((stack.shape[0], len(models)), dtype=np.uint8)
-    for j, model in enumerate(models):
-        out[:, j] = model.predict(stack)
+    """Predictions for every frame and model, shape (M, len(models)).
+
+    The stack is read in frame_blocks: each block is cast to float64 once
+    and every model predicts on it while it is in cache. Each frame reads
+    out the same bits whatever block it falls in (see FilterModel.scores).
+    """
+    stack = _as_stack(images)
+    out = np.empty((stack.shape[0], len(models)), dtype=np.uint8)
+    for lo, hi in frame_blocks(len(stack)):
+        block = np.asarray(stack[lo:hi], dtype=np.float64)
+        out[lo:hi] = np.array([model.predict(block) for model in models]).T
     return out

@@ -161,14 +161,20 @@ def evaluate(model_set, images, labels, baseline: MetricsReport | None = None) -
     frames and labels; eta compares each site's fidelity with its, so the
     baseline set is classified once however many sets it serves.
     """
+    return evaluate_predictions(model_set, classify_stack(model_set.ordered(), images), labels, baseline)
+
+
+def evaluate_predictions(model_set, preds, labels, baseline: MetricsReport | None = None) -> MetricsReport:
+    """evaluate's report from the set's (M, n_sites) predictions, as
+    classify_stack gives them, so a caller can classify a stack in parts.
+    labels must have the predictions' shape."""
     models = model_set.ordered()
+    preds = np.asarray(preds)
     labels = np.asarray(labels)
-    images = np.asarray(images)
-    if labels.shape != (images.shape[0], len(models)):
+    if preds.ndim != 2 or preds.shape[1] != len(models) or labels.shape != preds.shape:
         raise DataError(
-            f"labels shape {labels.shape} does not match {images.shape[0]} frames x {len(models)} sites"
+            f"predictions {preds.shape} and labels {labels.shape} must both be frames x {len(models)} sites"
         )
-    preds = classify_stack(models, images)
     fids = np.array([fidelity(confusion(preds[:, s], labels[:, s])) for s in range(len(models))])
 
     centers = np.array([m.center for m in models])

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
-from .filters import KINDS
+from .filters import KINDS, classify_stack, frame_blocks
 from .locate import apply_stats, crop, fit_stats, locate_sites, mean_image
-from .metrics import evaluate, standard_error
+from .metrics import evaluate, evaluate_predictions, standard_error
 from .qimg import label_matrix, read_stack, write_stack
 from .report import (
     SweepReport,
@@ -312,7 +312,11 @@ def _holdout_rows(run: RunConfig, exposure: float, sim_e: SimConfig, cache_dir, 
     """Cross-fidelities of the shuffle-0 models on a fresh held-out stack.
 
     Cross-fidelity only reads predictions, so the held-out stack keeps its
-    exact truth labels and skips the second-path render.
+    exact truth labels and skips the second-path render. The stack is
+    normalized and classified block by block, so no more than one block's
+    frames are held in float64; apply_stats is elementwise and each
+    frame's readout is independent of its block, so the predictions are
+    those of the normalized whole stack.
     """
     sim_h = replace(
         sim_e,
@@ -322,9 +326,15 @@ def _holdout_rows(run: RunConfig, exposure: float, sim_e: SimConfig, cache_dir, 
     stack, labels = load_or_generate(sim_h, "truth", cache_dir)
     if run.crop is not None:
         stack = crop(stack, *run.crop)
-    norm = apply_stats(stack.images, stats0)
+    models = {kind: model_set.ordered() for kind, model_set in sets0.items()}
+    preds = {kind: np.empty((len(labels), len(m)), dtype=np.uint8) for kind, m in models.items()}
+    for lo, hi in frame_blocks(len(labels)):
+        norm = apply_stats(stack.images[lo:hi], stats0)
+        for kind in models:
+            preds[kind][lo:hi] = classify_stack(models[kind], norm)
     rows = []
-    for kind, rep in _evaluate_sets(sets0, norm, labels).items():
+    for kind, model_set in sets0.items():
+        rep = evaluate_predictions(model_set, preds[kind], labels)
         for (k, l), v in zip(rep.cross_pairs, rep.cross_values):
             rows.append((k + 1, l + 1, kind, v, 0.0 if v is not None else None))
     return rows

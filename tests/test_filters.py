@@ -24,7 +24,7 @@ from mf_readout import (
     train_all_sites,
     unsupervised_threshold,
 )
-from mf_readout.filters import window_fits, window_origin, window_slice
+from mf_readout.filters import BLOCK_FRAMES, window_fits, window_origin, window_slice
 from mf_readout.util import round_half_up
 
 
@@ -444,7 +444,8 @@ def test_classify_stack_column_order():
             assert np.array_equal(preds[:, j], model.predict(stack))
 
 
-def _preset_readouts(truth_training, crosstalk_study):
+@pytest.fixture(scope="module")
+def preset_readouts(truth_training, crosstalk_study):
     """(model sets, normalized frames) of both presets' trained filters:
     every frame of the default truth_training stack, and 1000 fresh
     crosstalk frames read with the crosstalk study's shuffle-0 filters."""
@@ -456,13 +457,58 @@ def _preset_readouts(truth_training, crosstalk_study):
     ]
 
 
-def test_one_frame_readout_equals_the_batched_readout(truth_training, crosstalk_study):
+def test_one_frame_readout_equals_the_batched_readout(preset_readouts):
     # the readout benchmark's rule: classify_stack on one frame gives, bit
     # for bit, the row the batched call gives for the same frame
-    for sets, norm in _preset_readouts(truth_training, crosstalk_study):
+    for sets, norm in preset_readouts:
         for kind in KINDS:
             models = sets[kind].ordered()
             batched = classify_stack(models, norm)
             single = np.vstack([classify_stack(models, frame) for frame in norm])
             assert single.dtype == batched.dtype == np.uint8
             assert np.array_equal(single, batched), kind
+
+
+def test_one_frame_and_batched_readouts_agree_with_theta_on_a_score(preset_readouts):
+    # theta on a frame's batched score, or one ulp either side, flips the
+    # readout of any path whose score differs from the batched one in its
+    # last bits
+    for sets, norm in preset_readouts:
+        for kind in KINDS:
+            probes = 0
+            for model in sets[kind].ordered():
+                scores = model.scores(norm)
+                for i in range(0, len(norm), 97):
+                    for theta in (np.nextafter(scores[i], -np.inf), scores[i], np.nextafter(scores[i], np.inf)):
+                        try:
+                            probe = dataclasses.replace(model, theta=float(theta))
+                        except ConfigError:  # a matched filter's theta lies in (0, 1)
+                            continue
+                        probes += 1
+                        single = classify_stack([probe], norm[i])[0, 0]
+                        assert single == classify_stack([probe], norm)[i, 0], (kind, model.site, i)
+            assert probes > 0, kind
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 255, 256, 257, 513])
+def test_classify_stack_blocks_read_like_the_whole_stack(preset_readouts, n_frames, monkeypatch):
+    sets, norm = preset_readouts[1]
+    stack = norm[:n_frames]
+    predict = FilterModel.predict
+    seen = []
+
+    def recording(self, images):
+        seen.append(len(images))
+        return predict(self, images)
+
+    for kind in KINDS:
+        models = sets[kind].ordered()
+        monkeypatch.setattr(FilterModel, "predict", recording)
+        preds = classify_stack(models, stack)
+        monkeypatch.undo()
+        assert np.array_equal(preds, np.column_stack([m.predict(stack) for m in models])), kind
+    # every model reads every block, at most BLOCK_FRAMES frames each, and
+    # only a one-frame stack makes a one-frame call
+    assert sum(seen) == len(KINDS) * len(models) * n_frames
+    assert max(seen) <= BLOCK_FRAMES
+    assert (min(seen) == 1) == (n_frames == 1)

@@ -17,11 +17,13 @@ from mf_readout import (
     crosstalk_config,
     dataset_cache_key,
     default_config,
+    evaluate,
     generate_dataset,
     load_or_generate,
     run_pipeline,
 )
 import mf_readout.pipeline as pipeline_mod
+from mf_readout.util import derive_seed
 
 
 def _tiny_run(tmp_path, **overrides) -> RunConfig:
@@ -440,3 +442,36 @@ def test_one_shuffle_holds_each_frame_in_float64_once(shuffle_stacks, preset, bo
     finally:
         tracemalloc.stop()
     assert peak < bound * stack.images.size * 8
+
+
+# The whole-stack held-out stage held the float32 stack and its float64
+# normalization, a peak of 3.0x the stack's float32 size here; block by
+# block it holds the float32 stack and one block's float64 frames, 1.36x.
+def test_held_out_stage_normalizes_one_block_at_a_time(crosstalk_study, tmp_path):
+    sim_e = crosstalk_study.config
+    run = RunConfig(
+        sim=sim_e, output_dir=str(tmp_path / "out"), exposure_sweep_ms=(sim_e.exposure_ms,),
+        label_source="truth", crossfid_frames=3000,
+    )
+    cache = tmp_path / "cache"
+    args = (run, sim_e.exposure_ms, sim_e, cache, crosstalk_study.stats0, crosstalk_study.sets0)
+    rows = pipeline_mod._holdout_rows(*args)  # renders and caches the held-out stack
+
+    tracemalloc.start()
+    try:
+        again = pipeline_mod._holdout_rows(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == rows
+    sim_h = replace(sim_e, n_images=3000, seed=derive_seed(run.seed, "crossfid", repr(float(sim_e.exposure_ms))))
+    stack, labels = load_or_generate(sim_h, "truth", cache)
+    assert peak < 1.5 * stack.images.nbytes
+
+    # the rows of the normalized whole stack
+    norm = apply_stats(stack.images, crosstalk_study.stats0)
+    reference = []
+    for kind, model_set in crosstalk_study.sets0.items():
+        rep = evaluate(model_set, norm, labels)
+        reference += [(k + 1, l + 1, kind, v, None if v is None else 0.0) for (k, l), v in zip(rep.cross_pairs, rep.cross_values)]
+    assert rows == reference
