@@ -9,9 +9,10 @@ For the default preset at 3000 frames and the crosstalk preset at 6000,
 each dataset seed 0-9 with true-state labels, it builds split seed 0's
 TrainingData as the pipeline does. Per preset and alpha (0 and 0.1) it
 prints the median milliseconds per shuffle of the window products and
-of the shared mf-site solves over the default window grid, and how many
-(site, window) solves came from the nested factorization and how many
-went through the per-size stacked solver (_solve_stack).
+of the shared mf-site solves over the default window grid, and, over
+both matched filters, how many (site, window) weights came from the
+nested factorization and its Schur elimination and how many were fit
+from the site's features by fit_ridge, the one fallback.
 
 --out also writes every site's learned (s, theta) and weights for both
 matched filters, per preset, seed and alpha, as JSON. --against reads
@@ -91,22 +92,24 @@ def time_solves(data: TrainingData, alpha: float) -> tuple[float, float]:
 
 
 def count_paths(data: TrainingData, alpha: float) -> tuple[int, int]:
-    """(nested, per-size) (site, window) solves of one shuffle's grid."""
+    """(nested, feature-path) (site, window) weights of both matched
+    filters over one shuffle's grid."""
     copy = fresh(data)
-    per_size = []
-    solve_stack = train._solve_stack
+    fits = []
+    fit_ridge = train.fit_ridge
 
-    def counted(grams, rhs, alpha):
-        per_size.append(len(grams))
-        return solve_stack(grams, rhs, alpha)
+    def counted(x, y, alpha=0.0):
+        fits.append(x.shape[0])
+        return fit_ridge(x, y, alpha)
 
-    train._solve_stack = counted
+    train.fit_ridge = counted
     try:
-        train._fill_solves(copy, train.S_GRID, alpha)
+        total = sum(
+            len(train._learned_candidates(copy, kind, train.S_GRID, alpha)[0]) for kind in train.LEARNED_KINDS
+        )
     finally:
-        train._solve_stack = solve_stack
-    total = sum(len(copy._products[s].fits) for s in train.S_GRID)
-    return total - sum(per_size), sum(per_size)
+        train.fit_ridge = fit_ridge
+    return total - len(fits), len(fits)
 
 
 def learned(data: TrainingData, alpha: float) -> dict:
@@ -151,11 +154,11 @@ def main(argv=None) -> int:
         datasets = [training_data(preset, seed) for seed in SEEDS]
         for alpha in ALPHAS:
             times = np.array([time_solves(data, alpha) for _ in range(REPEATS) for data in datasets])
-            nested, per_size = np.sum([count_paths(data, alpha) for data in datasets], axis=0)
+            nested, features = np.sum([count_paths(data, alpha) for data in datasets], axis=0)
             products, solves = np.median(times, axis=0)
             print(
                 f"{preset:9s} alpha {alpha:<3g}  products {products:5.1f} ms  solves {solves:5.1f} ms"
-                f"  per shuffle  (site, window) solves: {nested} nested, {per_size} per-size",
+                f"  per shuffle  (site, window) weights: {nested} nested, {features} from features",
                 flush=True,
             )
             if args.out is not None or args.against is not None:

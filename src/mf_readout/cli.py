@@ -40,7 +40,6 @@ from .sim import (
     generate_label_path,
 )
 from .train import (
-    S_GRID,
     TOKEN_KINDS,
     TrainingData,
     count_complexity,
@@ -179,7 +178,7 @@ def cmd_train(args) -> int:
         val_labels=labels[split.val_idx],
         geometry=geometry,
     )
-    s_grid = S_GRID if args.s_grid is None else _parse_s_grid(args.s_grid)
+    s_grid = None if args.s_grid is None else _parse_s_grid(args.s_grid)
     theta_grid = None if args.theta is None else theta_grid_default(*_parse_theta(args.theta))
     model_set = train_all_sites(data, TOKEN_KINDS[args.kind], s_grid, theta_grid, args.alpha)
     for site, reason in sorted(model_set.failures.items()):

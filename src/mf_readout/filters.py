@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, MFReadoutError
 from .util import round_half_up
 
 KINDS = ("square", "gaussian", "mf-site", "mf-array")
@@ -377,7 +377,9 @@ class FilterModel:
                 if d.get("image_shape") is not None
                 else None,
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except MFReadoutError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise DataError(f"bad filter model dict: {exc}") from exc
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, MFReadoutError
 from .sim import LabeledImageStack
 
 PEAK_MIN_DISTANCE = 3.0
@@ -67,7 +67,9 @@ class PreprocessStats:
     def from_dict(d: dict) -> "PreprocessStats":
         try:
             return PreprocessStats(float(d["train_mean"]), float(d["train_range"]))
-        except (KeyError, TypeError) as exc:
+        except MFReadoutError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad stats dict: {exc}") from exc
 
 
@@ -442,14 +444,17 @@ class SiteGeometry:
             raise DataError(f"cannot read geometry {path}: {exc}") from exc
         if not isinstance(entries, list) or not entries:
             raise DataError(f"{path}: expected a non-empty list of sites")
-        entries = sorted(entries, key=lambda e: e["site"])
         try:
-            centers = [e["center"] for e in entries]
-            sigmas = [e["sigma"] for e in entries]
-            amps = [e["amplitude"] for e in entries]
-        except (KeyError, TypeError) as exc:
+            entries = sorted(entries, key=lambda e: e["site"])
+            return SiteGeometry(
+                centers=[e["center"] for e in entries],
+                sigmas=[e["sigma"] for e in entries],
+                amplitudes=[e["amplitude"] for e in entries],
+            )
+        except MFReadoutError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad site entry: {exc}") from exc
-        return SiteGeometry(centers=centers, sigmas=sigmas, amplitudes=amps)
 
 
 def axis_clusters(vals, tol: float = 2.0) -> tuple[np.ndarray, int]:

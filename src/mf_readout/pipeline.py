@@ -37,7 +37,6 @@ from .sim import (
     generate_label_path,
 )
 from .train import (
-    S_GRID,
     TOKEN_KINDS,
     TrainingData,
     split_dataset,
@@ -260,9 +259,8 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
         geometry=geometry,
     )
     del train
-    s_grid = S_GRID if run.s_grid is None else run.s_grid
     theta_grid = theta_grid_default(*run.theta_grid)
-    sets = {kind: train_all_sites(data, kind, s_grid, theta_grid, run.alpha) for kind in run.kinds}
+    sets = {kind: train_all_sites(data, kind, run.s_grid, theta_grid, run.alpha) for kind in run.kinds}
     del data
     test_norm = apply_stats(images[split.test_idx], stats)
     reports = _evaluate_sets(sets, test_norm, labels[split.test_idx])

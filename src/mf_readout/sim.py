@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, MFReadoutError
 from .filters import gaussian_weight_map, unsupervised_threshold
 from .util import stream
 
@@ -96,7 +96,9 @@ class ArrayGeometry:
                 origin_px=(float(d["origin_px"][0]), float(d["origin_px"][1])),
                 psf_sigma_px=float(d["psf_sigma_px"]),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except MFReadoutError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ConfigError(f"bad geometry dict: {exc}") from exc
 
 
@@ -185,7 +187,9 @@ class SimConfig:
                 seed=int(d["seed"]),
                 n_images=int(d["n_images"]),
             )
-        except (KeyError, TypeError) as exc:
+        except MFReadoutError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sim config dict: {exc}") from exc
 
 
@@ -436,17 +440,13 @@ def _class_threshold(dark_scores, bright_scores):
         return 0.5 * (float(dark_scores.mean()) + float(bright_scores.mean()))
 
 
-def _label_scores(config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0) -> np.ndarray:
+def _label_scores(config: SimConfig, truth: np.ndarray) -> np.ndarray:
     """(n_images, n_sites) Gaussian-filter scores of the second-path frames.
 
     Each float64 block of frames is scored with one matrix product, so no
     copy of the whole stack is held.
     """
-    label_config = replace(
-        config,
-        attenuation=1.0,
-        bright_photon_rate=config.bright_photon_rate * rate_boost,
-    )
+    label_config = replace(config, attenuation=1.0)
     centers = config.geometry.site_centers()
     shape = (config.image_height, config.image_width)
     maps = np.stack(
@@ -462,15 +462,14 @@ def _label_scores(config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0)
     return scores
 
 
-def generate_label_path(config: SimConfig, truth: np.ndarray, rate_boost: float = 1.0) -> np.ndarray:
+def generate_label_path(config: SimConfig, truth: np.ndarray) -> np.ndarray:
     """Near-perfect labels from a second, unattenuated imaging path.
 
-    Renders every frame again at attenuation 1 (optionally with a boosted
-    photon rate), scores each site with the fixed Gaussian filter built
-    from the true geometry, and thresholds at the per-site score-histogram
-    intersection. The result mimics experimentally derived ground truth:
-    essentially exact at high SNR but not guaranteed to equal the true
-    states.
+    Renders every frame again at attenuation 1, scores each site with the
+    fixed Gaussian filter built from the true geometry, and thresholds at
+    the per-site score-histogram intersection. The result mimics
+    experimentally derived ground truth: essentially exact at high SNR
+    but not guaranteed to equal the true states.
     """
     truth = np.asarray(truth)
     if truth.shape != (config.n_images, config.geometry.n_sites):
@@ -478,7 +477,7 @@ def generate_label_path(config: SimConfig, truth: np.ndarray, rate_boost: float 
             f"truth shape {truth.shape} does not match config "
             f"({config.n_images}, {config.geometry.n_sites})"
         )
-    scores = _label_scores(config, truth, rate_boost)
+    scores = _label_scores(config, truth)
     labels = np.zeros_like(truth, dtype=np.uint8)
     for s in range(config.geometry.n_sites):
         col = scores[:, s]

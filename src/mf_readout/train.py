@@ -3,27 +3,30 @@ fitting, and metaparameter search over window size and threshold.
 
 The matched filters are tuned from moments of the train frames, computed
 once per TrainingData: the pixel Gram matrix with a bias row and column,
-[X, c]^T [X, c], and its products with every site's labels. No feature
-matrix is built while tuning. The window means A_s of every window size
-s (one column per site) meet the moments in one product, and every
-site's mf-site system A, over its window pixels and the bias, is a slice
-of G. A site's windows are nested, so in nesting order the system of
-each window is a leading block of the system of the site's largest
-window: that one system is Cholesky-factored and its factor inverted
-once per alpha, and every window size reads its solve, against the
-site's labels and G[pix, :p] A_s together, from the leading blocks, all
-sites as stacks. The solves are cached on the TrainingData and serve
-both learned kinds. mf-site reads its weights from them. mf-array's
-system, ordered [pixels, bias | neighbor means], holds A as its leading
-block, so its weights follow by block elimination through a small Schur
-complement over the neighbor means. Cholesky pivots decide whether an
-unregularized system has full rank, and a site whose system fails gets
-the minimum-norm least-squares weights of its full system. The fixed
-kinds never touch the moments. Every kind is tuned by one pass over all
-sites (_tune_all): each candidate is a full-frame map column and a bias,
-the map FilterModel scores with, so one product scores the validation
-frames of them all, and the fidelity of every threshold is counted from
-the sorted scores.
+[X, c]^T [X, c], and its products with every site's labels. The window
+means A_s of every window size s (one column per site) meet the moments
+in one product, and every site's mf-site system A, over its window
+pixels and the bias, is a slice of G. A site's windows are nested, so in
+nesting order the system of each window is a leading block of the
+system of the site's largest window: that one system is
+Cholesky-factored and its factor inverted once per alpha, and every
+window size reads its solve, against the site's labels and
+G[pix, :p] A_s together, from the leading blocks, all sites as stacks.
+The solves are cached on the TrainingData and serve both learned kinds.
+mf-site reads its weights from them. mf-array's system, ordered
+[pixels, bias | neighbor means], holds A as its leading block, so its
+weights follow by block elimination through a small Schur complement
+over the neighbor means. That is the one solver of the learned systems.
+Cholesky pivots decide where it holds: at alpha = 0 the nested pivots
+(for mf-array with the Schur complement's) must pass the rank test, at
+alpha > 0 the largest system must factor. Every (site, window) where it
+does not is fit by fit_ridge from the site's features of the train
+frames, the minimum-norm weights of a rank-deficient system; only then
+is a feature matrix built. The fixed kinds never touch the moments.
+Every kind is tuned by one pass over all sites (_tune_all): each
+candidate is a full-frame map column and a bias, the map FilterModel
+scores with, so one product scores the validation frames of them all,
+and the fidelity of every threshold is counted from the sorted scores.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from .errors import ConfigError, DataError, NumericalError
 from .filters import (
     BIAS_C,
     FilterModel,
-    extract_array_features,  # noqa: F401  kept in this namespace: the traced benchmark
-    extract_site_features,  # noqa: F401  rebinds train.extract_*_features by name
+    extract_array_features,
+    extract_site_features,  # noqa: F401  kept in this namespace: the traced benchmark rebinds it by name
     gaussian_score,  # noqa: F401  kept for the same reason: the traced benchmark
     gaussian_weight_map,
     learned_weight_map,
@@ -162,45 +165,16 @@ def _full_rank(pivots) -> np.ndarray:
     return pivots.min(axis=-1) > np.sqrt(np.finfo(np.float64).eps) * pivots.max(axis=-1)
 
 
-def _solve_stack(grams, rhs, alpha: float):
-    """(x, pivots): x[i] with (grams[i] + alpha I) x[i] = rhs[i], for a
-    (k, d, d) stack of systems and (k, d, r) right-hand sides, and the
-    squared Cholesky pivots (k, d) of the systems (None when alpha > 0).
-
-    alpha > 0 makes every system positive definite and the stack is
-    solved directly. At alpha = 0 the Cholesky test decides per system:
-    the full-rank ones are solved directly in one call (numpy has no
-    triangular solver, so the factor serves only as the test), any other
-    gets the minimum-norm least-squares solution from lstsq. Rows may be
-    non-finite; the callers decide what that fails.
-    """
-    if alpha > 0:
-        grams = grams + alpha * np.eye(grams.shape[-1])
-        return np.linalg.solve(grams, rhs), None
-    pivots = _cholesky_pivots(grams)
-    full = _full_rank(pivots)
-    x = np.empty(rhs.shape)
-    if full.any():
-        rows = slice(None) if full.all() else full  # a mask would copy the whole stack
-        x[rows] = np.linalg.solve(grams[rows], rhs[rows])
-    for i in np.flatnonzero(~full):
-        x[i] = np.linalg.lstsq(grams[i], rhs[i], rcond=None)[0]
-    return x, pivots
-
-
-def _solve_normal(grams, rhs, alpha: float) -> np.ndarray:
-    """Weights w[i] with (grams[i] + alpha I) w[i] = rhs[i], for a (k, d, d)
-    stack of systems and (k, d) right-hand sides: _solve_stack with one
-    right-hand side per system."""
-    return _solve_stack(grams, rhs[..., None], alpha)[0][..., 0]
-
-
 def fit_ridge(X, Y, alpha: float = 0.0) -> np.ndarray:
     """Ridge weights W = Y X^T (X X^T + alpha I)^{-1}, returned as (d,).
 
     Accumulates the d x d Gram system and solves it rather than inverting.
-    At alpha = 0 a rank-deficient system falls back to the minimum-norm
-    least-squares solution, so the default is always well defined.
+    At alpha = 0 the Cholesky pivots of the system decide its rank: a
+    full-rank system is solved directly (numpy has no triangular solver,
+    so the factor serves only as the test), a rank-deficient one gets the
+    minimum-norm least-squares solution from lstsq, so the default is
+    always well defined. This is also how training fits every (site,
+    window) whose nested solve does not hold.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(Y, dtype=np.float64).ravel()
@@ -215,7 +189,13 @@ def fit_ridge(X, Y, alpha: float = 0.0) -> np.ndarray:
         raise ConfigError("alpha must be non-negative")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NumericalError("non-finite values in the design matrices")
-    w = _solve_normal((X @ X.T)[None], (X @ y)[None], alpha)[0]
+    gram, rhs = X @ X.T, X @ y
+    if alpha > 0:
+        w = np.linalg.solve(gram + alpha * np.eye(d), rhs)
+    elif _full_rank(_cholesky_pivots(gram[None]))[0]:
+        w = np.linalg.solve(gram, rhs)
+    else:
+        w = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     if not np.all(np.isfinite(w)):
         raise NumericalError(_NON_FINITE)
     return w
@@ -262,7 +242,9 @@ class TrainingData:
     use always describe the arrays the instance holds. The solves are
     keyed by (s, alpha), so a call with another alpha never reads them.
     The first request whose grid holds s solves it and later requests
-    reuse it; its last bits depend on that grid's largest window.
+    reuse it. That grid's largest window decides the last bits of the
+    solve, and a site whose system at that window is singular is fit from
+    its features at every size.
     """
 
     train_images: np.ndarray
@@ -395,52 +377,28 @@ def _array_neighbors(geometry, site: int) -> tuple[int, ...]:
     return neighbor_sites(_Grid(rows, cols, rows * cols), site)
 
 
-def _check_request(kind: str, s_grid, theta_grid, alpha: float) -> tuple[float, ...]:
+def _check_request(data: TrainingData, kind: str, s_grid, theta_grid, alpha: float) -> tuple[tuple, tuple]:
     """Reject a bad tuning request before any site is touched; returns
-    the threshold grid with the default filled in."""
-    if theta_grid is None:
-        theta_grid = theta_grid_default()
+    the window and threshold grids with the defaults filled in. The
+    library window grid is S_GRID, except for square on a lattice of two
+    or more sites: one window, the lattice pitch (square_boundary_default),
+    so the baseline stays untrained."""
     if kind not in KIND_TOKENS:
         raise ConfigError(f"unknown filter kind {kind!r}")
+    if s_grid is None:
+        pitch = kind == "square" and data.geometry.n_sites > 1
+        s_grid = (square_boundary_default(data.geometry),) if pitch else S_GRID
+    if theta_grid is None:
+        theta_grid = theta_grid_default()
     if len(s_grid) == 0 or len(theta_grid) == 0:
         raise ConfigError("empty search grid")
     if alpha < 0:
         raise ConfigError("alpha must be non-negative")
-    return theta_grid
+    return s_grid, theta_grid
 
 
 def _no_window(s_grid, site: int, center) -> ConfigError:
     return ConfigError(f"no window size in {tuple(s_grid)} fits site {site} at {center}")
-
-
-def _window_systems(gram, cross, moments_s, pix, nbr, sites):
-    """Stacked normal equations A^T G A w = A^T r of one window size, one
-    system per site: (k, d, d) and (k, d).
-
-    The features are each site's window pixels (rows of pix, which end
-    with the bias slot p), then its neighbors' window means (rows of nbr,
-    columns of A_s), then the bias slot: the order extract_site_features
-    and extract_array_features use. moments_s holds G[:, :p] A_s,
-    A_s^T G[:p, :p] A_s and A_s^T R[:p]; by the symmetry of G each
-    site's mean-by-pixel block is a slice of the first. Only a site
-    that fails the rank test of _learned_weights is solved this way.
-    """
-    ga, aga, ar = moments_s
-    k, q = pix.shape
-    n = nbr.shape[1]
-    d = q + n
-    at_g = np.r_[0 : q - 1, d - 1]  # pixel and bias positions
-    at_n = np.arange(q - 1, d - 1)  # neighbor-mean positions
-    a = np.empty((k, d, d))
-    a[:, at_g[:, None], at_g] = gram[pix[:, :, None], pix[:, None, :]]
-    g_by_mean = ga[pix[:, :, None], nbr[:, None, :]]
-    a[:, at_g[:, None], at_n] = g_by_mean
-    a[:, at_n[:, None], at_g] = g_by_mean.transpose(0, 2, 1)
-    a[:, at_n[:, None], at_n] = aga[nbr[:, :, None], nbr[:, None, :]]
-    b = np.empty((k, d))
-    b[:, at_g] = cross[pix, sites[:, None]]
-    b[:, at_n] = ar[nbr, sites[:, None]]
-    return a, b
 
 
 _Products = namedtuple("_Products", ["fits", "a_s", "ga", "aga", "ar"])
@@ -508,10 +466,10 @@ def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
     inverted once (sites with the same largest window as one stack), and
     every size reads x = L^{-T} L^{-1} [b | G[pix, :p] A_s] from the
     leading blocks. pivots are those leading squared pivots, in nesting
-    order (None when alpha > 0). A size whose pivots fail the rank test
-    at alpha = 0, or a site whose largest system is not positive
-    definite, is solved by _solve_stack on the row-major system instead,
-    with its minimum-norm lstsq fallback and that system's pivots.
+    order, a row of zeros where the largest system is not positive
+    definite. This is the only solve of the mf-site systems: a row whose
+    pivots fail (_solved) holds no usable x, and _learned_weights fits
+    that site from its features instead.
     """
     sizes = sorted({s for s in s_grid if (s, alpha) not in data._solves})
     if not sizes:
@@ -522,9 +480,7 @@ def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
     centers, shape = data.geometry.centers, data.image_shape
     for s in sizes:
         n, d = len(data._products[s].fits), 1 + s * s
-        data._solves[(s, alpha)] = _Solves(
-            np.empty((n, d), dtype=np.intp), np.empty((n, d, 1 + n)), None if alpha > 0 else np.empty((n, d))
-        )
+        data._solves[(s, alpha)] = _Solves(np.empty((n, d), dtype=np.intp), np.empty((n, d, 1 + n)), np.empty((n, d)))
     largest = {k: s for s in sizes for k in data._products[s].fits}
     for top in sorted(set(largest.values())):
         sites = np.array([k for k in sorted(largest) if largest[k] == top], dtype=np.intp)
@@ -536,8 +492,7 @@ def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
         inverses = _cholesky(a)
         del a  # the largest arrays here; one at a time keeps the peak down
         pivots = np.diagonal(inverses, axis1=-2, axis2=-1) ** 2
-        factored = pivots[:, 0] > 0
-        inverses[~factored] = np.eye(inverses.shape[-1])  # stands in for a failed factor; no size reads it
+        inverses[pivots[:, 0] == 0] = np.eye(inverses.shape[-1])  # stands in for a failed factor; no size reads it
         _invert_lower(inverses)
         for s in sizes[: sizes.index(top) + 1]:
             products, out = data._products[s], data._solves[(s, alpha)]
@@ -547,21 +502,17 @@ def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
             back = np.append(1 + np.argsort(order[: s * s]), 0)  # nesting order -> pix order
             rhs = np.concatenate([cross[nest[:, :d], sites[:, None]][..., None], products.ga[nest[:, :d]]], axis=2)
             inv = inverses[:, :d, :d]
-            x = (inv.transpose(0, 2, 1) @ (inv @ rhs))[:, back]
-            pix = nest[:, back]
             rows = np.searchsorted(products.fits, sites)
-            if alpha == 0:
-                out.pivots[rows] = pivots[:, :d]
-            solved = factored if alpha > 0 else _full_rank(pivots[:, :d])
-            if not solved.all():
-                rest = ~solved
-                x[rest], rest_pivots = _solve_stack(
-                    gram[pix[rest][:, :, None], pix[rest][:, None, :]], rhs[rest][:, back], alpha
-                )
-                if alpha == 0:
-                    out.pivots[rows[rest]] = rest_pivots
-            out.pix[rows] = pix
-            out.x[rows] = x
+            out.pix[rows] = nest[:, back]
+            out.x[rows] = (inv.transpose(0, 2, 1) @ (inv @ rhs))[:, back]
+            out.pivots[rows] = pivots[:, :d]
+
+
+def _solved(pivots, alpha: float) -> np.ndarray:
+    """Which rows of nested pivots (k, d) hold a solve: at alpha = 0 those
+    that pass the rank test, at alpha > 0, where every system is positive
+    definite in exact arithmetic, those whose system was factored."""
+    return pivots[:, 0] > 0 if alpha > 0 else _full_rank(pivots)
 
 
 def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np.ndarray:
@@ -575,37 +526,44 @@ def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np
     [[A, B], [B^T, C]] with A the mf-site system. The neighbor weights u
     solve the Schur complement S u = r - B^T A^{-1} b, with
     S = C - B^T A^{-1} B (alpha added to the diagonals of A and C), and
-    the rest are A^{-1} b - A^{-1} B u. At alpha = 0 the rank test reads
-    A's pivots with chol(S)'s, which are the pivots of the whole system
-    in that order; a site that fails it is solved through its full
-    system by _solve_normal, the minimum-norm lstsq weights.
+    the rest are A^{-1} b - A^{-1} B u. A site takes these weights when
+    its solve holds (_solved); at alpha = 0 mf-array's rank test reads A's
+    pivots with chol(S)'s, which are the pivots of the whole system in
+    that order. Every other site is fit by fit_ridge from its features of
+    the train frames, the minimum-norm weights where its system is
+    rank-deficient; weights fit_ridge cannot give are left non-finite,
+    which fails that site alone.
     """
     solves, products = data._solves[(s, alpha)], data._products[s]
     rows = np.searchsorted(products.fits, sites)
+    full = _solved(solves.pivots[rows], alpha)
     if nbr.shape[1] == 0:
-        return solves.x[rows, :, 0]
-    pix, x = solves.pix[rows], solves.x[rows]
-    ga, aga, ar = products.ga, products.aga, products.ar
-    x0 = x[:, :, 0]
-    a_inv_b = np.take_along_axis(x, 1 + nbr[:, None, :], axis=2)
-    b_t = ga[pix[:, None, :], nbr[:, :, None]]
-    schur = aga[nbr[:, :, None], nbr[:, None, :]] - b_t @ a_inv_b
-    rhs = ar[nbr, sites[:, None]] - (b_t @ x0[..., None])[..., 0]
-    if alpha > 0:
-        schur += alpha * np.eye(nbr.shape[1])
-        full = np.ones(len(sites), dtype=bool)
+        weights = solves.x[rows, :, 0]
     else:
-        full = _full_rank(np.concatenate([solves.pivots[rows], _cholesky_pivots(schur)], axis=1))
-    weights = np.empty((len(sites), pix.shape[1] + nbr.shape[1]))
-    if full.any():
-        u = np.linalg.solve(schur[full], rhs[full, :, None])
-        v = x0[full] - (a_inv_b[full] @ u)[..., 0]
-        weights[full] = np.concatenate([v[:, :-1], u[..., 0], v[:, -1:]], axis=1)
-    if not full.all():
-        gram, cross = data._moments
-        rest = ~full
-        systems = _window_systems(gram, cross, (ga, aga, ar), pix[rest], nbr[rest], sites[rest])
-        weights[rest] = _solve_normal(*systems, alpha)
+        pix, x = solves.pix[rows], solves.x[rows]
+        ga, aga, ar = products.ga, products.aga, products.ar
+        x0 = x[:, :, 0]
+        a_inv_b = np.take_along_axis(x, 1 + nbr[:, None, :], axis=2)
+        b_t = ga[pix[:, None, :], nbr[:, :, None]]
+        schur = aga[nbr[:, :, None], nbr[:, None, :]] - b_t @ a_inv_b
+        rhs = ar[nbr, sites[:, None]] - (b_t @ x0[..., None])[..., 0]
+        if alpha > 0:
+            schur += alpha * np.eye(nbr.shape[1])
+        else:
+            full = _full_rank(np.concatenate([solves.pivots[rows], _cholesky_pivots(schur)], axis=1))
+        weights = np.empty((len(sites), pix.shape[1] + nbr.shape[1]))
+        if full.any():
+            u = np.linalg.solve(schur[full], rhs[full, :, None])
+            v = x0[full] - (a_inv_b[full] @ u)[..., 0]
+            weights[full] = np.concatenate([v[:, :-1], u[..., 0], v[:, -1:]], axis=1)
+    for i in np.flatnonzero(~full):
+        site = int(sites[i])
+        neighbors = [products.fits[j] for j in nbr[i]]
+        features = extract_array_features(data.train_images, data.geometry.centers, site, s, neighbors)
+        try:
+            weights[i] = fit_ridge(features, data.train_labels[:, site], alpha)
+        except NumericalError:
+            weights[i] = np.nan
     return weights
 
 
@@ -739,7 +697,7 @@ def tune(
     data: TrainingData,
     site: int,
     kind: str,
-    s_grid=S_GRID,
+    s_grid=None,
     theta_grid=None,
     alpha: float = 0.0,
 ) -> TuneResult:
@@ -750,16 +708,16 @@ def tune(
     The fixed kinds take their threshold from the training-score
     intersection instead of the theta grid (their scores are raw sums,
     not trained toward 0/1), so for them the search runs over s only
-    (square; train_all_sites collapses its default grid to the lattice
-    pitch so the baseline stays untrained) or is a single candidate
-    (gaussian, whose footprint is set by the fitted sigma).
+    (square, whose library grid, s_grid None, is the lattice pitch alone
+    so the baseline stays untrained) or is a single candidate (gaussian,
+    whose footprint is set by the fitted sigma).
 
     This is one site's entry to the pass train_all_sites makes over all
     sites (_tune_all), and it raises the exception that failed the site.
     Every call makes that whole pass; only the learned kinds' moments and
     solves are cached on data. To tune every site, call train_all_sites.
     """
-    theta_grid = _check_request(kind, s_grid, theta_grid, alpha)
+    s_grid, theta_grid = _check_request(data, kind, s_grid, theta_grid, alpha)
     outcome = _tune_all(data, kind, s_grid, theta_grid, alpha)[site]
     if isinstance(outcome, Exception):
         raise outcome
@@ -828,21 +786,20 @@ def square_boundary_default(geometry) -> int:
 def train_all_sites(
     data: TrainingData,
     kind: str,
-    s_grid=S_GRID,
+    s_grid=None,
     theta_grid=None,
     alpha: float = 0.0,
 ) -> ModelSet:
     """Tune one model per site; per-site failures are collected, not fatal.
 
-    A bad request (unknown kind, empty grid, negative alpha) raises
+    s_grid and theta_grid None mean the library grids (see tune). A bad
+    request (unknown kind, empty grid, negative alpha) raises
     ConfigError before any site is tuned. Every kind tunes all sites in
     one pass (_tune_all), whose outcome for a site is what tune returns
     or raises for it.
     """
-    theta_grid = _check_request(kind, s_grid, theta_grid, alpha)
+    s_grid, theta_grid = _check_request(data, kind, s_grid, theta_grid, alpha)
     geometry = data.geometry
-    if kind == "square" and s_grid is S_GRID and geometry.n_sites > 1:
-        s_grid = (square_boundary_default(geometry),)
     outcomes = _tune_all(data, kind, s_grid, theta_grid, alpha)
     models: dict[int, FilterModel] = {}
     tune_results: dict[int, TuneResult] = {}

@@ -40,7 +40,6 @@ from mf_readout import (
     train_all_sites,
 )
 from mf_readout.pipeline import _evaluate_sets
-from mf_readout.train import S_GRID
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
@@ -74,9 +73,8 @@ def whole_stack_shuffle():
     def shuffle(run, images, labels, split_seed: int, n_sites: int):
         frames = SimpleNamespace(n_images=images.shape[0], images=images, n_sites=n_sites)
         split, stats, norm, geometry, data = build_training(frames, labels, split_seed)
-        s_grid = S_GRID if run.s_grid is None else run.s_grid
         theta_grid = theta_grid_default(*run.theta_grid)
-        sets = {kind: train_all_sites(data, kind, s_grid, theta_grid, run.alpha) for kind in run.kinds}
+        sets = {kind: train_all_sites(data, kind, run.s_grid, theta_grid, run.alpha) for kind in run.kinds}
         test = norm[split.test_idx]
         reports = _evaluate_sets(sets, test, labels[split.test_idx])
         return split, stats, geometry, sets, reports, (data.train_images, data.val_images, test)

@@ -132,6 +132,35 @@ def test_train_rejects_negative_alpha_as_a_config_error(chain, tmp_path, capsys)
     assert not (tmp_path / "m").exists()
 
 
+def test_malformed_input_files_exit_with_their_error_codes(chain, tmp_path, capsys):
+    # a value of the right key but a bad string: 2 for a config, 3 for data
+    config = default_config(n_images=10).to_dict()
+    config["exposure_ms"] = "abc"
+    bad_config = tmp_path / "sim.json"
+    bad_config.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(bad_config), "--out", str(tmp_path / "raw")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+    models = tmp_path / "models"
+    models.mkdir()
+    model = json.loads((chain / "models" / "square_site1.json").read_text())
+    model["site"] = "one"
+    (models / "square_site1.json").write_text(json.dumps(model))
+    assert main(["complexity", "--models", str(models), "--out", str(tmp_path / "c.csv")]) == 3
+    assert "error:" in capsys.readouterr().err
+
+    geometry = json.loads((chain / "geometry.json").read_text())
+    geometry[0]["center"] = ["a", 8]
+    bad_geometry = tmp_path / "geometry.json"
+    bad_geometry.write_text(json.dumps(geometry))
+    rc = main([
+        "train", "--in", str(chain / "pre"), "--kind", "square", "--geometry", str(bad_geometry),
+        "--labels", "truth", "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
 SUBCOMMANDS = {"simulate", "preprocess", "locate", "train", "classify",
                "evaluate", "complexity", "sweep", "plot"}
 

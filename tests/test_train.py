@@ -33,7 +33,7 @@ from mf_readout import (
 from mf_readout import train
 from mf_readout.filters import FilterModel, window_fits, window_index, window_slice
 from mf_readout.locate import grid_shape
-from mf_readout.train import S_GRID, _fidelity_curve, _solve_normal
+from mf_readout.train import LEARNED_KINDS, S_GRID, _fidelity_curve
 
 
 # -------------------------------------------------------------- split
@@ -122,43 +122,25 @@ def test_ridge_input_validation():
         fit_ridge(np.array([[1.0, np.nan]]), np.ones(2))
 
 
-def _gram_system(rng, n_features, n_samples):
-    x = rng.normal(size=(n_features, n_samples))
-    y = rng.normal(size=n_samples)
-    return x, y, x @ x.T, x @ y
-
-
-def test_stacked_solve_isolates_rank_deficient_systems():
-    # two full-rank systems, one with fewer samples than features (rank
-    # 4 of 6) and one with no data at all: the zero Gram makes the stacked
-    # Cholesky raise, so each system is then tested on its own
+def test_fit_ridge_is_minimum_norm_on_rank_deficient_and_empty_systems(assert_minimum_norm):
+    # fewer samples than features (rank 4 of 6) fails the Cholesky rank
+    # test, and a system with no data at all does not factor: both take
+    # lstsq, the minimum-norm least-squares solution
     rng = np.random.default_rng(15)
-    systems = [_gram_system(rng, 6, 40), _gram_system(rng, 6, 4), _gram_system(rng, 6, 40)]
-    systems.append((np.zeros((6, 3)), np.zeros(3), np.zeros((6, 6)), np.zeros(6)))
-    grams = np.stack([g for _, _, g, _ in systems])
-    rhs = np.stack([r for _, _, _, r in systems])
-    w = _solve_normal(grams, rhs, 0.0)
-    for i in (0, 2):
-        assert np.array_equal(w[i], _solve_normal(grams[i : i + 1], rhs[i : i + 1], 0.0)[0])
-    x, y, _, _ = systems[1]
-    expected = np.linalg.pinv(x.T) @ y
-    sv = np.linalg.svd(x, compute_uv=False)
-    tol = np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * np.abs(expected).max()
-    assert np.abs(w[1] - expected).max() <= tol
-    assert np.array_equal(w[3], np.zeros(6))
+    x, y = rng.normal(size=(6, 4)), rng.normal(size=4)
+    assert_minimum_norm(fit_ridge(x, y), x, y)
+    assert np.array_equal(fit_ridge(np.zeros((6, 3)), np.zeros(3)), np.zeros(6))
 
 
-def test_stacked_solve_with_ridge_matches_pseudoinverse():
+def test_fit_ridge_with_ridge_matches_pseudoinverse():
+    # alpha > 0 makes every system positive definite, also the one with
+    # fewer samples than features
     rng = np.random.default_rng(16)
     alpha = 0.1
-    systems = [_gram_system(rng, 5, m) for m in (30, 3, 12)]
-    grams = np.stack([g for _, _, g, _ in systems])
-    rhs = np.stack([r for _, _, _, r in systems])
-    w = _solve_normal(grams, rhs, alpha)
-    for i, (x, y, g, r) in enumerate(systems):
-        assert np.array_equal(w[i], _solve_normal(g[None], r[None], alpha)[0])
-        expected = np.linalg.pinv(g + alpha * np.eye(5)) @ r
-        assert np.allclose(w[i], expected, atol=1e-10)
+    for m in (30, 3, 12):
+        x, y = rng.normal(size=(5, m)), rng.normal(size=m)
+        expected = np.linalg.pinv(x @ x.T + alpha * np.eye(5)) @ x @ y
+        assert np.allclose(fit_ridge(x, y, alpha), expected, atol=1e-10)
 
 
 # ---------------------------------------------------------- recursive
@@ -358,12 +340,37 @@ def _assert_same_choice(result, reference, rel_tol=1e-9):
     assert np.abs(result.weights - w).max() <= rel_tol * np.abs(w).max()
 
 
+def _count_feature_fits(monkeypatch):
+    """Spy on train.fit_ridge, the fit of every (site, window) the nested
+    solves do not solve; returns the list of feature counts its calls
+    append to."""
+    calls = []
+    fit = train.fit_ridge
+
+    def spy(x, y, alpha=0.0):
+        calls.append(x.shape[0])
+        return fit(x, y, alpha)
+
+    monkeypatch.setattr(train, "fit_ridge", spy)
+    return calls
+
+
+# The small stack's 156 train frames cannot determine a 14 x 14 window's
+# 197 features, and a site whose largest system is singular is fit by
+# fit_ridge at every size; up to 12 x 12 (at most 153 features) the
+# moments solve every candidate.
+MOMENT_GRID = tuple(range(2, 13))
+
+
 @pytest.mark.parametrize("kind", ["mf-site", "mf-array"])
-def test_moment_path_matches_feature_path(small_training, kind):
+def test_moment_path_matches_feature_path(small_training, monkeypatch, kind):
     # every site is checked through train_all_sites below; tune makes the
     # same all-sites pass, so one site (the center, with 8 neighbors) is enough
-    data = small_training.data
-    _assert_same_choice(tune(data, 4, kind), _feature_path_tune(data, 4, kind))
+    data = replace(small_training.data)
+    fits = _count_feature_fits(monkeypatch)
+    result = tune(data, 4, kind, MOMENT_GRID)
+    assert fits == []
+    _assert_same_choice(result, _feature_path_tune(data, 4, kind, MOMENT_GRID))
 
 
 def test_moment_path_matches_feature_path_with_ridge():
@@ -402,6 +409,20 @@ def test_train_all_sites_square_honors_explicit_grid(small_training):
     assert all(m.s == 4 for m in model_set.ordered())
 
 
+def test_equal_window_grids_give_equal_model_sets(small_training):
+    # the grid's value decides, not the object passed: the library grid
+    # handed in as a tuple is searched like any other explicit grid, and
+    # only s_grid None gives square its lattice pitch
+    data = small_training.data
+
+    def square_models(s_grid):
+        return [m.to_dict() for m in train_all_sites(data, "square", s_grid).ordered()]
+
+    assert square_models(S_GRID) == square_models(tuple(range(2, 15)))
+    assert square_models(None) == square_models((square_boundary_default(data.geometry),))
+    assert square_models(None) != square_models(S_GRID)
+
+
 def test_train_all_sites_gaussian_copies_fitted_widths(small_training):
     model_set = train_all_sites(small_training.data, "gaussian")
     assert not model_set.failures
@@ -422,12 +443,14 @@ def test_train_all_sites_learned_kinds(small_training):
 
 
 @pytest.mark.parametrize("kind", ["mf-site", "mf-array"])
-def test_batch_matches_feature_path(small_training, kind):
-    data = small_training.data
-    model_set = train_all_sites(data, kind)
+def test_batch_matches_feature_path(small_training, monkeypatch, kind):
+    data = replace(small_training.data)
+    fits = _count_feature_fits(monkeypatch)
+    model_set = train_all_sites(data, kind, MOMENT_GRID)
     assert not model_set.failures
+    assert fits == []
     for site in range(data.geometry.n_sites):
-        _assert_same_choice(model_set.tune_results[site], _feature_path_tune(data, site, kind))
+        _assert_same_choice(model_set.tune_results[site], _feature_path_tune(data, site, kind, MOMENT_GRID))
 
 
 def _assert_same_result(batched, alone):
@@ -495,28 +518,29 @@ def _all_neighbors(n_sites):
     return np.array([[j for j in range(n_sites) if j != k] for k in range(n_sites)], dtype=np.intp)
 
 
+def _no_neighbors(n_sites):
+    return np.empty((n_sites, 0), dtype=np.intp)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 def test_block_elimination_matches_the_full_system(small_training, monkeypatch, alpha):
     data = replace(small_training.data)
-    gram, cross = data._moments
+    centers = data.geometry.centers
     sites, nbr = np.arange(9), _all_neighbors(9)
     train._fill_solves(data, (3, 5, 8), alpha)
+    fits = _count_feature_fits(monkeypatch)
     for s in (3, 5, 8):
-        products = data._products[s]
-        assert products.fits == tuple(range(9))
-        pix = data._solves[(s, alpha)].pix
-        grams, rhs = train._window_systems(gram, cross, products[2:], pix, nbr, sites)
-        expected = _solve_normal(grams, rhs, alpha)
-        with monkeypatch.context() as m:
-            # no site falls back: every weight comes from the elimination
-            m.setattr(train, "_solve_normal", None)
-            got = train._learned_weights(data, s, sites, nbr, alpha)
-        # both are backward-stable solves of the same system, so they agree
-        # to about eps * cond of max |w| (cond up to 1.2e4 here; measured
-        # at most 0.11 of it)
-        cond = np.linalg.cond(grams + alpha * np.eye(grams.shape[-1]))
-        tol = np.finfo(float).eps * cond[:, None] * np.abs(expected).max(axis=1, keepdims=True)
-        assert np.all(np.abs(got - expected) <= 10 * tol)
+        assert data._products[s].fits == tuple(range(9))
+        got = train._learned_weights(data, s, sites, nbr, alpha)
+        for k in sites:
+            x = extract_array_features(data.train_images, centers, k, s, tuple(nbr[k]))
+            expected = fit_ridge(x, data.train_labels[:, k], alpha)
+            # both are backward-stable solves of the same system, so they
+            # agree to about eps * cond of max |w| (measured at most 0.12 of it)
+            cond = np.linalg.cond(x @ x.T + alpha * np.eye(x.shape[0]))
+            tol = np.finfo(float).eps * cond * np.abs(expected).max()
+            assert np.abs(got[k] - expected).max() <= 10 * tol
+    assert fits == []  # no site fell back: every weight came from the elimination
 
 
 def _lattice_data(n_train=60, n_val=40, seed=30, constant=True):
@@ -543,25 +567,19 @@ def test_block_elimination_falls_back_when_a_or_the_schur_complement_fails(monke
     data = _lattice_data()
     s, sites, nbr = 3, np.arange(9), _all_neighbors(9)
     train._fill_solves(data, (s,), 0.0)
-    solves = data._solves[(s, 0.0)]
-    assert train._full_rank(solves.pivots).tolist() == [True] * 8 + [False]
-    fallbacks = []
-    solve_normal = train._solve_normal
-
-    def spy(grams, rhs, alpha):
-        fallbacks.append(len(grams))
-        return solve_normal(grams, rhs, alpha)
-
-    monkeypatch.setattr(train, "_solve_normal", spy)
+    assert train._full_rank(data._solves[(s, 0.0)].pivots).tolist() == [True] * 8 + [False]
+    fits = _count_feature_fits(monkeypatch)
     weights = train._learned_weights(data, s, sites, nbr, 0.0)
-    assert fallbacks == [9]  # site 9 for its A, every other site for its Schur complement
+    # site 9 for its A, every other site for its Schur complement
+    assert fits == [s * s + 8 + 1] * 9
+    site_weights = train._learned_weights(data, s, sites, _no_neighbors(9), 0.0)
+    assert len(fits) == 10  # mf-site: site 9 alone
     centers = data.geometry.centers
     for k in sites:
         y = data.train_labels[:, k].astype(float)
         x = extract_array_features(data.train_images, centers, k, s, tuple(nbr[k]))
         assert_minimum_norm(weights[k], x, y)
-    y = data.train_labels[:, 8].astype(float)
-    assert_minimum_norm(solves.x[8, :, 0], extract_site_features(data.train_images, centers[8], s), y)
+        assert_minimum_norm(site_weights[k], extract_site_features(data.train_images, centers[k], s), y)
 
 
 def test_mf_array_alone_equals_mf_array_after_mf_site(small_training):
@@ -621,44 +639,42 @@ def test_one_product_gives_every_window_size_its_products(small_training):
         assert np.array_equal(products.ar, products.a_s.T @ cross[:p])
 
 
-def _per_size_solves(data, s, alpha):
+def _per_size_systems(data, s, alpha):
     """Reference for one window size: every fitting site's mf-site system
-    over its row-major window pixels and the bias, solved as one stack by
-    _solve_stack. Returns (pix, x, pivots, the systems)."""
+    over its row-major window pixels and the bias, with alpha on its
+    diagonal, and its right-hand sides. Returns (pix, systems, rhs)."""
     gram, cross = data._moments
     products = data._products[s]
     sites = np.array(products.fits, dtype=np.intp)
     p = gram.shape[0] - 1
     pix = np.array([np.append(window_index(data.geometry.centers[k], s, data.image_shape), p) for k in sites])
     rhs = np.concatenate([cross[pix, sites[:, None]][..., None], products.ga[pix]], axis=2)
-    grams = gram[pix[:, :, None], pix[:, None, :]]
-    x, pivots = train._solve_stack(grams, rhs, alpha)
-    return pix, x, pivots, grams
+    return pix, gram[pix[:, :, None], pix[:, None, :]] + alpha * np.eye(pix.shape[1]), rhs
 
 
 def _assert_nested_solves_match(data, s_grid, alpha):
-    """The nested solves of s_grid against the per-size stack, size by
-    size: the same pixels and the same rank-test decisions; a site that
-    passes within 10 eps cond(A) of its max |x| (both are backward-stable
-    solves of one system; measured at most 1.7 of it on the lattice and
-    both presets), and a site that fails bit for bit, since both send it
-    to _solve_stack alone."""
+    """The nested solves of s_grid against each size's row-major systems:
+    the same pixels; at alpha = 0 a solve holds only where the system's
+    own Cholesky pivots pass the rank test too (it does not hold anywhere
+    when the site's largest system is not positive definite), at
+    alpha > 0 every site factored; and every solve that holds within
+    10 eps cond(A) of its max |x| of a direct solve (both are
+    backward-stable solves of one system; measured at most 1.7 of it on
+    the lattice and both presets)."""
     train._fill_solves(data, s_grid, alpha)
     for s in s_grid:
         got = data._solves[(s, alpha)]
-        pix, x, pivots, grams = _per_size_solves(data, s, alpha)
+        pix, systems, rhs = _per_size_systems(data, s, alpha)
         assert np.array_equal(got.pix, pix)
+        held = train._solved(got.pivots, alpha)
         if alpha > 0:
-            assert got.pivots is None
-            full = np.ones(len(pix), dtype=bool)
+            assert held.all()
         else:
-            full = train._full_rank(pivots)
-            assert np.array_equal(train._full_rank(got.pivots), full)
-            assert np.array_equal(got.pivots[~full], pivots[~full])
-            assert np.array_equal(got.x[~full], x[~full])
-        cond = np.linalg.cond(grams[full] + alpha * np.eye(grams.shape[-1]))
-        tol = np.finfo(float).eps * cond[:, None, None] * np.abs(x[full]).max(axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(got.x[full] - x[full]) <= 10 * tol)
+            assert not np.any(held & ~train._full_rank(train._cholesky_pivots(systems)))
+        x = np.linalg.solve(systems[held], rhs[held])
+        cond = np.linalg.cond(systems[held])
+        tol = np.finfo(float).eps * cond[:, None, None] * np.abs(x).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got.x[held] - x) <= 10 * tol)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -674,25 +690,21 @@ def test_nested_solves_fall_back_for_a_site_whose_largest_system_fails(monkeypat
     data = _lattice_data()
     noise = np.random.default_rng(31).normal(size=data.train_images.shape)
     data = replace(data, train_images=data.train_images + jitter * noise * (data.train_images == 0.5))
-    s_grid = (2, 3, 4, 5)
-    stacks = []
-    solve_stack = train._solve_stack
-
-    def spy(grams, rhs, alpha):
-        stacks.append(len(grams))
-        return solve_stack(grams, rhs, alpha)
-
-    monkeypatch.setattr(train, "_solve_stack", spy)
+    s_grid, sites, centers = (2, 3, 4, 5), np.arange(9), data.geometry.centers
     train._fill_solves(data, s_grid, 0.0)
-    monkeypatch.undo()
-    # site 9 alone is solved size by size, and only it
-    assert stacks == [1] * len(s_grid)
-    y = data.train_labels[:, 8].astype(float)
+    fits = _count_feature_fits(monkeypatch)
     for s in s_grid:
-        solves = data._solves[(s, 0.0)]
-        assert train._full_rank(solves.pivots).tolist() == [True] * 8 + [False]
-        x = extract_site_features(data.train_images, data.geometry.centers[8], s)
-        assert_minimum_norm(solves.x[8, :, 0], x, y)
+        assert train._full_rank(data._solves[(s, 0.0)].pivots).tolist() == [True] * 8 + [False]
+        for nbr in (_no_neighbors(9), _all_neighbors(9)):
+            weights = train._learned_weights(data, s, sites, nbr, 0.0)
+            for k in sites:
+                y = data.train_labels[:, k].astype(float)
+                x = extract_array_features(data.train_images, centers, k, s, tuple(nbr[k]))
+                assert_minimum_norm(weights[k], x, y)
+        # mf-site fits site 9 alone from its features, mf-array at least it
+        assert fits.count(s * s + 1) == 1 and fits.count(s * s + 9) >= 1
+        fits.clear()
+    monkeypatch.undo()
     _assert_nested_solves_match(replace(data), s_grid, 0.0)
 
 
@@ -708,6 +720,18 @@ def test_nested_solves_when_the_largest_window_leaves_edge_sites_out(alpha):
     assert fits[10] == (4, 5, 7, 8)
     assert fits[11] == fits[12] == (4,)
     _assert_nested_solves_match(data, s_grid, alpha)
+
+
+def test_preset_training_never_fits_from_features(preset_training, monkeypatch):
+    # on both presets' acceptance stacks every (site, window) of both
+    # learned kinds is solved by the nested factor and the elimination
+    fits = _count_feature_fits(monkeypatch)
+    for data in preset_training.values():
+        data = replace(data)
+        for alpha in (0.0, 0.1):
+            for kind in LEARNED_KINDS:
+                assert not train_all_sites(data, kind, alpha=alpha).failures
+    assert fits == []
 
 
 # ------------------------------------------------------- fixed kinds
