@@ -7,18 +7,21 @@ Run it from the root of a checkout; it imports mf_readout from ./src and
 uses only its public API. It trains all four kinds on a 6000-frame
 crosstalk stack (dataset seed 0, split seed 0) and reads out a fresh
 crosstalk stack (10,000 frames by default, seed 1) normalized with the
-training statistics. Per kind it prints, as the median of the runs (5 by
-default):
+training statistics. It first prints, as the median of the runs (5 by
+default), the milliseconds and MB/s of read_stack on the fresh stack
+written to a temporary directory, the sidecar's bytes included. Per kind
+it then prints, also as medians:
 
   one-frame   microseconds per classify_stack call on a single frame
   batched     microseconds per frame of classify_stack on the whole stack
 
 It then counts the (frame, site) scores whose bits differ between
 FilterModel.scores on the frame alone and on the whole stack, and the
-probe models whose one-frame and batched predictions differ when theta
-sits on a frame's batched score or one ulp either side (the batch is
-every 50th frame; thresholds a matched filter cannot take are skipped).
-It exits 1 if either count is not 0. One BLAS thread.
+probe models whose one-frame readout, by FilterModel.predict or by
+classify_stack, differs from the batched one when theta sits on a
+frame's batched score or one ulp either side (the batch is every 50th
+frame; thresholds a matched filter cannot take are skipped). It exits 1
+if either count is not 0. One BLAS thread.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -60,6 +64,12 @@ def trained_sets():
     return {kind: mf.train_all_sites(data, kind).ordered() for kind in mf.KINDS}, stats
 
 
+def read_stack_ms(path) -> float:
+    t0 = time.perf_counter()
+    mf.read_stack(path)
+    return 1e3 * (time.perf_counter() - t0)
+
+
 def one_frame_us(models, norm) -> float:
     t0 = time.perf_counter()
     for frame in norm:
@@ -85,7 +95,8 @@ def score_bit_differences(models, norm) -> int:
 def probe_disagreements(models, norm) -> tuple[int, int]:
     """(probe models whose one-frame and batched readouts differ, probes).
 
-    The batched readout is of the stack of probed frames."""
+    The batched readout is of the stack of probed frames; a probe differs
+    when predict or classify_stack on the frame alone disagrees with it."""
     frames = norm[::PROBE_STRIDE]
     differ = probes = 0
     for model in models:
@@ -96,7 +107,9 @@ def probe_disagreements(models, norm) -> tuple[int, int]:
                 except mf.ConfigError:
                     continue
                 probes += 1
-                differ += int(probe.predict(frames[i])[0] != probe.predict(frames)[i])
+                batched = probe.predict(frames)[i]
+                alone = (probe.predict(frames[i])[0], mf.classify_stack([probe], frames[i])[0, 0])
+                differ += int(any(a != batched for a in alone))
     return differ, probes
 
 
@@ -111,6 +124,12 @@ def main(argv=None) -> int:
     norm = mf.apply_stats(fresh.images, stats)
     n_sites = len(sets[mf.KINDS[0]])
     print(f"crosstalk preset, {args.frames} frames x {n_sites} sites, median of {args.runs} runs")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fresh.qimg"
+        mf.write_stack(path, fresh)
+        size = path.stat().st_size + path.with_suffix(".json").stat().st_size
+        ms = statistics.median(read_stack_ms(path) for _ in range(args.runs))
+    print(f"read_stack: {ms:.2f} ms, {1e-3 * size / ms:.0f} MB/s ({size} bytes with the sidecar)")
     print(f"{'kind':<10} {'one-frame us/call':>18} {'batched us/frame':>17}")
     for kind, models in sets.items():
         single = [one_frame_us(models, norm) for _ in range(args.runs)]

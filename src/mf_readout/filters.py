@@ -27,7 +27,8 @@ ndarray.dot on a lone frame. Both call the same kernel on the same row,
 so a frame's score, and hence its readout, has the same bits whether it
 is read alone or in a batch of any size. classify_stack reads a stack in
 blocks of at most BLOCK_FRAMES frames, every model reading a block while
-it is still in cache.
+it is still in cache, and a lone frame with one dot per model and no
+block; FilterModel.predict is classify_stack of its one model.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ BIAS_C = 1.0
 # pixels are 1.6 MB, which stays in a core's L2 cache while every model
 # reads it (batched readout is memory-bound)
 BLOCK_FRAMES = 256
-
-# the two one-frame readouts, shared and read-only
-_DARK, _BRIGHT = np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8)
-_DARK.setflags(write=False)
-_BRIGHT.setflags(write=False)
 
 
 def window_origin(center, s: int) -> tuple[int, int]:
@@ -323,19 +319,8 @@ class FilterModel:
 
     def predict(self, images) -> np.ndarray:
         """0/1 readout per frame, uint8 of shape (M,); a score exactly at
-        theta reads bright.
-
-        A one-frame stack skips the array plumbing: the dot of its span
-        pixels with the span weights, the kernel scores uses per row,
-        then the bias and the compare as Python floats, the same two
-        double operations. It returns one of two shared read-only
-        1-element arrays, with the bits of the batched readout.
-        """
-        stack = _as_stack(images)
-        if len(stack) != 1:
-            return (self.scores(stack) >= self.theta).view(np.uint8)
-        lo, hi, w, b = self._spans.get(stack.shape[1:]) or self.span(stack.shape[1:])
-        return _BRIGHT if float(stack.reshape(-1)[lo:hi].dot(w)) + b >= self.theta else _DARK
+        theta reads bright. The column classify_stack gives this model."""
+        return classify_stack((self,), images)[:, 0]
 
     def to_dict(self) -> dict:
         d = {
@@ -397,12 +382,43 @@ def classify_stack(models, images) -> np.ndarray:
     """Predictions for every frame and model, shape (M, len(models)).
 
     The stack is read in frame_blocks: each block is cast to float64 once
-    and every model predicts on it while it is in cache. Each frame reads
-    out the same bits whatever block it falls in (see FilterModel.scores).
+    and every model reads it while it is in cache. Each frame reads out
+    the same bits whatever block it falls in (see FilterModel.scores). A
+    one-frame stack is one block of one frame.
     """
     stack = _as_stack(images)
-    out = np.empty((stack.shape[0], len(models)), dtype=np.uint8)
+    shape = stack.shape[1:]
+    out = np.empty((len(stack), len(models)), dtype=np.uint8)
+    if len(stack) == 1:
+        _read_rows(models, np.asarray(stack, dtype=np.float64).reshape(1, -1), shape, out)
+        return out
     for lo, hi in frame_blocks(len(stack)):
-        block = np.asarray(stack[lo:hi], dtype=np.float64)
-        out[lo:hi] = np.array([model.predict(block) for model in models]).T
+        rows = np.asarray(stack[lo:hi], dtype=np.float64).reshape(hi - lo, -1)
+        _read_rows(models, rows, shape, out[lo:hi])
     return out
+
+
+def _read_rows(models, rows, shape, out) -> None:
+    """Write into out, uint8 (m, len(models)), every model's readout of
+    rows, m flattened float64 frames of the given shape.
+
+    Each model reads its span's columns of the rows straight away: a lone
+    row is one ndarray.dot per model, with b and theta applied as Python
+    floats; more rows are one np.vecdot per model, + b in place, compared
+    into the bool view of the model's out column. Both run the BLAS dot
+    on each row's span, so a row reads out the same bits either way.
+    """
+    if len(rows) == 1:
+        flat = rows[0]
+        bright = []
+        for model in models:
+            lo, hi, w, b = model._spans.get(shape) or model.span(shape)
+            bright.append(float(flat[lo:hi].dot(w)) + b >= model.theta)
+        out[0] = bright
+        return
+    bright = out.view(bool)
+    for j, model in enumerate(models):
+        lo, hi, w, b = model._spans.get(shape) or model.span(shape)
+        score = np.vecdot(rows[:, lo:hi], w)
+        score += b
+        np.greater_equal(score, model.theta, out=bright[:, j])

@@ -84,13 +84,15 @@ def fit_stats(train_images) -> PreprocessStats:
     return PreprocessStats(train_mean=float(arr.mean()), train_range=rng)
 
 
-def apply_stats(images, stats: PreprocessStats) -> np.ndarray:
+def apply_stats(images, stats: PreprocessStats, out=None) -> np.ndarray:
     """(x - train_mean) / train_range, elementwise, on any split.
 
     One float64 array, divided in place: bit-equal to casting to float64
-    and then subtracting and dividing into fresh arrays.
+    and then subtracting and dividing into fresh arrays. out, a float64
+    array of the images' shape (the images themselves, to normalize a
+    float64 block in place), receives the result instead of a new array.
     """
-    out = np.subtract(images, stats.train_mean, dtype=np.float64)
+    out = np.subtract(images, stats.train_mean, out=out, dtype=np.float64)
     out /= stats.train_range
     return out
 

@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError, MFReadoutError
 from .filters import KINDS, classify_stack, frame_blocks
 from .locate import apply_stats, crop, fit_stats, locate_sites, mean_image
 from .metrics import evaluate, evaluate_predictions, standard_error
-from .qimg import label_matrix, read_stack, write_stack
+from .qimg import label_matrix, label_rows, read_stack, write_stack
 from .report import (
     SweepReport,
     SweepRow,
@@ -193,8 +193,9 @@ def load_or_generate(
     Sweeps revisit the same (config, exposure) many times; the first call
     renders and writes cache files, later calls read them back bit-exactly.
     Entries are written whole (see write_atomic); one that still cannot be
-    read, such as a truncated binary, a lost sidecar or broken label JSON,
-    counts as a miss and is rendered again.
+    read, such as a truncated binary, a lost sidecar, broken label JSON or
+    an entry of an older qimg format version, counts as a miss and is
+    rendered again.
     """
     cache_dir = Path(cache_dir)
     key = dataset_cache_key(sim)
@@ -217,13 +218,14 @@ def load_or_generate(
     if labels is None:
         labels = generate_label_path(sim, stack.truth)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        text = canonical_json({"labels": labels.astype(int).tolist(), "source": "label"}) + "\n"
+        text = canonical_json({"labels": label_rows(labels), "source": "label"}) + "\n"
         write_atomic(label_path, text.encode())
     return stack, labels
 
 
 def _read_cached_labels(path: Path, shape) -> np.ndarray | None:
-    """Cached second-path labels, or None when missing, invalid, misshaped or not 0/1."""
+    """Cached second-path labels, or None when missing, invalid, misshaped,
+    not 0/1 or not in label_rows' row strings."""
     if not path.exists():
         return None
     try:
@@ -238,18 +240,19 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
     Only train and validation frames feed fitting and tuning; the test
     block is touched once, for the final metrics.
 
-    Each split block is normalized on its own, straight from the caller's
-    frames, which are never modified: the train block when the stats are
-    fitted, the validation block when the TrainingData is built, and the
+    Each split block is normalized on its own, from the caller's frames,
+    which are never modified: the train block is cast to float64 once,
+    its stats are fitted on that array and it is normalized in place; the
+    validation block is normalized when the TrainingData is built, and the
     test block only after the TrainingData, with its cached moments and
     solves, has been released. So every frame is held in float64 once,
     and the blocks are bit-equal to slices of the normalized whole stack,
     because apply_stats is elementwise.
     """
     split = split_dataset(images.shape[0], seed=split_seed)
-    train = images[split.train_idx]
+    train = np.asarray(images[split.train_idx], dtype=np.float64)
     stats = fit_stats(train)
-    train = apply_stats(train, stats)
+    apply_stats(train, stats, out=train)
     geometry = locate_sites(mean_image(train), n_sites)
     data = TrainingData(
         train_images=train,

@@ -3,7 +3,7 @@
 Layout, all little-endian:
 
     bytes 0..3   magic b"QIMG"
-    bytes 4..5   format version, u16 (currently 1)
+    bytes 4..5   format version, u16 (currently 2)
     bytes 6..9   n_images, u32
     bytes 10..11 height, u16
     bytes 12..13 width, u16
@@ -11,6 +11,14 @@ Layout, all little-endian:
 
 The sidecar <stem>.json carries exactly the keys "config", "truth", and
 "seed" so a stack can be regenerated or relabeled without the binary.
+"truth" holds one string of '0' and '1' per frame, one character per
+site (label_rows), so reading it back is one decode of the joined ASCII
+rather than a parse of every integer.
+
+Format version 2 introduced those row strings; version 1 stored nested
+lists of integers in the same binary layout. read_stack rejects a
+version-1 binary, and label_matrix a nested-list sidecar or label file,
+so a cached version-1 entry counts as a miss and is rendered again once.
 """
 
 from __future__ import annotations
@@ -26,27 +34,41 @@ from .sim import LabeledImageStack, SimConfig
 from .util import write_atomic
 
 MAGIC = b"QIMG"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sHIHH")
 
 
-def label_matrix(values, shape, name: str = "labels") -> np.ndarray:
-    """values, nested lists of 0 and 1, as a uint8 array of the given shape.
+def label_rows(labels) -> list[str]:
+    """A 0/1 label matrix as one string of '0' and '1' per row."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    text = (labels + ord("0")).tobytes().decode("ascii")
+    k = labels.shape[1]
+    return [text[i * k : (i + 1) * k] for i in range(len(labels))]
 
-    Any other shape, entry type or value raises DataError naming name, so
-    a damaged sidecar or label file is never read as labels.
+
+def label_matrix(rows, shape, name: str = "labels") -> np.ndarray:
+    """rows, as label_rows writes them, as a uint8 array of the given shape.
+
+    A wrong row count, a row that is not a string, a row of the wrong
+    length or any character other than '0' and '1' raises DataError
+    naming name, so a damaged sidecar or label file is never read as
+    labels.
     """
+    n, k = shape
+    if not isinstance(rows, list) or len(rows) != n:
+        raise DataError(f"{name} is not a list of {n} rows")
+    if not set(map(type, rows)) <= {str}:
+        raise DataError(f"{name} holds a row that is not a string")
+    if not set(map(len, rows)) <= {k}:
+        raise DataError(f"{name} holds a row whose length is not {k}")
     try:
-        labels = np.asarray(values)
-    except ValueError as exc:  # ragged rows
-        raise DataError(f"{name} is not a matrix: {exc}") from exc
-    if labels.shape == (0,) and shape[0] == 0:
-        return np.zeros(shape, dtype=np.uint8)  # JSON keeps no width for zero rows
-    if labels.shape != tuple(shape):
-        raise DataError(f"{name} shape {labels.shape} does not match {tuple(shape)}")
-    if labels.dtype.kind not in "iu" or not np.isin(labels, (0, 1)).all():
-        raise DataError(f"{name} holds entries other than 0 and 1")
-    return labels.astype(np.uint8)
+        text = "".join(rows).encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{name} holds characters other than 0 and 1") from exc
+    bits = np.frombuffer(text, dtype=np.uint8) - np.uint8(ord("0"))
+    if (bits > 1).any():
+        raise DataError(f"{name} holds characters other than 0 and 1")
+    return bits.reshape(n, k)
 
 
 def write_stack(path, stack: LabeledImageStack) -> None:
@@ -59,7 +81,7 @@ def write_stack(path, stack: LabeledImageStack) -> None:
     n, h, w = stack.images.shape
     sidecar = {
         "config": stack.config.to_dict(),
-        "truth": stack.truth.astype(int).tolist(),
+        "truth": label_rows(stack.truth),
         "seed": stack.config.seed,
     }
     write_atomic(path.with_suffix(".json"), (json.dumps(sidecar, sort_keys=True) + "\n").encode())

@@ -24,6 +24,7 @@ from mf_readout import (
     train_all_sites,
     unsupervised_threshold,
 )
+import mf_readout.filters as filters_mod
 from mf_readout.filters import BLOCK_FRAMES, window_fits, window_origin, window_slice
 from mf_readout.util import round_half_up
 
@@ -459,7 +460,8 @@ def preset_readouts(truth_training, crosstalk_study):
 
 def test_one_frame_readout_equals_the_batched_readout(preset_readouts):
     # the readout benchmark's rule: classify_stack on one frame gives, bit
-    # for bit, the row the batched call gives for the same frame
+    # for bit, the row the batched call gives for the same frame, and each
+    # model's predict on that frame gives its entry of the row
     for sets, norm in preset_readouts:
         for kind in KINDS:
             models = sets[kind].ordered()
@@ -467,6 +469,11 @@ def test_one_frame_readout_equals_the_batched_readout(preset_readouts):
             single = np.vstack([classify_stack(models, frame) for frame in norm])
             assert single.dtype == batched.dtype == np.uint8
             assert np.array_equal(single, batched), kind
+            for j, model in enumerate(models):
+                alone = np.concatenate([model.predict(frame) for frame in norm[::7]])
+                assert alone.dtype == np.uint8
+                assert np.array_equal(alone, batched[::7, j]), (kind, model.site)
+                assert np.array_equal(model.predict(norm), batched[:, j]), (kind, model.site)
 
 
 def test_one_frame_and_batched_readouts_agree_with_theta_on_a_score(preset_readouts):
@@ -485,8 +492,10 @@ def test_one_frame_and_batched_readouts_agree_with_theta_on_a_score(preset_reado
                         except ConfigError:  # a matched filter's theta lies in (0, 1)
                             continue
                         probes += 1
-                        single = classify_stack([probe], norm[i])[0, 0]
-                        assert single == classify_stack([probe], norm)[i, 0], (kind, model.site, i)
+                        batched = classify_stack([probe], norm)[i, 0]
+                        assert batched == (scores[i] >= theta), (kind, model.site, i)
+                        assert classify_stack([probe], norm[i])[0, 0] == batched, (kind, model.site, i)
+                        assert probe.predict(norm[i])[0] == batched, (kind, model.site, i)
             assert probes > 0, kind
 
 
@@ -494,19 +503,20 @@ def test_one_frame_and_batched_readouts_agree_with_theta_on_a_score(preset_reado
 def test_classify_stack_blocks_read_like_the_whole_stack(preset_readouts, n_frames, monkeypatch):
     sets, norm = preset_readouts[1]
     stack = norm[:n_frames]
-    predict = FilterModel.predict
+    read_rows = filters_mod._read_rows
     seen = []
 
-    def recording(self, images):
-        seen.append(len(images))
-        return predict(self, images)
+    def recording(models, rows, shape, out):
+        seen.extend([len(rows)] * len(models))
+        return read_rows(models, rows, shape, out)
 
     for kind in KINDS:
         models = sets[kind].ordered()
-        monkeypatch.setattr(FilterModel, "predict", recording)
+        monkeypatch.setattr(filters_mod, "_read_rows", recording)
         preds = classify_stack(models, stack)
         monkeypatch.undo()
-        assert np.array_equal(preds, np.column_stack([m.predict(stack) for m in models])), kind
+        whole = np.column_stack([m.scores(stack) >= m.theta for m in models])
+        assert np.array_equal(preds, whole), kind
     # every model reads every block, at most BLOCK_FRAMES frames each, and
     # only a one-frame stack makes a one-frame call
     assert sum(seen) == len(KINDS) * len(models) * n_frames

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import struct
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -18,12 +19,13 @@ from mf_readout import (
     dataset_cache_key,
     default_config,
     evaluate,
+    fit_stats,
     generate_dataset,
     load_or_generate,
     run_pipeline,
 )
 import mf_readout.pipeline as pipeline_mod
-from mf_readout.util import derive_seed
+from mf_readout.util import canonical_json, derive_seed
 
 
 def _tiny_run(tmp_path, **overrides) -> RunConfig:
@@ -179,7 +181,7 @@ def _damage_half_write_labels(stem: Path):
 
 
 def _damage_misshape_labels(stem: Path):
-    stem.with_suffix(".labels.json").write_text('{"labels":[[0,1]],"source":"label"}\n')
+    stem.with_suffix(".labels.json").write_text('{"labels":["01"],"source":"label"}\n')
 
 
 @contextlib.contextmanager
@@ -191,13 +193,24 @@ def _edited_sidecar(stem: Path):
 
 
 def _damage_truth_256(stem: Path):
+    # a character outside ASCII: code point 256
     with _edited_sidecar(stem) as sidecar:
-        sidecar["truth"][0][0] = 256
+        sidecar["truth"][0] = chr(256) + sidecar["truth"][0][1:]
 
 
 def _damage_truth_x(stem: Path):
     with _edited_sidecar(stem) as sidecar:
-        sidecar["truth"][0][0] = "x"
+        sidecar["truth"][0] = "x" + sidecar["truth"][0][1:]
+
+
+def _damage_truth_list_row(stem: Path):
+    with _edited_sidecar(stem) as sidecar:
+        sidecar["truth"][0] = [int(c) for c in sidecar["truth"][0]]
+
+
+def _damage_truth_missing_row(stem: Path):
+    with _edited_sidecar(stem) as sidecar:
+        sidecar["truth"].pop()
 
 
 def _damage_seed_abc(stem: Path):
@@ -218,15 +231,23 @@ def _damage_truth_3_columns(stem: Path):
 def _damage_relabel_to_two(stem: Path):
     path = stem.with_suffix(".labels.json")
     labels = json.loads(path.read_text())
-    labels["labels"][0][0] = 2
+    labels["labels"][0] = "2" + labels["labels"][0][1:]
+    path.write_text(json.dumps(labels))
+
+
+def _damage_short_label_row(stem: Path):
+    path = stem.with_suffix(".labels.json")
+    labels = json.loads(path.read_text())
+    labels["labels"][-1] = labels["labels"][-1][:-1]
     path.write_text(json.dumps(labels))
 
 
 @pytest.mark.parametrize(
     "damage",
     [_damage_truncate_binary, _damage_delete_sidecar, _damage_half_write_labels,
-     _damage_misshape_labels, _damage_truth_256, _damage_truth_x, _damage_seed_abc,
-     _damage_drop_config_key, _damage_truth_3_columns, _damage_relabel_to_two],
+     _damage_misshape_labels, _damage_truth_256, _damage_truth_x, _damage_truth_list_row,
+     _damage_truth_missing_row, _damage_seed_abc, _damage_drop_config_key,
+     _damage_truth_3_columns, _damage_relabel_to_two, _damage_short_label_row],
 )
 def test_damaged_cache_entries_are_regenerated(tmp_path, damage):
     sim = default_config(n_images=40, seed=7)
@@ -241,6 +262,44 @@ def test_damaged_cache_entries_are_regenerated(tmp_path, damage):
     assert np.array_equal(labels, fresh_labels)
     # every file is back with its fresh bytes and no temporary file is left
     assert _tree_digest(cache) == fresh
+
+
+def _write_version_1_entry(stem: Path):
+    """Rewrite a cache entry the way qimg format version 1 stored it: the
+    same pixels under a version-1 header, and nested integer lists for the
+    sidecar's truth and the cached labels."""
+    qimg = stem.with_suffix(".qimg")
+    raw = bytearray(qimg.read_bytes())
+    raw[4:6] = struct.pack("<H", 1)
+    qimg.write_bytes(bytes(raw))
+    sidecar = json.loads(stem.with_suffix(".json").read_text())
+    sidecar["truth"] = [[int(c) for c in row] for row in sidecar["truth"]]
+    stem.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    labels = stem.with_suffix(".labels.json")
+    rows = json.loads(labels.read_text())["labels"]
+    old = {"labels": [[int(c) for c in row] for row in rows], "source": "label"}
+    labels.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def test_a_version_1_entry_is_rendered_again(tmp_path, monkeypatch):
+    sim = default_config(n_images=40, seed=7)
+    load_or_generate(sim, "label", tmp_path / "fresh")
+    fresh = _tree_digest(tmp_path / "fresh")
+
+    cache = tmp_path / "cache"
+    load_or_generate(sim, "label", cache)
+    _write_version_1_entry(cache / dataset_cache_key(sim))
+    assert _tree_digest(cache) != fresh
+    rendered = []
+    for name in ("generate_dataset", "generate_label_path"):
+        real = getattr(pipeline_mod, name)
+        monkeypatch.setattr(pipeline_mod, name, lambda *a, _f=real, _n=name: rendered.append(_n) or _f(*a))
+    load_or_generate(sim, "label", cache)
+    assert rendered == ["generate_dataset", "generate_label_path"]
+    assert _tree_digest(cache) == fresh
+    # rendered once: the rewritten entry is a hit
+    load_or_generate(sim, "label", cache)
+    assert len(rendered) == 2
 
 
 def test_cache_collision_is_still_an_error(tmp_path):
@@ -400,8 +459,8 @@ def test_one_shuffle_matches_the_whole_stack_reference(
     run = _shuffle_run(stack)
     blocks = []
 
-    def recorded(frames, stats):
-        blocks.append(apply_stats(frames, stats))
+    def recorded(frames, stats, out=None):
+        blocks.append(apply_stats(frames, stats, out=out))
         return blocks[-1]
 
     monkeypatch.setattr(pipeline_mod, "apply_stats", recorded)
@@ -425,6 +484,31 @@ def test_one_shuffle_matches_the_whole_stack_reference(
         got, want = vars(reports[kind]).copy(), vars(ref_reports[kind]).copy()
         assert _bits(got.pop("fidelities")) == _bits(want.pop("fidelities"))
         assert got == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_block_is_cast_once_and_normalized_in_place(shuffle_stacks, dtype, monkeypatch):
+    """The train block is one float64 array: its stats are fitted on it and
+    it is normalized in place, with the bits of fit_stats and apply_stats
+    on the caller's train frames, and stats.json's bytes."""
+    stack = shuffle_stacks["default"]
+    images = stack.images.astype(dtype)
+    run = replace(_shuffle_run(stack), kinds=("gaussian",))
+    calls = []
+
+    def recorded(frames, stats, out=None):
+        calls.append((frames, out, apply_stats(frames, stats, out=out)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(pipeline_mod, "apply_stats", recorded)
+    split, stats, *_ = pipeline_mod._one_shuffle(run, images, stack.truth, 0, stack.n_sites)
+    monkeypatch.undo()
+    frames, out, train = calls[0]
+    assert out is frames and train is frames and train.dtype == np.float64
+
+    ref_stats = fit_stats(images[split.train_idx])
+    assert canonical_json(stats.to_dict()) == canonical_json(ref_stats.to_dict())
+    assert _bits(train) == _bits(apply_stats(images[split.train_idx], ref_stats))
 
 
 # The whole-stack path peaked at 2.55x (crosstalk) and 2.92x (default)

@@ -59,7 +59,7 @@ def test_header_layout(tmp_path, stack):
     write_stack(path, stack)
     raw = path.read_bytes()
     magic, version, n, h, w = struct.unpack_from("<4sHIHH", raw)
-    assert (magic, version, n, h, w) == (b"QIMG", 1, 6, 28, 28)
+    assert (magic, version, n, h, w) == (b"QIMG", 2, 6, 28, 28)
     assert len(raw) == 14 + 4 * n * h * w
 
 
@@ -121,29 +121,42 @@ def test_sidecar_truth_shape_check(tmp_path, stack):
     sidecar = json.loads((tmp_path / "ds.json").read_text())
     sidecar["truth"] = sidecar["truth"][:-1]
     (tmp_path / "ds.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataError, match="truth"):
+    with pytest.raises(DataError):
         read_stack(path)
 
 
-def _set_truth_entry(sidecar, value):
-    sidecar["truth"][0][0] = value
+def _set_truth_row(sidecar, row):
+    sidecar["truth"][0] = row
 
 
+def _set_truth_char(sidecar, char):
+    _set_truth_row(sidecar, char + sidecar["truth"][0][1:])
+
+
+# the sidecar's truth is one string of '0'/'1' per frame; each fault below
+# breaks one rule of that format (a character other than 0 or 1, ASCII or
+# not, a row that is not a string, a row of the wrong length, a missing
+# row) or another sidecar key
 @pytest.mark.parametrize(
     "fault",
     [
-        lambda sc: _set_truth_entry(sc, 256),
-        lambda sc: _set_truth_entry(sc, "x"),
-        lambda sc: _set_truth_entry(sc, 2),
-        lambda sc: _set_truth_entry(sc, 0.5),
+        lambda sc: _set_truth_char(sc, chr(256)),
+        lambda sc: _set_truth_char(sc, "x"),
+        lambda sc: _set_truth_char(sc, "2"),
+        lambda sc: _set_truth_row(sc, 0.5),
         lambda sc: sc.update(seed="abc"),
         lambda sc: sc["config"].pop("p_bright"),
         lambda sc: sc["config"].update(exposure_ms="long"),
         lambda sc: sc.update(truth=[row[:3] for row in sc["truth"]]),
         lambda sc: sc.update(truth=[row[:-1] for row in sc["truth"][:-1]] + [sc["truth"][-1]]),
+        lambda sc: _set_truth_row(sc, sc["truth"][0][:-1]),
+        lambda sc: sc["truth"].pop(),
+        lambda sc: _set_truth_row(sc, [int(c) for c in sc["truth"][0]]),
+        lambda sc: sc.update(truth="".join(sc["truth"])),
     ],
     ids=["truth-256", "truth-x", "truth-2", "truth-half", "seed-abc", "config-key-removed",
-         "config-value", "truth-3-columns", "truth-ragged"],
+         "config-value", "truth-3-columns", "truth-ragged", "truth-short-row", "truth-missing-row",
+         "truth-list-row", "truth-one-string"],
 )
 def test_malformed_sidecar_is_a_data_error(tmp_path, stack, fault):
     path = tmp_path / "ds.qimg"
