@@ -27,8 +27,8 @@ ndarray.dot on a lone frame. Both call the same kernel on the same row,
 so a frame's score, and hence its readout, has the same bits whether it
 is read alone or in a batch of any size. classify_stack reads a stack in
 blocks of at most BLOCK_FRAMES frames, every model reading a block while
-it is still in cache, and a lone frame with one dot per model and no
-block; FilterModel.predict is classify_stack of its one model.
+it is still in cache, and a lone frame with each model's
+FilterModel.predict, the one-frame kernel: one dot and no block.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ BIAS_C = 1.0
 # pixels are 1.6 MB, which stays in a core's L2 cache while every model
 # reads it (batched readout is memory-bound)
 BLOCK_FRAMES = 256
+
+# the two one-frame readouts, shared and read-only
+_DARK, _BRIGHT = np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8)
+_DARK.setflags(write=False)
+_BRIGHT.setflags(write=False)
 
 
 def window_origin(center, s: int) -> tuple[int, int]:
@@ -314,13 +319,34 @@ class FilterModel:
         view.
         """
         stack = _as_stack(images)
-        lo, hi, w, b = self._spans.get(stack.shape[1:]) or self.span(stack.shape[1:])
-        return np.vecdot(stack.reshape(len(stack), -1)[:, lo:hi], w) + b
+        return self._span_scores(stack.reshape(len(stack), -1), stack.shape[1:])
+
+    def _span_scores(self, rows, shape) -> np.ndarray:
+        """Score per row of rows, flattened frames of the given shape: one
+        np.vecdot of the rows' span columns with the span weights, + b in
+        place."""
+        lo, hi, w, b = self._spans.get(shape) or self.span(shape)
+        score = np.vecdot(rows[:, lo:hi], w)
+        score += b
+        return score
 
     def predict(self, images) -> np.ndarray:
         """0/1 readout per frame, uint8 of shape (M,); a score exactly at
-        theta reads bright. The column classify_stack gives this model."""
-        return classify_stack((self,), images)[:, 0]
+        theta reads bright.
+
+        A one-frame stack is read by the one-frame kernel, the one
+        classify_stack reads a lone frame with: the dot of its span
+        pixels with the span weights (cast to float64 by the dot), the
+        kernel scores uses per row, then the bias and the compare as
+        Python floats, the same two double operations. It returns one of
+        two shared read-only 1-element arrays. A longer stack reads as
+        this model's column of classify_stack.
+        """
+        stack = _as_stack(images)
+        if len(stack) != 1:
+            return classify_stack((self,), stack)[:, 0]
+        lo, hi, w, b = self._spans.get(stack.shape[1:]) or self.span(stack.shape[1:])
+        return _BRIGHT if float(stack.ravel()[lo:hi].dot(w)) + b >= self.theta else _DARK
 
     def to_dict(self) -> dict:
         d = {
@@ -381,44 +407,21 @@ def frame_blocks(n_frames: int) -> list[tuple[int, int]]:
 def classify_stack(models, images) -> np.ndarray:
     """Predictions for every frame and model, shape (M, len(models)).
 
-    The stack is read in frame_blocks: each block is cast to float64 once
-    and every model reads it while it is in cache. Each frame reads out
-    the same bits whatever block it falls in (see FilterModel.scores). A
-    one-frame stack is one block of one frame.
+    A one-frame stack is read by each model's predict, the one-frame
+    kernel. A longer stack is read in
+    frame_blocks: each block is cast to float64 once and every model
+    reads it while it is in cache, its span scores compared in place into
+    the bool view of the model's column. Each frame reads out the same
+    bits alone or in any block (see FilterModel.scores).
     """
     stack = _as_stack(images)
+    if len(stack) == 1:
+        return np.array([[model.predict(stack)[0] for model in models]], dtype=np.uint8)
     shape = stack.shape[1:]
     out = np.empty((len(stack), len(models)), dtype=np.uint8)
-    if len(stack) == 1:
-        _read_rows(models, np.asarray(stack, dtype=np.float64).reshape(1, -1), shape, out)
-        return out
+    bright = out.view(bool)
     for lo, hi in frame_blocks(len(stack)):
         rows = np.asarray(stack[lo:hi], dtype=np.float64).reshape(hi - lo, -1)
-        _read_rows(models, rows, shape, out[lo:hi])
+        for j, model in enumerate(models):
+            np.greater_equal(model._span_scores(rows, shape), model.theta, out=bright[lo:hi, j])
     return out
-
-
-def _read_rows(models, rows, shape, out) -> None:
-    """Write into out, uint8 (m, len(models)), every model's readout of
-    rows, m flattened float64 frames of the given shape.
-
-    Each model reads its span's columns of the rows straight away: a lone
-    row is one ndarray.dot per model, with b and theta applied as Python
-    floats; more rows are one np.vecdot per model, + b in place, compared
-    into the bool view of the model's out column. Both run the BLAS dot
-    on each row's span, so a row reads out the same bits either way.
-    """
-    if len(rows) == 1:
-        flat = rows[0]
-        bright = []
-        for model in models:
-            lo, hi, w, b = model._spans.get(shape) or model.span(shape)
-            bright.append(float(flat[lo:hi].dot(w)) + b >= model.theta)
-        out[0] = bright
-        return
-    bright = out.view(bool)
-    for j, model in enumerate(models):
-        lo, hi, w, b = model._spans.get(shape) or model.span(shape)
-        score = np.vecdot(rows[:, lo:hi], w)
-        score += b
-        np.greater_equal(score, model.theta, out=bright[:, j])

@@ -24,7 +24,6 @@ from mf_readout import (
     train_all_sites,
     unsupervised_threshold,
 )
-import mf_readout.filters as filters_mod
 from mf_readout.filters import BLOCK_FRAMES, window_fits, window_origin, window_slice
 from mf_readout.util import round_half_up
 
@@ -503,16 +502,21 @@ def test_one_frame_and_batched_readouts_agree_with_theta_on_a_score(preset_reado
 def test_classify_stack_blocks_read_like_the_whole_stack(preset_readouts, n_frames, monkeypatch):
     sets, norm = preset_readouts[1]
     stack = norm[:n_frames]
-    read_rows = filters_mod._read_rows
+    predict, span_scores = FilterModel.predict, FilterModel._span_scores
     seen = []
 
-    def recording(models, rows, shape, out):
-        seen.extend([len(rows)] * len(models))
-        return read_rows(models, rows, shape, out)
+    def recording_predict(self, images):
+        seen.append(len(images))
+        return predict(self, images)
+
+    def recording_span_scores(self, rows, shape):
+        seen.append(len(rows))
+        return span_scores(self, rows, shape)
 
     for kind in KINDS:
         models = sets[kind].ordered()
-        monkeypatch.setattr(filters_mod, "_read_rows", recording)
+        monkeypatch.setattr(FilterModel, "predict", recording_predict)
+        monkeypatch.setattr(FilterModel, "_span_scores", recording_span_scores)
         preds = classify_stack(models, stack)
         monkeypatch.undo()
         whole = np.column_stack([m.scores(stack) >= m.theta for m in models])

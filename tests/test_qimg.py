@@ -121,7 +121,7 @@ def test_sidecar_truth_shape_check(tmp_path, stack):
     sidecar = json.loads((tmp_path / "ds.json").read_text())
     sidecar["truth"] = sidecar["truth"][:-1]
     (tmp_path / "ds.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="truth is not a list of 6 rows"):
         read_stack(path)
 
 
