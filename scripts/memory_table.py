@@ -17,9 +17,10 @@ measuring process reads the stack, runs the shuffle once untraced and
 prints ru_maxrss before and after it. It then runs the shuffle again
 under tracemalloc and prints the traced peak of each stage: normalize
 (fit_stats and every apply_stats), locate (mean_image and locate_sites),
-train (the largest train_all_sites call) and evaluate (_evaluate_sets),
-and the whole shuffle's peak, in MB and as a multiple of the stack's
-float64 size. Traced figures leave out the float32 stack itself, which is
+moments (TrainingData.release_train_block: the learned kinds' moments,
+after which the float64 train block is freed), train (the largest
+train_all_sites call) and evaluate (_evaluate_sets), and the whole
+shuffle's peak, in MB and as a multiple of the stack's float64 size. Traced figures leave out the float32 stack itself, which is
 allocated before tracing starts. One BLAS thread.
 """
 
@@ -42,6 +43,7 @@ ROWS = ("default-3000", "default-6000", "crosstalk-3000", "crosstalk-6000", "3x3
 STAGES = {
     "normalize": ("fit_stats", "apply_stats"),
     "locate": ("mean_image", "locate_sites"),
+    "moments": ("TrainingData.release_train_block",),
     "train": ("train_all_sites",),
     "evaluate": ("_evaluate_sets",),
 }
@@ -72,9 +74,10 @@ def render(row: str, path: Path) -> None:
 def traced_stages(pipeline, shuffle) -> dict[str, int]:
     """Traced peak in bytes of each stage of one shuffle, and of the whole.
 
-    The stage functions are rebound in the pipeline module for the call
-    and restored afterwards. Each stage's peak is taken from a peak reset
-    at its start, so it counts what the shuffle already held.
+    The stage functions are rebound in the pipeline module, or on a class
+    of it for a dotted name, for the call and restored afterwards. Each
+    stage's peak is taken from a peak reset at its start, so it counts
+    what the shuffle already held.
     """
     import tracemalloc
 
@@ -93,10 +96,17 @@ def traced_stages(pipeline, shuffle) -> dict[str, int]:
 
         return traced
 
-    originals = {name: getattr(pipeline, name) for names in STAGES.values() for name in names}
+    def owner(name):
+        *path, attr = name.split(".")
+        obj = pipeline
+        for part in path:
+            obj = getattr(obj, part)
+        return obj, attr
+
+    originals = {name: getattr(*owner(name)) for names in STAGES.values() for name in names}
     for stage, names in STAGES.items():
         for name in names:
-            setattr(pipeline, name, wrap(stage, originals[name]))
+            setattr(*owner(name), wrap(stage, originals[name]))
     tracemalloc.start()
     try:
         shuffle()
@@ -104,7 +114,7 @@ def traced_stages(pipeline, shuffle) -> dict[str, int]:
     finally:
         tracemalloc.stop()
         for name, inner in originals.items():
-            setattr(pipeline, name, inner)
+            setattr(*owner(name), inner)
     return peaks
 
 

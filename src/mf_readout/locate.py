@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
+from .filters import frame_blocks
 from .sim import LabeledImageStack
 
 PEAK_MIN_DISTANCE = 3.0
@@ -94,6 +95,21 @@ def apply_stats(images, stats: PreprocessStats, out=None) -> np.ndarray:
     """
     out = np.subtract(images, stats.train_mean, out=out, dtype=np.float64)
     out /= stats.train_range
+    return out
+
+
+def gather_frames(images, idx) -> np.ndarray:
+    """images[idx] as one new float64 (len(idx), H, W) array.
+
+    The frames are copied in frame_blocks of idx, so no more than one
+    block of them is held in the stack's own dtype on the way, and the
+    result has the bits of np.asarray(images[idx], dtype=np.float64): the
+    cast is exact. apply_stats(block, stats, out=block) then gives the
+    bits of apply_stats(images[idx], stats).
+    """
+    out = np.empty((len(idx), *images.shape[1:]))
+    for lo, hi in frame_blocks(len(idx)):
+        out[lo:hi] = images[idx[lo:hi]]
     return out
 
 

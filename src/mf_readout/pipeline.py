@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
 from .filters import KINDS, classify_stack, frame_blocks
-from .locate import apply_stats, crop, fit_stats, locate_sites, mean_image
+from .locate import apply_stats, crop, fit_stats, gather_frames, locate_sites, mean_image
 from .metrics import evaluate, evaluate_predictions, standard_error
 from .qimg import label_matrix, label_rows, read_stack, write_stack
 from .report import (
@@ -37,7 +37,9 @@ from .sim import (
     generate_label_path,
 )
 from .train import (
+    LEARNED_KINDS,
     TOKEN_KINDS,
+    TrainFrames,
     TrainingData,
     split_dataset,
     theta_grid_default,
@@ -240,33 +242,44 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
     Only train and validation frames feed fitting and tuning; the test
     block is touched once, for the final metrics.
 
-    Each split block is normalized on its own, from the caller's frames,
-    which are never modified: the train block is cast to float64 once,
-    its stats are fitted on that array and it is normalized in place; the
-    validation block is normalized when the TrainingData is built, and the
-    test block only after the TrainingData, with its cached moments and
-    solves, has been released. So every frame is held in float64 once,
-    and the blocks are bit-equal to slices of the normalized whole stack,
-    because apply_stats is elementwise.
+    Each split block is gathered from the caller's frames, which are never
+    modified, straight into float64 a few hundred frames at a time
+    (gather_frames) and normalized in place, so no copy of a split is made
+    in the stack's own dtype, and every block is bit-equal to a slice of
+    the normalized whole stack: the cast is exact and apply_stats is
+    elementwise. The train block's stats are fitted on it before it is
+    normalized. Its whole-block readers are fit_stats, mean_image, the
+    fixed kinds' tuning, which runs first, and the moments of the learned
+    kinds; then it is released (TrainingData.release_train_block), so the
+    nested solves and the learned tuning run without it, and only the
+    fit_ridge fallback gathers it again. The test block is gathered after
+    the TrainingData, with its cached moments and solves, has been
+    released. So every frame is held in float64 at most once, and the
+    train and test blocks never together. sets keep run.kinds order.
     """
     split = split_dataset(images.shape[0], seed=split_seed)
-    train = np.asarray(images[split.train_idx], dtype=np.float64)
+    train = gather_frames(images, split.train_idx)
     stats = fit_stats(train)
     apply_stats(train, stats, out=train)
     geometry = locate_sites(mean_image(train), n_sites)
+    val = gather_frames(images, split.val_idx)
     data = TrainingData(
-        train_images=train,
+        train_images=TrainFrames(images, split.train_idx, stats, block=train),
         train_labels=labels[split.train_idx],
-        val_images=apply_stats(images[split.val_idx], stats),
+        val_images=apply_stats(val, stats, out=val),
         val_labels=labels[split.val_idx],
         geometry=geometry,
     )
-    del train
-    theta_grid = theta_grid_default(*run.theta_grid)
-    sets = {kind: train_all_sites(data, kind, run.s_grid, theta_grid, run.alpha) for kind in run.kinds}
+    del train, val
+    grids = (run.s_grid, theta_grid_default(*run.theta_grid), run.alpha)
+    sets = {kind: train_all_sites(data, kind, *grids) for kind in run.kinds if kind not in LEARNED_KINDS}
+    if len(sets) < len(run.kinds):
+        data.release_train_block()
+        sets |= {kind: train_all_sites(data, kind, *grids) for kind in run.kinds if kind in LEARNED_KINDS}
+    sets = {kind: sets[kind] for kind in run.kinds}
     del data
-    test_norm = apply_stats(images[split.test_idx], stats)
-    reports = _evaluate_sets(sets, test_norm, labels[split.test_idx])
+    test = gather_frames(images, split.test_idx)
+    reports = _evaluate_sets(sets, apply_stats(test, stats, out=test), labels[split.test_idx])
     return split, stats, geometry, sets, reports
 
 

@@ -22,7 +22,9 @@ Cholesky pivots decide where it holds: at alpha = 0 the nested pivots
 alpha > 0 the largest system must factor. Every (site, window) where it
 does not is fit by fit_ridge from the site's features of the train
 frames, the minimum-norm weights of a rank-deficient system; only then
-is a feature matrix built. The fixed kinds never touch the moments.
+is a feature matrix built. The fixed kinds never touch the moments. The
+moments are the learned kinds' only read of the whole train block, which
+a TrainFrames lets go once they are cached (release_train_block).
 Every kind is tuned by one pass over all sites (_tune_all): each
 candidate is a full-frame map column and a bias, the map FilterModel
 scores with, so one product scores the validation frames of them all,
@@ -55,7 +57,7 @@ from .filters import (
     window_fits,
     window_index,
 )
-from .locate import SiteGeometry, _median_spacing, grid_shape
+from .locate import PreprocessStats, SiteGeometry, _median_spacing, apply_stats, gather_frames, grid_shape
 from .util import round_half_up
 
 S_GRID = tuple(range(2, 15))
@@ -233,37 +235,90 @@ def _frame_rows(images) -> np.ndarray:
     return np.asarray(images, dtype=np.float64).reshape(images.shape[0], -1)
 
 
+class TrainFrames:
+    """Normalized train frames kept as the stack they come from: the
+    frames images[idx], normalized by apply_stats with stats, in float64.
+
+    block is that float64 block while the caller holds it for its
+    whole-block readers; once released, block() gathers it again from
+    the stack (gather_frames, then apply_stats in place) with the same
+    bits, because the cast to float64 is exact and apply_stats is
+    elementwise. The stack is never modified.
+    """
+
+    def __init__(self, images: np.ndarray, idx: np.ndarray, stats: PreprocessStats, block=None):
+        self.images, self.idx, self.stats = images, idx, stats
+        self._block = block
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.idx), *self.images.shape[1:])
+
+    def block(self) -> np.ndarray:
+        """The normalized frames as one float64 (n, H, W) array."""
+        if self._block is not None:
+            return self._block
+        block = gather_frames(self.images, self.idx)
+        return apply_stats(block, self.stats, out=block)
+
+    def release(self) -> None:
+        """Drop the held block; later block() calls gather it again."""
+        self._block = None
+
+
 @dataclass(frozen=True)
 class TrainingData:
     """Train and validation material for tuning; test frames stay outside.
 
     Labels are (n_frames, n_sites) 0/1 arrays aligned with the images.
-    Frozen, so the moments, window products and solves cached on first
-    use always describe the arrays the instance holds. The solves are
-    keyed by (s, alpha), so a call with another alpha never reads them.
-    The first request whose grid holds s solves it and later requests
-    reuse it. That grid's largest window decides the last bits of the
-    solve, and a site whose system at that window is singular is fit from
-    its features at every size.
+    train_images is a frame stack, or a TrainFrames, which lets the float64
+    train block go once its whole-block readers have run
+    (release_train_block). Frozen, so the moments, window products and
+    solves cached on first use always describe the frames the instance
+    holds. The solves are keyed by (s, alpha), so a call with another
+    alpha never reads them. The first request whose grid holds s solves it
+    and later requests reuse it. That grid's largest window decides the
+    last bits of the solve, and a site whose system at that window is
+    singular is fit from its features at every size.
     """
 
-    train_images: np.ndarray
+    train_images: np.ndarray | TrainFrames
     train_labels: np.ndarray
     val_images: np.ndarray
     val_labels: np.ndarray
     geometry: SiteGeometry
 
     def __post_init__(self):
+        n_sites = self.geometry.n_sites
         if self.train_images.shape[0] != self.train_labels.shape[0]:
             raise DataError("train image/label counts differ")
         if self.val_images.shape[0] != self.val_labels.shape[0]:
             raise DataError("validation image/label counts differ")
-        if self.train_labels.shape[1] != self.geometry.n_sites:
+        if self.train_labels.shape[1] != n_sites:
             raise DataError("label width does not match the number of sites")
+        if self.val_labels.shape[1:] != (n_sites,):
+            raise DataError(f"validation labels of shape {self.val_labels.shape} do not hold one column per site ({n_sites})")
+        if self.val_images.shape[1:] != self.image_shape:
+            raise DataError(f"validation frames are {self.val_images.shape[1:]} pixels, train frames {self.image_shape}")
 
     @property
     def image_shape(self) -> tuple[int, int]:
         return self.train_images.shape[1:]
+
+    def train_block(self) -> np.ndarray:
+        """The train frames as one array: train_images itself, or the
+        block of a TrainFrames, which is gathered again once released."""
+        frames = self.train_images
+        return frames.block() if isinstance(frames, TrainFrames) else frames
+
+    def release_train_block(self) -> None:
+        """Compute the moments, the learned kinds' last read of the whole
+        train block, then let a TrainFrames drop its block. Only the
+        fit_ridge fallback of _learned_weights reads the train frames
+        after this, and it gathers them again."""
+        self._moments  # computed and cached for the solves
+        if isinstance(self.train_images, TrainFrames):
+            self.train_images.release()
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +330,7 @@ class TrainingData:
         stack is never copied with a bias column appended.
         """
         m = self.train_images.shape[0]
-        x = _frame_rows(self.train_images)
+        x = _frame_rows(self.train_block())
         y = np.asarray(self.train_labels, dtype=np.float64)
         p = x.shape[1]
         gram = np.empty((p + 1, p + 1))
@@ -556,10 +611,11 @@ def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np
             u = np.linalg.solve(schur[full], rhs[full, :, None])
             v = x0[full] - (a_inv_b[full] @ u)[..., 0]
             weights[full] = np.concatenate([v[:, :-1], u[..., 0], v[:, -1:]], axis=1)
+    frames = None if full.all() else data.train_block()
     for i in np.flatnonzero(~full):
         site = int(sites[i])
         neighbors = [products.fits[j] for j in nbr[i]]
-        features = extract_array_features(data.train_images, data.geometry.centers, site, s, neighbors)
+        features = extract_array_features(frames, data.geometry.centers, site, s, neighbors)
         try:
             weights[i] = fit_ridge(features, data.train_labels[:, site], alpha)
         except NumericalError:
@@ -663,7 +719,7 @@ def _tune_all(data: TrainingData, kind: str, s_grid, theta_grid, alpha: float) -
         maps, biases = np.stack(columns, axis=1), np.array(biases)
         val_scores = _frame_rows(data.val_images) @ maps + biases
         if not learned:
-            train_scores = _frame_rows(data.train_images) @ maps + biases
+            train_scores = _frame_rows(data.train_block()) @ maps + biases
     grid = np.asarray(theta_grid, dtype=np.float64)
     cells: dict[int, list] = {k: [] for k in range(data.geometry.n_sites)}  # (s, thetas, curve, weights)
     for j, (site, s, _, _, weights) in enumerate(candidates):

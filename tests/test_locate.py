@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from mf_readout import (
     mean_image,
     split_dataset,
 )
+from mf_readout.filters import BLOCK_FRAMES
 from mf_readout.locate import (
     GaussianFit,
     _fit_lattice,
@@ -27,8 +29,10 @@ from mf_readout.locate import (
     _median_spacing,
     _usable_centers,
     axis_clusters,
+    gather_frames,
     grid_shape,
 )
+from mf_readout.train import TrainFrames
 
 # any numeric warning in localization is a defect: a flung fit must be
 # rejected by the finite checks, not announced on stderr
@@ -118,6 +122,49 @@ def test_apply_stats_is_the_float64_formula_in_a_new_array(dtype):
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     assert np.array_equal(x, before)
     assert not np.shares_memory(out, x)
+
+
+def _bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count", [1, BLOCK_FRAMES + 37, 2 * BLOCK_FRAMES + 1])
+def test_gathered_split_blocks_have_the_bits_of_apply_stats(dtype, count):
+    # unsorted indices, one frame, and counts that are not a multiple of
+    # the gather block
+    rng = np.random.default_rng(count)
+    images = rng.normal(300.0, 40.0, size=(700, 6, 5)).astype(dtype)
+    before = images.copy()
+    idx = rng.permutation(700)[:count]
+    stats = fit_stats(images)
+    want = apply_stats(images[idx], stats)
+
+    block = gather_frames(images, idx)
+    assert _bits(block) == _bits(np.asarray(images[idx], dtype=np.float64))
+    assert apply_stats(block, stats, out=block) is block
+    assert _bits(block) == _bits(want)
+    frames = TrainFrames(images, idx, stats)
+    assert frames.shape == want.shape
+    assert _bits(frames.block()) == _bits(want)
+    assert np.array_equal(images, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_frames_makes_no_copy_of_the_split_in_its_own_dtype(dtype):
+    # a float32 split cut as images[idx] and then cast also holds that
+    # copy, half the block; the gather holds one gather block of the
+    # frames in their own dtype at a time
+    images = np.random.default_rng(5).normal(size=(3000, 28, 28)).astype(dtype)
+    idx = np.random.default_rng(6).permutation(3000)[:1800]
+    tracemalloc.start()
+    try:
+        block = gather_frames(images, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.dtype == np.float64
+    assert peak <= block.nbytes + BLOCK_FRAMES * 28 * 28 * 8
 
 
 def test_mean_image_shape_and_value():

@@ -304,6 +304,20 @@ def test_training_data_is_frozen():
         data.train_images = data.val_images
 
 
+def test_training_data_rejects_validation_labels_of_another_width(small_training):
+    # caught where the data is built, not at val_labels[:, site] in tuning
+    data = small_training.data
+    with pytest.raises(DataError, match=r"validation labels of shape \(52, 8\)"):
+        replace(data, val_labels=data.val_labels[:, :8])
+
+
+def test_training_data_rejects_validation_frames_of_another_size(small_training):
+    # caught where the data is built, not in _tune_all's validation product
+    data = small_training.data
+    with pytest.raises(DataError, match=r"validation frames are \(27, 28\) pixels, train frames \(28, 28\)"):
+        replace(data, val_images=data.val_images[:, 1:, :])
+
+
 # --------------------------------------------- moments vs feature path
 
 def _feature_path_tune(data, site, kind, s_grid=S_GRID, theta_grid=None, alpha=0.0):
