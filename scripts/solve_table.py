@@ -11,8 +11,8 @@ TrainingData as the pipeline does. Per preset and alpha (0 and 0.1) it
 prints the median milliseconds per shuffle of the window products and
 of the shared mf-site solves over the default window grid, and, over
 both matched filters, how many (site, window) weights came from the
-nested factorization and its Schur elimination and how many were fit
-from the site's features by fit_ridge, the one fallback.
+nested factorization and its Schur elimination and how many fell back
+to solving the site's whole system from the moments.
 
 --out also writes every site's learned (s, theta) and weights for both
 matched filters, per preset, seed and alpha, as JSON. --against reads
@@ -92,23 +92,23 @@ def time_solves(data: TrainingData, alpha: float) -> tuple[float, float]:
 
 
 def count_paths(data: TrainingData, alpha: float) -> tuple[int, int]:
-    """(nested, feature-path) (site, window) weights of both matched
-    filters over one shuffle's grid."""
+    """(nested, fallback) (site, window) weights of both matched filters
+    over one shuffle's grid."""
     copy = fresh(data)
     fits = []
-    fit_ridge = train.fit_ridge
+    fallback = train._fallback_weights
 
-    def counted(x, y, alpha=0.0):
-        fits.append(x.shape[0])
-        return fit_ridge(x, y, alpha)
+    def counted(data, products, site, pix, nbr, alpha):
+        fits.append(len(pix) + len(nbr))
+        return fallback(data, products, site, pix, nbr, alpha)
 
-    train.fit_ridge = counted
+    train._fallback_weights = counted
     try:
         total = sum(
             len(train._learned_candidates(copy, kind, train.S_GRID, alpha)[0]) for kind in train.LEARNED_KINDS
         )
     finally:
-        train.fit_ridge = fit_ridge
+        train._fallback_weights = fallback
     return total - len(fits), len(fits)
 
 
@@ -154,11 +154,11 @@ def main(argv=None) -> int:
         datasets = [training_data(preset, seed) for seed in SEEDS]
         for alpha in ALPHAS:
             times = np.array([time_solves(data, alpha) for _ in range(REPEATS) for data in datasets])
-            nested, features = np.sum([count_paths(data, alpha) for data in datasets], axis=0)
+            nested, fallback = np.sum([count_paths(data, alpha) for data in datasets], axis=0)
             products, solves = np.median(times, axis=0)
             print(
                 f"{preset:9s} alpha {alpha:<3g}  products {products:5.1f} ms  solves {solves:5.1f} ms"
-                f"  per shuffle  (site, window) weights: {nested} nested, {features} from features",
+                f"  per shuffle  (site, window) weights: {nested} nested, {fallback} fallback",
                 flush=True,
             )
             if args.out is not None or args.against is not None:

@@ -39,7 +39,6 @@ from .sim import (
 from .train import (
     LEARNED_KINDS,
     TOKEN_KINDS,
-    TrainFrames,
     TrainingData,
     split_dataset,
     theta_grid_default,
@@ -111,9 +110,7 @@ class RunConfig:
             raise ConfigError("alpha must be non-negative")
         if self.s_grid is not None and (not self.s_grid or any(s < 1 for s in self.s_grid)):
             raise ConfigError(f"bad s grid {self.s_grid}")
-        lo, hi, step = self.theta_grid
-        if step <= 0 or lo > hi:
-            raise ConfigError(f"bad theta grid {self.theta_grid}")
+        theta_grid_default(*self.theta_grid)  # raises ConfigError for a bad grid
         if self.n_shuffles < 1:
             raise ConfigError("n_shuffles must be at least 1")
         if self.seed < 0:
@@ -248,14 +245,14 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
     in the stack's own dtype, and every block is bit-equal to a slice of
     the normalized whole stack: the cast is exact and apply_stats is
     elementwise. The train block's stats are fitted on it before it is
-    normalized. Its whole-block readers are fit_stats, mean_image, the
-    fixed kinds' tuning, which runs first, and the moments of the learned
-    kinds; then it is released (TrainingData.release_train_block), so the
-    nested solves and the learned tuning run without it, and only the
-    fit_ridge fallback gathers it again. The test block is gathered after
-    the TrainingData, with its cached moments and solves, has been
-    released. So every frame is held in float64 at most once, and the
-    train and test blocks never together. sets keep run.kinds order.
+    normalized. Its readers are fit_stats, mean_image, the fixed kinds'
+    tuning, which runs first, and the moments of the learned kinds; then
+    it is dropped (TrainingData.release_train_block), so the nested
+    solves, their fallback and the learned tuning run from the moments
+    alone. The test block is gathered after the TrainingData, with its
+    cached moments and solves, has been released. So every frame is held
+    in float64 at most once, and the train and test blocks never
+    together. sets keep run.kinds order.
     """
     split = split_dataset(images.shape[0], seed=split_seed)
     train = gather_frames(images, split.train_idx)
@@ -264,7 +261,7 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
     geometry = locate_sites(mean_image(train), n_sites)
     val = gather_frames(images, split.val_idx)
     data = TrainingData(
-        train_images=TrainFrames(images, split.train_idx, stats, block=train),
+        train_images=train,
         train_labels=labels[split.train_idx],
         val_images=apply_stats(val, stats, out=val),
         val_labels=labels[split.val_idx],

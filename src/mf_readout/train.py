@@ -16,15 +16,15 @@ The solves are cached on the TrainingData and serve both learned kinds.
 mf-site reads its weights from them. mf-array's system, ordered
 [pixels, bias | neighbor means], holds A as its leading block, so its
 weights follow by block elimination through a small Schur complement
-over the neighbor means. That is the one solver of the learned systems.
-Cholesky pivots decide where it holds: at alpha = 0 the nested pivots
-(for mf-array with the Schur complement's) must pass the rank test, at
-alpha > 0 the largest system must factor. Every (site, window) where it
-does not is fit by fit_ridge from the site's features of the train
-frames, the minimum-norm weights of a rank-deficient system; only then
-is a feature matrix built. The fixed kinds never touch the moments. The
-moments are the learned kinds' only read of the whole train block, which
-a TrainFrames lets go once they are cached (release_train_block).
+over the neighbor means. Cholesky pivots decide where that holds: at
+alpha = 0 the nested pivots (for mf-array with the Schur complement's)
+must pass the rank test, at alpha > 0 the largest system must factor.
+Every (site, window) where it does not is solved whole, its system read
+from the same moments, by fit_ridge's rule (_solve_gram): the
+minimum-norm weights of a rank-deficient system. So every learned system
+is built from the moments alone, and they are the learned kinds' only
+read of the train frames, which can be dropped once they are cached
+(release_train_block). The fixed kinds never touch the moments.
 Every kind is tuned by one pass over all sites (_tune_all): each
 candidate is a full-frame map column and a bias, the map FilterModel
 scores with, so one product scores the validation frames of them all,
@@ -45,8 +45,8 @@ from .errors import ConfigError, DataError, NumericalError
 from .filters import (
     BIAS_C,
     FilterModel,
-    extract_array_features,
-    extract_site_features,  # noqa: F401  kept in this namespace: the traced benchmark rebinds it by name
+    extract_array_features,  # noqa: F401  kept in this namespace: the traced benchmark rebinds it by name
+    extract_site_features,  # noqa: F401  kept for the same reason
     gaussian_score,  # noqa: F401  kept for the same reason: the traced benchmark
     gaussian_weight_map,
     learned_weight_map,
@@ -57,7 +57,7 @@ from .filters import (
     window_fits,
     window_index,
 )
-from .locate import PreprocessStats, SiteGeometry, _median_spacing, apply_stats, gather_frames, grid_shape
+from .locate import SiteGeometry, _median_spacing, grid_shape
 from .util import round_half_up
 
 S_GRID = tuple(range(2, 15))
@@ -69,11 +69,17 @@ _Grid = namedtuple("_Grid", ["rows", "cols", "n_sites"])
 
 
 def theta_grid_default(lo: float = 0.01, hi: float = 0.99, step: float = 0.01) -> tuple[float, ...]:
-    """Threshold candidates lo..hi inclusive, rounded to clean decimals."""
+    """Threshold candidates lo, lo + step, ... up to hi inclusive, rounded
+    to clean decimals; the last is the largest that does not pass hi. A
+    learned model's threshold lies in (0, 1), so a grid that reaches 0 or
+    1 is rejected before any tuning."""
     if step <= 0 or hi < lo:
-        raise ConfigError("need step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step)) + 1
-    return tuple(round(lo + i * step, 10) for i in range(count))
+        raise ConfigError(f"theta grid ({lo}, {hi}, {step}) needs step > 0 and hi >= lo")
+    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    grid = tuple(min(round(lo + i * step, 10), hi) for i in range(count))
+    if grid[0] <= 0 or grid[-1] >= 1:
+        raise ConfigError(f"theta grid ({lo}, {hi}, {step}) runs from {grid[0]} to {grid[-1]}, outside (0, 1)")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -167,22 +173,36 @@ def _full_rank(pivots) -> np.ndarray:
     return pivots.min(axis=-1) > np.sqrt(np.finfo(np.float64).eps) * pivots.max(axis=-1)
 
 
+def _solve_gram(gram, rhs, alpha: float) -> np.ndarray:
+    """Weights of the Gram system gram w = rhs, alpha on its diagonal.
+
+    At alpha = 0 its Cholesky pivots decide its rank: a full-rank system
+    is solved directly (numpy has no triangular solver, so the factor
+    serves only as the test), a rank-deficient one gets the minimum-norm
+    least-squares solution from lstsq, so the weights are always well
+    defined. They may still be non-finite; the caller checks.
+    """
+    if alpha > 0:
+        return np.linalg.solve(gram + alpha * np.eye(len(gram)), rhs)
+    if _full_rank(_cholesky_pivots(gram[None]))[0]:
+        return np.linalg.solve(gram, rhs)
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+
 def fit_ridge(X, Y, alpha: float = 0.0) -> np.ndarray:
     """Ridge weights W = Y X^T (X X^T + alpha I)^{-1}, returned as (d,).
 
-    Accumulates the d x d Gram system and solves it rather than inverting.
-    At alpha = 0 the Cholesky pivots of the system decide its rank: a
-    full-rank system is solved directly (numpy has no triangular solver,
-    so the factor serves only as the test), a rank-deficient one gets the
-    minimum-norm least-squares solution from lstsq, so the default is
-    always well defined. This is also how training fits every (site,
-    window) whose nested solve does not hold.
+    Accumulates the d x d Gram system and solves it rather than inverting
+    (_solve_gram), so at alpha = 0 a rank-deficient system gets its
+    minimum-norm least-squares weights. Training builds the same systems
+    from the moments of the train frames and solves them by the same
+    rule; it never calls this.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(Y, dtype=np.float64).ravel()
     if X.ndim != 2:
         raise DataError(f"X must be 2D (features x samples), got shape {X.shape}")
-    d, m = X.shape
+    m = X.shape[1]
     if y.size != m:
         raise DataError(f"X has {m} columns but Y has {y.size} entries")
     if m < 1:
@@ -191,13 +211,7 @@ def fit_ridge(X, Y, alpha: float = 0.0) -> np.ndarray:
         raise ConfigError("alpha must be non-negative")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NumericalError("non-finite values in the design matrices")
-    gram, rhs = X @ X.T, X @ y
-    if alpha > 0:
-        w = np.linalg.solve(gram + alpha * np.eye(d), rhs)
-    elif _full_rank(_cholesky_pivots(gram[None]))[0]:
-        w = np.linalg.solve(gram, rhs)
-    else:
-        w = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    w = _solve_gram(X @ X.T, X @ y, alpha)
     if not np.all(np.isfinite(w)):
         raise NumericalError(_NON_FINITE)
     return w
@@ -235,54 +249,23 @@ def _frame_rows(images) -> np.ndarray:
     return np.asarray(images, dtype=np.float64).reshape(images.shape[0], -1)
 
 
-class TrainFrames:
-    """Normalized train frames kept as the stack they come from: the
-    frames images[idx], normalized by apply_stats with stats, in float64.
-
-    block is that float64 block while the caller holds it for its
-    whole-block readers; once released, block() gathers it again from
-    the stack (gather_frames, then apply_stats in place) with the same
-    bits, because the cast to float64 is exact and apply_stats is
-    elementwise. The stack is never modified.
-    """
-
-    def __init__(self, images: np.ndarray, idx: np.ndarray, stats: PreprocessStats, block=None):
-        self.images, self.idx, self.stats = images, idx, stats
-        self._block = block
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (len(self.idx), *self.images.shape[1:])
-
-    def block(self) -> np.ndarray:
-        """The normalized frames as one float64 (n, H, W) array."""
-        if self._block is not None:
-            return self._block
-        block = gather_frames(self.images, self.idx)
-        return apply_stats(block, self.stats, out=block)
-
-    def release(self) -> None:
-        """Drop the held block; later block() calls gather it again."""
-        self._block = None
-
-
 @dataclass(frozen=True)
 class TrainingData:
     """Train and validation material for tuning; test frames stay outside.
 
     Labels are (n_frames, n_sites) 0/1 arrays aligned with the images.
-    train_images is a frame stack, or a TrainFrames, which lets the float64
-    train block go once its whole-block readers have run
-    (release_train_block). Frozen, so the moments, window products and
-    solves cached on first use always describe the frames the instance
-    holds. The solves are keyed by (s, alpha), so a call with another
-    alpha never reads them. The first request whose grid holds s solves it
-    and later requests reuse it. That grid's largest window decides the
-    last bits of the solve, and a site whose system at that window is
-    singular is fit from its features at every size.
+    Frozen, so the moments, window products and solves cached on first
+    use always describe the frames the instance holds. The moments are
+    the learned kinds' only read of the train frames, so once they are
+    cached the frames can be dropped (release_train_block). The solves
+    are keyed by (s, alpha), so a call with another alpha never reads
+    them. The first request whose grid holds s solves it and later
+    requests reuse it. That grid's largest window decides the last bits
+    of the solve, and a site whose system at that window is singular is
+    fit from its moments alone at every size.
     """
 
-    train_images: np.ndarray | TrainFrames
+    train_images: np.ndarray
     train_labels: np.ndarray
     val_images: np.ndarray
     val_labels: np.ndarray
@@ -290,7 +273,7 @@ class TrainingData:
 
     def __post_init__(self):
         n_sites = self.geometry.n_sites
-        if self.train_images.shape[0] != self.train_labels.shape[0]:
+        if self.train_block().shape[0] != self.train_labels.shape[0]:
             raise DataError("train image/label counts differ")
         if self.val_images.shape[0] != self.val_labels.shape[0]:
             raise DataError("validation image/label counts differ")
@@ -301,24 +284,23 @@ class TrainingData:
         if self.val_images.shape[1:] != self.image_shape:
             raise DataError(f"validation frames are {self.val_images.shape[1:]} pixels, train frames {self.image_shape}")
 
-    @property
+    @cached_property
     def image_shape(self) -> tuple[int, int]:
         return self.train_images.shape[1:]
 
     def train_block(self) -> np.ndarray:
-        """The train frames as one array: train_images itself, or the
-        block of a TrainFrames, which is gathered again once released."""
-        frames = self.train_images
-        return frames.block() if isinstance(frames, TrainFrames) else frames
+        """The train frames, or DataError once they were released."""
+        if self.train_images is None:
+            raise DataError("the train frames were released after the moments were cached (release_train_block)")
+        return self.train_images
 
     def release_train_block(self) -> None:
-        """Compute the moments, the learned kinds' last read of the whole
-        train block, then let a TrainFrames drop its block. Only the
-        fit_ridge fallback of _learned_weights reads the train frames
-        after this, and it gathers them again."""
+        """Compute the moments, the learned kinds' only read of the train
+        frames, then drop the frames: nothing that trains the learned
+        kinds reads them again, and the fixed kinds, which do, must train
+        before this."""
         self._moments  # computed and cached for the solves
-        if isinstance(self.train_images, TrainFrames):
-            self.train_images.release()
+        object.__setattr__(self, "train_images", None)
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -329,14 +311,13 @@ class TrainingData:
         The bias row and column of G come from column sums, so the train
         stack is never copied with a bias column appended.
         """
-        m = self.train_images.shape[0]
         x = _frame_rows(self.train_block())
         y = np.asarray(self.train_labels, dtype=np.float64)
         p = x.shape[1]
         gram = np.empty((p + 1, p + 1))
         np.matmul(x.T, x, out=gram[:p, :p])
         gram[p, :p] = gram[:p, p] = BIAS_C * x.sum(axis=0)
-        gram[p, p] = BIAS_C * BIAS_C * m
+        gram[p, p] = BIAS_C * BIAS_C * x.shape[0]
         cross = np.empty((p + 1, y.shape[1]))
         np.matmul(x.T, y, out=cross[:p])
         cross[p] = BIAS_C * y.sum(axis=0)
@@ -522,9 +503,9 @@ def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
     every size reads x = L^{-T} L^{-1} [b | G[pix, :p] A_s] from the
     leading blocks. pivots are those leading squared pivots, in nesting
     order, a row of zeros where the largest system is not positive
-    definite. This is the only solve of the mf-site systems: a row whose
-    pivots fail (_solved) holds no usable x, and _learned_weights fits
-    that site from its features instead.
+    definite. A row whose pivots fail (_solved) holds no usable x, and
+    _learned_weights solves that site's system whole instead
+    (_fallback_weights).
     """
     sizes = sorted({s for s in s_grid if (s, alpha) not in data._solves})
     if not sizes:
@@ -584,18 +565,19 @@ def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np
     the rest are A^{-1} b - A^{-1} B u. A site takes these weights when
     its solve holds (_solved); at alpha = 0 mf-array's rank test reads A's
     pivots with chol(S)'s, which are the pivots of the whole system in
-    that order. Every other site is fit by fit_ridge from its features of
-    the train frames, the minimum-norm weights where its system is
-    rank-deficient; weights fit_ridge cannot give are left non-finite,
-    which fails that site alone.
+    that order. Every other site is fit from the same system whole
+    (_fallback_weights), the minimum-norm weights where it is
+    rank-deficient; weights that fit cannot give stay non-finite, which
+    fails that site alone.
     """
     solves, products = data._solves[(s, alpha)], data._products[s]
     rows = np.searchsorted(products.fits, sites)
+    pix = solves.pix[rows]
     full = _solved(solves.pivots[rows], alpha)
     if nbr.shape[1] == 0:
         weights = solves.x[rows, :, 0]
     else:
-        pix, x = solves.pix[rows], solves.x[rows]
+        x = solves.x[rows]
         ga, aga, ar = products.ga, products.aga, products.ar
         x0 = x[:, :, 0]
         a_inv_b = np.take_along_axis(x, 1 + nbr[:, None, :], axis=2)
@@ -611,16 +593,26 @@ def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np
             u = np.linalg.solve(schur[full], rhs[full, :, None])
             v = x0[full] - (a_inv_b[full] @ u)[..., 0]
             weights[full] = np.concatenate([v[:, :-1], u[..., 0], v[:, -1:]], axis=1)
-    frames = None if full.all() else data.train_block()
     for i in np.flatnonzero(~full):
-        site = int(sites[i])
-        neighbors = [products.fits[j] for j in nbr[i]]
-        features = extract_array_features(frames, data.geometry.centers, site, s, neighbors)
-        try:
-            weights[i] = fit_ridge(features, data.train_labels[:, site], alpha)
-        except NumericalError:
-            weights[i] = np.nan
+        weights[i] = _fallback_weights(data, products, int(sites[i]), pix[i], nbr[i], alpha)
     return weights
+
+
+def _fallback_weights(data: TrainingData, products: _Products, site: int, pix, nbr, alpha: float) -> np.ndarray:
+    """One site's weights, [pixels, neighbor means, bias], from its whole
+    system [[G[pix, pix], ga[pix, nbr]], [ga[pix, nbr]^T, aga[nbr, nbr]]]
+    against [R[pix, site], ar[nbr, site]], read from the moments and the
+    window products, pix being the window pixels row-major, then the bias
+    slot. It is solved by fit_ridge's rule (_solve_gram), so a
+    rank-deficient system gets its minimum-norm weights; weights that
+    rule cannot give stay non-finite, for _tune_all to fail the site.
+    """
+    gram, cross = data._moments
+    b = products.ga[pix[:, None], nbr[None, :]]
+    system = np.block([[gram[pix[:, None], pix[None, :]], b], [b.T, products.aga[nbr[:, None], nbr[None, :]]]])
+    w = _solve_gram(system, np.concatenate([cross[pix, site], products.ar[nbr, site]]), alpha)
+    bias = len(pix) - 1
+    return np.concatenate([w[:bias], w[bias + 1 :], w[bias : bias + 1]])
 
 
 def _learned_candidates(data: TrainingData, kind: str, s_grid, alpha: float) -> tuple[list, dict]:

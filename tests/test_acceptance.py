@@ -260,11 +260,12 @@ def test_criterion_8_localization_accuracy(criterion):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 def test_trained_weights_are_the_pseudoinverse_solution(preset_training, assert_minimum_norm, alpha):
-    """Criteria 1 and 2 pin fit_ridge and fit_rls; training solves from
-    the train-frame moments and calls fit_ridge only where that solve
-    does not hold, which no site here needs. This ties every site's
-    trained mf-site and mf-array weights, at its chosen window, to the
-    pseudo-inverse of its feature matrix on both presets. At alpha > 0
+    """Criteria 1 and 2 pin fit_ridge and fit_rls; training never calls
+    fit_ridge, it solves from the train-frame moments, by fit_ridge's
+    rule where the nested solve does not hold, which no site here needs.
+    This ties every site's trained mf-site and mf-array weights, at its
+    chosen window, to the pseudo-inverse of its feature matrix on both
+    presets. At alpha > 0
     the ridge weights are the least-squares solution of the features
     stacked over sqrt(alpha) I against the labels and zeros."""
     for data in preset_training.values():

@@ -32,7 +32,6 @@ from mf_readout.locate import (
     gather_frames,
     grid_shape,
 )
-from mf_readout.train import TrainFrames
 
 # any numeric warning in localization is a defect: a flung fit must be
 # rejected by the finite checks, not announced on stderr
@@ -144,9 +143,6 @@ def test_gathered_split_blocks_have_the_bits_of_apply_stats(dtype, count):
     assert _bits(block) == _bits(np.asarray(images[idx], dtype=np.float64))
     assert apply_stats(block, stats, out=block) is block
     assert _bits(block) == _bits(want)
-    frames = TrainFrames(images, idx, stats)
-    assert frames.shape == want.shape
-    assert _bits(frames.block()) == _bits(want)
     assert np.array_equal(images, before)
 
 

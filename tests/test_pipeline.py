@@ -70,6 +70,8 @@ def test_run_config_validation(tmp_path):
         dict(s_grid=(0,)),
         dict(theta_grid=(0.5, 0.4, 0.1)),
         dict(theta_grid=(0.1, 0.9, 0.0)),
+        dict(theta_grid=(0.0, 0.9, 0.1)),
+        dict(theta_grid=(0.5, 1.0, 0.1)),
         dict(n_shuffles=0),
         dict(seed=-1),
         dict(label_source="guess"),
@@ -567,20 +569,20 @@ def test_no_train_block_is_alive_while_the_learned_kinds_train(shuffle_stacks, m
     ]
 
 
-def test_fallback_fits_from_the_released_train_frames(small_training, tmp_path, monkeypatch):
+def test_fallback_fits_from_the_moments_after_the_release(small_training, tmp_path, monkeypatch):
     """On the 260-frame default stack every learned (site, window) is fit
-    by fit_ridge, after the shuffle released its train block and from its
-    frames gathered again: the models have the bits of those trained on
-    the whole float64 block."""
+    by the fallback, after the shuffle released its train block and from
+    its moments alone: the models have the bits of those trained on the
+    whole float64 block."""
     t = small_training
     fits = []
-    fit_ridge = train_mod.fit_ridge
+    fallback = train_mod._fallback_weights
 
-    def counted(x, y, alpha=0.0):
-        fits.append(x.shape)
-        return fit_ridge(x, y, alpha)
+    def counted(data, products, site, pix, nbr, alpha):
+        fits.append(len(pix) + len(nbr))
+        return fallback(data, products, site, pix, nbr, alpha)
 
-    monkeypatch.setattr(train_mod, "fit_ridge", counted)
+    monkeypatch.setattr(train_mod, "_fallback_weights", counted)
     run = _shuffle_run(t.stack)
     _, _, _, sets, _ = pipeline_mod._one_shuffle(run, t.stack.images, t.stack.truth, 0, t.stack.n_sites)
     assert len(fits) == 2 * 117

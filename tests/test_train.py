@@ -184,6 +184,19 @@ def test_theta_grid_default_has_99_values():
         theta_grid_default(0.5, 0.4, 0.1)
 
 
+def test_theta_grid_default_stops_at_hi_and_stays_inside_zero_one():
+    # a step that does not divide hi - lo ends below hi, never past it
+    assert theta_grid_default(0.01, 0.99, 0.05) == tuple(round(0.01 + 0.05 * i, 10) for i in range(20))
+    grid = theta_grid_default(0.01, 0.99, 0.03)
+    assert (len(grid), grid[-1]) == (33, 0.97)
+    # a learned model's threshold lies in (0, 1), so a grid that reaches
+    # 0 or 1 fails before any tuning
+    for bad in ((0.0, 0.5, 0.1), (-0.2, 0.5, 0.1), (0.5, 1.0, 0.1), (0.5, 1.2, 0.25)):
+        with pytest.raises(ConfigError, match=r"outside \(0, 1\)"):
+            theta_grid_default(*bad)
+    assert theta_grid_default(0.3, 1.0, 0.3) == (0.3, 0.6, 0.9)  # hi itself is never reached
+
+
 def test_square_boundary_default_is_lattice_pitch():
     centers = [(8.0 + 6.0 * r, 8.0 + 6.0 * c) for r in range(3) for c in range(3)]
     assert square_boundary_default(SimpleNamespace(centers=np.array(centers))) == 6
@@ -354,24 +367,25 @@ def _assert_same_choice(result, reference, rel_tol=1e-9):
     assert np.abs(result.weights - w).max() <= rel_tol * np.abs(w).max()
 
 
-def _count_feature_fits(monkeypatch):
-    """Spy on train.fit_ridge, the fit of every (site, window) the nested
-    solves do not solve; returns the list of feature counts its calls
-    append to."""
+def _count_fallback_fits(monkeypatch):
+    """Spy on train._fallback_weights, the fit of every (site, window) the
+    nested solves do not solve; returns the list of feature counts its
+    calls append to. It sees no other solve, so a reference fit_ridge
+    call in a test is not counted."""
     calls = []
-    fit = train.fit_ridge
+    fit = train._fallback_weights
 
-    def spy(x, y, alpha=0.0):
-        calls.append(x.shape[0])
-        return fit(x, y, alpha)
+    def spy(data, products, site, pix, nbr, alpha):
+        calls.append(len(pix) + len(nbr))
+        return fit(data, products, site, pix, nbr, alpha)
 
-    monkeypatch.setattr(train, "fit_ridge", spy)
+    monkeypatch.setattr(train, "_fallback_weights", spy)
     return calls
 
 
 # The small stack's 156 train frames cannot determine a 14 x 14 window's
 # 197 features, and a site whose largest system is singular is fit by
-# fit_ridge at every size; up to 12 x 12 (at most 153 features) the
+# the fallback at every size; up to 12 x 12 (at most 153 features) the
 # moments solve every candidate.
 MOMENT_GRID = tuple(range(2, 13))
 
@@ -381,7 +395,7 @@ def test_moment_path_matches_feature_path(small_training, monkeypatch, kind):
     # every site is checked through train_all_sites below; tune makes the
     # same all-sites pass, so one site (the center, with 8 neighbors) is enough
     data = replace(small_training.data)
-    fits = _count_feature_fits(monkeypatch)
+    fits = _count_fallback_fits(monkeypatch)
     result = tune(data, 4, kind, MOMENT_GRID)
     assert fits == []
     _assert_same_choice(result, _feature_path_tune(data, 4, kind, MOMENT_GRID))
@@ -459,7 +473,7 @@ def test_train_all_sites_learned_kinds(small_training):
 @pytest.mark.parametrize("kind", ["mf-site", "mf-array"])
 def test_batch_matches_feature_path(small_training, monkeypatch, kind):
     data = replace(small_training.data)
-    fits = _count_feature_fits(monkeypatch)
+    fits = _count_fallback_fits(monkeypatch)
     model_set = train_all_sites(data, kind, MOMENT_GRID)
     assert not model_set.failures
     assert fits == []
@@ -542,7 +556,7 @@ def test_block_elimination_matches_the_full_system(small_training, monkeypatch, 
     centers = data.geometry.centers
     sites, nbr = np.arange(9), _all_neighbors(9)
     train._fill_solves(data, (3, 5, 8), alpha)
-    fits = _count_feature_fits(monkeypatch)
+    fits = _count_fallback_fits(monkeypatch)
     for s in (3, 5, 8):
         assert data._products[s].fits == tuple(range(9))
         got = train._learned_weights(data, s, sites, nbr, alpha)
@@ -582,7 +596,7 @@ def test_block_elimination_falls_back_when_a_or_the_schur_complement_fails(monke
     s, sites, nbr = 3, np.arange(9), _all_neighbors(9)
     train._fill_solves(data, (s,), 0.0)
     assert train._full_rank(data._solves[(s, 0.0)].pivots).tolist() == [True] * 8 + [False]
-    fits = _count_feature_fits(monkeypatch)
+    fits = _count_fallback_fits(monkeypatch)
     weights = train._learned_weights(data, s, sites, nbr, 0.0)
     # site 9 for its A, every other site for its Schur complement
     assert fits == [s * s + 8 + 1] * 9
@@ -706,7 +720,7 @@ def test_nested_solves_fall_back_for_a_site_whose_largest_system_fails(monkeypat
     data = replace(data, train_images=data.train_images + jitter * noise * (data.train_images == 0.5))
     s_grid, sites, centers = (2, 3, 4, 5), np.arange(9), data.geometry.centers
     train._fill_solves(data, s_grid, 0.0)
-    fits = _count_feature_fits(monkeypatch)
+    fits = _count_fallback_fits(monkeypatch)
     for s in s_grid:
         assert train._full_rank(data._solves[(s, 0.0)].pivots).tolist() == [True] * 8 + [False]
         for nbr in (_no_neighbors(9), _all_neighbors(9)):
@@ -715,7 +729,7 @@ def test_nested_solves_fall_back_for_a_site_whose_largest_system_fails(monkeypat
                 y = data.train_labels[:, k].astype(float)
                 x = extract_array_features(data.train_images, centers, k, s, tuple(nbr[k]))
                 assert_minimum_norm(weights[k], x, y)
-        # mf-site fits site 9 alone from its features, mf-array at least it
+        # mf-site fits site 9 alone by the fallback, mf-array at least it
         assert fits.count(s * s + 1) == 1 and fits.count(s * s + 9) >= 1
         fits.clear()
     monkeypatch.undo()
@@ -736,10 +750,45 @@ def test_nested_solves_when_the_largest_window_leaves_edge_sites_out(alpha):
     _assert_nested_solves_match(data, s_grid, alpha)
 
 
+def test_fallback_matches_the_feature_path_on_every_site(small_training, monkeypatch):
+    # the small stack's 156 train frames leave every site's 14 x 14 system
+    # singular, so all 117 candidates of each learned kind fall back, and
+    # the fallback's system, read from the moments, is the one fit_ridge
+    # builds from extract_*_features (measured at most 1.6e-14 of max |w|)
+    data = replace(small_training.data)
+    fits = _count_fallback_fits(monkeypatch)
+    for kind in LEARNED_KINDS:
+        model_set = train_all_sites(data, kind)
+        assert not model_set.failures
+        assert len(fits) == 117
+        fits.clear()
+        for site in range(data.geometry.n_sites):
+            _assert_same_choice(model_set.tune_results[site], _feature_path_tune(data, site, kind), rel_tol=1e-12)
+
+
+def test_released_training_data_trains_the_learned_kinds_alone(small_training):
+    data = replace(small_training.data)
+    shape = data.image_shape
+    data.release_train_block()
+    assert data.train_images is None
+    assert data.image_shape == shape
+    for kind in ("square", "gaussian"):
+        with pytest.raises(DataError, match="released"):
+            train_all_sites(data, kind)
+    with pytest.raises(DataError, match="released"):
+        replace(data)
+    # the learned kinds, their fallback included, read the moments alone
+    for kind in LEARNED_KINDS:
+        released = train_all_sites(data, kind)
+        held = train_all_sites(replace(small_training.data), kind)
+        for site in range(data.geometry.n_sites):
+            _assert_same_result(released.tune_results[site], held.tune_results[site])
+
+
 def test_preset_training_never_fits_from_features(preset_training, monkeypatch):
     # on both presets' acceptance stacks every (site, window) of both
     # learned kinds is solved by the nested factor and the elimination
-    fits = _count_feature_fits(monkeypatch)
+    fits = _count_fallback_fits(monkeypatch)
     for data in preset_training.values():
         data = replace(data)
         for alpha in (0.0, 0.1):
