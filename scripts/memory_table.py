@@ -17,11 +17,15 @@ measuring process reads the stack, runs the shuffle once untraced and
 prints ru_maxrss before and after it. It then runs the shuffle again
 under tracemalloc and prints the traced peak of each stage: normalize
 (fit_stats and every apply_stats), locate (mean_image and locate_sites),
-moments (TrainingData.release_train_block: the learned kinds' moments,
-after which the float64 train block is freed), train (the largest
+moments (empty_gram, which allocates the learned kinds' pixel Gram before
+localization, and TrainingData.release_train_block, which completes the
+moments and frees the float64 train block; the Gram's product runs on a
+helper thread in between and allocates nothing), train (the largest
 train_all_sites call) and evaluate (_evaluate_sets), and the whole
-shuffle's peak, in MB and as a multiple of the stack's float64 size. Traced figures leave out the float32 stack itself, which is
-allocated before tracing starts. One BLAS thread.
+shuffle's peak, in MB and as a multiple of the stack's float64 size.
+Since the Gram is held from before localization, the normalize, locate
+and train stages count it too. Traced figures leave out the float32
+stack itself, which is allocated before tracing starts. One BLAS thread.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ ROWS = ("default-3000", "default-6000", "crosstalk-3000", "crosstalk-6000", "3x3
 STAGES = {
     "normalize": ("fit_stats", "apply_stats"),
     "locate": ("mean_image", "locate_sites"),
-    "moments": ("TrainingData.release_train_block",),
+    "moments": ("empty_gram", "TrainingData.release_train_block"),
     "train": ("train_all_sites",),
     "evaluate": ("_evaluate_sets",),
 }

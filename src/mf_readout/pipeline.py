@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,6 +41,8 @@ from .train import (
     LEARNED_KINDS,
     TOKEN_KINDS,
     TrainingData,
+    empty_gram,
+    pixel_gram,
     split_dataset,
     theta_grid_default,
     train_all_sites,
@@ -253,28 +256,42 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
     cached moments and solves, has been released. So every frame is held
     in float64 at most once, and the train and test blocks never
     together. sets keep run.kinds order.
+
+    When run.kinds holds a learned kind, the moments' pixel Gram, their
+    largest product, is computed on one helper thread (pixel_gram, which
+    releases the GIL) while localization, the validation block and the
+    fixed kinds run here. The Gram is allocated on this thread, so the
+    helper allocates nothing, and the helper only reads the normalized
+    train block, which nothing writes meanwhile; the pool is joined on
+    every path, errors included, before the moments are completed here.
+    So the Gram has the bits of the serial moments and every traced
+    call stays on this thread. A run without learned kinds starts no
+    helper and builds no moments.
     """
     split = split_dataset(images.shape[0], seed=split_seed)
     train = gather_frames(images, split.train_idx)
     stats = fit_stats(train)
     apply_stats(train, stats, out=train)
-    geometry = locate_sites(mean_image(train), n_sites)
-    val = gather_frames(images, split.val_idx)
-    data = TrainingData(
-        train_images=train,
-        train_labels=labels[split.train_idx],
-        val_images=apply_stats(val, stats, out=val),
-        val_labels=labels[split.val_idx],
-        geometry=geometry,
-    )
-    del train, val
-    grids = (run.s_grid, theta_grid_default(*run.theta_grid), run.alpha)
-    sets = {kind: train_all_sites(data, kind, *grids) for kind in run.kinds if kind not in LEARNED_KINDS}
-    if len(sets) < len(run.kinds):
-        data.release_train_block()
-        sets |= {kind: train_all_sites(data, kind, *grids) for kind in run.kinds if kind in LEARNED_KINDS}
+    learned = [kind for kind in run.kinds if kind in LEARNED_KINDS]
+    with ThreadPoolExecutor(1, thread_name_prefix="gram") if learned else contextlib.nullcontext() as pool:
+        gram_job = pool.submit(pixel_gram, train, empty_gram(train)) if learned else None
+        geometry = locate_sites(mean_image(train), n_sites)
+        val = gather_frames(images, split.val_idx)
+        data = TrainingData(
+            train_images=train,
+            train_labels=labels[split.train_idx],
+            val_images=apply_stats(val, stats, out=val),
+            val_labels=labels[split.val_idx],
+            geometry=geometry,
+        )
+        del train, val
+        grids = (run.s_grid, theta_grid_default(*run.theta_grid), run.alpha)
+        sets = {kind: train_all_sites(data, kind, *grids) for kind in run.kinds if kind not in LEARNED_KINDS}
+    if learned:
+        data.release_train_block(gram_job.result())
+        sets |= {kind: train_all_sites(data, kind, *grids) for kind in learned}
     sets = {kind: sets[kind] for kind in run.kinds}
-    del data
+    del data, gram_job
     test = gather_frames(images, split.test_idx)
     reports = _evaluate_sets(sets, apply_stats(test, stats, out=test), labels[split.test_idx])
     return split, stats, geometry, sets, reports

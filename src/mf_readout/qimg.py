@@ -24,6 +24,7 @@ so a cached version-1 entry counts as a miss and is rendered again once.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -93,12 +94,14 @@ def read_stack(path) -> LabeledImageStack:
     """Read a stack written by write_stack, validating header, sizes and sidecar.
 
     Every fault found, in the binary or in its sidecar's config, seed or
-    truth, raises DataError.
+    truth, raises DataError, and so does a binary that ends before its
+    last pixel when read, even if it shrank after it was sized.
     """
     path = Path(path)
     try:
-        size = path.stat().st_size
         with open(path, "rb") as f:
+            # the size of the file opened, not of whatever the path named before
+            size = os.fstat(f.fileno()).st_size
             header = f.read(_HEADER.size)
             if len(header) < _HEADER.size:
                 raise DataError(f"{path}: truncated header")
@@ -112,7 +115,9 @@ def read_stack(path) -> LabeledImageStack:
                 raise DataError(f"{path}: expected {expected} bytes, found {size}")
             # read straight into the result, so the payload is held once
             images = np.empty((n, h, w), dtype="<f4")
-            f.readinto(images)
+            got = f.readinto(images)
+            if got != images.nbytes:
+                raise DataError(f"{path}: short read, {got} of {images.nbytes} pixel bytes")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 

@@ -24,7 +24,12 @@ from the same moments, by fit_ridge's rule (_solve_gram): the
 minimum-norm weights of a rank-deficient system. So every learned system
 is built from the moments alone, and they are the learned kinds' only
 read of the train frames, which can be dropped once they are cached
-(release_train_block). The fixed kinds never touch the moments.
+(release_train_block). The moments' largest product, the pixel Gram X^T X
+(pixel_gram), reads nothing but the frames and releases the GIL, so a
+caller may compute it on another thread and hand it to
+release_train_block, which completes the moments around it; read
+directly, _moments computes it with the same function. The fixed kinds
+never touch the moments.
 Every kind is tuned by one pass over all sites (_tune_all): each
 candidate is a full-frame map column and a bias, the map FilterModel
 scores with, so one product scores the validation frames of them all,
@@ -249,6 +254,29 @@ def _frame_rows(images) -> np.ndarray:
     return np.asarray(images, dtype=np.float64).reshape(images.shape[0], -1)
 
 
+def empty_gram(images) -> np.ndarray:
+    """An uninitialized float64 Gram for a stack of frames of p pixels:
+    (p + 1, p + 1), the bias slot last."""
+    p = int(np.prod(images.shape[1:]))
+    return np.empty((p + 1, p + 1))
+
+
+def pixel_gram(images, gram: np.ndarray) -> np.ndarray:
+    """gram, an empty_gram of the frames, with X^T X of the frames X, one
+    row per frame and pixels row-major, in its leading p x p block; the
+    bias row and column are left to TrainingData's moments.
+
+    BLAS writes the strided block in place, so with float64 frames
+    nothing is allocated, and it releases the GIL: the pipeline runs this
+    on a helper thread while localization and the fixed kinds run on the
+    calling thread.
+    """
+    x = _frame_rows(images)
+    p = x.shape[1]
+    np.matmul(x.T, x, out=gram[:p, :p])
+    return gram
+
+
 @dataclass(frozen=True)
 class TrainingData:
     """Train and validation material for tuning; test frames stay outside.
@@ -257,7 +285,10 @@ class TrainingData:
     Frozen, so the moments, window products and solves cached on first
     use always describe the frames the instance holds. The moments are
     the learned kinds' only read of the train frames, so once they are
-    cached the frames can be dropped (release_train_block). The solves
+    cached the frames can be dropped (release_train_block). Their pixel
+    Gram may come from the caller, computed from the same frames by
+    pixel_gram (the pipeline runs it on a helper thread); the moments
+    completed from it have the bits of those computed here. The solves
     are keyed by (s, alpha), so a call with another alpha never reads
     them. The first request whose grid holds s solves it and later
     requests reuse it. That grid's largest window decides the last bits
@@ -294,19 +325,35 @@ class TrainingData:
             raise DataError("the train frames were released after the moments were cached (release_train_block)")
         return self.train_images
 
-    def release_train_block(self) -> None:
-        """Compute the moments, the learned kinds' only read of the train
+    def release_train_block(self, gram=None) -> None:
+        """Complete the moments, the learned kinds' only read of the train
         frames, then drop the frames: nothing that trains the learned
         kinds reads them again, and the fixed kinds, which do, must train
-        before this."""
+        before this.
+
+        gram, when given, is the train frames' pixel Gram from pixel_gram,
+        computed by the caller (the pipeline runs it on a helper thread
+        while localization and the fixed kinds run); only its bias row and
+        column, R and the finite check are left to do here. Without it, or
+        with the moments already cached, they are computed whole
+        (_moments).
+        """
+        if gram is not None and "_moments" not in self.__dict__:
+            self.__dict__["_moments"] = self._complete_moments(gram)
         self._moments  # computed and cached for the solves
         object.__setattr__(self, "train_images", None)
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, R) of the train frames, the pixel Gram included: see
+        _complete_moments."""
+        x = self.train_block()
+        return self._complete_moments(pixel_gram(x, empty_gram(x)))
+
+    def _complete_moments(self, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(G, R): G = [X, c]^T [X, c] and R = [X, c]^T Y over the train
         frames X (one row per frame, pixels row-major) with the bias slot
-        last, both float64.
+        last, both float64, from gram, their pixel_gram, which becomes G.
 
         The bias row and column of G come from column sums, so the train
         stack is never copied with a bias column appended.
@@ -314,8 +361,8 @@ class TrainingData:
         x = _frame_rows(self.train_block())
         y = np.asarray(self.train_labels, dtype=np.float64)
         p = x.shape[1]
-        gram = np.empty((p + 1, p + 1))
-        np.matmul(x.T, x, out=gram[:p, :p])
+        if gram.shape != (p + 1, p + 1):
+            raise DataError(f"a pixel Gram of shape {gram.shape} does not fit frames of {p} pixels")
         gram[p, :p] = gram[:p, p] = BIAS_C * x.sum(axis=0)
         gram[p, p] = BIAS_C * BIAS_C * x.shape[0]
         cross = np.empty((p + 1, y.shape[1]))

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import json
 import struct
+import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -567,6 +569,62 @@ def test_no_train_block_is_alive_while_the_learned_kinds_train(shuffle_stacks, m
         ("mf-site", False), ("solves", False), ("mf-site", False),
         ("mf-array", False), ("solves", False), ("mf-array", False),
     ]
+
+
+@pytest.mark.parametrize("preset", ["default", "crosstalk"])
+def test_moments_from_the_helpers_gram_equal_the_serial_moments(shuffle_stacks, preset, monkeypatch):
+    """The pixel Gram computed on the helper thread, while localization and
+    the fixed kinds run, completes to the bits of TrainingData._moments
+    computed whole on the calling thread from the same train frames."""
+    stack = shuffle_stacks[preset]
+    threads, pairs = [], []
+    pixel_gram, release = pipeline_mod.pixel_gram, train_mod.TrainingData.release_train_block
+
+    def gram_on(*args):
+        threads.append(threading.current_thread())
+        return pixel_gram(*args)
+
+    def released(data, *args):
+        serial = replace(data)._moments
+        release(data, *args)
+        pairs.append((data._moments, serial))
+
+    monkeypatch.setattr(pipeline_mod, "pixel_gram", gram_on)
+    monkeypatch.setattr(train_mod.TrainingData, "release_train_block", released)
+    pipeline_mod._one_shuffle(_shuffle_run(stack), stack.images, stack.truth, 0, stack.n_sites)
+    assert len(threads) == 1 and threads[0] is not threading.current_thread()
+    [(fast, serial)] = pairs
+    for got, want in zip(fast, serial):
+        assert np.array_equal(got, want) and _bits(got) == _bits(want)
+
+
+def test_a_failure_beside_the_gram_names_the_shuffle_and_joins_the_helper(tmp_path, monkeypatch):
+    """locate_sites raises while the helper computes the pixel Gram: the
+    error still names the exposure, the shuffle and its split seed, and the
+    helper has finished its product and is gone before the error leaves."""
+    started, helpers, done = threading.Event(), [], []
+    pixel_gram = pipeline_mod.pixel_gram
+
+    def slow_gram(*args):
+        helpers.append(threading.current_thread())
+        started.set()
+        time.sleep(0.05)
+        out = pixel_gram(*args)
+        done.append(True)
+        return out
+
+    def failing_locate(*args):
+        assert started.wait(10)
+        raise DataError("no lattice found")
+
+    monkeypatch.setattr(pipeline_mod, "pixel_gram", slow_gram)
+    monkeypatch.setattr(pipeline_mod, "locate_sites", failing_locate)
+    run = _tiny_run(tmp_path, kinds=("square", "mf-site"))
+    split_seed = derive_seed(run.seed, "split", repr(20.0), 0)
+    with pytest.raises(DataError, match=rf"^exposure 20 ms, shuffle 0 \(split seed {split_seed}\): no lattice found$"):
+        run_pipeline(run)
+    assert done == [True]
+    assert helpers[0] is not threading.current_thread() and not helpers[0].is_alive()
 
 
 def test_fallback_fits_from_the_moments_after_the_release(small_training, tmp_path, monkeypatch):

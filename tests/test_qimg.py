@@ -1,6 +1,9 @@
 import json
+import os
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +97,35 @@ def test_truncated_payload(tmp_path, stack):
     raw = path.read_bytes()
     path.write_bytes(raw[:-10])
     with pytest.raises(DataError, match="bytes"):
+        read_stack(path)
+
+
+def _cut_last_frames(path: Path, count: int) -> None:
+    path.write_bytes(path.read_bytes()[: -count * 4 * 28 * 28])
+
+
+def test_a_stack_that_shrinks_before_it_is_opened_is_a_data_error(tmp_path, stack, monkeypatch):
+    # the binary loses its last 3 frames between a stat of its path and the
+    # open: it is sized as opened, so the last frames are never left as
+    # whatever np.empty held
+    path = tmp_path / "ds.qimg"
+    write_stack(path, stack)
+    stale = path.stat()
+    _cut_last_frames(path, 3)
+    stat = Path.stat
+    monkeypatch.setattr(Path, "stat", lambda self, **kw: stale if self == path else stat(self, **kw))
+    with pytest.raises(DataError, match=re.escape(f"{path}: expected")):
+        read_stack(path)
+
+
+def test_a_short_read_is_a_data_error(tmp_path, stack, monkeypatch):
+    # sized whole, but the payload ends 3 frames early when read
+    path = tmp_path / "ds.qimg"
+    write_stack(path, stack)
+    whole = os.stat(path)
+    _cut_last_frames(path, 3)
+    monkeypatch.setattr(os, "fstat", lambda fd: whole)
+    with pytest.raises(DataError, match=re.escape(f"{path}: short read")):
         read_stack(path)
 
 

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -30,7 +31,7 @@ from mf_readout import (
     tune,
     unsupervised_threshold,
 )
-from mf_readout import train
+from mf_readout import pipeline, train
 from mf_readout.filters import FilterModel, window_fits, window_index, window_slice
 from mf_readout.locate import grid_shape
 from mf_readout.train import LEARNED_KINDS, S_GRID, _fidelity_curve
@@ -887,6 +888,31 @@ def test_fixed_kinds_never_build_the_moments(small_training, kind):
     data = replace(small_training.data)
     train_all_sites(data, kind)
     assert "_moments" not in data.__dict__
+
+
+def test_a_square_only_shuffle_starts_no_helper_and_builds_no_moments(small_training, monkeypatch):
+    # the pixel Gram's helper thread serves only the learned kinds
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the moments were built")
+
+    stack, started = small_training.stack, []
+    before = set(threading.enumerate())
+    locate_sites = pipeline.locate_sites
+
+    def located(*args):
+        started.append(set(threading.enumerate()) - before)
+        return locate_sites(*args)
+
+    monkeypatch.setattr(pipeline, "locate_sites", located)
+    monkeypatch.setattr(pipeline, "pixel_gram", must_not_run)
+    monkeypatch.setattr(train.TrainingData, "_complete_moments", must_not_run)
+    run = pipeline.RunConfig(
+        sim=stack.config, output_dir="unused", exposure_sweep_ms=(stack.config.exposure_ms,),
+        kinds=("square",), label_source="truth",
+    )
+    _, _, _, sets, _ = pipeline._one_shuffle(run, stack.images, stack.truth, 0, stack.n_sites)
+    assert list(sets) == ["square"]
+    assert started == [set()]
 
 
 def test_train_all_sites_collects_per_site_failures(small_training):
