@@ -48,19 +48,10 @@ from .train import (
     theta_grid_default,
     train_all_sites,
 )
+from .util import read_json
 
 EXIT_CODES = ((ConfigError, 2), (DataError, 3), (NumericalError, 4))
 PRESETS = {"default": default_config, "crosstalk": crosstalk_config}
-
-
-def _load_json(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _read_stem(stem) -> LabeledImageStack:
@@ -115,7 +106,7 @@ def _parse_theta(text: str) -> tuple[float, float, float]:
 
 def cmd_simulate(args) -> int:
     if args.config:
-        config = SimConfig.from_dict(_load_json(args.config))
+        config = SimConfig.from_dict(read_json(args.config, ConfigError))
     else:
         config = PRESETS[args.preset]()
     overrides = {}
@@ -189,11 +180,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        with open(args.model) as f:
-            model = FilterModel.from_dict(json.load(f))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read model {args.model}: {exc}") from exc
+    model = FilterModel.from_dict(read_json(args.model))
     stack = _read_stem(args.in_stem)
     scores = model.scores(stack.images)
     rows = [
@@ -264,7 +251,7 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    run = RunConfig.from_dict(_load_json(args.config))
+    run = RunConfig.load(args.config)
     if args.out:
         run = replace(run, output_dir=args.out)
     if args.seed is not None:

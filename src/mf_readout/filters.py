@@ -76,6 +76,14 @@ def window_fits(center, s: int, shape) -> bool:
     return r0 >= 0 and c0 >= 0 and r0 + s <= shape[0] and c0 + s <= shape[1]
 
 
+def centers_inside(centers, shape) -> bool:
+    """Whether every (row, col) center lies strictly inside an image of
+    the given shape, 0 < row < h - 1 and 0 < col < w - 1; False for a
+    non-finite center."""
+    r, c = np.asarray(centers, dtype=np.float64).reshape(-1, 2).T
+    return bool(np.all((0 < r) & (r < shape[0] - 1) & (0 < c) & (c < shape[1] - 1)))
+
+
 def _as_stack(images) -> np.ndarray:
     images = np.asarray(images)
     if images.ndim == 2:
@@ -158,24 +166,25 @@ def unsupervised_threshold(scores_dark, scores_bright) -> float:
     return float(min(between, key=lambda r: abs(r - mid)))
 
 
-def neighbor_sites(geometry, site: int) -> tuple[int, ...]:
-    """Sites whose crosstalk the array filter models, ascending order.
+def neighbor_sites(rows: int, cols: int, site: int) -> tuple[int, ...]:
+    """Sites whose crosstalk the array filter models on a rows x cols
+    array numbered row-major, ascending order.
 
     On arrays up to 3x3 every other site counts as a neighbor; on larger
     arrays only the 8-connected ring does, keeping the feature count flat
     as the array grows.
     """
-    n = geometry.n_sites
+    n = rows * cols
     if site < 0 or site >= n:
         raise ConfigError(f"site {site} out of range for {n} sites")
-    if geometry.rows <= 3 and geometry.cols <= 3:
+    if rows <= 3 and cols <= 3:
         return tuple(k for k in range(n) if k != site)
-    r, c = divmod(site, geometry.cols)
+    r, c = divmod(site, cols)
     out = []
     for rr in (r - 1, r, r + 1):
         for cc in (c - 1, c, c + 1):
-            if (rr, cc) != (r, c) and 0 <= rr < geometry.rows and 0 <= cc < geometry.cols:
-                out.append(rr * geometry.cols + cc)
+            if (rr, cc) != (r, c) and 0 <= rr < rows and 0 <= cc < cols:
+                out.append(rr * cols + cc)
     return tuple(sorted(out))
 
 
@@ -272,6 +281,12 @@ class FilterModel:
                 value = np.array(getattr(self, name), dtype=np.float64)
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
+        n_sites = None if self.all_centers is None else len(self.all_centers)
+        if self.site < 0 or (n_sites is not None and self.site >= n_sites):
+            raise ConfigError(f"site index {self.site} is not a site of the array")
+        for k in self.neighbors:
+            if k == self.site or not 0 <= k < n_sites:
+                raise ConfigError(f"neighbor {k} of site {self.site} is not another of the {n_sites} sites")
         if self.kind in ("mf-site", "mf-array"):
             d = self.s * self.s + len(self.neighbors) + 1
             if self.weights is None or self.weights.size != d:

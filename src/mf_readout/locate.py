@@ -4,23 +4,25 @@ The localization chain is: average the training images, find one peak per
 site, then refine each peak with a subpixel 2D Gaussian fit. Every window
 fit goes through one batched Levenberg-Marquardt fitter, _fit_windows,
 which runs each fit by its own rules on a (k, w, w) stack of windows;
-fit_gaussian_2d is its one-window case. Normalization statistics always
-come from the training split alone and are then applied unchanged to every
-split.
+fit_gaussian_2d is its one-window case. A fit window is placed and
+checked by the filters' window rule (window_origin, window_fits), and
+located centers must pass the same in-frame check as the simulated ones
+(centers_inside). Normalization statistics always come from the training
+split alone and are then applied unchanged to every split.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
-from .filters import frame_blocks
+from .filters import centers_inside, frame_blocks, window_fits, window_origin
 from .sim import LabeledImageStack
+from .util import read_json
 
 PEAK_MIN_DISTANCE = 3.0
 PEAK_SCALES = (1.0, 1.5, 2.0, 3.0)
@@ -349,19 +351,6 @@ def _fit_windows(patches, start, sigma_bands) -> _WindowFits:
     return _WindowFits(params, ok, n_iter, norms, n_norms)
 
 
-def _window_origins(centers, window_px: int, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Top-left pixel of the window_px window around each rounded center,
-    and whether that window lies inside an image of the given shape."""
-    rounded = np.floor(np.asarray(centers, dtype=np.float64) + 0.5).astype(np.int64)
-    origin = rounded - window_px // 2
-    inside = (
-        (origin >= 0).all(axis=-1)
-        & (origin[..., 0] + window_px <= shape[0])
-        & (origin[..., 1] + window_px <= shape[1])
-    )
-    return origin, inside
-
-
 def fit_gaussian_2d(
     image,
     initial_center,
@@ -382,12 +371,11 @@ def fit_gaussian_2d(
     is the one-window case of the batched fitter localization uses.
     """
     img = np.asarray(image, dtype=np.float64)
-    origin, inside = _window_origins(initial_center, window_px, img.shape)
-    if not inside:
+    if not window_fits(initial_center, window_px, img.shape):
         raise ConfigError(
             f"{window_px}x{window_px} fit window at {initial_center} leaves the image"
         )
-    r_lo, c_lo = int(origin[0]), int(origin[1])
+    r_lo, c_lo = window_origin(initial_center, window_px)
     patch = img[r_lo : r_lo + window_px, c_lo : c_lo + window_px]
     if init is not None:
         a0, s0, b0 = (float(v) for v in init)
@@ -455,11 +443,7 @@ class SiteGeometry:
 
     @staticmethod
     def load(path) -> "SiteGeometry":
-        try:
-            with open(path) as f:
-                entries = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read geometry {path}: {exc}") from exc
+        entries = read_json(path)
         if not isinstance(entries, list) or not entries:
             raise DataError(f"{path}: expected a non-empty list of sites")
         try:
@@ -525,19 +509,20 @@ def _refit_without_neighbors(img, fits, sigma_band):
     cc = np.arange(img.shape[1], dtype=np.float64)[None, :] - c
     bumps = amp * np.exp(-(rr**2 + cc**2) / (2.0 * sig**2))
     resid = img - (bumps.sum(axis=0) - bumps)
-    origin, inside = _window_origins(fits[:, 1:3], FIT_WINDOW, img.shape)
-    sel = np.flatnonzero(inside)
+    sel = [k for k in range(len(fits)) if window_fits(fits[k, 1:3], FIT_WINDOW, img.shape)]
+    origin = np.array([window_origin(fits[k, 1:3], FIT_WINDOW) for k in sel], dtype=np.int64).reshape(-1, 2)
+    sel = np.array(sel, dtype=np.intp)
     span = np.arange(FIT_WINDOW)
-    rows = origin[sel, 0, None, None] + span[:, None]
-    cols = origin[sel, 1, None, None] + span[None, :]
+    rows = origin[:, 0, None, None] + span[:, None]
+    cols = origin[:, 1, None, None] + span[None, :]
     start = fits[sel].copy()
-    start[:, 1:3] -= origin[sel]
+    start[:, 1:3] -= origin
     bands = np.broadcast_to(sigma_band, (sel.size, 2))
     fit = _fit_windows(resid[sel[:, None, None], rows, cols], start, bands)
 
     out = fits.copy()
     out[sel] = fit.params
-    out[sel, 1:3] += origin[sel]
+    out[sel, 1:3] += origin
     ok = np.zeros(len(fits), dtype=bool)
     ok[sel] = fit.ok
     return out, ok
@@ -757,20 +742,10 @@ def _joint_refine(img, anchors, sigma0: float, sigma_band):
 
 
 def _usable_centers(centers, shape) -> bool:
-    centers = np.asarray(centers, dtype=np.float64)
-    if not np.all(np.isfinite(centers)):
+    """Every center finite and inside the frame, and no two within 2 px."""
+    if not centers_inside(centers, shape):
         return False
-    h, w = shape
-    if (
-        np.any(centers[:, 0] <= 0)
-        or np.any(centers[:, 0] >= h - 1)
-        or np.any(centers[:, 1] <= 0)
-        or np.any(centers[:, 1] >= w - 1)
-    ):
-        return False
-    if centers.shape[0] > 1 and _nearest_distances(centers).min() < 2.0:
-        return False
-    return True
+    return len(centers) < 2 or _nearest_distances(centers).min() >= 2.0
 
 
 def locate_sites(mean_img, n_sites: int) -> SiteGeometry:

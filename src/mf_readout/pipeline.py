@@ -9,7 +9,6 @@ evaluation, aggregated CSV reports, and the sweep chart.
 from __future__ import annotations
 
 import contextlib
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,7 +46,7 @@ from .train import (
     theta_grid_default,
     train_all_sites,
 )
-from .util import canonical_json, content_hash, derive_seed, release_free_heap, write_atomic
+from .util import canonical_json, content_hash, derive_seed, read_json, release_free_heap, write_atomic
 
 LABEL_SOURCES = ("label", "truth")
 
@@ -168,14 +167,7 @@ class RunConfig:
 
     @staticmethod
     def load(path) -> "RunConfig":
-        try:
-            with open(path) as f:
-                d = json.load(f)
-        except OSError as exc:
-            raise ConfigError(f"cannot read run config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        return RunConfig.from_dict(d)
+        return RunConfig.from_dict(read_json(path, ConfigError))
 
 
 def dataset_cache_key(sim: SimConfig) -> str:
@@ -228,11 +220,9 @@ def load_or_generate(
 def _read_cached_labels(path: Path, shape) -> np.ndarray | None:
     """Cached second-path labels, or None when missing, invalid, misshaped,
     not 0/1 or not in label_rows' row strings."""
-    if not path.exists():
-        return None
     try:
-        return label_matrix(json.loads(path.read_text())["labels"], shape)
-    except (OSError, ValueError, KeyError, TypeError, DataError):
+        return label_matrix(read_json(path)["labels"], shape)
+    except (DataError, KeyError, TypeError):
         return None
 
 
@@ -402,7 +392,7 @@ def _sweep(run: RunConfig) -> SweepReport:
     out_dir = Path(run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
-    (out_dir / "run_config.json").write_text(canonical_json(run.to_dict()) + "\n")
+    run.save(out_dir / "run_config.json")
 
     n_sites = run.sim.geometry.n_sites
     sweep_rows: list[SweepRow] = []

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .sim import LabeledImageStack, SimConfig
-from .util import write_atomic
+from .util import read_json, write_atomic
 
 MAGIC = b"QIMG"
 VERSION = 2
@@ -124,13 +124,9 @@ def read_stack(path) -> LabeledImageStack:
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise DataError(f"{sidecar_path}: sidecar not found")
-    try:
-        with open(sidecar_path) as f:
-            sidecar = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{sidecar_path}: unreadable sidecar: {exc}") from exc
-    if set(sidecar) != {"config", "truth", "seed"}:
-        raise DataError(f"{sidecar_path}: sidecar keys {sorted(sidecar)} are not the expected trio")
+    sidecar = read_json(sidecar_path)
+    if not isinstance(sidecar, dict) or set(sidecar) != {"config", "truth", "seed"}:
+        raise DataError(f"{sidecar_path}: sidecar is not an object of the keys config, truth and seed")
     try:
         config = SimConfig.from_dict(sidecar["config"])
         seed = int(sidecar["seed"])

@@ -22,12 +22,12 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
-from .filters import gaussian_weight_map, unsupervised_threshold
+from .filters import centers_inside, gaussian_weight_map, unsupervised_threshold
 from .util import stream
 
 # Frames per rendered block, the unit of work of the render pool: enough
@@ -144,12 +144,7 @@ class SimConfig:
         """All nominal site centers must lie strictly inside the image."""
         centers = self.geometry.site_centers()
         h, w = self.image_height, self.image_width
-        if (
-            np.any(centers[:, 0] <= 0)
-            or np.any(centers[:, 0] >= h - 1)
-            or np.any(centers[:, 1] <= 0)
-            or np.any(centers[:, 1] >= w - 1)
-        ):
+        if not centers_inside(centers, (h, w)):
             raise ConfigError(
                 f"site centers exceed the {h}x{w} image bounds: {centers.tolist()}"
             )
@@ -377,24 +372,6 @@ def _render_blocks(config: SimConfig, states, name: str, sink) -> None:
             future.result()
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def render_image(states_row, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """Render one float64 frame for the given per-site bright/dark states.
-
-    The one-frame case of the block renderer, with every draw taken from
-    rng in the block order (decay times, pixel counts, read noise), so a
-    frame is a pure function of the generator state.
-    """
-    states_row = np.asarray(states_row)
-    geometry = config.geometry
-    if states_row.shape[0] != geometry.n_sites:
-        raise DataError(
-            f"states row has {states_row.shape[0]} entries for {geometry.n_sites} sites"
-        )
-    image = np.empty((1, config.image_height * config.image_width), dtype=np.float64)
-    _render_block(image, states_row[None], config, _pixel_masses(config), rng, rng, rng)
-    return image.reshape(config.image_height, config.image_width)
 
 
 def generate_dataset(config: SimConfig) -> LabeledImageStack:

@@ -63,14 +63,12 @@ from .filters import (
     window_index,
 )
 from .locate import SiteGeometry, _median_spacing, grid_shape
-from .util import round_half_up
+from .util import read_json, round_half_up
 
 S_GRID = tuple(range(2, 15))
 
 KIND_TOKENS = {"square": "square", "gaussian": "gaussian", "mf-site": "mfsite", "mf-array": "mfarray"}
 TOKEN_KINDS = {v: k for k, v in KIND_TOKENS.items()}
-
-_Grid = namedtuple("_Grid", ["rows", "cols", "n_sites"])
 
 
 def theta_grid_default(lo: float = 0.01, hi: float = 0.99, step: float = 0.01) -> tuple[float, ...]:
@@ -403,15 +401,6 @@ class TuneResult:
     thetas: np.ndarray
     fidelities: np.ndarray
 
-    @cached_property
-    def search_trace(self) -> list[tuple[int, float, float]]:
-        """Every (s, theta, fidelity) cell scored, window by window."""
-        return [
-            (int(s), t, f)
-            for s, ts, fs in zip(self.windows, self.thetas.tolist(), self.fidelities.tolist())
-            for t, f in zip(ts, fs)
-        ]
-
 
 def _best_cell(cells) -> TuneResult:
     """The first maximum of one site's fidelity table, from its cells
@@ -457,7 +446,7 @@ def _array_neighbors(geometry, site: int) -> tuple[int, ...]:
     rows, cols, row_ids, col_ids = grid_shape(geometry.centers)
     if any(r * cols + c != i for i, (r, c) in enumerate(zip(row_ids, col_ids))):
         raise DataError("site ordering is not row-major; relocalize first")
-    return neighbor_sites(_Grid(rows, cols, rows * cols), site)
+    return neighbor_sites(rows, cols, site)
 
 
 def _check_request(data: TrainingData, kind: str, s_grid, theta_grid, alpha: float) -> tuple[tuple, tuple]:
@@ -854,11 +843,7 @@ def load_models(model_dir) -> dict[str, ModelSet]:
     model_dir = Path(model_dir)
     sets: dict[str, dict[int, FilterModel]] = {}
     for path in sorted(model_dir.glob("*.json")):
-        try:
-            with open(path) as f:
-                model = FilterModel.from_dict(json.load(f))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read model {path}: {exc}") from exc
+        model = FilterModel.from_dict(read_json(path))
         sets.setdefault(model.kind, {})[model.site] = model
     if not sets:
         raise DataError(f"no model files found in {model_dir}")

@@ -1,6 +1,6 @@
-"""Small shared helpers: seeded RNG streams, canonical hashing, atomic
-file writes, stable number formatting, and handing freed heap memory back
-to the operating system."""
+"""Small shared helpers: seeded RNG streams, canonical hashing, the one
+JSON file reader, atomic file writes, stable number formatting, and
+handing freed heap memory back to the operating system."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import os
 from pathlib import Path
 
 import numpy as np
+
+from .errors import DataError
 
 
 def _key_words(part) -> tuple[int, ...]:
@@ -52,6 +54,20 @@ def stream(seed: int, *key) -> np.random.Generator:
 def derive_seed(seed: int, *key) -> int:
     """64-bit child seed for the (seed, key) stream."""
     return int(seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
+
+
+def read_json(path, error=DataError):
+    """The JSON value in the file at path.
+
+    A file that cannot be opened, decoded or parsed raises error (a
+    package error class) naming the path. Every config, geometry, model
+    and sidecar file is read here.
+    """
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def write_atomic(path, *chunks) -> None:

@@ -6,7 +6,6 @@ pytest run; each check also asserts, so a FAIL fails the suite.
 
 import time
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,7 +116,6 @@ def test_criterion_4_complexity_accounting(criterion):
     centers = np.array(
         [(8.0 + 6.0 * r, 8.0 + 6.0 * c) for r in range(3) for c in range(3)]
     )
-    grid = SimpleNamespace(rows=3, cols=3, n_sites=9)
 
     def build(kind, **kw):
         models = {}
@@ -126,7 +124,7 @@ def test_criterion_4_complexity_accounting(criterion):
             if kind == "mf-site":
                 extra["weights"] = np.ones(10 * 10 + 1)
             elif kind == "mf-array":
-                neighbors = neighbor_sites(grid, site)
+                neighbors = neighbor_sites(3, 3, site)
                 extra.update(
                     weights=np.ones(7 * 7 + len(neighbors) + 1),
                     neighbors=neighbors,

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mf_readout
-from mf_readout import RunConfig, default_config, load_models
+from mf_readout import FilterModel, RunConfig, default_config, load_models, neighbor_sites
 from mf_readout.cli import main
 from mf_readout.train import count_complexity
 
@@ -159,6 +160,38 @@ def test_malformed_input_files_exit_with_their_error_codes(chain, tmp_path, caps
     ])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+    # a file that does not parse, for every reader: 2 for a config, 3 for data
+    unparsable = tmp_path / "unparsable"
+    unparsable.mkdir()
+    broken = unparsable / "broken.json"
+    broken.write_text("{not json")
+    pre, preds = str(chain / "pre"), str(tmp_path / "preds.csv")
+    for argv, code in [
+        (["sweep", "--config", str(broken)], 2),
+        (["simulate", "--config", str(broken), "--out", str(tmp_path / "raw")], 2),
+        (["classify", "--model", str(broken), "--in", pre, "--out", preds], 3),
+        (["evaluate", "--models", str(unparsable), "--in", pre, "--out", str(tmp_path / "r")], 3),
+        (["train", "--in", pre, "--kind", "square", "--geometry", str(broken), "--out", str(tmp_path / "m")], 3),
+    ]:
+        assert main(argv) == code, argv
+        assert f"error: cannot read {broken}" in capsys.readouterr().err
+
+    # an mf-array model whose site or neighbors (one-based) are not sites
+    # of its 3 x 3 array: 2, as the model's other field checks
+    centers = [site["center"] for site in json.loads((chain / "geometry.json").read_text())]
+    array_model = FilterModel(
+        kind="mf-array", site=4, center=tuple(centers[4]), s=3, theta=0.5, weights=np.ones(9 + 8 + 1),
+        neighbors=neighbor_sites(3, 3, 4), all_centers=centers,
+    ).to_dict()
+    model_path = tmp_path / "mfarray_site5.json"
+    model_path.write_text(json.dumps(array_model))
+    assert main(["classify", "--model", str(model_path), "--in", pre, "--out", preds]) == 0
+    for field, value in [("neighbors", [1, 2, 3, 4, 6, 7, 8, 0]), ("neighbors", [1, 2, 3, 4, 6, 7, 8, 10]),
+                         ("neighbors", [1, 2, 3, 4, 5, 6, 7, 8]), ("site", 0), ("site", 10)]:
+        model_path.write_text(json.dumps({**array_model, field: value}))
+        assert main(["classify", "--model", str(model_path), "--in", pre, "--out", preds]) == 2, value
+        assert "error:" in capsys.readouterr().err
 
 
 SUBCOMMANDS = {"simulate", "preprocess", "locate", "train", "classify",

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,17 +146,15 @@ def test_unsupervised_threshold_degenerate_inputs():
 # ---------------------------------------------------------- neighbors
 
 def test_neighbor_sites_small_array_uses_everyone():
-    grid = SimpleNamespace(rows=3, cols=3, n_sites=9)
-    assert neighbor_sites(grid, 4) == (0, 1, 2, 3, 5, 6, 7, 8)
-    assert neighbor_sites(grid, 0) == (1, 2, 3, 4, 5, 6, 7, 8)
+    assert neighbor_sites(3, 3, 4) == (0, 1, 2, 3, 5, 6, 7, 8)
+    assert neighbor_sites(3, 3, 0) == (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 def test_neighbor_sites_large_array_uses_adjacent_ring():
-    grid = SimpleNamespace(rows=4, cols=4, n_sites=16)
-    assert neighbor_sites(grid, 0) == (1, 4, 5)
-    assert neighbor_sites(grid, 5) == (0, 1, 2, 4, 6, 8, 9, 10)
+    assert neighbor_sites(4, 4, 0) == (1, 4, 5)
+    assert neighbor_sites(4, 4, 5) == (0, 1, 2, 4, 6, 8, 9, 10)
     with pytest.raises(ConfigError):
-        neighbor_sites(grid, 16)
+        neighbor_sites(4, 4, 16)
 
 
 # ----------------------------------------------------------- features

@@ -1,0 +1,53 @@
+"""Every name a package module imports is used in it.
+
+No linter runs on this repository, so this is the check that an import
+left behind by a refactor is removed. A line marked ``# noqa: F401``
+keeps its import on purpose (for example a name the traced benchmark
+rebinds in that module's namespace); names in ``__all__`` count as used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mf_readout"
+
+
+def _unused_imports(path: Path) -> list[tuple[str, int]]:
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(
+        (name, line)
+        for name, line in imported.items()
+        if name not in used and "# noqa: F401" not in lines[line - 1]
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(path) == []
+
+
+def test_the_check_finds_an_unused_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\nimport json  # noqa: F401\nfrom pathlib import Path\n"
+        "__all__ = ['Path']\nfrom math import pi, tau\nx = tau\n"
+    )
+    assert _unused_imports(module) == [("os", 1), ("pi", 5)]

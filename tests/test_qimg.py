@@ -141,10 +141,10 @@ def test_sidecar_key_check(tmp_path, stack):
     path = tmp_path / "ds.qimg"
     write_stack(path, stack)
     sidecar = json.loads((tmp_path / "ds.json").read_text())
-    sidecar["extra"] = 1
-    (tmp_path / "ds.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataError, match="keys"):
-        read_stack(path)
+    for bad in ({**sidecar, "extra": 1}, 5, list(sidecar)):
+        (tmp_path / "ds.json").write_text(json.dumps(bad))
+        with pytest.raises(DataError, match="keys"):
+            read_stack(path)
 
 
 def test_sidecar_truth_shape_check(tmp_path, stack):

@@ -19,7 +19,6 @@ from mf_readout import (
     default_config,
     generate_dataset,
     generate_label_path,
-    render_image,
     sample_states,
 )
 from mf_readout.filters import gaussian_score, gaussian_weight_map
@@ -88,7 +87,7 @@ def test_sample_states_balanced_fraction():
 
 def test_zero_image_without_light_or_noise():
     config = single_site_config(bright_photon_rate=0.0)
-    img = render_image(np.array([1], np.uint8), config, stream(0, "r"))
+    img = generate_dataset(replace(config, n_images=1)).images[0]
     assert img.shape == (28, 28)
     assert not img.any()
 
@@ -96,7 +95,7 @@ def test_zero_image_without_light_or_noise():
 def test_bright_site_centroid():
     # ~1e6 collected photons, no background: the photon centroid pins the center
     config = single_site_config(bright_photon_rate=50_000.0)
-    img = render_image(np.array([1], np.uint8), config, stream(1, "r")).astype(np.float64)
+    img = generate_dataset(replace(config, n_images=1)).images[0].astype(np.float64)
     total = img.sum()
     assert total > 9e5
     rows = np.arange(28)

@@ -270,6 +270,15 @@ def _separable_data(n_train=24, n_val=24, seed=20):
     return TrainingData(ti, tl, vi, vl, geometry)
 
 
+def _cells(result):
+    """Every (s, theta, fidelity) cell a TuneResult scored, window by window."""
+    return [
+        (int(s), t, f)
+        for s, ts, fs in zip(result.windows, result.thetas.tolist(), result.fidelities.tolist())
+        for t, f in zip(ts, fs)
+    ]
+
+
 def test_tune_prefers_smallest_window_and_threshold():
     data = _separable_data()
     result = tune(data, 0, "mf-site", s_grid=(3, 4, 5), theta_grid=(0.2, 0.5, 0.8))
@@ -277,7 +286,7 @@ def test_tune_prefers_smallest_window_and_threshold():
     assert result.best_s == 3
     assert result.best_theta == 0.2
     assert result.val_fidelity == pytest.approx(1.0)
-    assert len(result.search_trace) == 3 * 3
+    assert len(_cells(result)) == 3 * 3
 
 
 def test_tune_gaussian_is_a_single_candidate():
@@ -285,14 +294,14 @@ def test_tune_gaussian_is_a_single_candidate():
     result = tune(data, 0, "gaussian")
     assert result.best_s == 0
     assert result.weights is None
-    assert len(result.search_trace) == 1
+    assert len(_cells(result)) == 1
 
 
 def test_tune_square_searches_windows_only():
     data = _separable_data()
     result = tune(data, 0, "square", s_grid=(3, 4))
     assert result.best_s in (3, 4)
-    assert len(result.search_trace) == 2  # one threshold per window, not a grid
+    assert len(_cells(result)) == 2  # one threshold per window, not a grid
 
 
 def test_tune_rejects_bad_requests():
@@ -309,7 +318,7 @@ def test_tune_skips_windows_that_do_not_fit():
     data = _separable_data()
     result = tune(data, 0, "mf-site", s_grid=(3, 25), theta_grid=(0.5,))
     assert result.best_s == 3
-    assert all(s == 3 for s, _, _ in result.search_trace)
+    assert all(s == 3 for s, _, _ in _cells(result))
 
 
 def test_training_data_is_frozen():
@@ -343,7 +352,7 @@ def _feature_path_tune(data, site, kind, s_grid=S_GRID, theta_grid=None, alpha=0
     neighbors = ()
     if kind == "mf-array":
         rows, cols, _, _ = grid_shape(centers)
-        neighbors = neighbor_sites(SimpleNamespace(rows=rows, cols=cols, n_sites=rows * cols), site)
+        neighbors = neighbor_sites(rows, cols, site)
     best = None
     for s in s_grid:
         if not all(window_fits(centers[k], s, data.image_shape) for k in (site, *neighbors)):
@@ -487,7 +496,7 @@ def _assert_same_result(batched, alone):
         alone.best_s, alone.best_theta, alone.val_fidelity,
     )
     assert np.array_equal(batched.weights, alone.weights)
-    assert batched.search_trace == alone.search_trace
+    assert _cells(batched) == _cells(alone)
 
 
 def _with_broken_sites(data):
@@ -858,9 +867,9 @@ def test_fixed_pass_matches_the_per_site_scores(small_training, kind, s_grid):
             assert model_set.failures[site] == str(exc)
             continue
         result = model_set.tune_results[site]
-        assert [(s, f) for s, _, f in result.search_trace] == [(s, f) for s, _, f in reference]
+        assert [(s, f) for s, _, f in _cells(result)] == [(s, f) for s, _, f in reference]
         # the sums add the same pixels in another order
-        for (_, theta, _), (_, ref_theta, _) in zip(result.search_trace, reference):
+        for (_, theta, _), (_, ref_theta, _) in zip(_cells(result), reference):
             assert theta == pytest.approx(ref_theta, rel=1e-12, abs=1e-12)
     _assert_same_result(tune(data, 1, kind, s_grid=s_grid), model_set.tune_results[1])
 
