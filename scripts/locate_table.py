@@ -2,6 +2,7 @@
 
     python3 scripts/locate_table.py
     python3 scripts/locate_table.py --out centers.json
+    python3 scripts/locate_table.py --against centers.json
 
 Run it from the root of a checkout; it imports mf_readout from ./src.
 For the default and crosstalk presets at 600 / 1200 / 3000 / 6000 frames
@@ -11,8 +12,11 @@ locate_sites on it. Per preset and size it prints how many seeds raise
 DataError, the worst and median center error (each stack scored by its
 worst site, in px), the worst relative sigma error, the total number of
 fallback sites and the median wall time per call. --out also writes every
-stack's outcome (centers, sigmas, fallbacks or the error) as JSON, so two
-checkouts can be compared stack by stack. One BLAS thread.
+stack's outcome (centers, sigmas, fallbacks or the error) as JSON.
+--against reads such a file, written by another checkout, and prints per
+preset and size how many stacks kept bit-identical centers and sigmas, the
+largest center and sigma difference over the stacks both sides located,
+and every stack whose raise or fallback outcome changed. One BLAS thread.
 """
 
 from __future__ import annotations
@@ -89,16 +93,42 @@ def summary(rows: list[dict]) -> str:
     return f"raise {len(raised):2d}/{len(rows)}  {located}  {ms:6.1f} ms/call{seeds}"
 
 
+def comparison(rows: list[dict], prev: dict) -> str:
+    same, d_center, d_sigma, changed = 0, 0.0, 0.0, []
+    for r in rows:
+        p = prev[r["preset"], r["frames"], r["seed"]]
+        if "error" in r or "error" in p:
+            if ("error" in r) != ("error" in p):
+                changed.append(f"seed {r['seed']} {'now raises' if 'error' in r else 'now located'}")
+            continue
+        dc = np.abs(np.subtract(r["centers"], p["centers"])).max()
+        ds = np.abs(np.subtract(r["sigmas"], p["sigmas"])).max()
+        same += int(dc == 0.0 and ds == 0.0)
+        d_center, d_sigma = max(d_center, dc), max(d_sigma, ds)
+        if r["fallbacks"] != p["fallbacks"]:
+            changed.append(f"seed {r['seed']} fallbacks {p['fallbacks']} -> {r['fallbacks']}")
+    return (
+        f"  against: bit-identical {same:2d}/{len(rows)}  max center diff {d_center:.1e} px  "
+        f"max sigma diff {d_sigma:.1e} px" + "".join(f"\n    {c}" for c in changed)
+    )
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", type=Path, help="write every stack's outcome to this JSON file")
+    ap.add_argument("--against", type=Path, help="compare every stack with this --out file")
     args = ap.parse_args(argv)
+    prev = None
+    if args.against is not None:
+        prev = {(r["preset"], r["frames"], r["seed"]): r for r in json.loads(args.against.read_text())}
 
     rows = []
     for preset in PRESETS:
         for n_images in FRAMES:
             block = [locate_one(preset, n_images, seed) for seed in SEEDS]
             print(f"{preset:9s} {n_images:5d}  {summary(block)}", flush=True)
+            if prev is not None:
+                print(comparison(block, prev), flush=True)
             rows.extend(block)
     if args.out is not None:
         args.out.write_text(json.dumps(rows, indent=1) + "\n")

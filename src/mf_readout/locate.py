@@ -1,14 +1,16 @@
 """Stack preprocessing and site localization.
 
 The localization chain is: average the training images, find one peak per
-site, then refine each peak with a subpixel 2D Gaussian fit. Every window
-fit goes through one batched Levenberg-Marquardt fitter, _fit_windows,
-which runs each fit by its own rules on a (k, w, w) stack of windows;
-fit_gaussian_2d is its one-window case. A fit window is placed and
-checked by the filters' window rule (window_origin, window_fits), and
-located centers must pass the same in-frame check as the simulated ones
-(centers_inside). Normalization statistics always come from the training
-split alone and are then applied unchanged to every split.
+site, refine each peak with a subpixel 2D Gaussian fit, and snap the
+peaks to an affine lattice by one rule (_fit_lattice) that no stray or
+missing peak can break. Every window fit goes through one batched
+Levenberg-Marquardt fitter, _fit_windows, which runs each fit by its own
+rules on a (k, w, w) stack of windows; fit_gaussian_2d is its one-window
+case. A fit window is placed and checked by the filters' window rule
+(window_origin, window_fits), and located centers must pass the same
+in-frame check as the simulated ones (centers_inside). Normalization
+statistics always come from the training split alone and are then
+applied unchanged to every split.
 """
 
 from __future__ import annotations
@@ -448,6 +450,8 @@ class SiteGeometry:
             raise DataError(f"{path}: expected a non-empty list of sites")
         try:
             entries = sorted(entries, key=lambda e: e["site"])
+            if [e["site"] for e in entries] != list(range(1, len(entries) + 1)):
+                raise DataError(f"{path}: site numbers must be 1..{len(entries)}, each once")
             return SiteGeometry(
                 centers=[e["center"] for e in entries],
                 sigmas=[e["sigma"] for e in entries],
@@ -563,14 +567,15 @@ def _refine_peaks(img, peaks):
 
 
 def _fit_lattice(centers):
-    """Affine lattice through grid-like centers, tolerating stray points.
+    """Affine lattice through grid-like centers despite stray and missing points.
 
-    Centers are indexed by rounding offsets from a well-placed anchor to
-    integer grid steps; points that do not round cleanly are dropped, as
-    long as the remainder still pins down a complete rows x cols grid
-    covering all n sites. The affine fit then predicts every cell, so a
-    dropped (or badly fitted) site comes back at its grid position.
-    Returns (predicted row-major centers, rows, cols) or None.
+    Offsets from a well-placed anchor, in grid steps, that lie within a
+    quarter step of a cell round to it; each cell keeps its best-fitting
+    point. The one rows x cols = n window (rows, cols >= 2) holding the
+    most points, at least max(4, ceil(0.6 n)), gets one least-squares
+    affine fit that predicts every site, so a missing, stray or badly
+    fitted site comes back at its grid position. Returns (predicted
+    row-major centers, rows, cols), or None on a tie or too few points.
     """
     centers = np.asarray(centers, dtype=np.float64)
     n = centers.shape[0]
@@ -596,45 +601,37 @@ def _fit_lattice(centers):
             score = (int((frac < 0.25).sum()), -float(np.hypot(*(centers[a] - centroid))))
             if best is None or score > best[0]:
                 best = (score, a, s_est)
-    rel_f = (centers - centers[best[1]]) / best[2]
-    frac = np.abs(rel_f - np.round(rel_f)).max(axis=1)
-    keep = frac < 0.25
-    if int(keep.sum()) < max(4, (6 * n + 9) // 10):
+    rel = (centers - centers[best[1]]) / best[2]
+    cells = np.round(rel).astype(int)
+    frac = np.abs(rel - cells).max(axis=1)
+    by_fit = np.argsort(frac, kind="stable")[: int((frac < 0.25).sum())]
+    # np.unique keeps each cell's first occurrence: its best-fitting point
+    _, first = np.unique(cells[by_fit], axis=0, return_index=True)
+    points = by_fit[first]
+
+    # count every window's points at once from a summed-area table of the
+    # occupied cells, padded so a window may overhang them on every side
+    idx = cells[points] - cells[points].min(axis=0) + n // 2
+    occupied = np.zeros(idx.max(axis=0) + n // 2 + 1, dtype=int)
+    occupied[idx[:, 0], idx[:, 1]] = 1
+    table = np.pad(occupied.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+    wins = []
+    for rows in (r for r in range(2, n // 2 + 1) if n % r == 0):
+        cols = n // rows
+        counts = (
+            table[rows:, cols:] - table[:-rows, cols:] - table[rows:, :-cols] + table[:-rows, :-cols]
+        )
+        top, corner = counts.max(), np.unravel_index(counts.argmax(), counts.shape)
+        wins.append((top, (counts == top).sum(), rows, cols, corner))
+    most = max((w[0] for w in wins), default=0)
+    wins = [w for w in wins if w[0] == most]
+    if sum(w[1] for w in wins) != 1 or most < max(4, (6 * n + 9) // 10):
         return None
-    rel = np.round(rel_f[keep]).astype(int)
-    rel -= rel.min(axis=0)
-    rows, cols = int(rel[:, 0].max()) + 1, int(rel[:, 1].max()) + 1
-    cells = {(int(i), int(j)) for i, j in rel}
-    if rows < 2 or cols < 2 or rows * cols != n or len(cells) != len(rel):
-        return None
-    kept_centers = centers[keep]
-
-    def solve(mask):
-        a = np.zeros((2 * int(mask.sum()), 6))
-        b = np.zeros(2 * int(mask.sum()))
-        for k, idx in enumerate(np.nonzero(mask)[0]):
-            i, j = rel[idx]
-            a[2 * k] = [1, 0, i, 0, j, 0]
-            a[2 * k + 1] = [0, 1, 0, i, 0, j]
-            b[2 * k], b[2 * k + 1] = kept_centers[idx]
-        return np.linalg.lstsq(a, b, rcond=None)[0]
-
-    mask = np.ones(len(rel), dtype=bool)
-    params = solve(mask)
-
-    def predict(params, idx):
-        o = params[:2]
-        u = params[2:4]
-        v = params[4:6]
-        return o + idx[:, :1] * u + idx[:, 1:] * v
-
-    resid = np.sqrt(((predict(params, rel) - kept_centers) ** 2).sum(axis=1))
-    cut = max(1.0, 2.0 * float(np.median(resid)))
-    inliers = resid <= cut
-    if inliers.sum() >= 4 and inliers.sum() < len(rel):
-        params = solve(inliers)
-    full = np.array([[i, j] for i in range(rows) for j in range(cols)], dtype=np.float64)
-    return predict(params, full), rows, cols
+    _, _, rows, cols, corner = wins[0]
+    grid = np.column_stack([np.ones(len(idx)), idx - corner])
+    inside = ((grid[:, 1:] >= 0) & (grid[:, 1:] < (rows, cols))).all(axis=1)
+    affine = np.linalg.lstsq(grid[inside], centers[points[inside]], rcond=None)[0]
+    return affine[0] + np.indices((rows, cols)).reshape(2, -1).T @ affine[1:], rows, cols
 
 
 def _nearest_distances(centers) -> np.ndarray:
@@ -755,13 +752,15 @@ def locate_sites(mean_img, n_sites: int) -> SiteGeometry:
     blended array a small radius picks noise bumps on the merged mound);
     a radius that finds the same peaks as an earlier one is skipped. The
     peaks are refined by per-window fits with every other site's bump
-    subtracted, snapped to a robust affine lattice when one fits, and
-    seed a joint fit of all sites with a shared width. The first radius
-    whose joint centers are usable wins. A per-site confirmation refit of
-    all sites in one batch (width banded around the shared fit) then
-    flags each site whose refit fails or drifts more than 0.75 px as a
-    fallback; every site keeps the joint model's shared sigma and its
-    amplitude.
+    subtracted and snapped to _fit_lattice's affine lattice: each cell
+    keeps its best-fitting peak, and the one rows x cols window holding
+    the most (at least max(4, ceil(0.6 n))) gives every site, so a stray
+    peak is dropped and a missed site restored. They seed a joint fit of
+    all sites with a shared width. The first radius whose joint centers
+    are usable wins. A per-site confirmation refit of all sites in one
+    batch (width banded around the shared fit) then flags each site whose
+    refit fails or drifts more than 0.75 px as a fallback; every site
+    keeps the joint model's shared sigma and its amplitude.
 
     Sites come back row-major by fitted position.
     """

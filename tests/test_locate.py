@@ -1,5 +1,7 @@
+import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,6 +340,37 @@ def test_grid_shape_on_default_geometry():
     assert (rows, cols) == (3, 3)
 
 
+def _noisy_grid(seed=0):
+    truth = default_config().geometry.site_centers()
+    return truth, truth + np.random.default_rng(seed).normal(0.0, 0.05, truth.shape)
+
+
+@pytest.mark.parametrize("offset", [(0.0, 1.0), (1.0, 1.0), (0.0, 3.0)])
+def test_lattice_restores_a_missing_site_beside_a_stray(offset):
+    # seed 10's layout on crosstalk 3000: the peaks miss one site and put a
+    # second peak beside another, which can round into that site's cell
+    truth, points = _noisy_grid()
+    points = np.vstack([np.delete(points, 2, axis=0), points[4] + offset])
+    fitted, rows, cols = _fit_lattice(points)
+    assert (rows, cols) == (3, 3)
+    assert np.abs(fitted - truth).max() < 0.3
+
+
+def test_lattice_ignores_a_stray_one_pitch_outside_the_grid():
+    truth, points = _noisy_grid()
+    points = np.vstack([np.delete(points, 7, axis=0), points[6] + (6.0, 0.0)])
+    fitted, rows, cols = _fit_lattice(points)
+    assert (rows, cols) == (3, 3)
+    assert np.abs(fitted - truth).max() < 0.3
+
+
+def test_lattice_gives_up_when_the_window_is_ambiguous():
+    # a whole row missing: the window fits above or below the other six
+    _, points = _noisy_grid()
+    far = [[-40.0, -40.0], [-40.0, 60.0], [60.0, -40.0]]
+    assert _fit_lattice(np.vstack([points[:6], far])) is None
+
+
 # --------------------------------------------------------- locate_sites
 
 def test_locate_sites_on_simulated_mean(small_training):
@@ -417,6 +450,17 @@ def test_geometry_validation():
         )
     with pytest.raises(DataError):
         SiteGeometry.load("/nonexistent/geometry.json")
+
+
+@pytest.mark.parametrize("sites", [[1] * 9, [1, 2, 3, 4, 5, 6, 7, 8, 10]])
+def test_geometry_load_takes_only_the_sites_one_to_n(tmp_path, small_training, sites):
+    entries = small_training.geometry.to_json_list()
+    for entry, site in zip(entries, sites):
+        entry["site"] = site
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(DataError, match="geometry.json"):
+        SiteGeometry.load(path)
 
 
 # --------------------------------------------- independent oracles
@@ -730,6 +774,30 @@ def test_locate_sites_raises_or_is_right(train_means, preset, n_images):
         err = np.linalg.norm(geo.centers - truth, axis=1)
         assert err.max() < 0.75, (seed, err.max())
         assert np.all(np.abs(geo.sigmas - sigma) < 0.1 * sigma), (seed, geo.sigmas)
+
+
+def test_locate_sites_recovers_from_a_stray_peak_beside_a_missing_site(train_means):
+    # every radius's peaks hold a stray beside one site and miss another;
+    # only the lattice puts the missing site back
+    img, truth, _ = train_means("crosstalk", 3000, 10)
+    geo = locate_sites(img, 9)
+    assert np.linalg.norm(geo.centers - truth, axis=1).max() < 0.25
+
+
+@pytest.mark.parametrize("preset", ["default", "crosstalk"])
+def test_locate_sites_across_array_shapes(preset):
+    # both presets put site 1 at (8, 8) with a 6 px pitch
+    for rows, cols in [(1, 1), (1, 3), (2, 2), (2, 4), (3, 2), (4, 4)]:
+        geometry = replace(PRESETS[preset]().geometry, rows=rows, cols=cols)
+        config = PRESETS[preset](
+            n_images=1500, seed=0, geometry=geometry,
+            image_height=16 + 6 * (rows - 1), image_width=16 + 6 * (cols - 1),
+        )
+        stack = generate_dataset(config)
+        train = stack.images[split_dataset(1500, seed=0).train_idx]
+        geo = locate_sites(mean_image(apply_stats(train, fit_stats(train))), rows * cols)
+        err = np.linalg.norm(geo.centers - geometry.site_centers(), axis=1)
+        assert err.max() < 0.3, (rows, cols, err.max())
 
 
 def test_damped_joint_fit_locates_without_numeric_warnings(train_means):
