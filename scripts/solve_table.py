@@ -8,11 +8,12 @@ Run it from the root of a checkout; it imports mf_readout from ./src.
 For the default preset at 3000 frames and the crosstalk preset at 6000,
 each dataset seed 0-9 with true-state labels, it builds split seed 0's
 TrainingData as the pipeline does. Per preset and alpha (0 and 0.1) it
-prints the median milliseconds per shuffle of the window products and
-of the shared mf-site solves over the default window grid, and, over
-both matched filters, how many (site, window) weights came from the
-nested factorization and its Schur elimination and how many fell back
-to solving the site's whole system from the moments.
+prints the median milliseconds per shuffle of one build of the window
+systems (train._window_systems: the window products and the shared
+mf-site solves) over the default window grid, and, over both matched
+filters, how many (site, window) weights came from the nested
+factorization and its Schur elimination and how many fell back to
+solving the site's whole system from the moments.
 
 --out also writes every site's learned (s, theta) and weights for both
 matched filters, per preset, seed and alpha, as JSON. --against reads
@@ -74,21 +75,18 @@ def training_data(preset: str, seed: int) -> TrainingData:
 
 
 def fresh(data: TrainingData) -> TrainingData:
-    """A copy with empty product and solve caches and data's moments."""
+    """A copy with no window systems cached and data's moments."""
     copy = replace(data)
     copy.__dict__["_moments"] = data._moments
     return copy
 
 
-def time_solves(data: TrainingData, alpha: float) -> tuple[float, float]:
-    """(products ms, solves ms) of one shuffle's window grid."""
+def time_systems(data: TrainingData, alpha: float) -> float:
+    """Milliseconds of one build of a shuffle's window systems."""
     copy = fresh(data)
     t0 = time.perf_counter()
-    train._fill_products(copy, train.S_GRID)
-    t1 = time.perf_counter()
-    train._fill_solves(copy, train.S_GRID, alpha)
-    t2 = time.perf_counter()
-    return 1e3 * (t1 - t0), 1e3 * (t2 - t1)
+    train._window_systems(copy, train.S_GRID, alpha)
+    return 1e3 * (time.perf_counter() - t0)
 
 
 def count_paths(data: TrainingData, alpha: float) -> tuple[int, int]:
@@ -98,9 +96,9 @@ def count_paths(data: TrainingData, alpha: float) -> tuple[int, int]:
     fits = []
     fallback = train._fallback_weights
 
-    def counted(data, products, site, pix, nbr, alpha):
+    def counted(data, window, site, pix, nbr, alpha):
         fits.append(len(pix) + len(nbr))
-        return fallback(data, products, site, pix, nbr, alpha)
+        return fallback(data, window, site, pix, nbr, alpha)
 
     train._fallback_weights = counted
     try:
@@ -153,11 +151,10 @@ def main(argv=None) -> int:
     for preset in PRESETS:
         datasets = [training_data(preset, seed) for seed in SEEDS]
         for alpha in ALPHAS:
-            times = np.array([time_solves(data, alpha) for _ in range(REPEATS) for data in datasets])
+            systems = np.median([time_systems(data, alpha) for _ in range(REPEATS) for data in datasets])
             nested, fallback = np.sum([count_paths(data, alpha) for data in datasets], axis=0)
-            products, solves = np.median(times, axis=0)
             print(
-                f"{preset:9s} alpha {alpha:<3g}  products {products:5.1f} ms  solves {solves:5.1f} ms"
+                f"{preset:9s} alpha {alpha:<3g}  window systems {systems:5.1f} ms"
                 f"  per shuffle  (site, window) weights: {nested} nested, {fallback} fallback",
                 flush=True,
             )

@@ -5,12 +5,11 @@ site, refine each peak with a subpixel 2D Gaussian fit, and snap the
 peaks to an affine lattice by one rule (_fit_lattice) that no stray or
 missing peak can break. Every window fit goes through one batched
 Levenberg-Marquardt fitter, _fit_windows, which runs each fit by its own
-rules on a (k, w, w) stack of windows; fit_gaussian_2d is its one-window
-case. A fit window is placed and checked by the filters' window rule
-(window_origin, window_fits), and located centers must pass the same
-in-frame check as the simulated ones (centers_inside). Normalization
-statistics always come from the training split alone and are then
-applied unchanged to every split.
+rules on a (k, w, w) stack of windows. A fit window is placed and
+checked by the filters' window rule (window_origin, window_fits), and
+located centers must pass the same in-frame check as the simulated ones
+(centers_inside). Normalization statistics always come from the
+training split alone and are then applied unchanged to every split.
 """
 
 from __future__ import annotations
@@ -160,19 +159,6 @@ def find_peaks(image, min_distance_px: float, n_expected: int) -> list[tuple[int
     raise DataError(
         f"found only {len(chosen)} peaks with spacing {min_distance_px}, expected {n_expected}"
     )
-
-
-@dataclass
-class GaussianFit:
-    """Result of one subpixel fit. ok=False means the centroid fallback."""
-
-    center: tuple[float, float]
-    sigma: float
-    amplitude: float
-    offset: float
-    ok: bool
-    n_iter: int
-    residuals: tuple[float, ...]
 
 
 class _WindowFits(NamedTuple):
@@ -351,53 +337,6 @@ def _fit_windows(patches, start, sigma_bands) -> _WindowFits:
     if not ok.all():
         params[~ok] = _centroid_fallbacks(patches[~ok])
     return _WindowFits(params, ok, n_iter, norms, n_norms)
-
-
-def fit_gaussian_2d(
-    image,
-    initial_center,
-    window_px: int = FIT_WINDOW,
-    *,
-    init=None,
-    sigma_bounds=None,
-) -> GaussianFit:
-    """Least-squares circular Gaussian plus constant offset on a window.
-
-    Minimizes ||A exp(-d^2 / 2 sigma^2) + b - patch|| by Gauss-Newton with
-    a Levenberg damping term; a step is only accepted when it lowers the
-    residual norm. Stops when the parameter step drops below 1e-6 or after
-    100 iterations; failures return the intensity centroid with ok=False.
-
-    init optionally seeds (amplitude, sigma, offset); sigma_bounds
-    optionally confines sigma, rejecting steps that leave the band. This
-    is the one-window case of the batched fitter localization uses.
-    """
-    img = np.asarray(image, dtype=np.float64)
-    if not window_fits(initial_center, window_px, img.shape):
-        raise ConfigError(
-            f"{window_px}x{window_px} fit window at {initial_center} leaves the image"
-        )
-    r_lo, c_lo = window_origin(initial_center, window_px)
-    patch = img[r_lo : r_lo + window_px, c_lo : c_lo + window_px]
-    if init is not None:
-        a0, s0, b0 = (float(v) for v in init)
-    else:
-        b0 = float(patch.min())
-        a0 = float(patch.max()) - b0
-        s0 = max(window_px / 4.0, 1.0)
-    band = sigma_bounds if sigma_bounds is not None else (0.0, np.inf)
-    start = [a0, initial_center[0] - r_lo, initial_center[1] - c_lo, s0, b0]
-    fit = _fit_windows(patch[None], [start], [band])
-    amp, r0, c0, sig, off = (float(v) for v in fit.params[0])
-    return GaussianFit(
-        center=(r_lo + r0, c_lo + c0),
-        sigma=sig,
-        amplitude=amp,
-        offset=off,
-        ok=bool(fit.ok[0]),
-        n_iter=int(fit.n_iter[0]),
-        residuals=tuple(float(v) for v in fit.norms[0, : fit.n_norms[0]]),
-    )
 
 
 @dataclass

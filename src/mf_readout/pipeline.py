@@ -110,8 +110,8 @@ class RunConfig:
                 raise ConfigError(f"bad crop rectangle {self.crop}")
         if self.alpha < 0:
             raise ConfigError("alpha must be non-negative")
-        if self.s_grid is not None and (not self.s_grid or any(s < 1 for s in self.s_grid)):
-            raise ConfigError(f"bad s grid {self.s_grid}")
+        if self.s_grid is not None and (not self.s_grid or min(self.s_grid) < 2):
+            raise ConfigError(f"bad s grid {self.s_grid}: it needs window sizes of at least 2")
         theta_grid_default(*self.theta_grid)  # raises ConfigError for a bad grid
         if self.n_shuffles < 1:
             raise ConfigError("n_shuffles must be at least 1")

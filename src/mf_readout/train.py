@@ -3,33 +3,23 @@ fitting, and metaparameter search over window size and threshold.
 
 The matched filters are tuned from moments of the train frames, computed
 once per TrainingData: the pixel Gram matrix with a bias row and column,
-[X, c]^T [X, c], and its products with every site's labels. The window
-means A_s of every window size s (one column per site) meet the moments
-in one product, and every site's mf-site system A, over its window
-pixels and the bias, is a slice of G. A site's windows are nested, so in
-nesting order the system of each window is a leading block of the
-system of the site's largest window: that one system is
-Cholesky-factored and its factor inverted once per alpha, and every
-window size reads its solve, against the site's labels and
-G[pix, :p] A_s together, from the leading blocks, all sites as stacks.
-The solves are cached on the TrainingData and serve both learned kinds.
-mf-site reads its weights from them. mf-array's system, ordered
-[pixels, bias | neighbor means], holds A as its leading block, so its
-weights follow by block elimination through a small Schur complement
-over the neighbor means. Cholesky pivots decide where that holds: at
-alpha = 0 the nested pivots (for mf-array with the Schur complement's)
-must pass the rank test, at alpha > 0 the largest system must factor.
-Every (site, window) where it does not is solved whole, its system read
-from the same moments, by fit_ridge's rule (_solve_gram): the
-minimum-norm weights of a rank-deficient system. So every learned system
-is built from the moments alone, and they are the learned kinds' only
-read of the train frames, which can be dropped once they are cached
-(release_train_block). The moments' largest product, the pixel Gram X^T X
-(pixel_gram), reads nothing but the frames and releases the GIL, so a
-caller may compute it on another thread and hand it to
-release_train_block, which completes the moments around it; read
-directly, _moments computes it with the same function. The fixed kinds
-never touch the moments.
+[X, c]^T [X, c], and its products with every site's labels. They are the
+learned kinds' only read of the train frames, which can be dropped once
+the moments are complete (release_train_block); their largest product,
+the pixel Gram X^T X (pixel_gram), reads nothing but the frames, so a
+caller may compute it on another thread. The fixed kinds never touch the
+moments.
+Each training request, a window grid and an alpha, builds its window
+systems once (_window_systems), and both learned kinds read them. The
+window means A_s of every size meet the moments in one product. A site's
+windows are nested, so in nesting order each window's mf-site system is
+a leading block of the system of the site's largest window: that one is
+Cholesky-factored and its factor inverted, and every size reads its
+solve from the leading blocks, all sites as stacks. mf-site reads its
+weights from these solves; mf-array's follow by block elimination
+through a small Schur complement over the neighbor means. Every
+(site, window) whose Cholesky pivots fail is solved whole, its system
+read from the same moments, by fit_ridge's rule (_solve_gram).
 Every kind is tuned by one pass over all sites (_tune_all): each
 candidate is a full-frame map column and a bias, the map FilterModel
 scores with, so one product scores the validation frames of them all,
@@ -280,18 +270,10 @@ class TrainingData:
     """Train and validation material for tuning; test frames stay outside.
 
     Labels are (n_frames, n_sites) 0/1 arrays aligned with the images.
-    Frozen, so the moments, window products and solves cached on first
-    use always describe the frames the instance holds. The moments are
-    the learned kinds' only read of the train frames, so once they are
-    cached the frames can be dropped (release_train_block). Their pixel
-    Gram may come from the caller, computed from the same frames by
-    pixel_gram (the pipeline runs it on a helper thread); the moments
-    completed from it have the bits of those computed here. The solves
-    are keyed by (s, alpha), so a call with another alpha never reads
-    them. The first request whose grid holds s solves it and later
-    requests reuse it. That grid's largest window decides the last bits
-    of the solve, and a site whose system at that window is singular is
-    fit from its moments alone at every size.
+    Frozen, so the moments and window systems cached on first use always
+    describe the frames the instance holds. The moments are the learned
+    kinds' only read of the train frames, so once they are complete the
+    frames can be dropped (release_train_block).
     """
 
     train_images: np.ndarray
@@ -323,22 +305,15 @@ class TrainingData:
             raise DataError("the train frames were released after the moments were cached (release_train_block)")
         return self.train_images
 
-    def release_train_block(self, gram=None) -> None:
-        """Complete the moments, the learned kinds' only read of the train
-        frames, then drop the frames: nothing that trains the learned
-        kinds reads them again, and the fixed kinds, which do, must train
-        before this.
-
-        gram, when given, is the train frames' pixel Gram from pixel_gram,
-        computed by the caller (the pipeline runs it on a helper thread
-        while localization and the fixed kinds run); only its bias row and
-        column, R and the finite check are left to do here. Without it, or
-        with the moments already cached, they are computed whole
-        (_moments).
+    def release_train_block(self, gram: np.ndarray) -> None:
+        """Complete the moments from gram, the train frames' pixel_gram,
+        then drop the frames: nothing that trains the learned kinds reads
+        them again, and the fixed kinds, which do, must train before this.
+        The pipeline computes gram on a helper thread while localization
+        and the fixed kinds run; only its bias row and column, R and the
+        finite check are left to do here (_complete_moments).
         """
-        if gram is not None and "_moments" not in self.__dict__:
-            self.__dict__["_moments"] = self._complete_moments(gram)
-        self._moments  # computed and cached for the solves
+        self.__dict__["_moments"] = self._complete_moments(gram)
         object.__setattr__(self, "train_images", None)
 
     @cached_property
@@ -371,13 +346,9 @@ class TrainingData:
         return gram, cross
 
     @cached_property
-    def _products(self) -> dict:
-        """Window size s -> _Products, filled by _fill_products."""
-        return {}
-
-    @cached_property
-    def _solves(self) -> dict:
-        """(s, alpha) -> _Solves, filled by _fill_solves."""
+    def _systems(self) -> dict:
+        """(sorted unique sizes, alpha) -> {s: _Window}, filled by
+        _window_systems."""
         return {}
 
 
@@ -464,42 +435,19 @@ def _check_request(data: TrainingData, kind: str, s_grid, theta_grid, alpha: flo
         theta_grid = theta_grid_default()
     if len(s_grid) == 0 or len(theta_grid) == 0:
         raise ConfigError("empty search grid")
+    if min(s_grid) < 2:
+        raise ConfigError(f"window sizes must be at least 2, got {tuple(s_grid)}")
     if alpha < 0:
         raise ConfigError("alpha must be non-negative")
     return s_grid, theta_grid
 
 
 def _no_window(s_grid, site: int, center) -> ConfigError:
+    center = tuple(float(v) for v in center)
     return ConfigError(f"no window size in {tuple(s_grid)} fits site {site} at {center}")
 
 
-_Products = namedtuple("_Products", ["fits", "a_s", "ga", "aga", "ar"])
-_Solves = namedtuple("_Solves", ["pix", "x", "pivots"])
-
-
-def _fill_products(data: TrainingData, s_grid) -> None:
-    """Cache on data the window products both learned kinds share, for
-    every size of s_grid not cached yet, with one product for them all.
-
-    Per size s, fits lists the sites whose s x s window fits the frame,
-    a_s their window means (one column each, in that order), and the
-    moments meet a_s once: ga = G[:, :p] A_s, aga = A_s^T G[:p, :p] A_s
-    and ar = A_s^T R[:p]. The ga of every size are column blocks of
-    G[:, :p] [A_s1 | A_s2 | ...].
-    """
-    sizes = sorted({s for s in s_grid if s not in data._products})
-    if not sizes:
-        return
-    gram, cross = data._moments
-    p = gram.shape[0] - 1
-    centers, shape = data.geometry.centers, data.image_shape
-    fits = [tuple(k for k, c in enumerate(centers) if s >= 2 and window_fits(c, s, shape)) for s in sizes]
-    means = [neighbor_means(centers, f, s, shape) for s, f in zip(sizes, fits)]
-    ga_all = gram[:, :p] @ np.concatenate(means, axis=1)
-    ends = np.cumsum([a_s.shape[1] for a_s in means])
-    for s, f, a_s, end in zip(sizes, fits, means, ends):
-        ga = ga_all[:, end - a_s.shape[1] : end]
-        data._products[s] = _Products(f, a_s, ga, a_s.T @ ga[:p], a_s.T @ cross[:p])
+_Window = namedtuple("_Window", ["fits", "a_s", "ga", "aga", "ar", "pix", "x", "pivots"])
 
 
 def _nesting_order(size: int) -> np.ndarray:
@@ -516,24 +464,30 @@ def _nesting_order(size: int) -> np.ndarray:
     return np.argsort(np.maximum(joins[:, None], joins[None, :]).ravel(), kind="stable")
 
 
-def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
-    """Solve every fitting site's mf-site system for every size of s_grid
-    not cached yet at this alpha, once for both learned kinds, and cache
-    the _Solves on data per (s, alpha).
+def _window_systems(data: TrainingData, s_grid, alpha: float) -> dict:
+    """{s: _Window} for every size of s_grid: the window products and the
+    mf-site solves both learned kinds read, built once per request (the
+    sorted unique sizes, alpha) and cached on data.
+
+    Per size s, fits lists the sites whose s x s window fits the frame,
+    a_s their window means (one column each, in that order), and the
+    moments meet a_s once: ga = G[:, :p] A_s, aga = A_s^T G[:p, :p] A_s
+    and ar = A_s^T R[:p]. The ga of every size are column blocks of
+    G[:, :p] [A_s1 | A_s2 | ...].
 
     A site's window-s mf-site system A = G[pix, pix] covers its window
     pixels and the bias slot. It is solved against [b | G[pix, :p] A_s],
     b = R[pix, site], so x[:, :, 0] holds the mf-site weights and
     x[:, :, 1:] holds A^{-1} B for every window mean, the columns
-    mf-array eliminates with. Rows of pix, x and pivots follow
-    data._products[s].fits; pix lists the window pixels
-    row-major, then the bias slot p, and x follows pix.
+    mf-array eliminates with. Rows of pix, x and pivots follow fits; pix
+    lists the window pixels row-major, then the bias slot p, and x
+    follows pix.
 
     A site's windows are nested, so with the features in nesting order
     (the bias, then the pixels of window 1, then the pixels each larger
     window adds; see _nesting_order) the window-s system is the leading
-    1 + s^2 block of the system of the site's largest window among the
-    sizes, and so are its Cholesky factor L, the inverse of that factor
+    1 + s^2 block of the system of the site's largest window in the
+    grid, and so are its Cholesky factor L, the inverse of that factor
     and its squared pivots. Each site's largest system is factored and
     inverted once (sites with the same largest window as one stack), and
     every size reads x = L^{-T} L^{-1} [b | G[pix, :p] A_s] from the
@@ -543,17 +497,24 @@ def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
     _learned_weights solves that site's system whole instead
     (_fallback_weights).
     """
-    sizes = sorted({s for s in s_grid if (s, alpha) not in data._solves})
-    if not sizes:
-        return
-    _fill_products(data, sizes)
+    sizes = sorted(set(s_grid))
+    key = (tuple(sizes), alpha)
+    if key in data._systems:
+        return data._systems[key]
     gram, cross = data._moments
     p = gram.shape[0] - 1
     centers, shape = data.geometry.centers, data.image_shape
-    for s in sizes:
-        n, d = len(data._products[s].fits), 1 + s * s
-        data._solves[(s, alpha)] = _Solves(np.empty((n, d), dtype=np.intp), np.empty((n, d, 1 + n)), np.empty((n, d)))
-    largest = {k: s for s in sizes for k in data._products[s].fits}
+    fits = [tuple(k for k, c in enumerate(centers) if window_fits(c, s, shape)) for s in sizes]
+    means = [neighbor_means(centers, f, s, shape) for s, f in zip(sizes, fits)]
+    ga_all = gram[:, :p] @ np.concatenate(means, axis=1)
+    ends = np.cumsum([len(f) for f in fits])
+    systems = {}
+    for s, f, a_s, end in zip(sizes, fits, means, ends):
+        n, d = len(f), 1 + s * s
+        ga = ga_all[:, end - n : end]
+        solves = np.empty((n, d), dtype=np.intp), np.empty((n, d, 1 + n)), np.empty((n, d))
+        systems[s] = _Window(f, a_s, ga, a_s.T @ ga[:p], a_s.T @ cross[:p], *solves)
+    largest = {k: s for s in sizes for k in systems[s].fits}
     for top in sorted(set(largest.values())):
         sites = np.array([k for k in sorted(largest) if largest[k] == top], dtype=np.intp)
         order = _nesting_order(top)
@@ -567,17 +528,16 @@ def _fill_solves(data: TrainingData, s_grid, alpha: float) -> None:
         inverses[pivots[:, 0] == 0] = np.eye(inverses.shape[-1])  # stands in for a failed factor; no size reads it
         _invert_lower(inverses)
         for s in sizes[: sizes.index(top) + 1]:
-            products, out = data._products[s], data._solves[(s, alpha)]
-            if not products.fits:  # s < 2, or a size no site fits
-                continue
-            d = 1 + s * s
+            window, d = systems[s], 1 + s * s
             back = np.append(1 + np.argsort(order[: s * s]), 0)  # nesting order -> pix order
-            rhs = np.concatenate([cross[nest[:, :d], sites[:, None]][..., None], products.ga[nest[:, :d]]], axis=2)
+            rhs = np.concatenate([cross[nest[:, :d], sites[:, None]][..., None], window.ga[nest[:, :d]]], axis=2)
             inv = inverses[:, :d, :d]
-            rows = np.searchsorted(products.fits, sites)
-            out.pix[rows] = nest[:, back]
-            out.x[rows] = (inv.transpose(0, 2, 1) @ (inv @ rhs))[:, back]
-            out.pivots[rows] = pivots[:, :d]
+            rows = np.searchsorted(window.fits, sites)
+            window.pix[rows] = nest[:, back]
+            window.x[rows] = (inv.transpose(0, 2, 1) @ (inv @ rhs))[:, back]
+            window.pivots[rows] = pivots[:, :d]
+    data._systems[key] = systems
+    return systems
 
 
 def _solved(pivots, alpha: float) -> np.ndarray:
@@ -587,11 +547,11 @@ def _solved(pivots, alpha: float) -> np.ndarray:
     return pivots[:, 0] > 0 if alpha > 0 else _full_rank(pivots)
 
 
-def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np.ndarray:
-    """Weights (k, d), in extract_*_features order, of the window-s
-    candidate of each site in sites; nbr gives each site's neighbors as
-    columns of A_s, the same number for every site (none for mf-site).
-    It reads the window-s products and solves _fill_solves cached on data.
+def _learned_weights(data: TrainingData, window: _Window, sites, nbr, alpha: float) -> np.ndarray:
+    """Weights (k, d), in extract_*_features order, of the candidate of
+    each site in sites at one window size, read from that size's _Window;
+    nbr gives each site's neighbors as columns of A_s, the same number for
+    every site (none for mf-site).
 
     Without neighbors the weights are the shared solves' first column.
     With them the system, ordered [pixels, bias | neighbor means], is
@@ -606,47 +566,45 @@ def _learned_weights(data: TrainingData, s: int, sites, nbr, alpha: float) -> np
     rank-deficient; weights that fit cannot give stay non-finite, which
     fails that site alone.
     """
-    solves, products = data._solves[(s, alpha)], data._products[s]
-    rows = np.searchsorted(products.fits, sites)
-    pix = solves.pix[rows]
-    full = _solved(solves.pivots[rows], alpha)
+    rows = np.searchsorted(window.fits, sites)
+    pix = window.pix[rows]
+    full = _solved(window.pivots[rows], alpha)
     if nbr.shape[1] == 0:
-        weights = solves.x[rows, :, 0]
+        weights = window.x[rows, :, 0]
     else:
-        x = solves.x[rows]
-        ga, aga, ar = products.ga, products.aga, products.ar
+        x = window.x[rows]
         x0 = x[:, :, 0]
         a_inv_b = np.take_along_axis(x, 1 + nbr[:, None, :], axis=2)
-        b_t = ga[pix[:, None, :], nbr[:, :, None]]
-        schur = aga[nbr[:, :, None], nbr[:, None, :]] - b_t @ a_inv_b
-        rhs = ar[nbr, sites[:, None]] - (b_t @ x0[..., None])[..., 0]
+        b_t = window.ga[pix[:, None, :], nbr[:, :, None]]
+        schur = window.aga[nbr[:, :, None], nbr[:, None, :]] - b_t @ a_inv_b
+        rhs = window.ar[nbr, sites[:, None]] - (b_t @ x0[..., None])[..., 0]
         if alpha > 0:
             schur += alpha * np.eye(nbr.shape[1])
         else:
-            full = _full_rank(np.concatenate([solves.pivots[rows], _cholesky_pivots(schur)], axis=1))
+            full = _full_rank(np.concatenate([window.pivots[rows], _cholesky_pivots(schur)], axis=1))
         weights = np.empty((len(sites), pix.shape[1] + nbr.shape[1]))
         if full.any():
             u = np.linalg.solve(schur[full], rhs[full, :, None])
             v = x0[full] - (a_inv_b[full] @ u)[..., 0]
             weights[full] = np.concatenate([v[:, :-1], u[..., 0], v[:, -1:]], axis=1)
     for i in np.flatnonzero(~full):
-        weights[i] = _fallback_weights(data, products, int(sites[i]), pix[i], nbr[i], alpha)
+        weights[i] = _fallback_weights(data, window, int(sites[i]), pix[i], nbr[i], alpha)
     return weights
 
 
-def _fallback_weights(data: TrainingData, products: _Products, site: int, pix, nbr, alpha: float) -> np.ndarray:
+def _fallback_weights(data: TrainingData, window: _Window, site: int, pix, nbr, alpha: float) -> np.ndarray:
     """One site's weights, [pixels, neighbor means, bias], from its whole
     system [[G[pix, pix], ga[pix, nbr]], [ga[pix, nbr]^T, aga[nbr, nbr]]]
     against [R[pix, site], ar[nbr, site]], read from the moments and the
-    window products, pix being the window pixels row-major, then the bias
-    slot. It is solved by fit_ridge's rule (_solve_gram), so a
+    window's products, pix being the window pixels row-major, then the
+    bias slot. It is solved by fit_ridge's rule (_solve_gram), so a
     rank-deficient system gets its minimum-norm weights; weights that
     rule cannot give stay non-finite, for _tune_all to fail the site.
     """
     gram, cross = data._moments
-    b = products.ga[pix[:, None], nbr[None, :]]
-    system = np.block([[gram[pix[:, None], pix[None, :]], b], [b.T, products.aga[nbr[:, None], nbr[None, :]]]])
-    w = _solve_gram(system, np.concatenate([cross[pix, site], products.ar[nbr, site]]), alpha)
+    b = window.ga[pix[:, None], nbr[None, :]]
+    system = np.block([[gram[pix[:, None], pix[None, :]], b], [b.T, window.aga[nbr[:, None], nbr[None, :]]]])
+    w = _solve_gram(system, np.concatenate([cross[pix, site], window.ar[nbr, site]]), alpha)
     bias = len(pix) - 1
     return np.concatenate([w[:bias], w[bias + 1 :], w[bias : bias + 1]])
 
@@ -655,14 +613,12 @@ def _learned_candidates(data: TrainingData, kind: str, s_grid, alpha: float) -> 
     """(candidates, failed) of a learned kind. The candidates (site, s,
     map column, bias, weights) run s-major, then grouped by neighbor
     count: every window size at which a site and all its neighbors fit.
-    The products and solves both learned kinds share are filled for the
-    whole window grid at once and cached on data (_fill_products,
-    _fill_solves); the sites of one size with the same number of
-    neighbors get their weights as one stack (_learned_weights), and each
-    candidate's weights are spread into the full-frame map FilterModel
-    scores with. failed holds the exception of each site whose neighbors
-    cannot be found, and of every site when the train frames are not
-    finite.
+    They read the window systems of the request (_window_systems); the
+    sites of one size with the same number of neighbors get their weights
+    as one stack (_learned_weights), and each candidate's weights are
+    spread into the full-frame map FilterModel scores with. failed holds
+    the exception of each site whose neighbors cannot be found, and of
+    every site when the train frames are not finite.
     """
     geometry = data.geometry
     failed: dict[int, Exception] = {}
@@ -673,22 +629,21 @@ def _learned_candidates(data: TrainingData, kind: str, s_grid, alpha: float) -> 
         except DataError as exc:
             failed[site] = exc
     try:
-        _fill_solves(data, s_grid, alpha)
+        systems = _window_systems(data, s_grid, alpha)
     except NumericalError as exc:
         return [], {site: failed.get(site, exc) for site in range(geometry.n_sites)}
     out = []
     for s in s_grid:
-        products = data._products[s]
-        column = {j: c for c, j in enumerate(products.fits)}
+        window = systems[s]
+        column = {j: c for c, j in enumerate(window.fits)}
         live = [k for k in neighbors if all(j in column for j in (k, *neighbors[k]))]
-        pix = data._solves[(s, alpha)].pix
         for n_nbr in sorted({len(neighbors[k]) for k in live}):
             group = np.array([k for k in live if len(neighbors[k]) == n_nbr])
             nbr = np.array([[column[j] for j in neighbors[k]] for k in group], dtype=np.intp)
-            weights = _learned_weights(data, s, group, nbr, alpha)
+            weights = _learned_weights(data, window, group, nbr, alpha)
             for j, site in enumerate(group.tolist()):
                 w = weights[j]
-                column_map = learned_weight_map(w, pix[column[site], :-1], products.a_s[:, nbr[j]])
+                column_map = learned_weight_map(w, window.pix[column[site], :-1], window.a_s[:, nbr[j]])
                 out.append((site, s, column_map, BIAS_C * w[-1], w))
     return out, failed
 
@@ -714,7 +669,7 @@ def _fixed_candidates(data: TrainingData, kind: str, s_grid) -> tuple[list, dict
                 out.append((site, 0, column, 0.0, None))
             continue
         for s in s_grid:
-            if s >= 2 and window_fits(center, s, shape):
+            if window_fits(center, s, shape):
                 column = np.zeros(shape[0] * shape[1])
                 column[window_index(center, s, shape)] = 1.0
                 out.append((site, s, column, 0.0, None))

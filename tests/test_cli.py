@@ -133,6 +133,28 @@ def test_train_rejects_negative_alpha_as_a_config_error(chain, tmp_path, capsys)
     assert not (tmp_path / "m").exists()
 
 
+def test_window_sizes_below_2_exit_as_config_errors(chain, tmp_path, capsys):
+    rc = main([
+        "train", "--in", str(chain / "pre"), "--kind", "mfsite",
+        "--geometry", str(chain / "geometry.json"), "--labels", "truth",
+        "--s-grid", "1,3", "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 2
+    assert "window sizes must be at least 2, got (1, 3)" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+    # the sweep stops before it renders anything
+    config = RunConfig(
+        sim=default_config(n_images=200, seed=3), output_dir=str(tmp_path / "out"),
+        exposure_sweep_ms=(20.0,), kinds=("mf-site",), n_shuffles=1,
+    ).to_dict() | {"s_grid": [1]}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "bad s grid (1,)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_input_files_exit_with_their_error_codes(chain, tmp_path, capsys):
     # a value of the right key but a bad string: 2 for a config, 3 for data
     config = default_config(n_images=10).to_dict()

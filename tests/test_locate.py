@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from typing import NamedTuple
 import warnings
 from dataclasses import replace
 
@@ -15,16 +16,14 @@ from mf_readout import (
     crosstalk_config,
     default_config,
     find_peaks,
-    fit_gaussian_2d,
     fit_stats,
     generate_dataset,
     locate_sites,
     mean_image,
     split_dataset,
 )
-from mf_readout.filters import BLOCK_FRAMES
+from mf_readout.filters import BLOCK_FRAMES, window_origin
 from mf_readout.locate import (
-    GaussianFit,
     _fit_lattice,
     _fit_windows,
     _joint_refine,
@@ -201,9 +200,39 @@ def test_find_peaks_input_validation():
 
 # --------------------------------------------------------- gaussian fit
 
+
+class _Fit(NamedTuple):
+    """One window's fit: the center in image coordinates, ok False for the
+    centroid fallback, and the accepted residual norms."""
+
+    center: tuple[float, float]
+    sigma: float
+    amplitude: float
+    offset: float
+    ok: bool
+    n_iter: int
+    residuals: tuple[float, ...]
+
+
+def _fit_window(image, center, window_px=7, *, init=None, sigma_bounds=None) -> _Fit:
+    """_fit_windows on the one window_px window the window rule places at
+    center, started from init (amplitude, sigma, offset), or from the
+    patch's range and a quarter of the window, as the per-window
+    reference starts."""
+    r_lo, c_lo = window_origin(center, window_px)
+    patch = np.asarray(image, dtype=np.float64)[r_lo : r_lo + window_px, c_lo : c_lo + window_px]
+    if init is None:
+        init = (float(patch.max()) - float(patch.min()), max(window_px / 4.0, 1.0), float(patch.min()))
+    a0, s0, b0 = init
+    band = sigma_bounds if sigma_bounds is not None else (0.0, np.inf)
+    fit = _fit_windows(patch[None], [[a0, center[0] - r_lo, center[1] - c_lo, s0, b0]], [band])
+    amp, r0, c0, sig, off = (float(v) for v in fit.params[0])
+    residuals = tuple(float(v) for v in fit.norms[0, : fit.n_norms[0]])
+    return _Fit((r_lo + r0, c_lo + c0), sig, amp, off, bool(fit.ok[0]), int(fit.n_iter[0]), residuals)
+
 def test_fit_gaussian_2d_noiseless_oracle():
     img = gaussian_image((28, 28), (13.4, 14.2), 1.8, 5.0, offset=0.3)
-    fit = fit_gaussian_2d(img, (13, 14))
+    fit = _fit_window(img, (13, 14))
     assert fit.ok
     assert fit.center[0] == pytest.approx(13.4, abs=1e-3)
     assert fit.center[1] == pytest.approx(14.2, abs=1e-3)
@@ -214,12 +243,12 @@ def test_fit_gaussian_2d_noiseless_oracle():
 
 def test_fit_gaussian_2d_respects_sigma_bounds():
     img = gaussian_image((28, 28), (14.0, 14.0), 2.5, 4.0)
-    fit = fit_gaussian_2d(img, (14, 14), init=(4.0, 1.5, 0.0), sigma_bounds=(1.0, 2.0))
+    fit = _fit_window(img, (14, 14), init=(4.0, 1.5, 0.0), sigma_bounds=(1.0, 2.0))
     assert fit.sigma <= 2.0 + 1e-9
 
 
 def test_fit_gaussian_2d_flat_window_falls_back():
-    fit = fit_gaussian_2d(np.zeros((20, 20)), (10, 10))
+    fit = _fit_window(np.zeros((20, 20)), (10, 10))
     assert not fit.ok
     # the flat window's centroid fallback is the window center, width 1
     assert fit.center == (10.0, 10.0)
@@ -230,7 +259,7 @@ def test_fit_gaussian_2d_flat_window_falls_back():
 def test_fit_gaussian_2d_nonpositive_amplitude_falls_back_at_once():
     img = gaussian_image((20, 20), (10.3, 9.8), 1.6, 3.0, offset=0.2)
     for a0 in (0.0, -1.0):
-        fit = fit_gaussian_2d(img, (10, 10), init=(a0, 1.6, 0.2))
+        fit = _fit_window(img, (10, 10), init=(a0, 1.6, 0.2))
         assert not fit.ok
         assert fit.n_iter == 0 and fit.residuals == ()
         assert fit == _reference_fit(img, (10, 10), init=(a0, 1.6, 0.2))
@@ -239,20 +268,11 @@ def test_fit_gaussian_2d_nonpositive_amplitude_falls_back_at_once():
 def test_fit_gaussian_2d_band_rejecting_every_step_falls_back():
     img = gaussian_image((20, 20), (10.3, 9.8), 1.6, 3.0, offset=0.2)
     # a zero-width band rejects any step that moves sigma at all
-    fit = fit_gaussian_2d(img, (10, 10), init=(3.0, 1.2, 0.2), sigma_bounds=(1.2, 1.2))
+    fit = _fit_window(img, (10, 10), init=(3.0, 1.2, 0.2), sigma_bounds=(1.2, 1.2))
     assert not fit.ok
     assert fit.n_iter == 1 and len(fit.residuals) == 1
     ref = _reference_fit(img, (10, 10), init=(3.0, 1.2, 0.2), sigma_bounds=(1.2, 1.2))
     assert fit == ref
-
-
-def test_fit_gaussian_2d_window_leaving_the_image_raises():
-    img = gaussian_image((20, 20), (10.0, 10.0), 1.6, 3.0)
-    for center in ((2.4, 10.0), (10.0, 16.6), (-0.2, 3.0)):
-        with pytest.raises(ConfigError):
-            fit_gaussian_2d(img, center)
-    # a window touching the image edge is still inside
-    fit_gaussian_2d(img, (3.0, 16.49))
 
 
 def _assert_same_fit(fit, ref):
@@ -277,7 +297,7 @@ def test_fit_gaussian_2d_matches_reference_on_noisy_windows():
         start = tuple(np.round(center + rng.uniform(-shift, shift, size=2), 1))
         band = (rng.uniform(0.3, 1.0), rng.uniform(1.5, 3.0))
         _assert_same_fit(
-            fit_gaussian_2d(img, start, sigma_bounds=band),
+            _fit_window(img, start, sigma_bounds=band),
             _reference_fit(img, start, sigma_bounds=band),
         )
 
@@ -290,7 +310,7 @@ def test_fit_gaussian_2d_matches_reference_in_narrow_sigma_bands():
     for width in np.logspace(-12, -1, 45):
         band = (1.3 - width, 1.3 + width)
         _assert_same_fit(
-            fit_gaussian_2d(img, (10, 10), init=(2.5, 1.3, 0.2), sigma_bounds=band),
+            _fit_window(img, (10, 10), init=(2.5, 1.3, 0.2), sigma_bounds=band),
             _reference_fit(img, (10, 10), init=(2.5, 1.3, 0.2), sigma_bounds=band),
         )
 
@@ -369,6 +389,31 @@ def test_lattice_gives_up_when_the_window_is_ambiguous():
     _, points = _noisy_grid()
     far = [[-40.0, -40.0], [-40.0, 60.0], [60.0, -40.0]]
     assert _fit_lattice(np.vstack([points[:6], far])) is None
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 3), (2, 4), (3, 2), (4, 4)])
+def test_lattice_matches_the_point_by_point_reference(rows, cols):
+    # noisy grids at several pitches and origins, whole and with one site
+    # replaced by a stray point, which may land anywhere within a pitch of
+    # another site: into its cell, between cells or outside the grid
+    rng = np.random.default_rng(10 * rows + cols)
+    for pitch in (4.5, 6.0, 8.3):
+        for origin in ((3.2, 5.7), (10.0, -2.4)):
+            truth = np.array([(origin[0] + pitch * r, origin[1] + pitch * c) for r in range(rows) for c in range(cols)])
+            for _ in range(4):
+                points = truth + rng.normal(0.0, 0.01 * pitch, truth.shape)
+                strayed = points.copy()
+                strayed[rng.integers(len(points))] = points[rng.integers(len(points))] + rng.uniform(-pitch, pitch, 2)
+                for pts in (points, strayed):
+                    got, want = _fit_lattice(pts), _reference_lattice(pts)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert got[1:] == want[1:]
+                        assert np.abs(got[0] - want[0]).max() <= 1e-9 * pitch
+                # a whole grid snaps onto itself
+                fitted, *shape = _fit_lattice(points)
+                assert shape == [rows, cols]
+                assert np.abs(fitted - truth).max() < 0.05 * pitch
 
 
 # --------------------------------------------------------- locate_sites
@@ -472,7 +517,7 @@ def test_gaussian_fit_agrees_with_curve_fit():
     true = dict(center=(10.32, 11.78), sigma=1.95, amplitude=4.2, offset=0.4)
     img = gaussian_image((21, 21), **true) + rng.normal(0, 0.02, size=(21, 21))
 
-    fit = fit_gaussian_2d(img, (10, 12), window_px=15)
+    fit = _fit_window(img, (10, 12), window_px=15)
     assert fit.ok
 
     rs, cs = np.mgrid[3:18, 5:20]  # same window the fitter uses
@@ -527,7 +572,7 @@ def _reference_centroid_fallback(patch, r_lo, c_lo, n_iter, residuals):
         c0 = float((w * cc).sum() / total)
         var = float((w * ((rr - r0) ** 2 + (cc - c0) ** 2)).sum() / total)
         sigma = float(np.sqrt(max(var / 2.0, 0.25)))
-    return GaussianFit(
+    return _Fit(
         center=(r_lo + r0, c_lo + c0),
         sigma=sigma,
         amplitude=float(patch.max() - patch.min()),
@@ -613,7 +658,7 @@ def _reference_fit(image, initial_center, window_px=7, *, init=None, sigma_bound
     in_window = -1.0 <= r0 <= window_px and -1.0 <= c0 <= window_px
     if sig <= 0 or not np.all(np.isfinite(p)) or not in_window:
         return _reference_centroid_fallback(patch, r_lo, c_lo, n_iter, norms)
-    return GaussianFit(
+    return _Fit(
         center=(r_lo + r0, c_lo + c0), sigma=sig, amplitude=amp, offset=off, ok=True,
         n_iter=n_iter, residuals=tuple(norms),
     )
@@ -647,7 +692,69 @@ def _reference_subtraction_refits(img, anchors, fits, window_px, sigma_band, gua
     return fits
 
 
+def _reference_lattice(centers):
+    """_fit_lattice's rule, point by point. The spacing and anchor are
+    estimated the same way; then each cell keeps its best-fitting point
+    in a dict, and every rows x cols = n window is counted at every
+    placement that holds a point, one point at a time, with no
+    summed-area table. Returns (predicted row-major centers, rows, cols),
+    or None on a tie or too few points."""
+    pts = np.asarray(centers, dtype=np.float64)
+    n = len(pts)
+    nn = [min((np.sqrt(((pts[i] - pts[j]) ** 2).sum()) for j in range(n) if j != i), default=np.inf) for i in range(n)]
+    s0 = float(np.median(nn))
+    if not np.isfinite(s0) or s0 <= 0:
+        return None
+    typical = [d for d in nn if 0.6 * s0 <= d <= 1.7 * s0]
+    spacings = {round(s0, 9)} | ({round(float(np.median(typical)), 9)} if typical else set())
+    centroid = pts.mean(axis=0)
+    best = None
+    for s_est in sorted(spacings):
+        for a in range(n):
+            near = 0
+            for i in range(n):
+                rel = (pts[i] - pts[a]) / s_est
+                near += int(np.abs(rel - np.round(rel)).max() < 0.25)
+            score = (near, -float(np.hypot(*(pts[a] - centroid))))
+            if best is None or score > best[0]:
+                best = (score, a, s_est)
+    _, anchor, step = best
+    fitted = []
+    for i in range(n):
+        rel = (pts[i] - pts[anchor]) / step
+        cell = tuple(int(v) for v in np.round(rel))
+        frac = float(np.abs(rel - np.round(rel)).max())
+        if frac < 0.25:
+            fitted.append((frac, i, cell))
+    best_point = {}
+    for _, i, cell in sorted(fitted):
+        best_point.setdefault(cell, i)
+
+    placements = []
+    for rows in range(2, n // 2 + 1):
+        if n % rows:
+            continue
+        cols = n // rows
+        for r0, c0 in {(r - dr, c - dc) for r, c in best_point for dr in range(rows) for dc in range(cols)}:
+            count = sum(r0 <= r < r0 + rows and c0 <= c < c0 + cols for r, c in best_point)
+            placements.append((count, rows, cols, r0, c0))
+    most = max((p[0] for p in placements), default=0)
+    winners = [p for p in placements if p[0] == most]
+    if len(winners) != 1 or most < max(4, -(-6 * n // 10)):
+        return None
+    _, rows, cols, r0, c0 = winners[0]
+    inside = sorted(cell for cell in best_point if r0 <= cell[0] < r0 + rows and c0 <= cell[1] < c0 + cols)
+    grid = np.array([(1.0, r - r0, c - c0) for r, c in inside])
+    affine = np.linalg.lstsq(grid, pts[[best_point[cell] for cell in inside]], rcond=None)[0]
+    sites = np.array([(1.0, i, j) for i in range(rows) for j in range(cols)])
+    return sites @ affine, rows, cols
+
+
 def _reference_locate_sites(mean_img, n_sites, min_distance_px=3.0, window_px=7, refine_passes=4):
+    """locate_sites one window at a time, with the point-by-point lattice
+    (_reference_lattice). The joint fit, _joint_refine, is still the
+    production one, so a defect in it shows on both sides of a
+    comparison with locate_sites."""
     img = np.asarray(mean_img, dtype=np.float64)
     med = float(np.median(img))
     h, w = img.shape
@@ -657,7 +764,7 @@ def _reference_locate_sites(mean_img, n_sites, min_distance_px=3.0, window_px=7,
         band = (max(0.3, 0.1 * d_min), 0.75 * d_min)
         guard = max(0.5 * min_distance_px, 0.3 * d_min)
         fits = [
-            GaussianFit(
+            _Fit(
                 (float(r), float(c)), 0.4 * d_min, max(float(img[r, c]) - med, 1e-12), med,
                 False, 0, (),
             )
@@ -674,7 +781,7 @@ def _reference_locate_sites(mean_img, n_sites, min_distance_px=3.0, window_px=7,
         except DataError:
             continue
         anchors = [f.center for f in stage1(peaks)]
-        lattice = _fit_lattice(anchors)
+        lattice = _reference_lattice(anchors)
         if lattice is not None:
             anchors = [tuple(p) for p in lattice[0]]
         spacing = _median_spacing(anchors)
@@ -691,7 +798,7 @@ def _reference_locate_sites(mean_img, n_sites, min_distance_px=3.0, window_px=7,
     centers, amps = centers[order], amps[order]
     amplitudes = np.maximum(amps, 1e-12)
     bump_stack = [
-        _reference_bump(GaussianFit(tuple(c), sig_shared, float(a), off, True, 0, ()), img.shape)
+        _reference_bump(_Fit(tuple(c), sig_shared, float(a), off, True, 0, ()), img.shape)
         for c, a in zip(centers, amplitudes)
     ]
     total = np.sum(bump_stack, axis=0)

@@ -70,6 +70,8 @@ def test_run_config_validation(tmp_path):
         dict(alpha=-1.0),
         dict(s_grid=()),
         dict(s_grid=(0,)),
+        dict(s_grid=(1,)),
+        dict(s_grid=(1, 3)),
         dict(theta_grid=(0.5, 0.4, 0.1)),
         dict(theta_grid=(0.1, 0.9, 0.0)),
         dict(theta_grid=(0.0, 0.9, 0.1)),
@@ -540,10 +542,10 @@ def test_one_shuffle_holds_each_frame_in_float64_once(shuffle_stacks, preset, bo
 
 def test_no_train_block_is_alive_while_the_learned_kinds_train(shuffle_stacks, monkeypatch):
     """The fixed kinds tune while the float64 train block is held; the
-    nested solves and the learned tuning run after it is freed."""
+    window systems and the learned tuning run after it is freed."""
     stack = shuffle_stacks["default"]
     blocks, alive = [], []
-    gather, fill_solves, tune_all = pipeline_mod.gather_frames, train_mod._fill_solves, train_mod._tune_all
+    gather, window_systems, tune_all = pipeline_mod.gather_frames, train_mod._window_systems, train_mod._tune_all
 
     def gathered(images, idx):
         block = gather(images, idx)
@@ -552,7 +554,7 @@ def test_no_train_block_is_alive_while_the_learned_kinds_train(shuffle_stacks, m
 
     def solves(*args):
         alive.append(("solves", blocks[0]() is not None))
-        return fill_solves(*args)
+        return window_systems(*args)
 
     def tuned(data, kind, *args):
         alive.append((kind, blocks[0]() is not None))
@@ -561,7 +563,7 @@ def test_no_train_block_is_alive_while_the_learned_kinds_train(shuffle_stacks, m
         return out
 
     monkeypatch.setattr(pipeline_mod, "gather_frames", gathered)
-    monkeypatch.setattr(train_mod, "_fill_solves", solves)
+    monkeypatch.setattr(train_mod, "_window_systems", solves)
     monkeypatch.setattr(train_mod, "_tune_all", tuned)
     pipeline_mod._one_shuffle(_shuffle_run(stack), stack.images, stack.truth, 0, stack.n_sites)
     assert alive == [
@@ -636,9 +638,9 @@ def test_fallback_fits_from_the_moments_after_the_release(small_training, tmp_pa
     fits = []
     fallback = train_mod._fallback_weights
 
-    def counted(data, products, site, pix, nbr, alpha):
+    def counted(data, window, site, pix, nbr, alpha):
         fits.append(len(pix) + len(nbr))
-        return fallback(data, products, site, pix, nbr, alpha)
+        return fallback(data, window, site, pix, nbr, alpha)
 
     monkeypatch.setattr(train_mod, "_fallback_weights", counted)
     run = _shuffle_run(t.stack)

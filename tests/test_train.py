@@ -14,11 +14,16 @@ from mf_readout import (
     NumericalError,
     SiteGeometry,
     TrainingData,
+    apply_stats,
+    classify_stack,
     count_complexity,
+    default_config,
     extract_array_features,
     extract_site_features,
     fit_rls,
     fit_ridge,
+    fit_stats,
+    generate_dataset,
     gaussian_score,
     gaussian_weight_map,
     load_models,
@@ -385,9 +390,9 @@ def _count_fallback_fits(monkeypatch):
     calls = []
     fit = train._fallback_weights
 
-    def spy(data, products, site, pix, nbr, alpha):
+    def spy(data, window, site, pix, nbr, alpha):
         calls.append(len(pix) + len(nbr))
-        return fit(data, products, site, pix, nbr, alpha)
+        return fit(data, window, site, pix, nbr, alpha)
 
     monkeypatch.setattr(train, "_fallback_weights", spy)
     return calls
@@ -430,6 +435,51 @@ def test_moment_path_is_minimum_norm_when_rank_deficient():
     tol = np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * np.abs(expected).max()
     assert np.abs(result.weights - expected).max() <= tol
     assert np.abs(result.weights - fit_ridge(x, y)).max() <= tol
+
+
+# ------------------------------------------------------- array shapes
+
+SHAPE_GRID = (2, 3, 5, 8, 11, 12)
+
+
+# Every window of the grid fits every site at origin (8, 8). At (5.4, 6.6)
+# window 12 leaves the frame above the top row, whose largest window is
+# 11; at (10.6, 9.4) windows 11 and 12 leave it below the bottom row,
+# whose largest is 8. Each largest window is one stack of nested solves.
+@pytest.mark.parametrize("rows, cols, origin, largest", [
+    (1, 1, (8.0, 8.0), {12}), (1, 3, (8.0, 8.0), {12}), (2, 2, (8.0, 8.0), {12}),
+    (2, 4, (5.4, 6.6), {11, 12}), (3, 2, (10.6, 9.4), {8, 12}), (4, 4, (5.4, 6.6), {11, 12}),
+])
+def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, origin, largest):
+    # a 6 px pitch on frames of (16 + 6(rows - 1)) x (16 + 6(cols - 1)),
+    # true-state labels and the true centers, so only training is tested
+    geometry = replace(default_config().geometry, rows=rows, cols=cols, origin_px=origin)
+    config = default_config(
+        n_images=600, seed=3, geometry=geometry, image_height=16 + 6 * (rows - 1), image_width=16 + 6 * (cols - 1),
+    )
+    stack = generate_dataset(config)
+    split = split_dataset(600, seed=0)
+    norm = apply_stats(stack.images, fit_stats(stack.images[split.train_idx]))
+    centers = geometry.site_centers()
+    data = TrainingData(
+        norm[split.train_idx], stack.truth[split.train_idx], norm[split.val_idx], stack.truth[split.val_idx],
+        SiteGeometry(centers, np.full(rows * cols, geometry.psf_sigma_px), np.ones(rows * cols)),
+    )
+    shape = data.image_shape
+    assert {max(s for s in SHAPE_GRID if window_fits(c, s, shape)) for c in centers} == largest
+    test = norm[split.test_idx]
+    for kind in LEARNED_KINDS:
+        model_set = train_all_sites(data, kind, SHAPE_GRID)
+        assert not model_set.failures
+        for site in range(rows * cols):
+            reference = _feature_path_tune(data, site, kind, SHAPE_GRID)
+            _assert_same_choice(model_set.tune_results[site], reference, rel_tol=1e-12)
+        models = model_set.ordered()
+        single = np.vstack([classify_stack(models, frame) for frame in test])
+        assert np.array_equal(single, classify_stack(models, test)), kind
+        for model in models:
+            alone = np.concatenate([model.scores(frame) for frame in test])
+            assert alone.tobytes() == model.scores(test).tobytes(), (kind, model.site)
 
 
 # ------------------------------------------------------ whole lattice
@@ -515,18 +565,19 @@ def test_batch_failures_stay_per_site(small_training, monkeypatch):
     grids = dict(s_grid=(3, 4, 5), theta_grid=(0.3, 0.5, 0.7))
     learned_weights = train._learned_weights
 
-    def non_finite_weights(data, s, sites, nbr, alpha):
+    def non_finite_weights(data, window, sites, nbr, alpha):
         # site 3 at every window; site 5, which its validation labels fail
-        # at the first window already, only at the last
-        weights = learned_weights(data, s, sites, nbr, alpha)
-        weights[(sites == 2) | ((sites == 4) & (s == 5))] = np.nan
+        # at the first window already, only at the last (1 + 5 * 5 pixels
+        # and bias)
+        weights = learned_weights(data, window, sites, nbr, alpha)
+        weights[(sites == 2) | ((sites == 4) & (window.pix.shape[1] == 1 + 5 * 5))] = np.nan
         return weights
 
     monkeypatch.setattr(train, "_learned_weights", non_finite_weights)
     model_set = train_all_sites(data, "mf-site", **grids)
     monkeypatch.undo()
     assert model_set.failures == {
-        0: f"no window size in (3, 4, 5) fits site 0 at {tuple(data.geometry.centers[0])}",
+        0: "no window size in (3, 4, 5) fits site 0 at (0.0, 0.0)",
         2: "ridge solve produced non-finite weights",
         4: "validation labels contain a single class",
     }
@@ -565,11 +616,11 @@ def test_block_elimination_matches_the_full_system(small_training, monkeypatch, 
     data = replace(small_training.data)
     centers = data.geometry.centers
     sites, nbr = np.arange(9), _all_neighbors(9)
-    train._fill_solves(data, (3, 5, 8), alpha)
+    systems = train._window_systems(data, (3, 5, 8), alpha)
     fits = _count_fallback_fits(monkeypatch)
     for s in (3, 5, 8):
-        assert data._products[s].fits == tuple(range(9))
-        got = train._learned_weights(data, s, sites, nbr, alpha)
+        assert systems[s].fits == tuple(range(9))
+        got = train._learned_weights(data, systems[s], sites, nbr, alpha)
         for k in sites:
             x = extract_array_features(data.train_images, centers, k, s, tuple(nbr[k]))
             expected = fit_ridge(x, data.train_labels[:, k], alpha)
@@ -604,13 +655,13 @@ def _lattice_data(n_train=60, n_val=40, seed=30, constant=True):
 def test_block_elimination_falls_back_when_a_or_the_schur_complement_fails(monkeypatch, assert_minimum_norm):
     data = _lattice_data()
     s, sites, nbr = 3, np.arange(9), _all_neighbors(9)
-    train._fill_solves(data, (s,), 0.0)
-    assert train._full_rank(data._solves[(s, 0.0)].pivots).tolist() == [True] * 8 + [False]
+    window = train._window_systems(data, (s,), 0.0)[s]
+    assert train._full_rank(window.pivots).tolist() == [True] * 8 + [False]
     fits = _count_fallback_fits(monkeypatch)
-    weights = train._learned_weights(data, s, sites, nbr, 0.0)
+    weights = train._learned_weights(data, window, sites, nbr, 0.0)
     # site 9 for its A, every other site for its Schur complement
     assert fits == [s * s + 8 + 1] * 9
-    site_weights = train._learned_weights(data, s, sites, _no_neighbors(9), 0.0)
+    site_weights = train._learned_weights(data, window, sites, _no_neighbors(9), 0.0)
     assert len(fits) == 10  # mf-site: site 9 alone
     centers = data.geometry.centers
     for k in sites:
@@ -637,15 +688,30 @@ def test_mf_array_alone_equals_mf_array_after_mf_site(small_training):
     assert not any(
         np.array_equal(ridge.tune_results[site].weights, after.tune_results[site].weights) for site in range(9)
     )
-    assert sorted(data._solves) == [(s, a) for s in grids["s_grid"] for a in (0.0, 0.1)]
+    assert sorted(data._systems) == [(grids["s_grid"], a) for a in (0.0, 0.1)]
+
+
+@pytest.mark.parametrize("first", [dict(s_grid=(2, 3, 4, 5)), dict(alpha=0.1)])
+def test_an_earlier_request_does_not_change_a_later_ones_bits(small_training, first):
+    # with the grid (2, 3, 4, 5), window 5's factor solves sizes 2-5 of
+    # every site; the library grid's window 14 is singular on this stack,
+    # so a fresh build fits those sizes by the fallback instead
+    data = replace(small_training.data)
+    train_all_sites(data, "mf-site", **first)
+    after = train_all_sites(data, "mf-array")
+    alone = train_all_sites(replace(small_training.data), "mf-array")
+    assert sorted(after.tune_results) == sorted(alone.tune_results) == list(range(9))
+    for site in range(9):
+        _assert_same_result(after.tune_results[site], alone.tune_results[site])
+        assert after.models[site].weights.tobytes() == alone.models[site].weights.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["mf-site", "mf-array"])
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 def test_learned_kinds_skip_window_sizes_that_fit_no_site(small_training, kind, alpha):
-    # s = 1 fits no site by rule, s = 30 leaves the frame
+    # s = 30 leaves the frame
     grids = dict(theta_grid=(0.3, 0.5, 0.7), alpha=alpha)
-    got = train_all_sites(replace(small_training.data), kind, s_grid=(1, 3, 30), **grids)
+    got = train_all_sites(replace(small_training.data), kind, s_grid=(3, 30), **grids)
     expected = train_all_sites(replace(small_training.data), kind, s_grid=(3,), **grids)
     assert sorted(got.tune_results) == sorted(expected.tune_results) == list(range(9))
     for site in range(9):
@@ -667,9 +733,9 @@ def test_one_product_gives_every_window_size_its_products(small_training):
     data = replace(small_training.data)
     gram, cross = data._moments
     p = gram.shape[0] - 1
-    train._fill_products(data, S_GRID)
+    systems = train._window_systems(data, S_GRID, 0.0)
     for s in S_GRID:
-        products = data._products[s]
+        products = systems[s]
         ga = gram[:, :p] @ products.a_s
         assert products.fits == tuple(range(9))
         assert np.abs(products.ga - ga).max() <= 1e-13 * np.abs(ga).max()
@@ -677,16 +743,16 @@ def test_one_product_gives_every_window_size_its_products(small_training):
         assert np.array_equal(products.ar, products.a_s.T @ cross[:p])
 
 
-def _per_size_systems(data, s, alpha):
+def _per_size_systems(data, window, s, alpha):
     """Reference for one window size: every fitting site's mf-site system
     over its row-major window pixels and the bias, with alpha on its
-    diagonal, and its right-hand sides. Returns (pix, systems, rhs)."""
+    diagonal, and its right-hand sides, against the window's products.
+    Returns (pix, systems, rhs)."""
     gram, cross = data._moments
-    products = data._products[s]
-    sites = np.array(products.fits, dtype=np.intp)
+    sites = np.array(window.fits, dtype=np.intp)
     p = gram.shape[0] - 1
     pix = np.array([np.append(window_index(data.geometry.centers[k], s, data.image_shape), p) for k in sites])
-    rhs = np.concatenate([cross[pix, sites[:, None]][..., None], products.ga[pix]], axis=2)
+    rhs = np.concatenate([cross[pix, sites[:, None]][..., None], window.ga[pix]], axis=2)
     return pix, gram[pix[:, :, None], pix[:, None, :]] + alpha * np.eye(pix.shape[1]), rhs
 
 
@@ -699,10 +765,10 @@ def _assert_nested_solves_match(data, s_grid, alpha):
     10 eps cond(A) of its max |x| of a direct solve (both are
     backward-stable solves of one system; measured at most 1.7 of it on
     the lattice and both presets)."""
-    train._fill_solves(data, s_grid, alpha)
+    windows = train._window_systems(data, s_grid, alpha)
     for s in s_grid:
-        got = data._solves[(s, alpha)]
-        pix, systems, rhs = _per_size_systems(data, s, alpha)
+        got = windows[s]
+        pix, systems, rhs = _per_size_systems(data, got, s, alpha)
         assert np.array_equal(got.pix, pix)
         held = train._solved(got.pivots, alpha)
         if alpha > 0:
@@ -729,12 +795,12 @@ def test_nested_solves_fall_back_for_a_site_whose_largest_system_fails(monkeypat
     noise = np.random.default_rng(31).normal(size=data.train_images.shape)
     data = replace(data, train_images=data.train_images + jitter * noise * (data.train_images == 0.5))
     s_grid, sites, centers = (2, 3, 4, 5), np.arange(9), data.geometry.centers
-    train._fill_solves(data, s_grid, 0.0)
+    systems = train._window_systems(data, s_grid, 0.0)
     fits = _count_fallback_fits(monkeypatch)
     for s in s_grid:
-        assert train._full_rank(data._solves[(s, 0.0)].pivots).tolist() == [True] * 8 + [False]
+        assert train._full_rank(systems[s].pivots).tolist() == [True] * 8 + [False]
         for nbr in (_no_neighbors(9), _all_neighbors(9)):
-            weights = train._learned_weights(data, s, sites, nbr, 0.0)
+            weights = train._learned_weights(data, systems[s], sites, nbr, 0.0)
             for k in sites:
                 y = data.train_labels[:, k].astype(float)
                 x = extract_array_features(data.train_images, centers, k, s, tuple(nbr[k]))
@@ -750,8 +816,7 @@ def test_nested_solves_fall_back_for_a_site_whose_largest_system_fails(monkeypat
 def test_nested_solves_when_the_largest_window_leaves_edge_sites_out(alpha):
     data = _lattice_data(n_train=400, constant=False)
     s_grid = tuple(range(3, 13))
-    train._fill_products(data, s_grid)
-    fits = {s: data._products[s].fits for s in s_grid}
+    fits = {s: window.fits for s, window in train._window_systems(data, s_grid, alpha).items()}
     # three stacks: largest window 9 at the top and left edges, 10 at the
     # bottom and right ones, 12 at the center
     assert fits[9] == tuple(range(9))
@@ -779,7 +844,7 @@ def test_fallback_matches_the_feature_path_on_every_site(small_training, monkeyp
 def test_released_training_data_trains_the_learned_kinds_alone(small_training):
     data = replace(small_training.data)
     shape = data.image_shape
-    data.release_train_block()
+    data.release_train_block(train.pixel_gram(data.train_images, train.empty_gram(data.train_images)))
     assert data.train_images is None
     assert data.image_shape == shape
     for kind in ("square", "gaussian"):
@@ -829,14 +894,14 @@ def _reference_fixed_tune(data, site, kind, s_grid):
     cells = [
         (s, *cell(square_score(data.train_images, center, s), square_score(data.val_images, center, s)))
         for s in s_grid
-        if s >= 2 and window_fits(center, s, shape)
+        if window_fits(center, s, shape)
     ]
     if not cells:
-        raise ConfigError(f"no window size in {tuple(s_grid)} fits site {site} at {center}")
+        raise ConfigError(f"no window size in {tuple(s_grid)} fits site {site} at {tuple(map(float, center))}")
     return cells
 
 
-@pytest.mark.parametrize("kind, s_grid", [("square", (1, 3, 4, 6, 30)), ("gaussian", S_GRID)])
+@pytest.mark.parametrize("kind, s_grid", [("square", (3, 4, 6, 30)), ("gaussian", S_GRID)])
 def test_fixed_pass_matches_the_per_site_scores(small_training, kind, s_grid):
     # site 1 has no window, site 5 dark-only validation labels, site 7
     # bright-only train labels; site 8's 3 x 3 window is constant in the
@@ -857,7 +922,7 @@ def test_fixed_pass_matches_the_per_site_scores(small_training, kind, s_grid):
         7: "validation labels contain a single class",
     }
     if kind == "square":
-        expected_failures[0] = f"no window size in {s_grid} fits site 0 at {tuple(data.geometry.centers[0])}"
+        expected_failures[0] = f"no window size in {s_grid} fits site 0 at (0.0, 0.0)"
         expected_failures[7] = "zero-variance score class, threshold undefined"
     assert model_set.failures == expected_failures
     for site in range(9):
@@ -879,6 +944,8 @@ def test_fixed_pass_matches_the_per_site_scores(small_training, kind, s_grid):
     dict(s_grid=()),
     dict(theta_grid=()),
     dict(alpha=-1.0),
+    dict(s_grid=(1, 3)),
+    dict(kind="square", s_grid=(1,)),
 ])
 def test_train_all_sites_rejects_a_bad_request_before_tuning(small_training, monkeypatch, bad):
     def must_not_run(*args, **kwargs):
