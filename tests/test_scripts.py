@@ -21,8 +21,10 @@ def _missing_names(path: Path) -> list[str]:
             for alias in node.names:
                 if alias.name.split(".")[0] == "mf_readout":
                     module = importlib.import_module(alias.name)
-                    # a plain "import mf_readout.x" binds the package
-                    bound[alias.asname or "mf_readout"] = module if alias.asname else importlib.import_module("mf_readout")
+                    if alias.asname:
+                        bound[alias.asname] = module
+                    else:  # a plain "import mf_readout.x" binds the package
+                        bound["mf_readout"] = importlib.import_module("mf_readout")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mf_readout":
             module = importlib.import_module(node.module)
             for alias in node.names:
