@@ -44,13 +44,7 @@ from pathlib import Path  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROWS = ("default-3000", "default-6000", "crosstalk-3000", "crosstalk-6000", "3x3", "5x5", "8x8")
-STAGES = {
-    "normalize": ("fit_stats", "apply_stats"),
-    "locate": ("mean_image", "locate_sites"),
-    "moments": ("empty_gram", "TrainingData.release_train_block"),
-    "train": ("train_all_sites",),
-    "evaluate": ("_evaluate_sets",),
-}
+STAGES = ("normalize", "locate", "moments", "train", "evaluate")
 MB = 2.0**20
 
 
@@ -69,6 +63,21 @@ def sim_config(row: str):
     return default_config(geometry=geometry, image_height=size, image_width=size, n_images=3000, seed=0)
 
 
+def stage_functions() -> dict:
+    """Stage name -> the functions it wraps, read as attributes of the
+    pipeline module, so that a renamed one fails the scripts' name check
+    (tests/test_scripts.py) rather than this script."""
+    import mf_readout.pipeline as pipeline
+
+    return {
+        "normalize": (pipeline.fit_stats, pipeline.apply_stats),
+        "locate": (pipeline.mean_image, pipeline.locate_sites),
+        "moments": (pipeline.empty_gram, pipeline.TrainingData.release_train_block),
+        "train": (pipeline.train_all_sites,),
+        "evaluate": (pipeline._evaluate_sets,),
+    }
+
+
 def render(row: str, path: Path) -> None:
     from mf_readout import generate_dataset, write_stack
 
@@ -78,8 +87,9 @@ def render(row: str, path: Path) -> None:
 def traced_stages(pipeline, shuffle) -> dict[str, int]:
     """Traced peak in bytes of each stage of one shuffle, and of the whole.
 
-    The stage functions are rebound in the pipeline module, or on a class
-    of it for a dotted name, for the call and restored afterwards. Each
+    Each stage function is rebound where the pipeline reaches it, in the
+    pipeline module or, for a method, on its class (the path its
+    qualified name gives), for the call and restored afterwards. Each
     stage's peak is taken from a peak reset at its start, so it counts
     what the shuffle already held.
     """
@@ -100,25 +110,26 @@ def traced_stages(pipeline, shuffle) -> dict[str, int]:
 
         return traced
 
-    def owner(name):
-        *path, attr = name.split(".")
+    def owner(fn):
+        *path, attr = fn.__qualname__.split(".")
         obj = pipeline
         for part in path:
             obj = getattr(obj, part)
         return obj, attr
 
-    originals = {name: getattr(*owner(name)) for names in STAGES.values() for name in names}
-    for stage, names in STAGES.items():
-        for name in names:
-            setattr(*owner(name), wrap(stage, originals[name]))
+    originals = {}
+    for stage, fns in stage_functions().items():
+        for fn in fns:
+            originals[fn] = owner(fn)
+            setattr(*originals[fn], wrap(stage, fn))
     tracemalloc.start()
     try:
         shuffle()
         peaks["shuffle"] = max(peaks["shuffle"], tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-        for name, inner in originals.items():
-            setattr(*owner(name), inner)
+        for fn, (obj, attr) in originals.items():
+            setattr(obj, attr, fn)
     return peaks
 
 

@@ -15,15 +15,15 @@ training split alone and are then applied unchanged to every split.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
 from .filters import centers_inside, frame_blocks, window_fits, window_origin
-from .sim import LabeledImageStack
-from .util import read_json
+from .sim import LabeledImageStack, SimConfig
+from .util import cast_fields, read_dataclass, read_json
 
 PEAK_MIN_DISTANCE = 3.0
 PEAK_SCALES = (1.0, 1.5, 2.0, 3.0)
@@ -31,24 +31,34 @@ FIT_WINDOW = 7
 REFINE_PASSES = 4
 
 
-def crop(stack: LabeledImageStack, top: int, left: int, height: int, width: int) -> LabeledImageStack:
-    """Crop every frame to the rectangle; labels are untouched.
+def crop_config(config: SimConfig, top: int, left: int, height: int, width: int) -> SimConfig:
+    """config for its frames cropped to the rectangle: the image size and
+    the site origin move with it.
 
-    The attached config is rewritten (image size and site origin) so the
-    cropped stack stays self-consistent for downstream windows.
+    ConfigError when the rectangle leaves the frame or cuts off a site,
+    so a run with a bad crop is stopped before it renders anything.
     """
-    h, w = stack.images.shape[1:]
+    h, w = config.image_height, config.image_width
     if top < 0 or left < 0 or height < 1 or width < 1 or top + height > h or left + width > w:
         raise ConfigError(
             f"crop rectangle ({top},{left},{height},{width}) leaves the {h}x{w} frame"
         )
-    geo = stack.config.geometry
-    cfg = replace(
-        stack.config,
+    geo = config.geometry
+    return replace(
+        config,
         image_height=height,
         image_width=width,
         geometry=replace(geo, origin_px=(geo.origin_px[0] - top, geo.origin_px[1] - left)),
     )
+
+
+def crop(stack: LabeledImageStack, top: int, left: int, height: int, width: int) -> LabeledImageStack:
+    """Crop every frame to the rectangle; labels are untouched.
+
+    The attached config is rewritten by crop_config so the cropped stack
+    stays self-consistent for downstream windows.
+    """
+    cfg = crop_config(stack.config, top, left, height, width)
     images = np.ascontiguousarray(stack.images[:, top : top + height, left : left + width])
     return LabeledImageStack(images=images, truth=stack.truth, config=cfg)
 
@@ -61,20 +71,15 @@ class PreprocessStats:
     train_range: float
 
     def __post_init__(self):
+        cast_fields(self, float, "train_mean", "train_range")
         if not self.train_range > 0:
             raise DataError(f"train_range must be positive, got {self.train_range}")
 
-    def to_dict(self) -> dict:
-        return {"train_mean": self.train_mean, "train_range": self.train_range}
+    to_dict = asdict
 
     @staticmethod
     def from_dict(d: dict) -> "PreprocessStats":
-        try:
-            return PreprocessStats(float(d["train_mean"]), float(d["train_range"]))
-        except MFReadoutError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"bad stats dict: {exc}") from exc
+        return read_dataclass(PreprocessStats, d, DataError)
 
 
 def fit_stats(train_images) -> PreprocessStats:

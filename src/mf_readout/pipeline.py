@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import contextlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
 from .filters import KINDS, classify_stack, frame_blocks
-from .locate import apply_stats, crop, fit_stats, gather_frames, locate_sites, mean_image
+from .locate import apply_stats, crop, crop_config, fit_stats, gather_frames, locate_sites, mean_image
 from .metrics import evaluate, evaluate_predictions, standard_error
 from .qimg import label_matrix, label_rows, read_stack, write_stack
 from .report import (
@@ -46,7 +46,16 @@ from .train import (
     theta_grid_default,
     train_all_sites,
 )
-from .util import canonical_json, content_hash, derive_seed, read_json, release_free_heap, write_atomic
+from .util import (
+    canonical_json,
+    cast_fields,
+    content_hash,
+    derive_seed,
+    read_dataclass,
+    read_json,
+    release_free_heap,
+    write_atomic,
+)
 
 LABEL_SOURCES = ("label", "truth")
 
@@ -80,15 +89,14 @@ class RunConfig:
     def __post_init__(self):
         # canonicalize up front so validation, hashing, and reports all see
         # one spelling (CLI kind tokens, list-vs-tuple, int-vs-float)
-        object.__setattr__(
-            self, "exposure_sweep_ms", tuple(float(e) for e in self.exposure_sweep_ms)
-        )
+        cast_fields(self, str, "output_dir", "label_source")
+        cast_fields(self, float, "alpha")
+        cast_fields(self, int, "n_shuffles", "seed", "crossfid_frames")
+        cast_fields(self, lambda values: tuple(map(float, values)), "exposure_sweep_ms", "theta_grid")
         object.__setattr__(self, "kinds", tuple(TOKEN_KINDS.get(k, k) for k in self.kinds))
-        if self.crop is not None:
-            object.__setattr__(self, "crop", tuple(int(v) for v in self.crop))
-        if self.s_grid is not None:
-            object.__setattr__(self, "s_grid", tuple(int(s) for s in self.s_grid))
-        object.__setattr__(self, "theta_grid", tuple(float(t) for t in self.theta_grid))
+        for name in ("crop", "s_grid"):
+            if getattr(self, name) is not None:
+                cast_fields(self, lambda values: tuple(map(int, values)), name)
 
         if not self.exposure_sweep_ms:
             raise ConfigError("exposure sweep is empty")
@@ -106,8 +114,7 @@ class RunConfig:
         if self.crop is not None:
             if len(self.crop) != 4:
                 raise ConfigError(f"crop must be (top, left, height, width), got {self.crop}")
-            if self.crop[0] < 0 or self.crop[1] < 0 or self.crop[2] < 1 or self.crop[3] < 1:
-                raise ConfigError(f"bad crop rectangle {self.crop}")
+            crop_config(self.sim, *self.crop)  # raises ConfigError if it leaves the frame or cuts off a site
         if self.alpha < 0:
             raise ConfigError("alpha must be non-negative")
         if self.s_grid is not None and (not self.s_grid or min(self.s_grid) < 2):
@@ -124,43 +131,11 @@ class RunConfig:
         if not self.output_dir:
             raise ConfigError("output_dir is empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "sim": self.sim.to_dict(),
-            "output_dir": self.output_dir,
-            "exposure_sweep_ms": list(self.exposure_sweep_ms),
-            "kinds": list(self.kinds),
-            "crop": None if self.crop is None else list(self.crop),
-            "alpha": self.alpha,
-            "s_grid": None if self.s_grid is None else list(self.s_grid),
-            "theta_grid": list(self.theta_grid),
-            "n_shuffles": self.n_shuffles,
-            "seed": self.seed,
-            "label_source": self.label_source,
-            "crossfid_frames": self.crossfid_frames,
-        }
+    to_dict = asdict
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        try:
-            return RunConfig(
-                sim=SimConfig.from_dict(d["sim"]),
-                output_dir=str(d["output_dir"]),
-                exposure_sweep_ms=tuple(d["exposure_sweep_ms"]),
-                kinds=tuple(d.get("kinds", KINDS)),
-                crop=None if d.get("crop") is None else tuple(d["crop"]),
-                alpha=float(d.get("alpha", 0.0)),
-                s_grid=None if d.get("s_grid") is None else tuple(d["s_grid"]),
-                theta_grid=tuple(d.get("theta_grid", (0.01, 0.99, 0.01))),
-                n_shuffles=int(d.get("n_shuffles", 10)),
-                seed=int(d.get("seed", 0)),
-                label_source=str(d.get("label_source", "label")),
-                crossfid_frames=int(d.get("crossfid_frames", 0)),
-            )
-        except MFReadoutError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad run config: {exc}") from exc
+        return read_dataclass(RunConfig, d, ConfigError, sim=SimConfig.from_dict)
 
     def save(self, path) -> None:
         Path(path).write_text(canonical_json(self.to_dict()) + "\n")

@@ -22,13 +22,13 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MFReadoutError
+from .errors import ConfigError, DataError
 from .filters import centers_inside, gaussian_weight_map, unsupervised_threshold
-from .util import stream
+from .util import cast_fields, read_dataclass, stream
 
 # Frames per rendered block, the unit of work of the render pool: enough
 # that the per-block stream set-up is small against the draws, few enough
@@ -57,6 +57,10 @@ class ArrayGeometry:
     psf_sigma_px: float
 
     def __post_init__(self):
+        cast_fields(self, int, "rows", "cols")
+        cast_fields(self, float, "spacing_px", "psf_sigma_px")
+        row, col = self.origin_px
+        object.__setattr__(self, "origin_px", (float(row), float(col)))
         if self.rows < 1 or self.cols < 1:
             raise ConfigError("array must have at least one row and one column")
         if self.spacing_px <= 0:
@@ -77,29 +81,11 @@ class ArrayGeometry:
         )
         return centers.astype(float)
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "spacing_px": self.spacing_px,
-            "origin_px": list(self.origin_px),
-            "psf_sigma_px": self.psf_sigma_px,
-        }
+    to_dict = asdict
 
     @staticmethod
     def from_dict(d: dict) -> "ArrayGeometry":
-        try:
-            return ArrayGeometry(
-                rows=int(d["rows"]),
-                cols=int(d["cols"]),
-                spacing_px=float(d["spacing_px"]),
-                origin_px=(float(d["origin_px"][0]), float(d["origin_px"][1])),
-                psf_sigma_px=float(d["psf_sigma_px"]),
-            )
-        except MFReadoutError:
-            raise
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise ConfigError(f"bad geometry dict: {exc}") from exc
+        return read_dataclass(ArrayGeometry, d, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -126,6 +112,11 @@ class SimConfig:
     decay_prob_per_ms: float = 0.0
 
     def __post_init__(self):
+        cast_fields(self, int, "image_height", "image_width", "seed", "n_images")
+        cast_fields(
+            self, float, "exposure_ms", "bright_photon_rate", "attenuation", "dark_count_rate",
+            "read_noise_sigma", "p_bright", "decay_prob_per_ms",
+        )
         if self.exposure_ms <= 0:
             raise ConfigError("exposure_ms must be positive")
         if not 0.0 <= self.p_bright <= 1.0:
@@ -149,43 +140,11 @@ class SimConfig:
                 f"site centers exceed the {h}x{w} image bounds: {centers.tolist()}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "geometry": self.geometry.to_dict(),
-            "image_height": self.image_height,
-            "image_width": self.image_width,
-            "exposure_ms": self.exposure_ms,
-            "bright_photon_rate": self.bright_photon_rate,
-            "attenuation": self.attenuation,
-            "dark_count_rate": self.dark_count_rate,
-            "read_noise_sigma": self.read_noise_sigma,
-            "p_bright": self.p_bright,
-            "decay_prob_per_ms": self.decay_prob_per_ms,
-            "seed": self.seed,
-            "n_images": self.n_images,
-        }
+    to_dict = asdict
 
     @staticmethod
     def from_dict(d: dict) -> "SimConfig":
-        try:
-            return SimConfig(
-                geometry=ArrayGeometry.from_dict(d["geometry"]),
-                image_height=int(d["image_height"]),
-                image_width=int(d["image_width"]),
-                exposure_ms=float(d["exposure_ms"]),
-                bright_photon_rate=float(d["bright_photon_rate"]),
-                attenuation=float(d["attenuation"]),
-                dark_count_rate=float(d["dark_count_rate"]),
-                read_noise_sigma=float(d["read_noise_sigma"]),
-                p_bright=float(d["p_bright"]),
-                decay_prob_per_ms=float(d.get("decay_prob_per_ms", 0.0)),
-                seed=int(d["seed"]),
-                n_images=int(d["n_images"]),
-            )
-        except MFReadoutError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sim config dict: {exc}") from exc
+        return read_dataclass(SimConfig, d, ConfigError, geometry=ArrayGeometry.from_dict)
 
 
 @dataclass

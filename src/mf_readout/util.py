@@ -1,10 +1,12 @@
 """Small shared helpers: seeded RNG streams, canonical hashing, the one
-JSON file reader, atomic file writes, stable number formatting, and
-handing freed heap memory back to the operating system."""
+JSON file reader, the one config dict reader, atomic file writes, stable
+number formatting, and handing freed heap memory back to the operating
+system."""
 
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import json
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, MFReadoutError
 
 
 def _key_words(part) -> tuple[int, ...]:
@@ -68,6 +70,35 @@ def read_json(path, error=DataError):
             return json.load(f)
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def read_dataclass(cls, d, error, **nested):
+    """cls(**d) for the dataclass cls, each nested field's dict read by
+    its reader in nested (field name -> from_dict).
+
+    A key that is not a field of cls, a missing field without a default
+    and a value that cls rejects all raise error (a package error class)
+    naming them. Defaults come from the dataclass alone, and the casts to
+    each field's type happen in its __post_init__.
+    """
+    if not isinstance(d, dict):
+        raise error(f"a {cls.__name__} is a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise error(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+    try:
+        return cls(**{k: nested[k](v) if k in nested else v for k, v in d.items()})
+    except MFReadoutError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"bad {cls.__name__}: {exc}") from exc
+
+
+def cast_fields(obj, cast, *names) -> None:
+    """Set each named field of the frozen dataclass obj to cast(its value),
+    so a config built in code and one read from JSON hold the same types."""
+    for name in names:
+        object.__setattr__(obj, name, cast(getattr(obj, name)))
 
 
 def write_atomic(path, *chunks) -> None:

@@ -155,6 +155,42 @@ def test_window_sizes_below_2_exit_as_config_errors(chain, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_misspelled_config_key_exits_2_and_writes_nothing(tmp_path, capsys):
+    run = RunConfig(
+        sim=default_config(n_images=200, seed=3), output_dir=str(tmp_path / "out"),
+        exposure_sweep_ms=(20.0,), kinds=("square",), n_shuffles=1,
+    ).to_dict()
+    run["n_shufles"] = run.pop("n_shuffles")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "unknown RunConfig key(s): 'n_shufles'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    sim = default_config(n_images=10).to_dict()
+    sim["geometry"]["spacing"] = sim["geometry"].pop("spacing_px")
+    path.write_text(json.dumps(sim))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "raw")]) == 2
+    assert "unknown ArrayGeometry key(s): 'spacing'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("crop, message", [
+    ((0, 0, 10, 40), "crop rectangle (0,0,10,40) leaves the 28x28 frame"),
+    ((0, 0, 10, 12), "site centers exceed the 10x12 image bounds"),
+], ids=["off-the-frame", "cuts-off-sites"])
+def test_a_bad_crop_exits_2_before_the_sweep_renders(tmp_path, capsys, crop, message):
+    config = RunConfig(
+        sim=default_config(n_images=3000, seed=1), output_dir=str(tmp_path / "out"),
+        exposure_sweep_ms=(20.0,), kinds=("square",), n_shuffles=1,
+    ).to_dict() | {"crop": list(crop)}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_input_files_exit_with_their_error_codes(chain, tmp_path, capsys):
     # a value of the right key but a bad string: 2 for a config, 3 for data
     config = default_config(n_images=10).to_dict()

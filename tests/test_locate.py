@@ -24,9 +24,9 @@ from mf_readout import (
 )
 from mf_readout.filters import BLOCK_FRAMES, window_origin
 from mf_readout.locate import (
+    PreprocessStats,
     _fit_lattice,
     _fit_windows,
-    _joint_refine,
     _median_spacing,
     _usable_centers,
     axis_clusters,
@@ -99,6 +99,16 @@ def test_fit_stats_rejects_degenerate_input():
         fit_stats(np.zeros((0, 4, 4)))
     with pytest.raises(DataError):
         fit_stats(np.ones((3, 4, 4)))
+
+
+def test_stats_dict_round_trips_and_rejects_unknown_keys():
+    stats = PreprocessStats(train_mean=0.25, train_range=2.0)
+    assert PreprocessStats.from_dict(stats.to_dict()) == stats
+    with pytest.raises(DataError, match="unknown PreprocessStats key.*'train_max'"):
+        PreprocessStats.from_dict(stats.to_dict() | {"train_max": 1.0})
+    for bad in [{"train_mean": 0.25}, {"train_mean": 0.25, "train_range": "abc"}, [0.25, 2.0]]:
+        with pytest.raises(DataError):
+            PreprocessStats.from_dict(bad)
 
 
 def test_apply_stats_uses_train_statistics_only(small_training):
@@ -750,10 +760,57 @@ def _reference_lattice(centers):
     return sites @ affine, rows, cols
 
 
+def _reference_joint_fit(img, anchors, sigma0, sigma_band):
+    """The joint fit of every site bump (free centers and amplitudes, one
+    shared width inside sigma_band, one offset) by scipy's bounded
+    least_squares from the anchors, with the amplitudes and offset
+    started at their linear least-squares values. Returns (centers,
+    sigma, amplitudes, offset)."""
+    from scipy.optimize import least_squares
+
+    rr, cc = np.indices(img.shape, dtype=np.float64).reshape(2, -1)
+    y = img.ravel()
+    n = len(anchors)
+    lo, hi = sigma_band
+
+    def unpack(x):
+        return x[:n], x[n : 2 * n], x[2 * n], x[2 * n + 1 : 3 * n + 1], x[3 * n + 1]
+
+    def bumps(rs, cs, sig):
+        d2 = (rr[:, None] - rs) ** 2 + (cc[:, None] - cs) ** 2
+        return np.exp(-d2 / (2.0 * sig * sig)), d2
+
+    def residuals(x):
+        rs, cs, sig, amps, off = unpack(x)
+        return bumps(rs, cs, sig)[0] @ amps + off - y
+
+    def jacobian(x):
+        rs, cs, sig, amps, off = unpack(x)
+        g, d2 = bumps(rs, cs, sig)
+        ag = g * amps
+        return np.column_stack([
+            ag * (rr[:, None] - rs) / sig**2, ag * (cc[:, None] - cs) / sig**2,
+            (ag * d2).sum(axis=1) / sig**3, g, np.ones(y.size),
+        ])
+
+    rs, cs = np.asarray(anchors, dtype=np.float64).T
+    sig = min(max(sigma0, lo), hi)
+    g = bumps(rs, cs, sig)[0]
+    linear = np.linalg.lstsq(np.column_stack([g, np.ones(y.size)]), y, rcond=None)[0]
+    x0 = np.concatenate([rs, cs, [sig], linear])
+    lower, upper = np.full(x0.size, -np.inf), np.full(x0.size, np.inf)
+    lower[2 * n], upper[2 * n] = sigma_band  # only the width is bounded
+    fit = least_squares(
+        residuals, x0, jac=jacobian, bounds=(lower, upper), x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+    )
+    rs, cs, sig, amps, off = unpack(fit.x)
+    return np.column_stack([rs, cs]), float(sig), amps, float(off)
+
+
 def _reference_locate_sites(mean_img, n_sites, min_distance_px=3.0, window_px=7, refine_passes=4):
     """locate_sites one window at a time, with the point-by-point lattice
-    (_reference_lattice). The joint fit, _joint_refine, is still the
-    production one, so a defect in it shows on both sides of a
+    (_reference_lattice) and scipy's joint fit (_reference_joint_fit), so
+    no production fit, lattice or joint, is on both sides of a
     comparison with locate_sites."""
     img = np.asarray(mean_img, dtype=np.float64)
     med = float(np.median(img))
@@ -785,7 +842,7 @@ def _reference_locate_sites(mean_img, n_sites, min_distance_px=3.0, window_px=7,
         if lattice is not None:
             anchors = [tuple(p) for p in lattice[0]]
         spacing = _median_spacing(anchors)
-        centers, sig_shared, amps, off = _joint_refine(
+        centers, sig_shared, amps, off = _reference_joint_fit(
             img, anchors, 0.35 * spacing, (0.3, 0.8 * spacing)
         )
         if _usable_centers(centers, (h, w)):

@@ -67,6 +67,8 @@ def test_run_config_validation(tmp_path):
         dict(kinds=("square", "square")),
         dict(crop=(0, 0, 10)),
         dict(crop=(-1, 0, 10, 10)),
+        dict(crop=(0, 0, 10, 40)),  # off the 28x28 frame
+        dict(crop=(0, 0, 10, 12)),  # inside it, but cutting off sites
         dict(alpha=-1.0),
         dict(s_grid=()),
         dict(s_grid=(0,)),
@@ -115,6 +117,20 @@ def test_run_config_from_minimal_dict(tmp_path):
     assert run.crossfid_frames == 0
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"output_dir": "x"})
+
+
+@pytest.mark.parametrize("path, key", [
+    ((), "n_shufles"), (("sim",), "exposure"), (("sim", "geometry"), "spacing"),
+], ids=["run", "sim", "geometry"])
+def test_run_config_rejects_an_unknown_key(tmp_path, path, key):
+    # a misspelled optional key would otherwise run its default
+    d = _tiny_run(tmp_path).to_dict()
+    inner = d
+    for name in path:
+        inner = inner[name]
+    inner[key] = 3
+    with pytest.raises(ConfigError, match=f"unknown .* key.*'{key}'"):
+        RunConfig.from_dict(d)
 
 
 # --------------------------------------------------------------- cache
@@ -232,6 +248,11 @@ def _damage_drop_config_key(stem: Path):
         del sidecar["config"]["p_bright"]
 
 
+def _damage_unknown_config_key(stem: Path):
+    with _edited_sidecar(stem) as sidecar:
+        sidecar["config"]["geometry"]["spacing"] = 6.0
+
+
 def _damage_truth_3_columns(stem: Path):
     with _edited_sidecar(stem) as sidecar:
         sidecar["truth"] = [row[:3] for row in sidecar["truth"]]
@@ -256,7 +277,7 @@ def _damage_short_label_row(stem: Path):
     [_damage_truncate_binary, _damage_delete_sidecar, _damage_half_write_labels,
      _damage_misshape_labels, _damage_truth_256, _damage_truth_x, _damage_truth_list_row,
      _damage_truth_missing_row, _damage_seed_abc, _damage_drop_config_key,
-     _damage_truth_3_columns, _damage_relabel_to_two, _damage_short_label_row],
+     _damage_unknown_config_key, _damage_truth_3_columns, _damage_relabel_to_two, _damage_short_label_row],
 )
 def test_damaged_cache_entries_are_regenerated(tmp_path, damage):
     sim = default_config(n_images=40, seed=7)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 import threading
 import time
@@ -170,6 +171,20 @@ def test_config_validation():
 def test_config_round_trip():
     config = crosstalk_config(seed=21)
     assert SimConfig.from_dict(config.to_dict()) == config
+
+
+def test_config_from_dict_rejects_unknown_keys_and_casts_values():
+    d = default_config().to_dict()
+    with pytest.raises(ConfigError, match="unknown SimConfig key.*'n_image'"):
+        SimConfig.from_dict(d | {"n_image": 5})
+    with pytest.raises(ConfigError, match="unknown ArrayGeometry key.*'spacing'"):
+        SimConfig.from_dict(d | {"geometry": d["geometry"] | {"spacing": 6.0}})
+    with pytest.raises(ConfigError, match="p_bright"):
+        SimConfig.from_dict({k: v for k, v in d.items() if k != "p_bright"})
+    # JSON spells 20.0 as 20 and a pair as a list; both read as the config
+    spelled = d | {"exposure_ms": 20, "geometry": d["geometry"] | {"origin_px": [8, 8]}}
+    for config in [SimConfig.from_dict(spelled), default_config(exposure_ms=20, n_images=6002.0)]:
+        assert json.dumps(config.to_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
 
 
 def test_crosstalk_config_regime():

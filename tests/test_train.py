@@ -1,4 +1,5 @@
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -446,13 +447,17 @@ SHAPE_GRID = (2, 3, 5, 8, 11, 12)
 # window 12 leaves the frame above the top row, whose largest window is
 # 11; at (10.6, 9.4) windows 11 and 12 leave it below the bottom row,
 # whose largest is 8. Each largest window is one stack of nested solves.
-@pytest.mark.parametrize("rows, cols, origin, largest", [
+SHAPES = [
     (1, 1, (8.0, 8.0), {12}), (1, 3, (8.0, 8.0), {12}), (2, 2, (8.0, 8.0), {12}),
     (2, 4, (5.4, 6.6), {11, 12}), (3, 2, (10.6, 9.4), {8, 12}), (4, 4, (5.4, 6.6), {11, 12}),
-])
-def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, origin, largest):
-    # a 6 px pitch on frames of (16 + 6(rows - 1)) x (16 + 6(cols - 1)),
-    # true-state labels and the true centers, so only training is tested
+]
+
+
+def _shape_training(rows, cols, origin):
+    """TrainingData and normalized test frames of a rows x cols array at a
+    6 px pitch on frames of (16 + 6(rows - 1)) x (16 + 6(cols - 1)):
+    600 frames, true-state labels and the true centers, so only training
+    is tested."""
     geometry = replace(default_config().geometry, rows=rows, cols=cols, origin_px=origin)
     config = default_config(
         n_images=600, seed=3, geometry=geometry, image_height=16 + 6 * (rows - 1), image_width=16 + 6 * (cols - 1),
@@ -460,14 +465,19 @@ def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, or
     stack = generate_dataset(config)
     split = split_dataset(600, seed=0)
     norm = apply_stats(stack.images, fit_stats(stack.images[split.train_idx]))
-    centers = geometry.site_centers()
     data = TrainingData(
         norm[split.train_idx], stack.truth[split.train_idx], norm[split.val_idx], stack.truth[split.val_idx],
-        SiteGeometry(centers, np.full(rows * cols, geometry.psf_sigma_px), np.ones(rows * cols)),
+        SiteGeometry(geometry.site_centers(), np.full(rows * cols, geometry.psf_sigma_px), np.ones(rows * cols)),
     )
+    return data, norm[split.test_idx]
+
+
+@pytest.mark.parametrize("rows, cols, origin, largest", SHAPES)
+def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, origin, largest):
+    data, test = _shape_training(rows, cols, origin)
+    centers = data.geometry.centers
     shape = data.image_shape
     assert {max(s for s in SHAPE_GRID if window_fits(c, s, shape)) for c in centers} == largest
-    test = norm[split.test_idx]
     for kind in LEARNED_KINDS:
         model_set = train_all_sites(data, kind, SHAPE_GRID)
         assert not model_set.failures
@@ -480,6 +490,22 @@ def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, or
         for model in models:
             alone = np.concatenate([model.scores(frame) for frame in test])
             assert alone.tobytes() == model.scores(test).tobytes(), (kind, model.site)
+
+
+@pytest.mark.parametrize("rows, cols, origin", [shape[:3] for shape in SHAPES])
+def test_the_helpers_gram_completes_to_the_lazy_moments_across_array_shapes(rows, cols, origin):
+    # the pixel Gram on a worker thread, as the pipeline's shuffle computes
+    # it, then completed by release_train_block, against the moments
+    # TrainingData builds on first use
+    lazy = _shape_training(rows, cols, origin)[0]
+    released = replace(lazy)
+    x = released.train_images
+    with ThreadPoolExecutor(1) as pool:
+        gram = pool.submit(train.pixel_gram, x, train.empty_gram(x)).result()
+    released.release_train_block(gram)
+    assert released.train_images is None
+    for got, want in zip(released._moments, lazy._moments):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------ whole lattice
