@@ -18,9 +18,10 @@ the gate passes.
   40,000-frame stack (seed 901, as at the gate) with the shuffle-0
   models and requires mf-array's center-site mean |F_CF| to be at most
   half the gaussian's; its margin is 0.5 * gaussian - mf-array.
-- Criterion 8 (default preset at label-path light level, 260 frames;
-  the gate takes the worst over dataset seeds 0-4). Here each seed is
-  one stack, with margins 0.1 px - worst center error and 5 % - worst
+- Criterion 8 (default preset at label-path light level, 260 frames,
+  the stack's mean image and its truth labels' difference images; the
+  gate takes the worst over dataset seeds 0-4). Here each seed is one
+  stack, with margins 0.1 px - worst center error and 5 % - worst
   relative sigma error.
 
 A seed on which a gate fails is a finding about the gate's room, not a
@@ -50,6 +51,7 @@ from mf_readout import (  # noqa: E402
     apply_stats,
     crosstalk_config,
     default_config,
+    difference_images,
     evaluate,
     fit_stats,
     generate_dataset,
@@ -80,7 +82,10 @@ def crosstalk_gates(seed: int) -> str:
             train_labels=labels[split.train_idx],
             val_images=norm[split.val_idx],
             val_labels=labels[split.val_idx],
-            geometry=locate_sites(mean_image(norm[split.train_idx]), stack.n_sites),
+            geometry=locate_sites(
+                mean_image(norm[split.train_idx]),
+                difference_images(norm[split.train_idx], labels[split.train_idx]),
+            ),
         )
         sets = {kind: train_all_sites(data, kind) for kind in KINDS}
         test_images, test_labels = norm[split.test_idx], labels[split.test_idx]
@@ -116,7 +121,7 @@ def locate_gate(seed: int) -> str:
     """Criterion 8 on one default-preset stack, as one line."""
     config = replace(default_config(n_images=260, seed=seed), attenuation=1.0)
     stack = generate_dataset(config)
-    geometry = locate_sites(mean_image(stack.images), 9)
+    geometry = locate_sites(mean_image(stack.images), difference_images(stack.images, stack.truth))
     true_centers = np.asarray(stack.config.geometry.site_centers(), dtype=float)
     center = float(np.abs(geometry.centers - true_centers).max())
     sigma = float(np.abs(geometry.sigmas / config.geometry.psf_sigma_px - 1.0).max())

@@ -7,11 +7,12 @@
 Run it from the root of a checkout; it imports mf_readout from ./src.
 For the default and crosstalk presets at 600 / 1200 / 3000 / 6000 frames
 and each dataset seed 0-19, it renders the stack, takes the normalized
-mean of the train split (split seed 0), as the pipeline does, and calls
-locate_sites on it. Per preset and size it prints how many seeds raise
-DataError, the worst and median center error (each stack scored by its
-worst site, in px), the worst relative sigma error, the total number of
-fallback sites and the median wall time per call. --out also writes every
+train split (split seed 0) and its truth labels, as the pipeline does,
+and calls locate_sites on their mean image and difference images. Per
+preset and size it prints how many seeds raise DataError, the worst and
+median center error (each stack scored by its worst site, in px), the
+worst relative sigma error, the total number of fallback sites and the
+median wall time per call, difference images included. --out also writes every
 stack's outcome (centers, sigmas, fallbacks or the error) as JSON.
 --against reads such a file, written by another checkout, and prints per
 preset and size how many stacks kept bit-identical centers and sigmas, the
@@ -41,6 +42,7 @@ from mf_readout import (  # noqa: E402
     apply_stats,
     crosstalk_config,
     default_config,
+    difference_images,
     fit_stats,
     generate_dataset,
     locate_sites,
@@ -55,13 +57,13 @@ SEEDS = range(20)
 
 def locate_one(preset: str, n_images: int, seed: int) -> dict:
     stack = generate_dataset(PRESETS[preset](n_images=n_images, seed=seed))
-    train = stack.images[split_dataset(n_images, seed=0).train_idx]
-    img = mean_image(apply_stats(train, fit_stats(train)))
+    train_idx = split_dataset(n_images, seed=0).train_idx
+    train = apply_stats(stack.images[train_idx], fit_stats(stack.images[train_idx]))
     geo = stack.config.geometry
     row = {"preset": preset, "frames": n_images, "seed": seed}
     t0 = time.perf_counter()
     try:
-        found = locate_sites(img, geo.n_sites)
+        found = locate_sites(mean_image(train), difference_images(train, stack.truth[train_idx]))
     except DataError as exc:
         row.update(ms=1e3 * (time.perf_counter() - t0), error=str(exc))
         return row

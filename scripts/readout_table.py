@@ -59,7 +59,10 @@ def trained_sets():
         train_labels=stack.truth[split.train_idx],
         val_images=norm[split.val_idx],
         val_labels=stack.truth[split.val_idx],
-        geometry=mf.locate_sites(mf.mean_image(norm[split.train_idx]), stack.n_sites),
+        geometry=mf.locate_sites(
+            mf.mean_image(norm[split.train_idx]),
+            mf.difference_images(norm[split.train_idx], stack.truth[split.train_idx]),
+        ),
     )
     return {kind: mf.train_all_sites(data, kind).ordered() for kind in mf.KINDS}, stats
 

@@ -45,6 +45,7 @@ from mf_readout import (  # noqa: E402
     apply_stats,
     crosstalk_config,
     default_config,
+    difference_images,
     fit_stats,
     generate_dataset,
     locate_sites,
@@ -70,7 +71,10 @@ def training_data(preset: str, seed: int) -> TrainingData:
         train_labels=stack.truth[split.train_idx],
         val_images=norm[split.val_idx],
         val_labels=stack.truth[split.val_idx],
-        geometry=locate_sites(mean_image(norm[split.train_idx]), stack.n_sites),
+        geometry=locate_sites(
+            mean_image(norm[split.train_idx]),
+            difference_images(norm[split.train_idx], stack.truth[split.train_idx]),
+        ),
     )
 
 

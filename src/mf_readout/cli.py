@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 from .filters import KINDS, FilterModel
-from .locate import SiteGeometry, apply_stats, crop, fit_stats, locate_sites, mean_image
+from .locate import SiteGeometry, apply_stats, crop, difference_images, fit_stats, locate_sites, mean_image
 from .metrics import evaluate
 from .pipeline import RunConfig, run_pipeline
 from .qimg import read_stack, write_stack
@@ -147,8 +147,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_locate(args) -> int:
     stack = _read_stem(args.in_stem)
+    labels = _labels_for(stack, "label")
     split = split_dataset(stack.n_images, seed=_seed(args))
-    geometry = locate_sites(mean_image(stack.images[split.train_idx]), args.sites)
+    train = stack.images[split.train_idx]
+    geometry = locate_sites(mean_image(train), difference_images(train, labels[split.train_idx]))
     for i, used in enumerate(geometry.fallbacks):
         if used:
             print(f"warning: site {i + 1}: per-site refit did not confirm the joint fit", file=sys.stderr)
@@ -297,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats-out", default=None, help="stats JSON path (default <out>_stats.json)")
     p.set_defaults(fn=cmd_preprocess)
 
-    p = sub.add_parser("locate", parents=[common], help="fit site centers from the mean image")
+    p = sub.add_parser("locate", parents=[common], help="fit site centers from the labeled train split")
     p.add_argument("--in", dest="in_stem", required=True)
-    p.add_argument("--sites", type=int, required=True, help="expected number of sites")
     p.add_argument("--out", required=True, help="geometry JSON path")
     p.set_defaults(fn=cmd_locate)
 

@@ -44,6 +44,10 @@ KINDS = ("square", "gaussian", "mf-site", "mf-array")
 
 GAUSSIAN_CUTOFF = 1e-3
 BIAS_C = 1.0
+# every key FilterModel.to_dict writes
+MODEL_KEYS = frozenset(
+    ("kind", "site", "center", "s", "c", "theta", "weights", "sigma", "image_shape", "neighbors", "all_centers")
+)
 # most frames in a classify_stack block: 256 frames of 28 x 28 float64
 # pixels are 1.6 MB, which stays in a core's L2 cache while every model
 # reads it (batched readout is memory-bound)
@@ -295,9 +299,12 @@ class FilterModel:
                 raise ConfigError(f"threshold for {self.kind} must lie in (0, 1), got {self.theta}")
 
     def linear_map(self, shape) -> tuple[np.ndarray, float]:
-        """(w, b), score = frame.ravel() @ w + b, built once per image shape."""
+        """(w, b), score = frame.ravel() @ w + b, built once per image shape;
+        DataError for a shape other than the image_shape the model records."""
         shape = (int(shape[0]), int(shape[1]))
         if shape not in self._maps:
+            if self.image_shape is not None and shape != tuple(self.image_shape):
+                raise DataError(f"{self.kind} model of site {self.site + 1} was trained on {self.image_shape} frames, got {shape}")
             b = 0.0
             if self.kind == "square":
                 w = np.zeros(shape[0] * shape[1])
@@ -384,7 +391,11 @@ class FilterModel:
 
     @staticmethod
     def from_dict(d: dict) -> "FilterModel":
+        """The model of a to_dict dict; DataError for a key to_dict does not write."""
         try:
+            unknown = sorted(set(d) - MODEL_KEYS)
+            if unknown:
+                raise DataError(f"unknown filter model key(s): {', '.join(map(repr, unknown))}")
             weights = np.asarray(d["weights"], dtype=float) if d["weights"] else None
             return FilterModel(
                 kind=d["kind"],

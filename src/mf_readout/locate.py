@@ -1,9 +1,9 @@
 """Stack preprocessing and site localization.
 
-The localization chain is: average the training images, find one peak per
-site, refine each peak with a subpixel 2D Gaussian fit, and snap the
-peaks to an affine lattice by one rule (_fit_lattice) that no stray or
-missing peak can break. Every window fit goes through one batched
+The localization chain is: average the training images, take each site's
+anchor from its label-conditioned difference image (difference_images),
+and fit every site's bump on the mean image at once from those anchors
+(_joint_refine). Every window fit goes through one batched
 Levenberg-Marquardt fitter, _fit_windows, which runs each fit by its own
 rules on a (k, w, w) stack of windows. A fit window is placed and
 checked by the filters' window rule (window_origin, window_fits), and
@@ -25,10 +25,7 @@ from .filters import centers_inside, frame_blocks, window_fits, window_origin
 from .sim import LabeledImageStack, SimConfig
 from .util import cast_fields, read_dataclass, read_json
 
-PEAK_MIN_DISTANCE = 3.0
-PEAK_SCALES = (1.0, 1.5, 2.0, 3.0)
 FIT_WINDOW = 7
-REFINE_PASSES = 4
 
 
 def crop_config(config: SimConfig, top: int, left: int, height: int, width: int) -> SimConfig:
@@ -129,41 +126,25 @@ def mean_image(images) -> np.ndarray:
     return arr.mean(axis=0)
 
 
-def find_peaks(image, min_distance_px: float, n_expected: int) -> list[tuple[int, int]]:
-    """Brightest n_expected local maxima, at least min_distance_px apart.
-
-    A pixel is a candidate when no 8-neighbor exceeds it. Candidates are
-    taken in descending intensity (ties by row then column), each claiming
-    an exclusion disk of radius min_distance_px. Output is sorted
-    row-major, not by brightness.
+def difference_images(frames, labels) -> np.ndarray:
+    """(n_sites, H, W) float64: per site, the mean frame where its label is
+    bright minus the mean frame where it is dark, which holds that site's
+    bump alone, as the other sites' states are independent of its own.
+    DataError when frames and labels disagree in shape, or when a site's
+    labels hold one class.
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise DataError(f"expected a 2D image, got shape {img.shape}")
-    if n_expected < 1:
-        raise ConfigError("n_expected must be >= 1")
-
-    padded = np.full((img.shape[0] + 2, img.shape[1] + 2), -np.inf)
-    padded[1:-1, 1:-1] = img
-    is_max = np.ones_like(img, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            is_max &= img >= padded[1 + dr : padded.shape[0] - 1 + dr, 1 + dc : padded.shape[1] - 1 + dc]
-
-    rows, cols = np.nonzero(is_max)
-    order = sorted(range(rows.size), key=lambda i: (-img[rows[i], cols[i]], rows[i], cols[i]))
-    chosen: list[tuple[int, int]] = []
-    for i in order:
-        r, c = int(rows[i]), int(cols[i])
-        if all((r - pr) ** 2 + (c - pc) ** 2 >= min_distance_px**2 for pr, pc in chosen):
-            chosen.append((r, c))
-            if len(chosen) == n_expected:
-                return sorted(chosen)
-    raise DataError(
-        f"found only {len(chosen)} peaks with spacing {min_distance_px}, expected {n_expected}"
-    )
+    x = np.asarray(frames, dtype=np.float64)
+    y = np.asarray(labels)
+    if x.ndim != 3 or y.ndim != 2 or len(x) != len(y):
+        raise DataError(f"need (n, H, W) frames and (n, n_sites) labels, got {x.shape} and {y.shape}")
+    n_bright = y.sum(axis=0)
+    one_class = np.flatnonzero((n_bright == 0) | (n_bright == len(y))) + 1
+    if one_class.size:
+        raise DataError(f"site(s) {', '.join(map(str, one_class))}: the labels hold one class, so no difference image")
+    flat = x.reshape(len(x), -1)
+    bright = flat.T @ y.astype(np.float64)
+    dark = flat.sum(axis=0)[:, None] - bright
+    return (bright / n_bright - dark / (len(y) - n_bright)).T.reshape(y.shape[1], *x.shape[1:])
 
 
 class _WindowFits(NamedTuple):
@@ -393,6 +374,9 @@ class SiteGeometry:
         if not isinstance(entries, list) or not entries:
             raise DataError(f"{path}: expected a non-empty list of sites")
         try:
+            unknown = sorted(set().union(*entries) - {"site", "center", "sigma", "amplitude"})
+            if unknown:
+                raise DataError(f"{path}: unknown site key(s): {', '.join(map(repr, unknown))}")
             entries = sorted(entries, key=lambda e: e["site"])
             if [e["site"] for e in entries] != list(range(1, len(entries) + 1)):
                 raise DataError(f"{path}: site numbers must be 1..{len(entries)}, each once")
@@ -474,108 +458,6 @@ def _refit_without_neighbors(img, fits, sigma_band):
     ok = np.zeros(len(fits), dtype=bool)
     ok[sel] = fit.ok
     return out, ok
-
-
-def _refine_peaks(img, peaks):
-    """Anchors from one peak set: REFINE_PASSES rounds of per-site fits on
-    the image minus every other fitted bump.
-
-    Each round refits every site from the fits it starts with. A refit is
-    only accepted while its center stays within a guard of its peak and
-    its sigma inside a band set by the peak spacing; rejected sites keep
-    their previous fit.
-    """
-    peaks = np.asarray(peaks, dtype=np.float64)
-    n = len(peaks)
-    d_min = _median_spacing(peaks) if n > 1 else 2.0 * FIT_WINDOW
-    band = (max(0.3, 0.1 * d_min), 0.75 * d_min)
-    # wide enough to walk off a blend-shifted peak, tight enough that
-    # two drifting centers stay clearly apart
-    guard = max(0.5 * PEAK_MIN_DISTANCE, 0.3 * d_min)
-    med = float(np.median(img))
-    rows, cols = peaks[:, 0].astype(int), peaks[:, 1].astype(int)
-    fits = np.column_stack(
-        [
-            np.maximum(img[rows, cols] - med, 1e-12),
-            peaks,
-            np.full(n, 0.4 * d_min),
-            np.full(n, med),
-        ]
-    )
-    for _ in range(REFINE_PASSES):
-        trial, ok = _refit_without_neighbors(img, fits, band)
-        drift = np.hypot(trial[:, 1] - peaks[:, 0], trial[:, 2] - peaks[:, 1])
-        accept = ok & (drift <= guard)
-        fits[accept] = trial[accept]
-    return fits[:, 1:3]
-
-
-def _fit_lattice(centers):
-    """Affine lattice through grid-like centers despite stray and missing points.
-
-    Offsets from a well-placed anchor, in grid steps, that lie within a
-    quarter step of a cell round to it; each cell keeps its best-fitting
-    point. The one rows x cols = n window (rows, cols >= 2) holding the
-    most points, at least max(4, ceil(0.6 n)), gets one least-squares
-    affine fit that predicts every site, so a missing, stray or badly
-    fitted site comes back at its grid position. Returns (predicted
-    row-major centers, rows, cols), or None on a tie or too few points.
-    """
-    centers = np.asarray(centers, dtype=np.float64)
-    n = centers.shape[0]
-    nn = _nearest_distances(centers)
-    s0 = float(np.median(nn))
-    if not np.isfinite(s0) or s0 <= 0:
-        return None
-    # a stray point close to a real one drags the median spacing down;
-    # re-estimate from the unexceptional neighbor distances
-    typical = nn[(nn >= 0.6 * s0) & (nn <= 1.7 * s0)]
-    spacings = {round(s0, 9)}
-    if typical.size:
-        spacings.add(round(float(np.median(typical)), 9))
-
-    # choose the anchor and spacing whose relative offsets land closest
-    # to integers
-    centroid = centers.mean(axis=0)
-    best = None
-    for s_est in sorted(spacings):
-        for a in range(n):
-            rel = (centers - centers[a]) / s_est
-            frac = np.abs(rel - np.round(rel)).max(axis=1)
-            score = (int((frac < 0.25).sum()), -float(np.hypot(*(centers[a] - centroid))))
-            if best is None or score > best[0]:
-                best = (score, a, s_est)
-    rel = (centers - centers[best[1]]) / best[2]
-    cells = np.round(rel).astype(int)
-    frac = np.abs(rel - cells).max(axis=1)
-    by_fit = np.argsort(frac, kind="stable")[: int((frac < 0.25).sum())]
-    # np.unique keeps each cell's first occurrence: its best-fitting point
-    _, first = np.unique(cells[by_fit], axis=0, return_index=True)
-    points = by_fit[first]
-
-    # count every window's points at once from a summed-area table of the
-    # occupied cells, padded so a window may overhang them on every side
-    idx = cells[points] - cells[points].min(axis=0) + n // 2
-    occupied = np.zeros(idx.max(axis=0) + n // 2 + 1, dtype=int)
-    occupied[idx[:, 0], idx[:, 1]] = 1
-    table = np.pad(occupied.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
-    wins = []
-    for rows in (r for r in range(2, n // 2 + 1) if n % r == 0):
-        cols = n // rows
-        counts = (
-            table[rows:, cols:] - table[:-rows, cols:] - table[rows:, :-cols] + table[:-rows, :-cols]
-        )
-        top, corner = counts.max(), np.unravel_index(counts.argmax(), counts.shape)
-        wins.append((top, (counts == top).sum(), rows, cols, corner))
-    most = max((w[0] for w in wins), default=0)
-    wins = [w for w in wins if w[0] == most]
-    if sum(w[1] for w in wins) != 1 or most < max(4, (6 * n + 9) // 10):
-        return None
-    _, _, rows, cols, corner = wins[0]
-    grid = np.column_stack([np.ones(len(idx)), idx - corner])
-    inside = ((grid[:, 1:] >= 0) & (grid[:, 1:] < (rows, cols))).all(axis=1)
-    affine = np.linalg.lstsq(grid[inside], centers[points[inside]], rcond=None)[0]
-    return affine[0] + np.indices((rows, cols)).reshape(2, -1).T @ affine[1:], rows, cols
 
 
 def _nearest_distances(centers) -> np.ndarray:
@@ -682,61 +564,41 @@ def _joint_refine(img, anchors, sigma0: float, sigma_band):
     return np.stack([rs, cs], axis=1), sig, amps, off
 
 
-def _usable_centers(centers, shape) -> bool:
-    """Every center finite and inside the frame, and no two within 2 px."""
-    if not centers_inside(centers, shape):
-        return False
-    return len(centers) < 2 or _nearest_distances(centers).min() >= 2.0
+def locate_sites(mean_img, diff_imgs) -> SiteGeometry:
+    """Full localization: one anchor per site from its difference image,
+    then one joint fit of every site on the mean image.
 
+    diff_imgs holds one image per site (difference_images), and its
+    brightest pixel is the site's anchor. The anchors' median spacing
+    sets the start and band of the shared width, and the joint fit of all
+    sites with that width (_joint_refine) gives every center, the width
+    and the amplitudes; centers that leave the frame (or, in SiteGeometry,
+    come within 2 px of each other) raise DataError. A per-site confirmation refit of all
+    sites in one batch (width banded around the shared fit) then flags
+    each site whose refit fails or drifts more than 0.75 px as a
+    fallback; every site keeps the joint model's shared sigma and its
+    amplitude.
 
-def locate_sites(mean_img, n_sites: int) -> SiteGeometry:
-    """Full localization: peaks in the mean image, then model fits.
-
-    One chain per peak exclusion radius, taken in order (on a heavily
-    blended array a small radius picks noise bumps on the merged mound);
-    a radius that finds the same peaks as an earlier one is skipped. The
-    peaks are refined by per-window fits with every other site's bump
-    subtracted and snapped to _fit_lattice's affine lattice: each cell
-    keeps its best-fitting peak, and the one rows x cols window holding
-    the most (at least max(4, ceil(0.6 n))) gives every site, so a stray
-    peak is dropped and a missed site restored. They seed a joint fit of
-    all sites with a shared width. The first radius whose joint centers
-    are usable wins. A per-site confirmation refit of all sites in one
-    batch (width banded around the shared fit) then flags each site whose
-    refit fails or drifts more than 0.75 px as a fallback; every site
-    keeps the joint model's shared sigma and its amplitude.
-
-    Sites come back row-major by fitted position.
+    Sites come back in the order of diff_imgs: the label order, which is
+    row-major for simulated data.
     """
     img = np.asarray(mean_img, dtype=np.float64)
-    tried = []
-    for scale in PEAK_SCALES:
-        try:
-            peaks = find_peaks(img, PEAK_MIN_DISTANCE * scale, n_sites)
-        except DataError:
-            continue
-        if peaks in tried:
-            continue
-        tried.append(peaks)
-        anchors = _refine_peaks(img, peaks)
-        lattice = _fit_lattice(anchors)
-        if lattice is not None:
-            anchors = lattice[0]
-        if n_sites > 1:
-            spacing = _median_spacing(anchors)
-            sig0, band = 0.35 * spacing, (0.3, 0.8 * spacing)
-        else:
-            sig0, band = 0.3 * FIT_WINDOW, (0.3, 0.9 * FIT_WINDOW)
-        centers, sig_shared, amps, off = _joint_refine(img, anchors, sig0, band)
-        if _usable_centers(centers, img.shape):
-            break
-    else:
-        raise DataError("sites could not be located in the mean image")
-
+    diffs = np.asarray(diff_imgs, dtype=np.float64)
+    if diffs.ndim != 3 or not len(diffs) or diffs.shape[1:] != img.shape:
+        raise DataError(f"need one {img.shape} difference image per site, got shape {diffs.shape}")
+    n_sites = len(diffs)
+    peaks = diffs.reshape(n_sites, -1).argmax(axis=1)
+    anchors = np.column_stack(np.unravel_index(peaks, img.shape)).astype(np.float64)
     if n_sites > 1:
-        row_ids, _ = axis_clusters(centers[:, 0])
-        order = np.lexsort((centers[:, 1], row_ids))
-        centers, amps = centers[order], amps[order]
+        if _nearest_distances(anchors).min() < 2.0:
+            raise DataError("two sites' difference images peak within 2 px of each other")
+        spacing = _median_spacing(anchors)
+        sig0, band = 0.35 * spacing, (0.3, 0.8 * spacing)
+    else:
+        sig0, band = 0.3 * FIT_WINDOW, (0.3, 0.9 * FIT_WINDOW)
+    centers, sig_shared, amps, off = _joint_refine(img, anchors, sig0, band)
+    if not centers_inside(centers, img.shape):
+        raise DataError("sites could not be located in the mean image")
 
     amplitudes = np.maximum(amps, 1e-12)
     # confirmation only: a truncated-window fit at low contrast drifts to

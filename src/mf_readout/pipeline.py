@@ -9,6 +9,7 @@ evaluation, aggregated CSV reports, and the sweep chart.
 from __future__ import annotations
 
 import contextlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
 from .filters import KINDS, classify_stack, frame_blocks
-from .locate import apply_stats, crop, crop_config, fit_stats, gather_frames, locate_sites, mean_image
+from .locate import apply_stats, crop, crop_config, difference_images, fit_stats, gather_frames, locate_sites, mean_image
 from .metrics import evaluate, evaluate_predictions, standard_error
 from .qimg import label_matrix, label_rows, read_stack, write_stack
 from .report import (
@@ -89,7 +90,10 @@ class RunConfig:
     def __post_init__(self):
         # canonicalize up front so validation, hashing, and reports all see
         # one spelling (CLI kind tokens, list-vs-tuple, int-vs-float)
-        cast_fields(self, str, "output_dir", "label_source")
+        if not isinstance(self.output_dir, (str, os.PathLike)) or not os.fspath(self.output_dir):
+            raise ConfigError(f"output_dir must be a non-empty path, got {self.output_dir!r}")
+        cast_fields(self, os.fspath, "output_dir")
+        cast_fields(self, str, "label_source")
         cast_fields(self, float, "alpha")
         cast_fields(self, int, "n_shuffles", "seed", "crossfid_frames")
         cast_fields(self, lambda values: tuple(map(float, values)), "exposure_sweep_ms", "theta_grid")
@@ -128,8 +132,6 @@ class RunConfig:
             raise ConfigError(f"label_source must be one of {LABEL_SOURCES}")
         if self.crossfid_frames < 0:
             raise ConfigError("crossfid_frames must be non-negative")
-        if not self.output_dir:
-            raise ConfigError("output_dir is empty")
 
     to_dict = asdict
 
@@ -201,7 +203,7 @@ def _read_cached_labels(path: Path, shape) -> np.ndarray | None:
         return None
 
 
-def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
+def _one_shuffle(run: RunConfig, images, labels, split_seed: int):
     """Split, normalize, locate, train every kind, evaluate the test split.
 
     Only train and validation frames feed fitting and tuning; the test
@@ -213,8 +215,9 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
     in the stack's own dtype, and every block is bit-equal to a slice of
     the normalized whole stack: the cast is exact and apply_stats is
     elementwise. The train block's stats are fitted on it before it is
-    normalized. Its readers are fit_stats, mean_image, the fixed kinds'
-    tuning, which runs first, and the moments of the learned kinds; then
+    normalized. Its readers are fit_stats, mean_image and
+    difference_images (with the train labels), the fixed kinds' tuning,
+    which runs first, and the moments of the learned kinds; then
     it is dropped (TrainingData.release_train_block), so the nested
     solves, their fallback and the learned tuning run from the moments
     alone. The test block is gathered after the TrainingData, with its
@@ -237,14 +240,15 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int, n_sites: int):
     train = gather_frames(images, split.train_idx)
     stats = fit_stats(train)
     apply_stats(train, stats, out=train)
+    train_labels = labels[split.train_idx]
     learned = [kind for kind in run.kinds if kind in LEARNED_KINDS]
     with ThreadPoolExecutor(1, thread_name_prefix="gram") if learned else contextlib.nullcontext() as pool:
         gram_job = pool.submit(pixel_gram, train, empty_gram(train)) if learned else None
-        geometry = locate_sites(mean_image(train), n_sites)
+        geometry = locate_sites(mean_image(train), difference_images(train, train_labels))
         val = gather_frames(images, split.val_idx)
         data = TrainingData(
             train_images=train,
-            train_labels=labels[split.train_idx],
+            train_labels=train_labels,
             val_images=apply_stats(val, stats, out=val),
             val_labels=labels[split.val_idx],
             geometry=geometry,
@@ -397,9 +401,7 @@ def _sweep(run: RunConfig) -> SweepReport:
         for i in range(run.n_shuffles):
             split_seed = derive_seed(run.seed, "split", repr(float(exposure)), i)
             try:
-                split, stats, geometry, sets, reports = _one_shuffle(
-                    run, stack.images, labels, split_seed, n_sites
-                )
+                split, stats, geometry, sets, reports = _one_shuffle(run, stack.images, labels, split_seed)
             except MFReadoutError as exc:
                 raise type(exc)(
                     f"exposure {exposure:g} ms, shuffle {i} (split seed {split_seed}): {exc}"

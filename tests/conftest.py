@@ -29,6 +29,7 @@ from mf_readout import (
     apply_stats,
     crosstalk_config,
     default_config,
+    difference_images,
     evaluate,
     fit_stats,
     generate_dataset,
@@ -50,10 +51,11 @@ def build_training(stack, labels, split_seed: int):
     split = split_dataset(stack.n_images, seed=split_seed)
     stats = fit_stats(stack.images[split.train_idx])
     norm = apply_stats(stack.images, stats)
-    geometry = locate_sites(mean_image(norm[split.train_idx]), stack.n_sites)
+    train, train_labels = norm[split.train_idx], labels[split.train_idx]
+    geometry = locate_sites(mean_image(train), difference_images(train, train_labels))
     data = TrainingData(
-        train_images=norm[split.train_idx],
-        train_labels=labels[split.train_idx],
+        train_images=train,
+        train_labels=train_labels,
         val_images=norm[split.val_idx],
         val_labels=labels[split.val_idx],
         geometry=geometry,
@@ -70,8 +72,8 @@ def whole_stack_shuffle():
     normalized (train, validation, test) blocks.
     """
 
-    def shuffle(run, images, labels, split_seed: int, n_sites: int):
-        frames = SimpleNamespace(n_images=images.shape[0], images=images, n_sites=n_sites)
+    def shuffle(run, images, labels, split_seed: int):
+        frames = SimpleNamespace(n_images=images.shape[0], images=images)
         split, stats, norm, geometry, data = build_training(frames, labels, split_seed)
         theta_grid = theta_grid_default(*run.theta_grid)
         sets = {kind: train_all_sites(data, kind, run.s_grid, theta_grid, run.alpha) for kind in run.kinds}

@@ -18,6 +18,7 @@ from mf_readout import (
     count_complexity,
     cross_fidelity,
     default_config,
+    difference_images,
     extract_array_features,
     extract_site_features,
     fidelity,
@@ -240,7 +241,7 @@ def test_criterion_8_localization_accuracy(criterion):
     worst_center, worst_sigma = 0.0, 0.0
     for seed in range(5):
         stack = generate_dataset(replace(config, seed=seed))
-        geometry = locate_sites(mean_image(stack.images), 9)
+        geometry = locate_sites(mean_image(stack.images), difference_images(stack.images, stack.truth))
         true_centers = np.asarray(stack.config.geometry.site_centers(), dtype=float)
         worst_center = max(
             worst_center, float(np.abs(geometry.centers - true_centers).max())

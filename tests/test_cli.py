@@ -30,7 +30,7 @@ def chain(tmp_path_factory):
     ]) == 0
     assert main(["preprocess", "--in", str(raw), "--out", str(pre)]) == 0
     assert main([
-        "locate", "--in", str(pre), "--sites", "9", "--out", str(geometry),
+        "locate", "--in", str(pre), "--out", str(geometry),
     ]) == 0
     assert main([
         "train", "--in", str(pre), "--kind", "square", "--geometry", str(geometry),
@@ -104,8 +104,7 @@ def test_sweep_then_plot_reproduces_the_chart(tmp_path):
 
 
 def test_exit_codes_map_error_kinds(tmp_path, capsys):
-    rc = main(["locate", "--in", str(tmp_path / "missing"), "--sites", "9",
-               "--out", str(tmp_path / "g.json")])
+    rc = main(["locate", "--in", str(tmp_path / "missing"), "--out", str(tmp_path / "g.json")])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
 
@@ -173,6 +172,48 @@ def test_a_misspelled_config_key_exits_2_and_writes_nothing(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "raw")]) == 2
     assert "unknown ArrayGeometry key(s): 'spacing'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_null_output_dir_exits_2_and_makes_no_directory(tmp_path, monkeypatch, capsys):
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "example_run.json").read_text())
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config | {"output_dir": None}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "output_dir must be a non-empty path, got None" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_model_or_geometry_key_the_writer_does_not_write_exits_3(chain, tmp_path, capsys):
+    pre, preds = str(chain / "pre"), str(tmp_path / "preds.csv")
+    model = json.loads((chain / "models" / "square_site1.json").read_text())
+    model["image_shap"] = model.pop("image_shape")
+    model_path = tmp_path / "square_site1.json"
+    model_path.write_text(json.dumps(model))
+    assert main(["classify", "--model", str(model_path), "--in", pre, "--out", preds]) == 3
+    assert "unknown filter model key(s): 'image_shap'" in capsys.readouterr().err
+
+    geometry = json.loads((chain / "geometry.json").read_text())
+    geometry[4]["fallback"] = True
+    geometry_path = tmp_path / "geometry.json"
+    geometry_path.write_text(json.dumps(geometry))
+    rc = main([
+        "train", "--in", pre, "--kind", "square", "--geometry", str(geometry_path),
+        "--labels", "truth", "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 3
+    assert "unknown site key(s): 'fallback'" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_classify_on_frames_of_another_size_exits_3(chain, tmp_path, capsys):
+    cropped = tmp_path / "cropped"
+    assert main(["preprocess", "--in", str(chain / "raw"), "--crop", "1,1,26,26", "--out", str(cropped)]) == 0
+    capsys.readouterr()
+    model, preds = chain / "models" / "square_site5.json", tmp_path / "preds.csv"
+    assert main(["classify", "--model", str(model), "--in", str(cropped), "--out", str(preds)]) == 3
+    assert "trained on (28, 28) frames, got (26, 26)" in capsys.readouterr().err
+    assert not preds.exists()
 
 
 @pytest.mark.parametrize("crop, message", [

@@ -428,6 +428,25 @@ def test_model_dict_uses_one_based_site():
     assert model.to_dict()["site"] == 4
 
 
+def test_model_dict_with_a_key_it_does_not_write_is_rejected():
+    d = FilterModel(kind="square", site=0, center=(6.0, 6.0), s=4, theta=1.0, image_shape=(20, 20)).to_dict()
+    d["image_shap"] = d.pop("image_shape")
+    with pytest.raises(DataError, match="unknown filter model key.*'image_shap'"):
+        FilterModel.from_dict(d)
+
+
+def test_a_model_reads_only_frames_of_the_shape_it_was_trained_on():
+    model = FilterModel(kind="square", site=0, center=(13.0, 13.0), s=4, theta=1.0, image_shape=(28, 28))
+    for frames in (np.ones((2, 40, 40)), np.ones((1, 40, 40)), np.ones((40, 40))):
+        for read in (model.scores, model.predict, lambda x: classify_stack([model], x)):
+            with pytest.raises(DataError, match=r"trained on \(28, 28\) frames, got \(40, 40\)"):
+                read(frames)
+    assert model.scores(np.ones((2, 28, 28))).tolist() == [16.0, 16.0]
+    # a model that records no shape builds its map for any frame size
+    free = dataclasses.replace(model, image_shape=None)
+    assert free.scores(np.ones((2, 40, 40))).tolist() == [16.0, 16.0]
+
+
 def test_classify_stack_column_order():
     imgs = _cross(12)
     models = [

@@ -494,11 +494,11 @@ def test_one_shuffle_matches_the_whole_stack_reference(
         return blocks[-1]
 
     monkeypatch.setattr(pipeline_mod, "apply_stats", recorded)
-    split, stats, geometry, sets, reports = pipeline_mod._one_shuffle(run, images, stack.truth, 0, stack.n_sites)
+    split, stats, geometry, sets, reports = pipeline_mod._one_shuffle(run, images, stack.truth, 0)
     monkeypatch.undo()
     assert _bits(images) == before
     ref_split, ref_stats, ref_geometry, ref_sets, ref_reports, ref_blocks = whole_stack_shuffle(
-        run, images, stack.truth, 0, stack.n_sites
+        run, images, stack.truth, 0
     )
 
     assert split.to_dict() == ref_split.to_dict()
@@ -531,7 +531,7 @@ def test_train_block_is_cast_once_and_normalized_in_place(shuffle_stacks, dtype,
         return calls[-1][2]
 
     monkeypatch.setattr(pipeline_mod, "apply_stats", recorded)
-    split, stats, *_ = pipeline_mod._one_shuffle(run, images, stack.truth, 0, stack.n_sites)
+    split, stats, *_ = pipeline_mod._one_shuffle(run, images, stack.truth, 0)
     monkeypatch.undo()
     frames, out, train = calls[0]
     assert out is frames and train is frames and train.dtype == np.float64
@@ -554,7 +554,7 @@ def test_one_shuffle_holds_each_frame_in_float64_once(shuffle_stacks, preset, bo
     run = _shuffle_run(stack)
     tracemalloc.start()
     try:
-        pipeline_mod._one_shuffle(run, stack.images, stack.truth, 0, stack.n_sites)
+        pipeline_mod._one_shuffle(run, stack.images, stack.truth, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -586,7 +586,7 @@ def test_no_train_block_is_alive_while_the_learned_kinds_train(shuffle_stacks, m
     monkeypatch.setattr(pipeline_mod, "gather_frames", gathered)
     monkeypatch.setattr(train_mod, "_window_systems", solves)
     monkeypatch.setattr(train_mod, "_tune_all", tuned)
-    pipeline_mod._one_shuffle(_shuffle_run(stack), stack.images, stack.truth, 0, stack.n_sites)
+    pipeline_mod._one_shuffle(_shuffle_run(stack), stack.images, stack.truth, 0)
     assert alive == [
         ("square", True), ("square", True), ("gaussian", True), ("gaussian", True),
         ("mf-site", False), ("solves", False), ("mf-site", False),
@@ -614,7 +614,7 @@ def test_moments_from_the_helpers_gram_equal_the_serial_moments(shuffle_stacks, 
 
     monkeypatch.setattr(pipeline_mod, "pixel_gram", gram_on)
     monkeypatch.setattr(train_mod.TrainingData, "release_train_block", released)
-    pipeline_mod._one_shuffle(_shuffle_run(stack), stack.images, stack.truth, 0, stack.n_sites)
+    pipeline_mod._one_shuffle(_shuffle_run(stack), stack.images, stack.truth, 0)
     assert len(threads) == 1 and threads[0] is not threading.current_thread()
     [(fast, serial)] = pairs
     for got, want in zip(fast, serial):
@@ -665,7 +665,7 @@ def test_fallback_fits_from_the_moments_after_the_release(small_training, tmp_pa
 
     monkeypatch.setattr(train_mod, "_fallback_weights", counted)
     run = _shuffle_run(t.stack)
-    _, _, _, sets, _ = pipeline_mod._one_shuffle(run, t.stack.images, t.stack.truth, 0, t.stack.n_sites)
+    _, _, _, sets, _ = pipeline_mod._one_shuffle(run, t.stack.images, t.stack.truth, 0)
     assert len(fits) == 2 * 117
     for kind in LEARNED_KINDS:
         want = train_all_sites(replace(t.data), kind)

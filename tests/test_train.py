@@ -1012,7 +1012,7 @@ def test_a_square_only_shuffle_starts_no_helper_and_builds_no_moments(small_trai
         sim=stack.config, output_dir="unused", exposure_sweep_ms=(stack.config.exposure_ms,),
         kinds=("square",), label_source="truth",
     )
-    _, _, _, sets, _ = pipeline._one_shuffle(run, stack.images, stack.truth, 0, stack.n_sites)
+    _, _, _, sets, _ = pipeline._one_shuffle(run, stack.images, stack.truth, 0)
     assert list(sets) == ["square"]
     assert started == [set()]
 
