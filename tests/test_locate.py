@@ -763,15 +763,21 @@ def test_locate_sites_matches_the_per_window_reference(train_means, preset, n_im
     [("crosstalk", 600), ("crosstalk", 1200), ("crosstalk", 3000), ("default", 600)],
 )
 def test_locate_sites_raises_or_is_right(train_means, preset, n_images):
-    # every seed locates, and none is silently wrong; seed 10's crosstalk
-    # mean image at 3000 frames holds a stray peak beside one site and
-    # none at another
-    for seed in (*range(8), 10):
+    # every seed locates, and none is silently wrong
+    for seed in range(8):
         img, diffs, truth, sigma = train_means(preset, n_images, seed)
         geo = locate_sites(img, diffs)
         err = np.linalg.norm(geo.centers - truth, axis=1)
         assert err.max() < 0.75, (seed, err.max())
         assert np.all(np.abs(geo.sigmas - sigma) < 0.1 * sigma), (seed, geo.sigmas)
+
+
+def test_locate_sites_recovers_from_a_stray_peak_beside_a_missing_site(train_means):
+    # this mean image holds a stray peak beside one site and none at
+    # another; seeding from the difference images puts every site right
+    img, diffs, truth, _ = train_means("crosstalk", 3000, 10)
+    geo = locate_sites(img, diffs)
+    assert np.linalg.norm(geo.centers - truth, axis=1).max() < 0.25
 
 
 @pytest.mark.parametrize("preset", ["default", "crosstalk"])
