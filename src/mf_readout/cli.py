@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .filters import KINDS, FilterModel
 from .locate import SiteGeometry, apply_stats, crop, difference_images, fit_stats, locate_sites, mean_image
 from .metrics import evaluate
-from .pipeline import RunConfig, run_pipeline
+from .pipeline import RunConfig, report_rows, run_pipeline
 from .qimg import read_stack, write_stack
 from .report import (
     emit_svg,
@@ -213,19 +213,10 @@ def cmd_evaluate(args) -> int:
     base_report = None if baseline is None else evaluate(baseline, stack.images, labels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fid_rows, cross_rows, red_rows = [], [], []
-    for kind in KINDS:
-        if kind not in sets:
-            continue
-        report = evaluate(sets[kind], stack.images, labels, base_report)
-        for s, f in enumerate(report.fidelities):
-            fid_rows.append((s + 1, kind, float(f), 0.0))
-        for (k, l), v in zip(report.cross_pairs, report.cross_values):
-            cross_rows.append((k + 1, l + 1, kind, v, 0.0 if v is not None else None))
-        if report.eta_vs_baseline is not None:
-            for s, eta in enumerate(report.eta_vs_baseline):
-                red_rows.append((s + 1, kind, eta))
+    reports = {kind: [evaluate(sets[kind], stack.images, labels, base_report)] for kind in KINDS if kind in sets}
+    for kind, (report,) in reports.items():
         print(f"{kind}: mean fidelity {report.mean_fidelity:.6f}")
+    fid_rows, cross_rows, red_rows = report_rows(reports)
     write_fidelity_csv(out_dir / "fidelity.csv", fid_rows)
     write_crossfidelity_csv(out_dir / "crossfidelity.csv", cross_rows)
     write_reduction_csv(out_dir / "reduction.csv", red_rows)

@@ -16,10 +16,11 @@ going s // 2 pixels up and left, so an odd s is centered and an even s
 leans down-right. Learned feature vectors end with a constant bias slot
 (c = 1 by default); the trained bias weight absorbs any scale. The
 feature extractors and the square / gaussian score helpers describe the
-same scores feature by feature; FilterModel scores through the map,
-applied over its nonzero span: the contiguous run of flat pixels from
-the first to the last nonzero weight, so pixels outside it are never
-multiplied.
+same scores feature by feature; a FilterModel builds its map once, for
+the frame shape it records and reads only frames of that shape, and
+scores through the map's nonzero span: the contiguous run of flat pixels
+from the first to the last nonzero weight, so pixels outside it are
+never multiplied.
 
 Every (frame, site) score is one BLAS dot of the frame's span pixels
 with the span weights, then + b: np.vecdot over the rows of a stack,
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MFReadoutError
+from .errors import ConfigError, DataError
 from .util import round_half_up
 
 KINDS = ("square", "gaussian", "mf-site", "mf-array")
@@ -244,17 +245,19 @@ def learned_weight_map(weights, idx, avg) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterModel:
-    """One trained (or fixed) per-site classifier.
+    """One trained (or fixed) per-site classifier for frames of image_shape.
 
     Every kind scores frame . w + b; the kind only decides how the
-    full-frame map w and the bias b are built (see linear_map). scores
-    applies w over its nonzero span [lo, hi) of flat pixels, outside which
-    every weight is 0, derived once per image shape beside the map. weights is
-    the learned coefficient vector for mf-site / mf-array with the bias
-    weight last, and None for the fixed kinds. site and neighbors are
-    zero-based in memory; serialization uses one-based site numbers to
-    match the row-major site labels on reports. Frozen, with read-only
-    arrays, so a map cached per image shape always matches the fields.
+    full-frame map w and the bias b are built (see linear_map). The map
+    and its nonzero span, the run [lo, hi) of flat pixels outside which
+    every weight is 0, are built once, when the model is made, for the
+    image_shape it records; every scoring entry point raises DataError
+    for frames of another shape. weights is the learned coefficient
+    vector for mf-site / mf-array with the bias weight last, and None for
+    the fixed kinds. site and neighbors are zero-based in memory;
+    serialization uses one-based site numbers to match the row-major site
+    labels on reports. Frozen, with read-only arrays, so the map always
+    matches the fields.
     """
 
     kind: str
@@ -262,14 +265,16 @@ class FilterModel:
     center: tuple[float, float]
     s: int
     theta: float
+    image_shape: tuple[int, int]
     sigma: float | None = None
     weights: np.ndarray | None = None
     neighbors: tuple[int, ...] = ()
     all_centers: np.ndarray | None = None
     bias_c: float = BIAS_C
-    image_shape: tuple[int, int] | None = None
-    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (lo, hi, w[lo:hi], b): the flat pixel span holding every nonzero
+    # weight of the map, empty (0, 0) for an all-zero map, and the bias
+    span: tuple[int, int, np.ndarray, float] = field(init=False, repr=False, compare=False)
+    _map: tuple[np.ndarray, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -280,6 +285,10 @@ class FilterModel:
             raise ConfigError(f"{self.kind} filter takes no neighbors")
         if self.kind == "mf-array" and self.all_centers is None:
             raise ConfigError("mf-array filter needs the full center list")
+        shape = () if self.image_shape is None else tuple(map(int, self.image_shape))
+        if len(shape) != 2 or min(shape) < 1:
+            raise ConfigError(f"filter needs an image shape of two positive sizes, got {self.image_shape}")
+        object.__setattr__(self, "image_shape", shape)
         for name in ("weights", "all_centers"):
             if getattr(self, name) is not None:
                 value = np.array(getattr(self, name), dtype=np.float64)
@@ -297,39 +306,29 @@ class FilterModel:
                 raise ConfigError(f"{self.kind} filter needs s^2 + neighbors + 1 = {d} weights")
             if not 0.0 < self.theta < 1.0:
                 raise ConfigError(f"threshold for {self.kind} must lie in (0, 1), got {self.theta}")
+        b = 0.0
+        if self.kind == "square":
+            w = np.zeros(shape[0] * shape[1])
+            w[window_index(self.center, self.s, shape)] = 1.0
+        elif self.kind == "gaussian":
+            w = gaussian_weight_map(self.center, self.sigma, shape).ravel()
+        else:
+            avg = neighbor_means(self.all_centers, self.neighbors, self.s, shape)
+            w = learned_weight_map(self.weights, window_index(self.center, self.s, shape), avg)
+            b = self.bias_c * float(self.weights[-1])
+        w.setflags(write=False)
+        nonzero = np.flatnonzero(w)
+        lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+        object.__setattr__(self, "_map", (w, b))
+        object.__setattr__(self, "span", (lo, hi, w[lo:hi], float(b)))
 
-    def linear_map(self, shape) -> tuple[np.ndarray, float]:
-        """(w, b), score = frame.ravel() @ w + b, built once per image shape;
-        DataError for a shape other than the image_shape the model records."""
-        shape = (int(shape[0]), int(shape[1]))
-        if shape not in self._maps:
-            if self.image_shape is not None and shape != tuple(self.image_shape):
-                raise DataError(f"{self.kind} model of site {self.site + 1} was trained on {self.image_shape} frames, got {shape}")
-            b = 0.0
-            if self.kind == "square":
-                w = np.zeros(shape[0] * shape[1])
-                w[window_index(self.center, self.s, shape)] = 1.0
-            elif self.kind == "gaussian":
-                w = gaussian_weight_map(self.center, self.sigma, shape).ravel()
-            else:
-                avg = neighbor_means(self.all_centers, self.neighbors, self.s, shape)
-                w = learned_weight_map(self.weights, window_index(self.center, self.s, shape), avg)
-                b = self.bias_c * float(self.weights[-1])
-            w.setflags(write=False)
-            nonzero = np.flatnonzero(w)
-            lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
-            self._maps[shape] = (w, b)
-            self._spans[shape] = (lo, hi, w[lo:hi], float(b))
-        return self._maps[shape]
+    def linear_map(self) -> tuple[np.ndarray, float]:
+        """(w, b), score = frame.ravel() @ w + b for a frame of image_shape."""
+        return self._map
 
-    def span(self, shape) -> tuple[int, int, np.ndarray, float]:
-        """(lo, hi, w[lo:hi], b): the flat pixel span holding every nonzero
-        weight of linear_map(shape), empty (0, 0) for an all-zero map, and
-        the bias."""
-        shape = (int(shape[0]), int(shape[1]))
-        if shape not in self._spans:
-            self.linear_map(shape)
-        return self._spans[shape]
+    def _check_shape(self, shape) -> None:
+        if shape != self.image_shape:
+            raise DataError(f"{self.kind} model of site {self.site + 1} was trained on {self.image_shape} frames, got {shape}")
 
     def scores(self, images) -> np.ndarray:
         """Linear score per frame, shape (M,).
@@ -341,13 +340,14 @@ class FilterModel:
         view.
         """
         stack = _as_stack(images)
-        return self._span_scores(stack.reshape(len(stack), -1), stack.shape[1:])
+        self._check_shape(stack.shape[1:])
+        return self._span_scores(stack.reshape(len(stack), -1))
 
-    def _span_scores(self, rows, shape) -> np.ndarray:
-        """Score per row of rows, flattened frames of the given shape: one
+    def _span_scores(self, rows) -> np.ndarray:
+        """Score per row of rows, flattened frames of image_shape: one
         np.vecdot of the rows' span columns with the span weights, + b in
         place."""
-        lo, hi, w, b = self._spans.get(shape) or self.span(shape)
+        lo, hi, w, b = self.span
         score = np.vecdot(rows[:, lo:hi], w)
         score += b
         return score
@@ -367,7 +367,8 @@ class FilterModel:
         stack = _as_stack(images)
         if len(stack) != 1:
             return classify_stack((self,), stack)[:, 0]
-        lo, hi, w, b = self._spans.get(stack.shape[1:]) or self.span(stack.shape[1:])
+        self._check_shape(stack.shape[1:])
+        lo, hi, w, b = self.span
         return _BRIGHT if float(stack.ravel()[lo:hi].dot(w)) + b >= self.theta else _DARK
 
     def to_dict(self) -> dict:
@@ -379,11 +380,10 @@ class FilterModel:
             "c": float(self.bias_c),
             "theta": float(self.theta),
             "weights": [] if self.weights is None else [float(v) for v in self.weights],
+            "image_shape": list(self.image_shape),
         }
         if self.sigma is not None:
             d["sigma"] = float(self.sigma)
-        if self.image_shape is not None:
-            d["image_shape"] = [int(self.image_shape[0]), int(self.image_shape[1])]
         if self.kind == "mf-array":
             d["neighbors"] = [int(k) + 1 for k in self.neighbors]
             d["all_centers"] = [[float(r), float(c)] for r, c in self.all_centers]
@@ -391,7 +391,8 @@ class FilterModel:
 
     @staticmethod
     def from_dict(d: dict) -> "FilterModel":
-        """The model of a to_dict dict; DataError for a key to_dict does not write."""
+        """The model of a to_dict dict; DataError for a key to_dict does not
+        write, a missing key, or fields the constructor rejects."""
         try:
             unknown = sorted(set(d) - MODEL_KEYS)
             if unknown:
@@ -403,6 +404,7 @@ class FilterModel:
                 center=(float(d["center"][0]), float(d["center"][1])),
                 s=int(d["s"]),
                 theta=float(d["theta"]),
+                image_shape=d["image_shape"],
                 sigma=float(d["sigma"]) if d.get("sigma") is not None else None,
                 weights=weights,
                 neighbors=tuple(int(k) - 1 for k in d.get("neighbors", ())),
@@ -410,13 +412,13 @@ class FilterModel:
                 if d.get("all_centers") is not None
                 else None,
                 bias_c=float(d.get("c", BIAS_C)),
-                image_shape=tuple(int(v) for v in d["image_shape"])
-                if d.get("image_shape") is not None
-                else None,
             )
-        except MFReadoutError:
+        except DataError:
             raise
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except KeyError as exc:
+            raise DataError(f"filter model dict lacks the key {exc}") from exc
+        except (TypeError, IndexError, ValueError) as exc:
+            # ConfigError, a field the constructor rejects, is a ValueError
             raise DataError(f"bad filter model dict: {exc}") from exc
 
 
@@ -434,20 +436,22 @@ def classify_stack(models, images) -> np.ndarray:
     """Predictions for every frame and model, shape (M, len(models)).
 
     A one-frame stack is read by each model's predict, the one-frame
-    kernel. A longer stack is read in
-    frame_blocks: each block is cast to float64 once and every model
-    reads it while it is in cache, its span scores compared in place into
-    the bool view of the model's column. Each frame reads out the same
-    bits alone or in any block (see FilterModel.scores).
+    kernel. A longer stack is checked against every model's image_shape
+    once, then read in frame_blocks: each block is cast to float64 once
+    and every model reads it while it is in cache, its span scores
+    compared in place into the bool view of the model's column. Each
+    frame reads out the same bits alone or in any block (see
+    FilterModel.scores).
     """
     stack = _as_stack(images)
     if len(stack) == 1:
         return np.array([[model.predict(stack)[0] for model in models]], dtype=np.uint8)
-    shape = stack.shape[1:]
+    for model in models:
+        model._check_shape(stack.shape[1:])
     out = np.empty((len(stack), len(models)), dtype=np.uint8)
     bright = out.view(bool)
     for lo, hi in frame_blocks(len(stack)):
         rows = np.asarray(stack[lo:hi], dtype=np.float64).reshape(hi - lo, -1)
         for j, model in enumerate(models):
-            np.greater_equal(model._span_scores(rows, shape), model.theta, out=bright[lo:hi, j])
+            np.greater_equal(model._span_scores(rows), model.theta, out=bright[lo:hi, j])
     return out

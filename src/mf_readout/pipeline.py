@@ -282,13 +282,15 @@ def _stderr(vals) -> float:
     return 0.0 if len(vals) < 2 else standard_error(vals)
 
 
-def _aggregate(run: RunConfig, per_kind: dict, n_sites: int):
-    """Shuffle means and standard errors, as 1-based CSV rows."""
+def report_rows(per_kind: dict):
+    """Fidelity, cross-fidelity and reduction CSV rows, 1-based, of
+    {kind: [MetricsReport per shuffle]} in the dict's kind order: shuffle
+    means and standard errors (0 for one report), and eta rows for each
+    kind whose reports carry an eta."""
     fid_rows, cross_rows, red_rows = [], [], []
-    for kind in run.kinds:
-        reps = per_kind[kind]
+    for kind, reps in per_kind.items():
         fids = np.array([r.fidelities for r in reps])
-        for s in range(n_sites):
+        for s in range(fids.shape[1]):
             fid_rows.append((s + 1, kind, float(fids[:, s].mean()), _stderr(fids[:, s])))
         for j, (k, l) in enumerate(reps[0].cross_pairs):
             vals = [r.cross_values[j] for r in reps if r.cross_values[j] is not None]
@@ -296,8 +298,8 @@ def _aggregate(run: RunConfig, per_kind: dict, n_sites: int):
                 cross_rows.append((k + 1, l + 1, kind, float(np.mean(vals)), _stderr(vals)))
             else:
                 cross_rows.append((k + 1, l + 1, kind, None, None))
-        if kind != "gaussian" and reps[0].eta_vs_baseline is not None:
-            for s in range(n_sites):
+        if reps[0].eta_vs_baseline is not None:
+            for s in range(fids.shape[1]):
                 vals = [
                     r.eta_vs_baseline[s] for r in reps if r.eta_vs_baseline[s] is not None
                 ]
@@ -329,12 +331,8 @@ def _holdout_rows(run: RunConfig, exposure: float, sim_e: SimConfig, cache_dir, 
         norm = apply_stats(stack.images[lo:hi], stats0)
         for kind in models:
             preds[kind][lo:hi] = classify_stack(models[kind], norm)
-    rows = []
-    for kind, model_set in sets0.items():
-        rep = evaluate_predictions(model_set, preds[kind], labels)
-        for (k, l), v in zip(rep.cross_pairs, rep.cross_values):
-            rows.append((k + 1, l + 1, kind, v, 0.0 if v is not None else None))
-    return rows
+    reports = {kind: [evaluate_predictions(model_set, preds[kind], labels)] for kind, model_set in sets0.items()}
+    return report_rows(reports)[1]
 
 
 def run_pipeline(run: RunConfig) -> SweepReport:
@@ -373,7 +371,6 @@ def _sweep(run: RunConfig) -> SweepReport:
     cache_dir = out_dir / "cache"
     run.save(out_dir / "run_config.json")
 
-    n_sites = run.sim.geometry.n_sites
     sweep_rows: list[SweepRow] = []
     for exposure in run.exposure_sweep_ms:
         sim_e = replace(
@@ -420,7 +417,7 @@ def _sweep(run: RunConfig) -> SweepReport:
             sets0[kind].save(exp_dir / "models")
         (exp_dir / "audit.json").write_text(canonical_json(audit) + "\n")
 
-        fid_rows, cross_rows, red_rows = _aggregate(run, per_kind, n_sites)
+        fid_rows, cross_rows, red_rows = report_rows(per_kind)
         write_fidelity_csv(exp_dir / "fidelity.csv", fid_rows)
         write_crossfidelity_csv(exp_dir / "crossfidelity.csv", cross_rows)
         write_reduction_csv(exp_dir / "reduction.csv", red_rows)

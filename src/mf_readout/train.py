@@ -794,11 +794,16 @@ class ModelSet:
 
 
 def load_models(model_dir) -> dict[str, ModelSet]:
-    """Read every model JSON in a directory, grouped by kind."""
+    """Read every model JSON in a directory, grouped by kind; DataError
+    for two files holding the same kind and site."""
     model_dir = Path(model_dir)
     sets: dict[str, dict[int, FilterModel]] = {}
+    paths: dict[tuple[str, int], Path] = {}
     for path in sorted(model_dir.glob("*.json")):
         model = FilterModel.from_dict(read_json(path))
+        first = paths.setdefault((model.kind, model.site), path)
+        if first != path:
+            raise DataError(f"{first} and {path} both hold the {model.kind} model of site {model.site + 1}")
         sets.setdefault(model.kind, {})[model.site] = model
     if not sets:
         raise DataError(f"no model files found in {model_dir}")
@@ -877,9 +882,7 @@ def count_complexity(model_set: ModelSet) -> dict:
         trainable = mults = 0
     elif kind == "gaussian":
         trainable = 2 * len(models)
-        if any(m.image_shape is None for m in models):
-            raise DataError("gaussian model lacks an image shape for its weight map")
-        mults = sum(int(np.count_nonzero(m.linear_map(m.image_shape)[0])) for m in models)
+        mults = sum(int(np.count_nonzero(m.linear_map()[0])) for m in models)
     else:
         trainable = sum(m.weights.size for m in models)
         mults = sum(int(np.count_nonzero(m.weights)) for m in models)

@@ -276,21 +276,36 @@ def test_malformed_input_files_exit_with_their_error_codes(chain, tmp_path, caps
         assert main(argv) == code, argv
         assert f"error: cannot read {broken}" in capsys.readouterr().err
 
+    # a model file whose fields disagree is damaged data, 3, as any other:
     # an mf-array model whose site or neighbors (one-based) are not sites
-    # of its 3 x 3 array: 2, as the model's other field checks
+    # of its 3 x 3 array, an mf-site model with 3 weights at s = 2, a
+    # window that leaves the frame, and a model without its image shape
     centers = [site["center"] for site in json.loads((chain / "geometry.json").read_text())]
     array_model = FilterModel(
         kind="mf-array", site=4, center=tuple(centers[4]), s=3, theta=0.5, weights=np.ones(9 + 8 + 1),
-        neighbors=neighbor_sites(3, 3, 4), all_centers=centers,
+        neighbors=neighbor_sites(3, 3, 4), all_centers=centers, image_shape=(28, 28),
+    ).to_dict()
+    site_model = FilterModel(
+        kind="mf-site", site=4, center=tuple(centers[4]), s=2, theta=0.5, weights=np.ones(5), image_shape=(28, 28),
     ).to_dict()
     model_path = tmp_path / "mfarray_site5.json"
-    model_path.write_text(json.dumps(array_model))
-    assert main(["classify", "--model", str(model_path), "--in", pre, "--out", preds]) == 0
-    for field, value in [("neighbors", [1, 2, 3, 4, 6, 7, 8, 0]), ("neighbors", [1, 2, 3, 4, 6, 7, 8, 10]),
-                         ("neighbors", [1, 2, 3, 4, 5, 6, 7, 8]), ("site", 0), ("site", 10)]:
-        model_path.write_text(json.dumps({**array_model, field: value}))
-        assert main(["classify", "--model", str(model_path), "--in", pre, "--out", preds]) == 2, value
-        assert "error:" in capsys.readouterr().err
+    for model in (array_model, site_model):
+        model_path.write_text(json.dumps(model))
+        assert main(["classify", "--model", str(model_path), "--in", pre, "--out", preds]) == 0
+    without_shape = {k: v for k, v in site_model.items() if k != "image_shape"}
+    for model, message in [
+        ({**array_model, "neighbors": [1, 2, 3, 4, 6, 7, 8, 0]}, "neighbor -1 of site 4"),
+        ({**array_model, "neighbors": [1, 2, 3, 4, 6, 7, 8, 10]}, "neighbor 9 of site 4"),
+        ({**array_model, "neighbors": [1, 2, 3, 4, 5, 6, 7, 8]}, "neighbor 4 of site 4"),
+        ({**array_model, "site": 0}, "site index -1"),
+        ({**array_model, "site": 10}, "site index 9"),
+        ({**site_model, "weights": [1.0, 1.0, 1.0]}, "mf-site filter needs s^2 + neighbors + 1 = 5 weights"),
+        ({**site_model, "center": [28.0, 5.0]}, "window at center (28.0, 5.0) leaves the 28x28 image"),
+        (without_shape, "lacks the key 'image_shape'"),
+    ]:
+        model_path.write_text(json.dumps(model))
+        assert main(["classify", "--model", str(model_path), "--in", pre, "--out", preds]) == 3, message
+        assert message in capsys.readouterr().err
 
 
 SUBCOMMANDS = {"simulate", "preprocess", "locate", "train", "classify",

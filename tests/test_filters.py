@@ -194,7 +194,7 @@ def _cross(n=40, seed=4):
 
 def test_square_model_scores_and_predictions():
     imgs = _cross()
-    model = FilterModel(kind="square", site=0, center=(9.6, 10.2), s=4, theta=16.0)
+    model = FilterModel(kind="square", site=0, center=(9.6, 10.2), s=4, theta=16.0, image_shape=(20, 20))
     scores = model.scores(imgs)
     assert np.allclose(scores, square_score(imgs, (9.6, 10.2), 4))
     assert np.array_equal(model.predict(imgs), (scores >= 16.0).astype(np.uint8))
@@ -215,7 +215,7 @@ def test_mf_site_model_is_linear_in_features():
     rng = np.random.default_rng(5)
     weights = rng.normal(size=10)
     model = FilterModel(
-        kind="mf-site", site=0, center=(9.0, 9.0), s=3, theta=0.5, weights=weights
+        kind="mf-site", site=0, center=(9.0, 9.0), s=3, theta=0.5, weights=weights, image_shape=(20, 20)
     )
     feats = extract_site_features(imgs, (9.0, 9.0), 3)
     assert np.allclose(model.scores(imgs), weights @ feats)
@@ -296,7 +296,7 @@ def test_full_frame_map_scores_equal_the_reference_paths(case):
 def _full_map_scores(model, images):
     """The full-frame product the span replaces: frame.ravel() @ w + b."""
     rows = np.asarray(images, dtype=np.float64).reshape(-1, np.prod(images.shape[-2:]))
-    w, b = model.linear_map(images.shape[-2:])
+    w, b = model.linear_map()
     return rows @ w + b
 
 
@@ -313,15 +313,15 @@ def _assert_scores_like_the_full_map(model, images):
 @given(_linear_cases())
 def test_span_holds_every_nonzero_weight(case):
     model, images, _ = case
-    shape = images.shape[-2:]
-    w, b = model.linear_map(shape)
-    lo, hi, w_span, b_span = model.span(shape)
+    w, b = model.linear_map()
+    lo, hi, w_span, b_span = model.span
+    assert w.size == np.prod(images.shape[-2:])
     assert 0 <= lo < hi <= w.size
     assert not w[:lo].any() and not w[hi:].any()
     assert w[lo] != 0.0 and w[hi - 1] != 0.0
     assert np.array_equal(w_span, w[lo:hi]) and b_span == b
-    # the span is cached beside the map, not rebuilt per call
-    assert model.span(shape)[2] is w_span
+    # the span is a view of the map, both built once with the model
+    assert np.shares_memory(w_span, w) and model.linear_map()[0] is w
 
 
 @given(_linear_cases())
@@ -363,9 +363,10 @@ def test_all_zero_map_has_an_empty_span_and_scores_its_bias():
     weights = np.zeros(10)
     weights[-1] = 0.3
     model = FilterModel(
-        kind="mf-site", site=0, center=(6.0, 6.0), s=3, theta=0.5, weights=weights, bias_c=2.0
+        kind="mf-site", site=0, center=(6.0, 6.0), s=3, theta=0.5, weights=weights, bias_c=2.0,
+        image_shape=(20, 20),
     )
-    lo, hi, w_span, b = model.span((20, 20))
+    lo, hi, w_span, b = model.span
     assert (lo, hi, w_span.size, b) == (0, 0, 0, 0.6)
     imgs = _cross(5)
     for images in (imgs, imgs.astype(np.float32), imgs[0]):
@@ -384,9 +385,8 @@ def test_filter_model_is_frozen():
     for f in dataclasses.fields(model):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, f.name, getattr(model, f.name))
-    # the arrays behind a cached map cannot change under it either
-    w, _ = model.linear_map((20, 20))
-    assert model.linear_map((20, 20))[0] is w
+    # the arrays behind the map cannot change under it either
+    w, _ = model.linear_map()
     for arr in (model.weights, model.all_centers, w):
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -398,14 +398,14 @@ def test_filter_model_is_frozen():
 def test_model_round_trip_all_kinds():
     centers = np.array([[6.0, 6.0], [6.0, 12.0]])
     models = [
-        FilterModel(kind="square", site=0, center=(6.0, 6.0), s=6, theta=3.0),
+        FilterModel(kind="square", site=0, center=(6.0, 6.0), s=6, theta=3.0, image_shape=(20, 20)),
         FilterModel(
             kind="gaussian", site=1, center=(6.0, 12.0), s=0, theta=1.5, sigma=2.1,
             image_shape=(20, 20),
         ),
         FilterModel(
             kind="mf-site", site=0, center=(6.0, 6.0), s=3, theta=0.4,
-            weights=np.arange(10.0),
+            weights=np.arange(10.0), image_shape=(20, 20),
         ),
         FilterModel(
             kind="mf-array", site=1, center=(6.0, 12.0), s=3, theta=0.6,
@@ -419,12 +419,13 @@ def test_model_round_trip_all_kinds():
         assert back.site == model.site
         assert back.s == model.s
         assert back.theta == model.theta
+        assert back.image_shape == model.image_shape == (20, 20)
         imgs = _cross(10)
         assert np.allclose(back.scores(imgs), model.scores(imgs))
 
 
 def test_model_dict_uses_one_based_site():
-    model = FilterModel(kind="square", site=3, center=(6.0, 6.0), s=4, theta=1.0)
+    model = FilterModel(kind="square", site=3, center=(6.0, 6.0), s=4, theta=1.0, image_shape=(20, 20))
     assert model.to_dict()["site"] == 4
 
 
@@ -437,21 +438,34 @@ def test_model_dict_with_a_key_it_does_not_write_is_rejected():
 
 def test_a_model_reads_only_frames_of_the_shape_it_was_trained_on():
     model = FilterModel(kind="square", site=0, center=(13.0, 13.0), s=4, theta=1.0, image_shape=(28, 28))
-    for frames in (np.ones((2, 40, 40)), np.ones((1, 40, 40)), np.ones((40, 40))):
-        for read in (model.scores, model.predict, lambda x: classify_stack([model], x)):
+    fits = dataclasses.replace(model, image_shape=(40, 40))
+    # scores, one-frame and multi-frame predict, and classify_stack on one
+    # frame and in blocks, also behind a model that reads these frames
+    readers = (
+        model.scores, model.predict,
+        lambda x: classify_stack([model], x), lambda x: classify_stack([fits, model], x),
+    )
+    for frames in (np.ones((300, 40, 40)), np.ones((2, 40, 40)), np.ones((1, 40, 40)), np.ones((40, 40))):
+        for read in readers:
             with pytest.raises(DataError, match=r"trained on \(28, 28\) frames, got \(40, 40\)"):
                 read(frames)
     assert model.scores(np.ones((2, 28, 28))).tolist() == [16.0, 16.0]
-    # a model that records no shape builds its map for any frame size
-    free = dataclasses.replace(model, image_shape=None)
-    assert free.scores(np.ones((2, 40, 40))).tolist() == [16.0, 16.0]
+    assert fits.scores(np.ones((2, 40, 40))).tolist() == [16.0, 16.0]
+    # every model records its shape, and a model dict without one is damaged
+    with pytest.raises(ConfigError, match="image shape"):
+        dataclasses.replace(model, image_shape=None)
+    d = model.to_dict()
+    assert d["image_shape"] == [28, 28]
+    del d["image_shape"]
+    with pytest.raises(DataError, match="lacks the key 'image_shape'"):
+        FilterModel.from_dict(d)
 
 
 def test_classify_stack_column_order():
     imgs = _cross(12)
     models = [
-        FilterModel(kind="square", site=0, center=(6.0, 6.0), s=3, theta=8.0),
-        FilterModel(kind="square", site=1, center=(12.0, 12.0), s=3, theta=9.5),
+        FilterModel(kind="square", site=0, center=(6.0, 6.0), s=3, theta=8.0, image_shape=(20, 20)),
+        FilterModel(kind="square", site=1, center=(12.0, 12.0), s=3, theta=9.5, image_shape=(20, 20)),
     ]
     for stack in (imgs, imgs.astype(np.float32)):
         preds = classify_stack(models, stack)
@@ -525,9 +539,9 @@ def test_classify_stack_blocks_read_like_the_whole_stack(preset_readouts, n_fram
         seen.append(len(images))
         return predict(self, images)
 
-    def recording_span_scores(self, rows, shape):
+    def recording_span_scores(self, rows):
         seen.append(len(rows))
-        return span_scores(self, rows, shape)
+        return span_scores(self, rows)
 
     for kind in KINDS:
         models = sets[kind].ordered()

@@ -22,8 +22,9 @@ from mf_readout import (
     mean_image,
     split_dataset,
 )
-from mf_readout.filters import BLOCK_FRAMES, centers_inside, window_origin
+from mf_readout.filters import BLOCK_FRAMES, centers_inside, window_fits, window_origin
 from mf_readout.locate import (
+    FIT_WINDOW,
     PreprocessStats,
     _fit_windows,
     _joint_refine,
@@ -782,19 +783,26 @@ def test_locate_sites_recovers_from_a_stray_peak_beside_a_missing_site(train_mea
 
 @pytest.mark.parametrize("preset", ["default", "crosstalk"])
 def test_locate_sites_across_array_shapes(preset):
-    # both presets put site 1 at (8, 8) with a 6 px pitch
-    for rows, cols in [(1, 1), (1, 3), (2, 2), (2, 4), (3, 2), (4, 4)]:
-        geometry = replace(PRESETS[preset]().geometry, rows=rows, cols=cols)
-        config = PRESETS[preset](
-            n_images=1500, seed=0, geometry=geometry,
-            image_height=16 + 6 * (rows - 1), image_width=16 + 6 * (cols - 1),
-        )
-        stack = generate_dataset(config)
-        train_idx = split_dataset(1500, seed=0).train_idx
-        train = apply_stats(stack.images[train_idx], fit_stats(stack.images[train_idx]))
-        geo = locate_sites(mean_image(train), difference_images(train, stack.truth[train_idx]))
-        err = np.linalg.norm(geo.centers - geometry.site_centers(), axis=1)
-        assert err.max() < 0.3, (rows, cols, err.max())
+    # both presets have a 6 px pitch; site 1 at (8, 8) keeps every 7 x 7
+    # confirmation window inside the frame, at (2.4, 2.4) or (12.6, 12.6)
+    # the edge sites' windows leave it, so those sites fall back, and a
+    # site whose spot the edge cuts locates a little worse
+    for origin, bound in [((8.0, 8.0), 0.3), ((2.4, 2.4), 0.35), ((12.6, 12.6), 0.35)]:
+        for rows, cols in [(1, 1), (1, 3), (2, 2), (2, 4), (3, 2), (4, 4)]:
+            geometry = replace(PRESETS[preset]().geometry, rows=rows, cols=cols, origin_px=origin)
+            config = PRESETS[preset](
+                n_images=1500, seed=0, geometry=geometry,
+                image_height=16 + 6 * (rows - 1), image_width=16 + 6 * (cols - 1),
+            )
+            stack = generate_dataset(config)
+            train_idx = split_dataset(1500, seed=0).train_idx
+            train = apply_stats(stack.images[train_idx], fit_stats(stack.images[train_idx]))
+            geo = locate_sites(mean_image(train), difference_images(train, stack.truth[train_idx]))
+            err = np.linalg.norm(geo.centers - geometry.site_centers(), axis=1)
+            assert err.max() < bound, (origin, rows, cols, err.max())
+            leaves = [not window_fits(c, FIT_WINDOW, train.shape[1:]) for c in geo.centers]
+            assert any(leaves) == (origin != (8.0, 8.0)), (origin, rows, cols)
+            assert all(geo.fallbacks[k] for k in np.flatnonzero(leaves)), (origin, rows, cols)
 
 
 def test_damped_joint_fit_locates_without_numeric_warnings(train_means):

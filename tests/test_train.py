@@ -1,3 +1,4 @@
+import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
@@ -447,20 +448,36 @@ SHAPE_GRID = (2, 3, 5, 8, 11, 12)
 # window 12 leaves the frame above the top row, whose largest window is
 # 11; at (10.6, 9.4) windows 11 and 12 leave it below the bottom row,
 # whose largest is 8. Each largest window is one stack of nested solves.
+# The frame grows by one pitch per row and column, so at every whole
+# pitch the edge sites keep these margins.
 SHAPES = [
     (1, 1, (8.0, 8.0), {12}), (1, 3, (8.0, 8.0), {12}), (2, 2, (8.0, 8.0), {12}),
     (2, 4, (5.4, 6.6), {11, 12}), (3, 2, (10.6, 9.4), {8, 12}), (4, 4, (5.4, 6.6), {11, 12}),
 ]
+PITCHES = (6, 5, 7)
 
 
-def _shape_training(rows, cols, origin):
-    """TrainingData and normalized test frames of a rows x cols array at a
-    6 px pitch on frames of (16 + 6(rows - 1)) x (16 + 6(cols - 1)):
-    600 frames, true-state labels and the true centers, so only training
-    is tested."""
-    geometry = replace(default_config().geometry, rows=rows, cols=cols, origin_px=origin)
+def _shape_params(with_largest):
+    """SHAPES at every pitch, the 6 px cases under their plain ids."""
+    params = []
+    for pitch in PITCHES:
+        for i, (rows, cols, origin, largest) in enumerate(SHAPES):
+            values, tag = (rows, cols, origin), f"{rows}-{cols}-origin{i}"
+            if with_largest:
+                values, tag = (*values, largest), f"{tag}-largest{i}"
+            params.append(pytest.param(*values, pitch, id=tag if pitch == 6 else f"{tag}-pitch{pitch}"))
+    return params
+
+
+def _shape_training(rows, cols, origin, pitch):
+    """TrainingData and normalized test frames of a rows x cols array at
+    the given pitch on frames of (16 + pitch(rows - 1)) x (16 + pitch(cols
+    - 1)): 600 frames, true-state labels and the true centers, so only
+    training is tested."""
+    geometry = replace(default_config().geometry, rows=rows, cols=cols, spacing_px=pitch, origin_px=origin)
     config = default_config(
-        n_images=600, seed=3, geometry=geometry, image_height=16 + 6 * (rows - 1), image_width=16 + 6 * (cols - 1),
+        n_images=600, seed=3, geometry=geometry,
+        image_height=16 + pitch * (rows - 1), image_width=16 + pitch * (cols - 1),
     )
     stack = generate_dataset(config)
     split = split_dataset(600, seed=0)
@@ -472,9 +489,9 @@ def _shape_training(rows, cols, origin):
     return data, norm[split.test_idx]
 
 
-@pytest.mark.parametrize("rows, cols, origin, largest", SHAPES)
-def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, origin, largest):
-    data, test = _shape_training(rows, cols, origin)
+@pytest.mark.parametrize("rows, cols, origin, largest, pitch", _shape_params(with_largest=True))
+def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, origin, largest, pitch):
+    data, test = _shape_training(rows, cols, origin, pitch)
     centers = data.geometry.centers
     shape = data.image_shape
     assert {max(s for s in SHAPE_GRID if window_fits(c, s, shape)) for c in centers} == largest
@@ -492,12 +509,12 @@ def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, or
             assert alone.tobytes() == model.scores(test).tobytes(), (kind, model.site)
 
 
-@pytest.mark.parametrize("rows, cols, origin", [shape[:3] for shape in SHAPES])
-def test_the_helpers_gram_completes_to_the_lazy_moments_across_array_shapes(rows, cols, origin):
+@pytest.mark.parametrize("rows, cols, origin, pitch", _shape_params(with_largest=False))
+def test_the_helpers_gram_completes_to_the_lazy_moments_across_array_shapes(rows, cols, origin, pitch):
     # the pixel Gram on a worker thread, as the pipeline's shuffle computes
     # it, then completed by release_train_block, against the moments
     # TrainingData builds on first use
-    lazy = _shape_training(rows, cols, origin)[0]
+    lazy = _shape_training(rows, cols, origin, pitch)[0]
     released = replace(lazy)
     x = released.train_images
     with ThreadPoolExecutor(1) as pool:
@@ -1041,8 +1058,16 @@ def test_load_models_requires_files(tmp_path):
         load_models(tmp_path)
 
 
+def test_load_models_refuses_two_files_for_one_kind_and_site(tmp_path):
+    model = FilterModel(kind="square", site=0, center=(4.0, 4.0), s=3, theta=3.0, image_shape=(8, 8))
+    (tmp_path / "square_site1.json").write_text(json.dumps(model.to_dict()))
+    (tmp_path / "square_site1 copy.json").write_text(json.dumps({**model.to_dict(), "theta": 9.0}))
+    with pytest.raises(DataError, match=r"square_site1 copy\.json and .*square_site1\.json both hold the square model of site 1"):
+        load_models(tmp_path)
+
+
 def test_ordered_refuses_partial_sets():
-    model = FilterModel(kind="square", site=0, center=(4.0, 4.0), s=3, theta=1.0)
+    model = FilterModel(kind="square", site=0, center=(4.0, 4.0), s=3, theta=1.0, image_shape=(8, 8))
     broken = ModelSet(kind="square", models={0: model}, failures={1: "no fit"})
     assert broken.n_sites == 2
     with pytest.raises(DataError, match="square model set has failed sites: site 2: no fit"):
@@ -1054,7 +1079,7 @@ def test_ordered_refuses_partial_sets():
 def test_count_complexity_small_oracle():
     sites = [(6.0, 6.0), (6.0, 12.0)]
     square = ModelSet(kind="square", models={
-        i: FilterModel(kind="square", site=i, center=c, s=5, theta=1.0)
+        i: FilterModel(kind="square", site=i, center=c, s=5, theta=1.0, image_shape=(18, 18))
         for i, c in enumerate(sites)
     })
     assert count_complexity(square) == {
@@ -1063,7 +1088,7 @@ def test_count_complexity_small_oracle():
 
     weights = np.array([1.0, 0.0, 2.0, 0.0, 3.0])
     mf = ModelSet(kind="mf-site", models={
-        i: FilterModel(kind="mf-site", site=i, center=c, s=2, theta=0.5, weights=weights)
+        i: FilterModel(kind="mf-site", site=i, center=c, s=2, theta=0.5, weights=weights, image_shape=(18, 18))
         for i, c in enumerate(sites)
     })
     counts = count_complexity(mf)
