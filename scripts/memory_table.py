@@ -16,13 +16,14 @@ so that the peak RSS is the shuffle's own, not the renderer's. The
 measuring process reads the stack, runs the shuffle once untraced and
 prints ru_maxrss before and after it. It then runs the shuffle again
 under tracemalloc and prints the traced peak of each stage: normalize
-(fit_stats and every apply_stats), locate (mean_image, difference_images
+(fit_stats and every apply_stats), locate (mean_image, label_sums,
+whose column and label sums serve localization and the moments alike,
 and locate_sites), moments (empty_gram, which allocates the learned
 kinds' pixel Gram before localization, and
-TrainingData.release_train_block, which completes the moments and frees
-the float64 train block; the Gram's product runs on a helper thread in
-between and allocates nothing), train (the largest
-train_all_sites call) and evaluate (_evaluate_sets), and the whole
+TrainingData.release_train_block, which completes the moments from the
+Gram and the sums and frees the float64 train block; the Gram's product
+runs on a helper thread in between and allocates nothing), train (the
+largest train_all_sites call) and evaluate (_evaluate_sets), and the whole
 shuffle's peak, in MB and as a multiple of the stack's float64 size.
 Since the Gram is held from before localization, the normalize, locate
 and train stages count it too. Traced figures leave out the float32
@@ -72,7 +73,7 @@ def stage_functions() -> dict:
 
     return {
         "normalize": (pipeline.fit_stats, pipeline.apply_stats),
-        "locate": (pipeline.mean_image, pipeline.difference_images, pipeline.locate_sites),
+        "locate": (pipeline.mean_image, pipeline.label_sums, pipeline.locate_sites),
         "moments": (pipeline.empty_gram, pipeline.TrainingData.release_train_block),
         "train": (pipeline.train_all_sites,),
         "evaluate": (pipeline._evaluate_sets,),

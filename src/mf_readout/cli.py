@@ -85,13 +85,11 @@ def _parse_crop(text: str) -> tuple[int, int, int, int]:
 
 
 def _parse_s_grid(text: str) -> tuple[int, ...]:
+    """The --s-grid window sizes; train_all_sites checks them as a grid."""
     try:
-        grid = tuple(int(p) for p in text.split(",") if p)
+        return tuple(int(p) for p in text.split(",") if p)
     except ValueError as exc:
         raise ConfigError(f"--s-grid wants a comma list of integers, got {text!r}") from exc
-    if not grid:
-        raise ConfigError("--s-grid is empty")
-    return grid
 
 
 def _parse_theta(text: str) -> tuple[float, float, float]:

@@ -3,13 +3,17 @@
 The localization chain is: average the training images, take each site's
 anchor from its label-conditioned difference image (difference_images),
 and fit every site's bump on the mean image at once from those anchors
-(_joint_refine). Every window fit goes through one batched
-Levenberg-Marquardt fitter, _fit_windows, which runs each fit by its own
-rules on a (k, w, w) stack of windows. A fit window is placed and
-checked by the filters' window rule (window_origin, window_fits), and
-located centers must pass the same in-frame check as the simulated ones
-(centers_inside). Normalization statistics always come from the
-training split alone and are then applied unchanged to every split.
+(_joint_refine). The difference images are built from the train block's
+column sums and its product X^T Y with the labels (label_sums); the
+pipeline forms those once per shuffle, and the training moments take
+their bias row and R from the same sums. Every window fit goes through
+one batched Levenberg-Marquardt fitter, _fit_windows, which runs each
+fit by its own rules on a (k, w, w) stack of windows. A fit window is
+placed and checked by the filters' window rule (window_origin,
+window_fits), and located centers must pass the same in-frame check as
+the simulated ones (centers_inside). Normalization statistics always
+come from the training split alone and are then applied unchanged to
+every split.
 """
 
 from __future__ import annotations
@@ -126,6 +130,41 @@ def mean_image(images) -> np.ndarray:
     return arr.mean(axis=0)
 
 
+class LabelSums(NamedTuple):
+    """Sums over a block of frames X (one row per frame, pixels row-major)
+    and its (n, n_sites) 0/1 labels Y, from label_sums: columns = X^T 1,
+    bright = X^T Y and n_bright = Y^T 1. shape is the frames' (n, H, W).
+    The difference images and the train moments are both built from them.
+    """
+
+    columns: np.ndarray  # (H * W,) float64
+    bright: np.ndarray  # (H * W, n_sites) float64
+    n_bright: np.ndarray  # (n_sites,) integer
+    shape: tuple[int, int, int]
+
+    def difference_images(self) -> np.ndarray:
+        """The frames' difference_images; DataError when a site's labels
+        hold one class."""
+        n = self.shape[0]
+        one_class = np.flatnonzero((self.n_bright == 0) | (self.n_bright == n)) + 1
+        if one_class.size:
+            raise DataError(f"site(s) {', '.join(map(str, one_class))}: the labels hold one class, so no difference image")
+        dark = self.columns[:, None] - self.bright
+        diffs = self.bright / self.n_bright - dark / (n - self.n_bright)
+        return diffs.T.reshape(len(self.n_bright), *self.shape[1:])
+
+
+def label_sums(frames, labels) -> LabelSums:
+    """The column and label sums of a frame block, in float64; DataError
+    when frames and labels disagree in shape."""
+    x = np.asarray(frames, dtype=np.float64)
+    y = np.asarray(labels)
+    if x.ndim != 3 or y.ndim != 2 or len(x) != len(y):
+        raise DataError(f"need (n, H, W) frames and (n, n_sites) labels, got {x.shape} and {y.shape}")
+    flat = x.reshape(len(x), -1)
+    return LabelSums(flat.sum(axis=0), flat.T @ y.astype(np.float64), y.sum(axis=0), x.shape)
+
+
 def difference_images(frames, labels) -> np.ndarray:
     """(n_sites, H, W) float64: per site, the mean frame where its label is
     bright minus the mean frame where it is dark, which holds that site's
@@ -133,18 +172,7 @@ def difference_images(frames, labels) -> np.ndarray:
     DataError when frames and labels disagree in shape, or when a site's
     labels hold one class.
     """
-    x = np.asarray(frames, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.ndim != 3 or y.ndim != 2 or len(x) != len(y):
-        raise DataError(f"need (n, H, W) frames and (n, n_sites) labels, got {x.shape} and {y.shape}")
-    n_bright = y.sum(axis=0)
-    one_class = np.flatnonzero((n_bright == 0) | (n_bright == len(y))) + 1
-    if one_class.size:
-        raise DataError(f"site(s) {', '.join(map(str, one_class))}: the labels hold one class, so no difference image")
-    flat = x.reshape(len(x), -1)
-    bright = flat.T @ y.astype(np.float64)
-    dark = flat.sum(axis=0)[:, None] - bright
-    return (bright / n_bright - dark / (len(y) - n_bright)).T.reshape(y.shape[1], *x.shape[1:])
+    return label_sums(frames, labels).difference_images()
 
 
 class _WindowFits(NamedTuple):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
 from .filters import KINDS, classify_stack, frame_blocks
-from .locate import apply_stats, crop, crop_config, difference_images, fit_stats, gather_frames, locate_sites, mean_image
+from .locate import apply_stats, crop, crop_config, fit_stats, gather_frames, label_sums, locate_sites, mean_image
 from .metrics import evaluate, evaluate_predictions, standard_error
 from .qimg import label_matrix, label_rows, read_stack, write_stack
 from .report import (
@@ -41,6 +41,7 @@ from .train import (
     LEARNED_KINDS,
     TOKEN_KINDS,
     TrainingData,
+    check_window_grid,
     empty_gram,
     pixel_gram,
     split_dataset,
@@ -121,8 +122,11 @@ class RunConfig:
             crop_config(self.sim, *self.crop)  # raises ConfigError if it leaves the frame or cuts off a site
         if self.alpha < 0:
             raise ConfigError("alpha must be non-negative")
-        if self.s_grid is not None and (not self.s_grid or min(self.s_grid) < 2):
-            raise ConfigError(f"bad s grid {self.s_grid}: it needs window sizes of at least 2")
+        if self.s_grid is not None:
+            try:
+                check_window_grid(self.s_grid)
+            except ConfigError as exc:
+                raise ConfigError(f"bad s grid {self.s_grid}: {exc}") from exc
         theta_grid_default(*self.theta_grid)  # raises ConfigError for a bad grid
         if self.n_shuffles < 1:
             raise ConfigError("n_shuffles must be at least 1")
@@ -215,15 +219,17 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int):
     in the stack's own dtype, and every block is bit-equal to a slice of
     the normalized whole stack: the cast is exact and apply_stats is
     elementwise. The train block's stats are fitted on it before it is
-    normalized. Its readers are fit_stats, mean_image and
-    difference_images (with the train labels), the fixed kinds' tuning,
-    which runs first, and the moments of the learned kinds; then
-    it is dropped (TrainingData.release_train_block), so the nested
-    solves, their fallback and the learned tuning run from the moments
-    alone. The test block is gathered after the TrainingData, with its
-    cached moments and solves, has been released. So every frame is held
-    in float64 at most once, and the train and test blocks never
-    together. sets keep run.kinds order.
+    normalized. Its readers are fit_stats, mean_image, label_sums (with
+    the train labels), the fixed kinds' tuning and the pixel Gram. The
+    column and label sums are formed once: localization reads the
+    difference images built from them, and the learned kinds' moments
+    are completed from them and the Gram without another read of the
+    frames. Then the block is dropped (TrainingData.release_train_block),
+    so the nested solves, their fallback and the learned tuning run from
+    the moments alone. The test block is gathered after the
+    TrainingData, with its cached moments and solves, has been released.
+    So every frame is held in float64 at most once, and the train and
+    test blocks never together. sets keep run.kinds order.
 
     When run.kinds holds a learned kind, the moments' pixel Gram, their
     largest product, is computed on one helper thread (pixel_gram, which
@@ -244,7 +250,8 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int):
     learned = [kind for kind in run.kinds if kind in LEARNED_KINDS]
     with ThreadPoolExecutor(1, thread_name_prefix="gram") if learned else contextlib.nullcontext() as pool:
         gram_job = pool.submit(pixel_gram, train, empty_gram(train)) if learned else None
-        geometry = locate_sites(mean_image(train), difference_images(train, train_labels))
+        sums = label_sums(train, train_labels)
+        geometry = locate_sites(mean_image(train), sums.difference_images())
         val = gather_frames(images, split.val_idx)
         data = TrainingData(
             train_images=train,
@@ -257,7 +264,7 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int):
         grids = (run.s_grid, theta_grid_default(*run.theta_grid), run.alpha)
         sets = {kind: train_all_sites(data, kind, *grids) for kind in run.kinds if kind not in LEARNED_KINDS}
     if learned:
-        data.release_train_block(gram_job.result())
+        data.release_train_block(gram_job.result(), sums)
         sets |= {kind: train_all_sites(data, kind, *grids) for kind in learned}
     sets = {kind: sets[kind] for kind in run.kinds}
     del data, gram_job

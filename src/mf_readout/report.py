@@ -97,16 +97,29 @@ def write_sweep_csv(path, report: SweepReport) -> None:
 
 
 def read_sweep_csv(path) -> SweepReport:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != "exposure_ms,kind,mean_infidelity,stderr":
+    """The rows of a write_sweep_csv file. DataError, naming the file,
+    when it cannot be read or holds another table, and naming the line
+    too for a row that is not four cells with a finite exposure, mean
+    and standard error."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), 1) if ln]
+    if not lines or lines[0][1] != "exposure_ms,kind,mean_infidelity,stderr":
         raise DataError(f"{path}: not a sweep report")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
-            raise DataError(f"{path}: bad sweep row {ln!r}")
-        rows.append(SweepRow(float(parts[0]), parts[1], float(parts[2]), float(parts[3])))
+            raise DataError(f"{path}, line {i}: bad sweep row {ln!r}: it needs 4 cells")
+        try:
+            numbers = [float(parts[j]) for j in (0, 2, 3)]
+        except ValueError:
+            numbers = [math.nan]
+        if not all(map(math.isfinite, numbers)):
+            raise DataError(f"{path}, line {i}: bad sweep row {ln!r}: its three numbers must be finite")
+        rows.append(SweepRow(numbers[0], parts[1], *numbers[1:]))
     return SweepReport(rows=rows)
 
 

@@ -5,10 +5,13 @@ The matched filters are tuned from moments of the train frames, computed
 once per TrainingData: the pixel Gram matrix with a bias row and column,
 [X, c]^T [X, c], and its products with every site's labels. They are the
 learned kinds' only read of the train frames, which can be dropped once
-the moments are complete (release_train_block); their largest product,
+the moments are complete (release_train_block). Their largest product,
 the pixel Gram X^T X (pixel_gram), reads nothing but the frames, so a
-caller may compute it on another thread. The fixed kinds never touch the
-moments.
+caller may compute it on another thread; the bias row and column and
+the label products come from the frames' column and label sums
+(locate.label_sums), which the pipeline forms once for localization and
+the moments, so the Gram is the moments' only read of the frames. The
+fixed kinds never touch the moments.
 Each training request, a window grid and an alpha, builds its window
 systems once (_window_systems), and both learned kinds read them. The
 window means A_s of every size meet the moments in one product. A site's
@@ -52,7 +55,7 @@ from .filters import (
     window_fits,
     window_index,
 )
-from .locate import SiteGeometry, _median_spacing, grid_shape
+from .locate import LabelSums, SiteGeometry, _median_spacing, grid_shape, label_sums
 from .util import read_json, round_half_up
 
 S_GRID = tuple(range(2, 15))
@@ -305,15 +308,17 @@ class TrainingData:
             raise DataError("the train frames were released after the moments were cached (release_train_block)")
         return self.train_images
 
-    def release_train_block(self, gram: np.ndarray) -> None:
+    def release_train_block(self, gram: np.ndarray, sums: LabelSums) -> None:
         """Complete the moments from gram, the train frames' pixel_gram,
-        then drop the frames: nothing that trains the learned kinds reads
-        them again, and the fixed kinds, which do, must train before this.
-        The pipeline computes gram on a helper thread while localization
-        and the fixed kinds run; only its bias row and column, R and the
-        finite check are left to do here (_complete_moments).
+        and sums, their label_sums with the train labels, then drop the
+        frames: nothing that trains the learned kinds reads them again,
+        and the fixed kinds, which do, must train before this. The
+        pipeline computes gram on a helper thread while localization and
+        the fixed kinds run, and sums once for localization and the
+        moments alike; only their assembly and the finite check are left
+        to do here (_complete_moments).
         """
-        self.__dict__["_moments"] = self._complete_moments(gram)
+        self.__dict__["_moments"] = self._complete_moments(gram, sums)
         object.__setattr__(self, "train_images", None)
 
     @cached_property
@@ -321,33 +326,33 @@ class TrainingData:
         """(G, R) of the train frames, the pixel Gram included: see
         _complete_moments."""
         x = self.train_block()
-        return self._complete_moments(pixel_gram(x, empty_gram(x)))
+        return self._complete_moments(pixel_gram(x, empty_gram(x)), label_sums(x, self.train_labels))
 
-    def _complete_moments(self, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _complete_moments(self, gram: np.ndarray, sums: LabelSums) -> tuple[np.ndarray, np.ndarray]:
         """(G, R): G = [X, c]^T [X, c] and R = [X, c]^T Y over the train
         frames X (one row per frame, pixels row-major) with the bias slot
-        last, both float64, from gram, their pixel_gram, which becomes G.
+        last, both float64, from gram, their pixel_gram, which becomes G,
+        and sums, their label_sums with the train labels Y.
 
-        The bias row and column of G come from column sums, so the train
-        stack is never copied with a bias column appended.
+        The bias row and column of G are the column sums and R's pixel
+        rows are X^T Y, so no train frame is read here and the stack is
+        never copied with a bias column appended.
         """
-        x = _frame_rows(self.train_block())
-        y = np.asarray(self.train_labels, dtype=np.float64)
-        p = x.shape[1]
+        p = sums.columns.size
         if gram.shape != (p + 1, p + 1):
             raise DataError(f"a pixel Gram of shape {gram.shape} does not fit frames of {p} pixels")
-        gram[p, :p] = gram[:p, p] = BIAS_C * x.sum(axis=0)
-        gram[p, p] = BIAS_C * BIAS_C * x.shape[0]
-        cross = np.empty((p + 1, y.shape[1]))
-        np.matmul(x.T, y, out=cross[:p])
-        cross[p] = BIAS_C * y.sum(axis=0)
+        gram[p, :p] = gram[:p, p] = BIAS_C * sums.columns
+        gram[p, p] = BIAS_C * BIAS_C * sums.shape[0]
+        cross = np.empty((p + 1, sums.bright.shape[1]))
+        cross[:p] = sums.bright
+        cross[p] = BIAS_C * sums.n_bright
         if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross))):
             raise NumericalError("non-finite values in the training frames")
         return gram, cross
 
     @cached_property
     def _systems(self) -> dict:
-        """(sorted unique sizes, alpha) -> {s: _Window}, filled by
+        """(sorted sizes, alpha) -> {s: _Window}, filled by
         _window_systems."""
         return {}
 
@@ -420,6 +425,20 @@ def _array_neighbors(geometry, site: int) -> tuple[int, ...]:
     return neighbor_sites(rows, cols, site)
 
 
+def check_window_grid(s_grid) -> tuple:
+    """s_grid as a tuple; ConfigError unless it holds window sizes of at
+    least 2, each once. RunConfig and every training request apply it."""
+    s_grid = tuple(s_grid)
+    if not s_grid:
+        raise ConfigError("empty window grid")
+    if min(s_grid) < 2:
+        raise ConfigError(f"window sizes must be at least 2, got {s_grid}")
+    repeated = sorted({s for s in s_grid if s_grid.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"window size(s) {', '.join(map(str, repeated))} repeated in {s_grid}")
+    return s_grid
+
+
 def _check_request(data: TrainingData, kind: str, s_grid, theta_grid, alpha: float) -> tuple[tuple, tuple]:
     """Reject a bad tuning request before any site is touched; returns
     the window and threshold grids with the defaults filled in. The
@@ -433,10 +452,9 @@ def _check_request(data: TrainingData, kind: str, s_grid, theta_grid, alpha: flo
         s_grid = (square_boundary_default(data.geometry),) if pitch else S_GRID
     if theta_grid is None:
         theta_grid = theta_grid_default()
-    if len(s_grid) == 0 or len(theta_grid) == 0:
+    if len(theta_grid) == 0:
         raise ConfigError("empty search grid")
-    if min(s_grid) < 2:
-        raise ConfigError(f"window sizes must be at least 2, got {tuple(s_grid)}")
+    s_grid = check_window_grid(s_grid)
     if alpha < 0:
         raise ConfigError("alpha must be non-negative")
     return s_grid, theta_grid
@@ -467,7 +485,7 @@ def _nesting_order(size: int) -> np.ndarray:
 def _window_systems(data: TrainingData, s_grid, alpha: float) -> dict:
     """{s: _Window} for every size of s_grid: the window products and the
     mf-site solves both learned kinds read, built once per request (the
-    sorted unique sizes, alpha) and cached on data.
+    sorted sizes, alpha) and cached on data.
 
     Per size s, fits lists the sites whose s x s window fits the frame,
     a_s their window means (one column each, in that order), and the
@@ -497,7 +515,7 @@ def _window_systems(data: TrainingData, s_grid, alpha: float) -> dict:
     _learned_weights solves that site's system whole instead
     (_fallback_weights).
     """
-    sizes = sorted(set(s_grid))
+    sizes = sorted(s_grid)
     key = (tuple(sizes), alpha)
     if key in data._systems:
         return data._systems[key]

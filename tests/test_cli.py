@@ -142,6 +142,16 @@ def test_window_sizes_below_2_exit_as_config_errors(chain, tmp_path, capsys):
     assert "window sizes must be at least 2, got (1, 3)" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
+    # a size given twice is the same kind of error
+    rc = main([
+        "train", "--in", str(chain / "pre"), "--kind", "mfsite",
+        "--geometry", str(chain / "geometry.json"), "--labels", "truth",
+        "--s-grid", "3,3", "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 2
+    assert "window size(s) 3 repeated in (3, 3)" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
     # the sweep stops before it renders anything
     config = RunConfig(
         sim=default_config(n_images=200, seed=3), output_dir=str(tmp_path / "out"),
@@ -259,6 +269,18 @@ def test_malformed_input_files_exit_with_their_error_codes(chain, tmp_path, caps
     ])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+    # a sweep table with a cell that is not a finite number: 3, before any chart
+    header = "exposure_ms,kind,mean_infidelity,stderr\n10,square,0.2,0.01\n"
+    for row in ("10,gaussian,abc,0.1", "10,gaussian,0.1,", "10,gaussian,nan,0.1", "inf,gaussian,0.1,0.1"):
+        bad_sweep = tmp_path / "bad.csv"
+        bad_sweep.write_text(header + row + "\n")
+        assert main(["plot", "--in", str(bad_sweep), "--out", str(tmp_path / "x.svg")]) == 3, row
+        assert f"error: {bad_sweep}, line 3: bad sweep row {row!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+    missing = tmp_path / "missing.csv"
+    assert main(["plot", "--in", str(missing), "--out", str(tmp_path / "x.svg")]) == 3
+    assert f"error: cannot read {missing}" in capsys.readouterr().err
 
     # a file that does not parse, for every reader: 2 for a config, 3 for data
     unparsable = tmp_path / "unparsable"

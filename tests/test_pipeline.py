@@ -27,8 +27,10 @@ from mf_readout import (
     run_pipeline,
     train_all_sites,
 )
+import mf_readout.locate as locate_mod
 import mf_readout.pipeline as pipeline_mod
 import mf_readout.train as train_mod
+from mf_readout.filters import KINDS
 from mf_readout.train import LEARNED_KINDS
 from mf_readout.util import canonical_json, derive_seed
 
@@ -87,6 +89,11 @@ def test_run_config_validation(tmp_path):
     for bad in cases:
         with pytest.raises(ConfigError):
             replace(ok, **bad)
+
+
+def test_run_config_rejects_a_repeated_window_size(tmp_path):
+    with pytest.raises(ConfigError, match=r"bad s grid \(3, 3, 5\): window size\(s\) 3 repeated in \(3, 3, 5\)"):
+        _tiny_run(tmp_path, s_grid=(3, 3, 5))
 
 
 def test_run_config_normalizes_kind_tokens(tmp_path):
@@ -619,6 +626,50 @@ def test_moments_from_the_helpers_gram_equal_the_serial_moments(shuffle_stacks, 
     [(fast, serial)] = pairs
     for got, want in zip(fast, serial):
         assert np.array_equal(got, want) and _bits(got) == _bits(want)
+
+
+def test_a_shuffle_forms_the_train_label_sums_once(shuffle_stacks, monkeypatch):
+    """Localization and the learned kinds' moments read one label_sums of
+    the train block, with all four kinds in the run."""
+    stack = shuffle_stacks["default"]
+    calls = []
+
+    def counted(inner):
+        def label_sums(*args):
+            calls.append(args[0].shape)
+            return inner(*args)
+
+        return label_sums
+
+    for module in (pipeline_mod, train_mod, locate_mod):
+        monkeypatch.setattr(module, "label_sums", counted(module.label_sums))
+    run = _shuffle_run(stack)
+    assert set(run.kinds) == set(KINDS)
+    for split_seed in (0, 1):
+        pipeline_mod._one_shuffle(run, stack.images, stack.truth, split_seed)
+    assert calls == [(1200, *stack.images.shape[1:])] * 2
+
+
+@pytest.mark.parametrize("preset", ["default", "crosstalk"])
+def test_the_moments_are_completed_without_the_train_frames(shuffle_stacks, preset, monkeypatch):
+    """The train frames are unreadable when release_train_block runs, and
+    the moments still come out with the bits of the lazy moments of the
+    same frames."""
+    stack = shuffle_stacks[preset]
+    pairs = []
+    release = train_mod.TrainingData.release_train_block
+
+    def released(data, *args):
+        lazy = replace(data)._moments
+        object.__setattr__(data, "train_images", None)
+        release(data, *args)
+        pairs.append((data._moments, lazy))
+
+    monkeypatch.setattr(train_mod.TrainingData, "release_train_block", released)
+    pipeline_mod._one_shuffle(_shuffle_run(stack), stack.images, stack.truth, 0)
+    [(got_moments, lazy_moments)] = pairs
+    for got, want in zip(got_moments, lazy_moments):
+        assert _bits(got) == _bits(want)
 
 
 def test_a_failure_beside_the_gram_names_the_shuffle_and_joins_the_helper(tmp_path, monkeypatch):

@@ -40,8 +40,8 @@ from mf_readout import (
 )
 from mf_readout import pipeline, train
 from mf_readout.filters import FilterModel, window_fits, window_index, window_slice
-from mf_readout.locate import grid_shape
-from mf_readout.train import LEARNED_KINDS, S_GRID, _fidelity_curve
+from mf_readout.locate import grid_shape, label_sums
+from mf_readout.train import KIND_TOKENS, LEARNED_KINDS, S_GRID, _fidelity_curve
 
 
 # -------------------------------------------------------------- split
@@ -519,7 +519,7 @@ def test_the_helpers_gram_completes_to_the_lazy_moments_across_array_shapes(rows
     x = released.train_images
     with ThreadPoolExecutor(1) as pool:
         gram = pool.submit(train.pixel_gram, x, train.empty_gram(x)).result()
-    released.release_train_block(gram)
+    released.release_train_block(gram, label_sums(x, released.train_labels))
     assert released.train_images is None
     for got, want in zip(released._moments, lazy._moments):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -887,7 +887,8 @@ def test_fallback_matches_the_feature_path_on_every_site(small_training, monkeyp
 def test_released_training_data_trains_the_learned_kinds_alone(small_training):
     data = replace(small_training.data)
     shape = data.image_shape
-    data.release_train_block(train.pixel_gram(data.train_images, train.empty_gram(data.train_images)))
+    x = data.train_images
+    data.release_train_block(train.pixel_gram(x, train.empty_gram(x)), label_sums(x, data.train_labels))
     assert data.train_images is None
     assert data.image_shape == shape
     for kind in ("square", "gaussian"):
@@ -1009,6 +1010,17 @@ def test_fixed_kinds_never_build_the_moments(small_training, kind):
     assert "_moments" not in data.__dict__
 
 
+def test_the_moments_take_a_one_class_train_site(small_training):
+    # only the difference images need both classes of a site's labels; the
+    # moments of a bright-only train site are its column sums
+    labels = small_training.data.train_labels.copy()
+    labels[:, 6] = 1
+    data = replace(small_training.data, train_labels=labels)
+    cross = data._moments[1]
+    np.testing.assert_allclose(cross[:-1, 6], data.train_images.reshape(len(labels), -1).sum(axis=0), rtol=1e-12)
+    assert cross[-1, 6] == len(labels)
+
+
 def test_a_square_only_shuffle_starts_no_helper_and_builds_no_moments(small_training, monkeypatch):
     # the pixel Gram's helper thread serves only the learned kinds
     def must_not_run(*args, **kwargs):
@@ -1032,6 +1044,18 @@ def test_a_square_only_shuffle_starts_no_helper_and_builds_no_moments(small_trai
     _, _, _, sets, _ = pipeline._one_shuffle(run, stack.images, stack.truth, 0)
     assert list(sets) == ["square"]
     assert started == [set()]
+
+
+@pytest.mark.parametrize("s_grid, message", [
+    ((3, 3), r"window size\(s\) 3 repeated in \(3, 3\)"),
+    ((5, 3, 4, 3, 5), r"window size\(s\) 3, 5 repeated in \(5, 3, 4, 3, 5\)"),
+    ((), "empty window grid"),
+])
+def test_train_all_sites_rejects_a_grid_that_repeats_or_lacks_a_size(small_training, s_grid, message):
+    # a repeated size would be scored again as another candidate
+    for kind in KIND_TOKENS:
+        with pytest.raises(ConfigError, match=message):
+            train_all_sites(small_training.data, kind, s_grid=s_grid)
 
 
 def test_train_all_sites_collects_per_site_failures(small_training):
