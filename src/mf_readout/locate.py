@@ -2,18 +2,19 @@
 
 The localization chain is: average the training images, take each site's
 anchor from its label-conditioned difference image (difference_images),
-and fit every site's bump on the mean image at once from those anchors
-(_joint_refine). The difference images are built from the train block's
-column sums and its product X^T Y with the labels (label_sums); the
-pipeline forms those once per shuffle, and the training moments take
-their bias row and R from the same sums. Every window fit goes through
-one batched Levenberg-Marquardt fitter, _fit_windows, which runs each
-fit by its own rules on a (k, w, w) stack of windows. A fit window is
-placed and checked by the filters' window rule (window_origin,
-window_fits), and located centers must pass the same in-frame check as
-the simulated ones (centers_inside). Normalization statistics always
-come from the training split alone and are then applied unchanged to
-every split.
+and fit every site's bump on the mean image at once from those anchors.
+The difference images are built from the train block's column sums and
+its product X^T Y with the labels (label_sums); the pipeline forms those
+once per shuffle, and the training moments take their bias row and R
+from the same sums. Every bump fit goes through one batched
+Levenberg-Marquardt fitter, _fit_bumps, which fits k independent
+problems by the same rules: the joint fit is one problem of every site's
+bump on the whole image, and the confirmation of the sites is one
+problem per site, a bump on its window. A fit window is placed and
+checked by the filters' window rule (window_origin, window_fits), and
+located centers must pass the same in-frame check as the simulated ones
+(centers_inside). Normalization statistics always come from the
+training split alone and are then applied unchanged to every split.
 """
 
 from __future__ import annotations
@@ -175,187 +176,138 @@ def difference_images(frames, labels) -> np.ndarray:
     return label_sums(frames, labels).difference_images()
 
 
-class _WindowFits(NamedTuple):
-    """Batched fit results, one row per window.
-
-    params holds (amplitude, row, col, sigma, offset) with the center in
-    window coordinates; a failed fit (ok False) holds its centroid
-    fallback. norms[i, :n_norms[i]] are fit i's accepted residual norms.
-    """
-
-    params: np.ndarray
-    ok: np.ndarray
-    n_iter: np.ndarray
-    norms: np.ndarray
-    n_norms: np.ndarray
-
-
-def _row_norms(x) -> np.ndarray:
-    """Euclidean norm of each row, one BLAS dot per row."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-
 def _solve_each(a, b):
-    """Solve each system of the stack; a singular one does not sink the rest."""
+    """Solve each system of the stack; a singular one gets a row of NaN
+    and does not sink the rest."""
     try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.ones(len(a), dtype=bool)
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        x = np.zeros_like(b)
-        solved = np.zeros(len(a), dtype=bool)
+        x = np.full_like(b, np.nan)
         for i in range(len(a)):
             try:
                 x[i] = np.linalg.solve(a[i], b[i])
-                solved[i] = True
             except np.linalg.LinAlgError:
                 pass
-        return x, solved
+        return x
 
 
-def _centroid_fallbacks(patches) -> np.ndarray:
-    """Intensity-centroid (amplitude, row, col, sigma, offset) per window."""
-    wp = patches.shape[1]
-    rr, cc = np.mgrid[0:wp, 0:wp]
-    lo = patches.min(axis=(1, 2))
-    w = patches - lo[:, None, None]
-    total = w.sum(axis=(1, 2))
-    flat = total <= 0
-    denom = np.where(flat, 1.0, total)
-    r0 = (w * rr).sum(axis=(1, 2)) / denom
-    c0 = (w * cc).sum(axis=(1, 2)) / denom
-    d2 = (rr - r0[:, None, None]) ** 2 + (cc - c0[:, None, None]) ** 2
-    var = (w * d2).sum(axis=(1, 2)) / denom
-    sigma = np.sqrt(np.maximum(var / 2.0, 0.25))
-    mid = (wp - 1) / 2.0
-    return np.stack(
-        [
-            patches.max(axis=(1, 2)) - lo,
-            np.where(flat, mid, r0),
-            np.where(flat, mid, c0),
-            np.where(flat, 1.0, sigma),
-            lo,
-        ],
-        axis=1,
-    )
+def _fit_bumps(patches, anchors, sigma0, sigma_bands):
+    """Levenberg-Marquardt fit of k independent sums of Gaussian bumps.
 
-
-def _fit_windows(patches, start, sigma_bands) -> _WindowFits:
-    """Levenberg-Marquardt fit of A exp(-d^2 / 2 sigma^2) + b on each window.
-
-    patches is a (k, w, w) stack; start holds each fit's initial
-    (amplitude, row, col, sigma, offset) with the center in window
-    coordinates, sigma_bands each fit's (low, high) sigma bounds. Every fit
-    follows its own rules, exactly as if fitted alone: a start amplitude
-    <= 0 falls back at once; the start sigma is clipped into the band; each
-    iteration tries up to 12 damped steps, accepting the first that stays
-    finite, keeps sigma positive and inside the band, and does not raise
-    the residual norm (lambda / 10 on accept, floored at 1e-12, x 10 on
-    reject); no accepted step means the centroid fallback; a step below
-    1e-6 stops the fit, as do 100 iterations. A stopped fit is kept
-    only if its parameters are finite, sigma is positive and the center
-    lies within one pixel of the window. Fits that stop or fall back
-    leave the active set, so the others run on unchanged.
+    patches is a (k, h, w) stack and anchors a (k, n, 2) array of start
+    centers in patch coordinates. Problem i models its patch as n bumps
+    A_j exp(-d_j^2 / 2 sigma^2) plus one offset: every bump has a free
+    center and amplitude, and they share one width, which starts at
+    sigma0 and stays clipped into the problem's band (sigma0 and
+    sigma_bands broadcast to k values and k (low, high) pairs, low > 0).
+    The amplitudes and offset start at their linear least-squares values.
+    Each parameter is damped by its own curvature, floored at 1e-3 of the
+    largest: plain Marquardt scaling leaves a center undamped once its
+    amplitude nears zero, and such a center can be flung far away. An
+    iteration tries up to 12 steps and takes the first that is finite and
+    does not raise the squared residual (lambda / 3 on accept, floored at
+    1e-10, x 10 on reject). A problem stops after an iteration that takes
+    no step or moves no center and the width by 1e-6 or more, or after
+    80; each keeps its own lambda and leaves the batch when it stops, so
+    its fit has the bits of fitting it alone. Returns (centers (k, n, 2),
+    sigmas (k,), amplitudes (k, n), offsets (k,)).
     """
-    patches = np.asarray(patches, dtype=np.float64)
-    k, wp = patches.shape[0], patches.shape[1]
-    rr, cc = np.mgrid[0:wp, 0:wp].astype(np.float64)
-    params = np.array(start, dtype=np.float64).reshape(k, 5)
-    bands = np.asarray(sigma_bands, dtype=np.float64).reshape(k, 2)
-    lo_all, hi_all = bands[:, 0], bands[:, 1]
-    s0 = params[:, 3]
-    params[:, 3] = np.clip(s0, np.where(lo_all > 0, lo_all, s0), hi_all)
-    stopped = np.zeros(k, dtype=bool)
-    n_iter = np.zeros(k, dtype=np.int64)
-    norms = np.full((k, 101), np.nan)
-    n_norms = np.zeros(k, dtype=np.int64)
+    y = np.asarray(patches, dtype=np.float64)
+    k, h, w = y.shape
+    y = y.reshape(k, h * w)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    n = anchors.shape[1]
+    s = 2 * n  # the width's column; the amplitudes follow it, the offset is last
+    lo, hi = np.broadcast_to(np.asarray(sigma_bands, dtype=np.float64), (k, 2)).T
+    grid_r, grid_c = np.indices((h, w), dtype=np.float64).reshape(2, -1, 1)
 
-    def residual(p, patch):
-        amp, r0, c0, sig, off = (p[:, j, None, None] for j in range(5))
-        g = np.exp(-((rr - r0) ** 2 + (cc - c0) ** 2) / (2.0 * sig**2))
-        return (amp * g + off - patch).reshape(len(p), wp * wp), g
+    def bumps(p):
+        dr = grid_r - p[:, None, :n]
+        dc = grid_c - p[:, None, n:s]
+        d2 = dr * dr + dc * dc
+        return np.exp(-d2 / (2.0 * p[:, s] * p[:, s])[:, None, None]), dr, dc, d2
 
-    # state of the active fits; act maps each row back to its window
-    act = np.flatnonzero(~(params[:, 0] <= 0))
-    p, patch = params[act], patches[act]
-    lo, hi = lo_all[act], hi_all[act]
-    res, g = residual(p, patch)
-    last = _row_norms(res)
-    norms[act, 0] = last
-    n_norms[act] = 1
-    lam = np.full(act.size, 1e-3)
-    eye = np.eye(5)
-    for it in range(1, 101):
-        if not act.size:
-            break
-        m = act.size
-        n_iter[act] = it
-        amp, r0, c0, sig = (p[:, j, None, None] for j in range(4))
-        dr, dc = rr - r0, cc - c0
-        ag = amp * g
-        sig2 = sig**2
-        jac = np.stack(
-            [g, ag * dr / sig2, ag * dc / sig2, ag * (dr**2 + dc**2) / sig**3, np.ones_like(g)],
-            axis=-1,
-        ).reshape(m, wp * wp, 5)
-        jac_t = jac.transpose(0, 2, 1)
-        gram = jac_t @ jac
-        grad = (jac_t @ res[:, :, None])[:, :, 0]
-        moved = np.zeros(m, dtype=bool)
-        step = np.zeros((m, 5))
-        pending = np.arange(m)
-        for _ in range(12):
-            cand, solved = _solve_each(
-                gram[pending] + lam[pending, None, None] * eye, -grad[pending]
-            )
-            trial = p[pending] + cand
-            t_sig = trial[:, 3]
-            valid = (
-                solved
-                & (t_sig > 0)
-                & (lo[pending] <= t_sig)
-                & (t_sig <= hi[pending])
-                & np.isfinite(trial).all(axis=1)
-            )
-            tried = pending[valid]
-            t_res, t_g = residual(trial[valid], patch[tried])
-            t_norm = _row_norms(t_res)
-            keep = t_norm <= last[tried]
-            better = np.zeros(pending.size, dtype=bool)
-            better[valid] = keep
-            take = tried[keep]
-            p[take], step[take] = trial[better], cand[better]
-            res[take], g[take], last[take] = t_res[keep], t_g[keep], t_norm[keep]
-            rows = act[take]
-            norms[rows, n_norms[rows]] = t_norm[keep]
-            n_norms[rows] += 1
-            moved[take] = True
-            lam[pending] = np.where(
-                better, np.maximum(lam[pending] / 10.0, 1e-12), lam[pending] * 10.0
-            )
-            pending = pending[~better]
-            if not pending.size:
+    def residual(p, g, y):
+        amps = np.ascontiguousarray(p[:, s + 1 : -1, None])
+        r = y - ((g @ amps)[:, :, 0] + p[:, -1:])
+        return (r[:, None, :] @ r[:, :, None])[:, 0, 0], r
+
+    p = np.empty((k, 3 * n + 2))
+    p[:, :n], p[:, n:s] = anchors[:, :, 0], anchors[:, :, 1]
+    p[:, s] = np.clip(np.broadcast_to(sigma0, k), lo, hi)
+    g, dr, dc, d2 = bumps(p)
+    for i in range(k):
+        design = np.column_stack([g[i], np.ones(h * w)])
+        p[i, s + 1 :] = np.linalg.lstsq(design, y[i], rcond=None)[0]
+    out = np.empty_like(p)
+    sse, res = residual(p, g, y)
+    lam = np.full(k, 1e-3)
+    act = np.arange(k)  # the problem of each row of the running state
+    diag = np.arange(3 * n + 2)
+    ones = np.ones((k, h * w, 1))
+    # a step may fling a center far away; the finite checks reject it, so
+    # let the overflow on the way pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(80):
+            if not act.size:
                 break
-        converged = moved & (_row_norms(step) < 1e-6)
-        done = ~moved | converged
-        if done.any():
-            params[act[converged]] = p[converged]
-            stopped[act[converged]] = True
-            live = ~done
-            act, p, patch, lo, hi = act[live], p[live], patch[live], lo[live], hi[live]
-            res, g, last, lam = res[live], g[live], last[live], lam[live]
-    params[act] = p
-    stopped[act] = True
-
-    r0, c0, sig = params[:, 1], params[:, 2], params[:, 3]
-    in_window = (-1.0 <= r0) & (r0 <= wp) & (-1.0 <= c0) & (c0 <= wp)
-    ok = stopped & (sig > 0) & np.isfinite(params).all(axis=1) & in_window
-    if not ok.all():
-        params[~ok] = _centroid_fallbacks(patches[~ok])
-    return _WindowFits(params, ok, n_iter, norms, n_norms)
+            m = act.size
+            # Python powers: numpy's array power rounds some cubes otherwise
+            sig2, sig3 = np.array([(v**2, v**3) for v in p[:, s].tolist()]).T[:, :, None, None]
+            ag = g * p[:, None, s + 1 : -1]
+            sig_col = (ag * d2).sum(axis=2, keepdims=True) / sig3
+            jac = np.concatenate([ag * dr / sig2, ag * dc / sig2, sig_col, g, ones[:m]], axis=2)
+            jac_t = jac.transpose(0, 2, 1)
+            jtj = jac_t @ jac
+            jtr = (jac_t @ res[:, :, None])[:, :, 0]
+            curv = jtj[:, diag, diag]
+            damping = np.zeros_like(jtj)
+            damping[:, diag, diag] = np.maximum(curv, 1e-3 * curv.max(axis=1, keepdims=True))
+            step = np.zeros(m)  # stays 0 for a row that takes no step
+            pending = np.arange(m)
+            for _ in range(12):
+                rows = pending if pending.size < m else slice(None)  # no gather on a first try
+                delta = _solve_each(jtj[rows] + lam[rows, None, None] * damping[rows], jtr[rows])
+                trial = p[rows] + delta
+                trial[:, s] = np.clip(trial[:, s], lo[rows], hi[rows])
+                t_bumps = bumps(trial)
+                t_sse, t_res = residual(trial, t_bumps[0], y[rows])
+                better = np.isfinite(delta).all(axis=1) & np.isfinite(t_sse) & (t_sse <= sse[rows])
+                take = pending[better]
+                step[take] = np.maximum(
+                    np.abs(delta[better, :s]).max(axis=1), np.abs(trial[better, s] - p[take, s])
+                )
+                if take.size == m:  # every row took its first try
+                    p, sse, res, (g, dr, dc, d2) = trial, t_sse, t_res, t_bumps
+                else:
+                    p[take], sse[take], res[take] = trial[better], t_sse[better], t_res[better]
+                    for kept, new in zip((g, dr, dc, d2), t_bumps):
+                        kept[take] = new[better]
+                lam[take] = np.maximum(lam[take] / 3.0, 1e-10)
+                pending = pending[~better]
+                lam[pending] *= 10.0
+                if not pending.size:
+                    break
+            done = step < 1e-6
+            if done.any():
+                out[act[done]] = p[done]
+                live = ~done
+                act, p, sse, res, lam, y, lo, hi = (a[live] for a in (act, p, sse, res, lam, y, lo, hi))
+                g, dr, dc, d2 = g[live], dr[live], dc[live], d2[live]
+    out[act] = p
+    return np.stack([out[:, :n], out[:, n:s]], axis=2), out[:, s], out[:, s + 1 : -1], out[:, -1]
 
 
 @dataclass
 class SiteGeometry:
-    """Fitted site positions and widths, sites numbered row-major from 1."""
+    """Fitted site positions and widths, sites numbered row-major from 1.
+
+    fallbacks[i] is True for a site that locate_sites could not confirm:
+    its 7 x 7 window leaves the image, or the refit of its bump alone on
+    that window leaves the window or moves the center more than 0.75 px.
+    Such a site still holds its joint-fit center. A geometry built
+    without flags, or read from a file, has every flag False.
+    """
 
     centers: np.ndarray  # (n_sites, 2) subpixel (row, col)
     sigmas: np.ndarray  # (n_sites,)
@@ -455,39 +407,6 @@ def grid_shape(centers) -> tuple[int, int, np.ndarray, np.ndarray]:
     return rows, cols, row_ids, col_ids
 
 
-def _refit_without_neighbors(img, fits, sigma_band):
-    """Refit every site on the image minus every other site's fitted bump.
-
-    fits is an (n_sites, 5) array of (amplitude, row, col, sigma, offset)
-    in image coordinates. All windows go to the fitter as one batch: each
-    is cut from img - (total - bump_i), total being the sum of all bumps.
-    Returns (refits in image coordinates, ok): ok is False for a fit that
-    fell back or whose window leaves the image.
-    """
-    amp, r, c, sig = (fits[:, j, None, None] for j in range(4))
-    rr = np.arange(img.shape[0], dtype=np.float64)[:, None] - r
-    cc = np.arange(img.shape[1], dtype=np.float64)[None, :] - c
-    bumps = amp * np.exp(-(rr**2 + cc**2) / (2.0 * sig**2))
-    resid = img - (bumps.sum(axis=0) - bumps)
-    sel = [k for k in range(len(fits)) if window_fits(fits[k, 1:3], FIT_WINDOW, img.shape)]
-    origin = np.array([window_origin(fits[k, 1:3], FIT_WINDOW) for k in sel], dtype=np.int64).reshape(-1, 2)
-    sel = np.array(sel, dtype=np.intp)
-    span = np.arange(FIT_WINDOW)
-    rows = origin[:, 0, None, None] + span[:, None]
-    cols = origin[:, 1, None, None] + span[None, :]
-    start = fits[sel].copy()
-    start[:, 1:3] -= origin
-    bands = np.broadcast_to(sigma_band, (sel.size, 2))
-    fit = _fit_windows(resid[sel[:, None, None], rows, cols], start, bands)
-
-    out = fits.copy()
-    out[sel] = fit.params
-    out[sel, 1:3] += origin
-    ok = np.zeros(len(fits), dtype=bool)
-    ok[sel] = fit.ok
-    return out, ok
-
-
 def _nearest_distances(centers) -> np.ndarray:
     """Distance from each center to its nearest other center; inf for a
     lone center."""
@@ -502,96 +421,6 @@ def _median_spacing(centers) -> float:
     return float(np.median(_nearest_distances(centers)))
 
 
-def _joint_refine(img, anchors, sigma0: float, sigma_band):
-    """Levenberg-damped Gauss-Newton fit of every site bump at once.
-
-    All sites share one width (they share one optical system), each has a
-    free center and amplitude, and there is one global offset. Fitting
-    the whole frame in one model removes the neighbor-leakage bias that
-    per-window fits suffer on blended arrays. Each parameter is damped by
-    its own curvature, floored at 1e-3 of the largest: plain Marquardt
-    scaling leaves a center undamped once its amplitude nears zero, and
-    such a center can be flung far off the frame. Returns (centers, sigma,
-    amplitudes, offset).
-    """
-    img = np.asarray(img, dtype=np.float64)
-    grid_r, grid_c = np.indices(img.shape, dtype=np.float64).reshape(2, -1)
-    y = img.ravel()
-    n = len(anchors)
-    rs, cs = np.array(anchors, dtype=np.float64).T
-    lo, hi = sigma_band
-    sig = float(np.clip(sigma0, lo, hi))
-
-    def bumps(rs, cs, sig):
-        # trial steps may fling a center far away; the non-finite guards
-        # below reject those, so let the intermediate overflow pass
-        with np.errstate(over="ignore", invalid="ignore"):
-            dr = grid_r[:, None] - rs[None, :]
-            dc = grid_c[:, None] - cs[None, :]
-            d2 = dr * dr + dc * dc
-            return np.exp(-d2 / (2.0 * sig * sig)), dr, dc, d2
-
-    g, _, _, _ = bumps(rs, cs, sig)
-    design = np.concatenate([g, np.ones((y.size, 1))], axis=1)
-    coef = np.linalg.lstsq(design, y, rcond=None)[0]
-    amps, off = coef[:n], float(coef[n])
-
-    def objective(rs, cs, sig, amps, off):
-        g, _, _, _ = bumps(rs, cs, sig)
-        r = y - (g @ amps + off)
-        return float(r @ r), r
-
-    sse, resid = objective(rs, cs, sig, amps, off)
-    lam = 1e-3
-    for _ in range(80):
-        g, dr, dc, d2 = bumps(rs, cs, sig)
-        # the last accepted step may have flung a center far away; the
-        # non-finite checks below reject the steps its Jacobian gives
-        with np.errstate(over="ignore", invalid="ignore"):
-            ag = g * amps[None, :]
-            jac = np.concatenate(
-                [
-                    ag * dr / sig**2,
-                    ag * dc / sig**2,
-                    (ag * d2).sum(axis=1, keepdims=True) / sig**3,
-                    g,
-                    np.ones((y.size, 1)),
-                ],
-                axis=1,
-            )
-            jtj = jac.T @ jac
-            jtr = jac.T @ resid
-            curv = np.diag(jtj)
-            damping = np.diag(np.maximum(curv, 1e-3 * curv.max()))
-        moved = False
-        for _ in range(12):
-            try:
-                delta = np.linalg.solve(jtj + lam * damping, jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            if not np.all(np.isfinite(delta)):
-                lam *= 10.0
-                continue
-            t_rs = rs + delta[:n]
-            t_cs = cs + delta[n : 2 * n]
-            t_sig = float(np.clip(sig + delta[2 * n], lo, hi))
-            t_amps = amps + delta[2 * n + 1 : 3 * n + 1]
-            t_off = off + float(delta[3 * n + 1])
-            t_sse, t_resid = objective(t_rs, t_cs, t_sig, t_amps, t_off)
-            if np.isfinite(t_sse) and t_sse <= sse:
-                step = max(float(np.abs(delta[: 2 * n]).max()), abs(float(delta[2 * n])))
-                rs, cs, sig, amps, off = t_rs, t_cs, t_sig, t_amps, t_off
-                sse, resid = t_sse, t_resid
-                lam = max(lam / 3.0, 1e-10)
-                moved = True
-                break
-            lam *= 10.0
-        if not moved or step < 1e-6:
-            break
-    return np.stack([rs, cs], axis=1), sig, amps, off
-
-
 def locate_sites(mean_img, diff_imgs) -> SiteGeometry:
     """Full localization: one anchor per site from its difference image,
     then one joint fit of every site on the mean image.
@@ -599,13 +428,18 @@ def locate_sites(mean_img, diff_imgs) -> SiteGeometry:
     diff_imgs holds one image per site (difference_images), and its
     brightest pixel is the site's anchor. The anchors' median spacing
     sets the start and band of the shared width, and the joint fit of all
-    sites with that width (_joint_refine) gives every center, the width
-    and the amplitudes; centers that leave the frame (or, in SiteGeometry,
-    come within 2 px of each other) raise DataError. A per-site confirmation refit of all
-    sites in one batch (width banded around the shared fit) then flags
-    each site whose refit fails or drifts more than 0.75 px as a
-    fallback; every site keeps the joint model's shared sigma and its
-    amplitude.
+    sites with that width (_fit_bumps on the whole image) gives every
+    center, the width and the amplitudes. The sites share one width as
+    they share one optical system, and fitting the whole frame in one
+    model removes the neighbor-leakage bias that per-window fits suffer
+    on blended arrays. Centers that leave the frame (or, in SiteGeometry,
+    come within 2 px of each other) raise DataError. The same fitter then
+    refits each site alone, all in one batch, on its 7 x 7 window of the
+    mean image minus the other sites' joint bumps, its width banded to
+    0.8-1.25 times the shared one. A site is a fallback unless its window
+    lies inside the image and its refit center stays within 1 px of the
+    window and within 0.75 px of the joint center; every site keeps its
+    joint center and amplitude and the shared sigma.
 
     Sites come back in the order of diff_imgs: the label order, which is
     row-major for simulated data.
@@ -624,24 +458,33 @@ def locate_sites(mean_img, diff_imgs) -> SiteGeometry:
         sig0, band = 0.35 * spacing, (0.3, 0.8 * spacing)
     else:
         sig0, band = 0.3 * FIT_WINDOW, (0.3, 0.9 * FIT_WINDOW)
-    centers, sig_shared, amps, off = _joint_refine(img, anchors, sig0, band)
+    (centers,), (sig,), (amps,), _ = _fit_bumps(img[None], anchors[None], sig0, band)
     if not centers_inside(centers, img.shape):
         raise DataError("sites could not be located in the mean image")
+    sig = float(sig)
 
     amplitudes = np.maximum(amps, 1e-12)
     # confirmation only: a truncated-window fit at low contrast drifts to
     # its sigma bound, so the shared-width joint estimates always win; the
     # per-site refit just has to land close to flag the site as trusted
-    joint = np.column_stack(
-        [amplitudes, centers, np.full(n_sites, sig_shared), np.full(n_sites, off)]
-    )
-    trial, ok = _refit_without_neighbors(img, joint, (0.8 * sig_shared, 1.25 * sig_shared))
-    drift = np.hypot(trial[:, 1] - centers[:, 0], trial[:, 2] - centers[:, 1])
-    confirmed = ok & (drift <= 0.75)
+    rr = np.arange(img.shape[0], dtype=np.float64)[:, None] - centers[:, 0, None, None]
+    cc = np.arange(img.shape[1], dtype=np.float64)[None, :] - centers[:, 1, None, None]
+    bumps = amplitudes[:, None, None] * np.exp(-(rr**2 + cc**2) / (2.0 * sig**2))
+    alone = img - (bumps.sum(axis=0) - bumps)
+    sel = np.flatnonzero([window_fits(c, FIT_WINDOW, img.shape) for c in centers])
+    origin = np.array([window_origin(c, FIT_WINDOW) for c in centers[sel]], dtype=np.int64).reshape(-1, 2)
+    span = np.arange(FIT_WINDOW)
+    windows = alone[sel[:, None, None], origin[:, :1, None] + span[:, None], origin[:, 1:, None] + span]
+    refit = _fit_bumps(windows, (centers[sel] - origin)[:, None], sig, (0.8 * sig, 1.25 * sig))[0][:, 0]
+    # False for a non-finite center too
+    in_window = ((-1.0 <= refit) & (refit <= FIT_WINDOW)).all(axis=1)
+    drift = np.hypot(*(refit + origin - centers[sel]).T)
+    confirmed = np.zeros(n_sites, dtype=bool)
+    confirmed[sel] = in_window & (drift <= 0.75)
 
     return SiteGeometry(
         centers=centers,
-        sigmas=np.full(n_sites, sig_shared),
+        sigmas=np.full(n_sites, sig),
         amplitudes=amplitudes,
         fallbacks=tuple(bool(b) for b in ~confirmed),
     )

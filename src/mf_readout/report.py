@@ -100,7 +100,8 @@ def read_sweep_csv(path) -> SweepReport:
     """The rows of a write_sweep_csv file. DataError, naming the file,
     when it cannot be read or holds another table, and naming the line
     too for a row that is not four cells with a finite exposure, mean
-    and standard error."""
+    and standard error, or whose exposure is not positive or whose
+    standard error is negative."""
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
@@ -119,6 +120,10 @@ def read_sweep_csv(path) -> SweepReport:
             numbers = [math.nan]
         if not all(map(math.isfinite, numbers)):
             raise DataError(f"{path}, line {i}: bad sweep row {ln!r}: its three numbers must be finite")
+        if numbers[0] <= 0 or numbers[2] < 0:
+            raise DataError(
+                f"{path}, line {i}: bad sweep row {ln!r}: its exposure must be positive and its stderr non-negative"
+            )
         rows.append(SweepRow(numbers[0], parts[1], *numbers[1:]))
     return SweepReport(rows=rows)
 

@@ -129,6 +129,8 @@ class SimConfig:
             raise ConfigError("noise parameters must be non-negative")
         if self.n_images < 0:
             raise ConfigError("n_images must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         self.validate_bounds()
 
     def validate_bounds(self):

@@ -107,9 +107,12 @@ def split_dataset(n_frames: int, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> Da
 
     Test and validation sizes are floors of their fractions; the remainder
     goes to training, so 6002 frames at (0.6, 0.2, 0.2) give 3602/1200/1200.
+    A negative seed is a ConfigError.
     """
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must be three values summing to 1, got {fractions}")
+    if seed < 0:
+        raise ConfigError(f"split seed must be non-negative, got {seed}")
     n_test = int(np.floor(n_frames * fractions[1]))
     n_val = int(np.floor(n_frames * fractions[2]))
     n_train = n_frames - n_test - n_val

@@ -132,6 +132,27 @@ def test_train_rejects_negative_alpha_as_a_config_error(chain, tmp_path, capsys)
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize(
+    "command, seed",
+    [("simulate", "-1"), ("preprocess", "-2"), ("locate", "-3"), ("train", "-1")],
+)
+def test_a_negative_seed_exits_2_for_every_stage_command(chain, tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    args = {
+        "simulate": ["--preset", "default", "--n-images", "20", "--out", str(out)],
+        "preprocess": ["--in", str(chain / "raw"), "--out", str(out)],
+        "locate": ["--in", str(chain / "pre"), "--out", str(out)],
+        "train": [
+            "--in", str(chain / "pre"), "--kind", "square", "--geometry", str(chain / "geometry.json"),
+            "--labels", "truth", "--out", str(out),
+        ],
+    }[command]
+    assert main([command, *args, "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_window_sizes_below_2_exit_as_config_errors(chain, tmp_path, capsys):
     rc = main([
         "train", "--in", str(chain / "pre"), "--kind", "mfsite",
@@ -270,9 +291,11 @@ def test_malformed_input_files_exit_with_their_error_codes(chain, tmp_path, caps
     assert rc == 3
     assert "error:" in capsys.readouterr().err
 
-    # a sweep table with a cell that is not a finite number: 3, before any chart
+    # a sweep table with a cell that is not a finite number, a negative
+    # spread or an exposure that is not positive: 3, before any chart
     header = "exposure_ms,kind,mean_infidelity,stderr\n10,square,0.2,0.01\n"
-    for row in ("10,gaussian,abc,0.1", "10,gaussian,0.1,", "10,gaussian,nan,0.1", "inf,gaussian,0.1,0.1"):
+    bad_rows = ("10,gaussian,abc,0.1", "10,gaussian,0.1,", "10,gaussian,nan,0.1", "inf,gaussian,0.1,0.1")
+    for row in bad_rows + ("20.0,square,0.2,-3", "0,square,0.2,0.01", "-5,square,0.2,0.01"):
         bad_sweep = tmp_path / "bad.csv"
         bad_sweep.write_text(header + row + "\n")
         assert main(["plot", "--in", str(bad_sweep), "--out", str(tmp_path / "x.svg")]) == 3, row

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in it.
+"""Every name a module imports is used in it: the package's modules, the
+tests and the scripts.
 
 No linter runs on this repository, so this is the check that an import
 left behind by a refactor is removed. A line marked ``# noqa: F401``
@@ -11,7 +12,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mf_readout"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mf_readout"
+MODULES = [path for folder in (PACKAGE, ROOT / "tests", ROOT / "scripts") for path in sorted(folder.glob("*.py"))]
+
+
+def _module_id(path: Path) -> str:
+    """A package module by its file name, a test or script by its path."""
+    return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
 
 
 def _unused_imports(path: Path) -> list[tuple[str, int]]:
@@ -39,7 +47,7 @@ def _unused_imports(path: Path) -> list[tuple[str, int]]:
     )
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path) == []
 

@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from typing import NamedTuple
 import warnings
 from dataclasses import replace
 
@@ -22,13 +21,13 @@ from mf_readout import (
     mean_image,
     split_dataset,
 )
-from mf_readout.filters import BLOCK_FRAMES, centers_inside, window_fits, window_origin
+from mf_readout.filters import BLOCK_FRAMES, centers_inside, window_fits
 from mf_readout.locate import (
     FIT_WINDOW,
     PreprocessStats,
-    _fit_windows,
-    _joint_refine,
+    _fit_bumps,
     _median_spacing,
+    _solve_each,
     axis_clusters,
     gather_frames,
     grid_shape,
@@ -184,149 +183,85 @@ def test_mean_image_shape_and_value():
 # --------------------------------------------------------- gaussian fit
 
 
-class _Fit(NamedTuple):
-    """One window's fit: the center in image coordinates, ok False for the
-    centroid fallback, and the accepted residual norms."""
-
-    center: tuple[float, float]
-    sigma: float
-    amplitude: float
-    offset: float
-    ok: bool
-    n_iter: int
-    residuals: tuple[float, ...]
+def _one_bump(patch, center, sigma0, band):
+    """_fit_bumps on one patch with one bump: (center, sigma, amplitude,
+    offset) as floats."""
+    centers, sigmas, amps, offsets = _fit_bumps(np.asarray(patch)[None], [[center]], sigma0, band)
+    return tuple(centers[0, 0]), float(sigmas[0]), float(amps[0, 0]), float(offsets[0])
 
 
-def _fit_window(image, center, window_px=7, *, init=None, sigma_bounds=None) -> _Fit:
-    """_fit_windows on the one window_px window the window rule places at
-    center, started from init (amplitude, sigma, offset), or from the
-    patch's range and a quarter of the window, as the per-window
-    reference starts."""
-    r_lo, c_lo = window_origin(center, window_px)
-    patch = np.asarray(image, dtype=np.float64)[r_lo : r_lo + window_px, c_lo : c_lo + window_px]
-    if init is None:
-        init = (float(patch.max()) - float(patch.min()), max(window_px / 4.0, 1.0), float(patch.min()))
-    a0, s0, b0 = init
-    band = sigma_bounds if sigma_bounds is not None else (0.0, np.inf)
-    fit = _fit_windows(patch[None], [[a0, center[0] - r_lo, center[1] - c_lo, s0, b0]], [band])
-    amp, r0, c0, sig, off = (float(v) for v in fit.params[0])
-    residuals = tuple(float(v) for v in fit.norms[0, : fit.n_norms[0]])
-    return _Fit((r_lo + r0, c_lo + c0), sig, amp, off, bool(fit.ok[0]), int(fit.n_iter[0]), residuals)
-
-def test_fit_gaussian_2d_noiseless_oracle():
-    img = gaussian_image((28, 28), (13.4, 14.2), 1.8, 5.0, offset=0.3)
-    fit = _fit_window(img, (13, 14))
-    assert fit.ok
-    assert fit.center[0] == pytest.approx(13.4, abs=1e-3)
-    assert fit.center[1] == pytest.approx(14.2, abs=1e-3)
-    assert fit.sigma == pytest.approx(1.8, abs=1e-3)
-    assert fit.amplitude == pytest.approx(5.0, rel=1e-3)
-    assert fit.offset == pytest.approx(0.3, abs=1e-3)
+def test_fit_bumps_noiseless_oracle():
+    patch = gaussian_image((7, 7), (3.4, 2.8), 1.8, 5.0, offset=0.3)
+    center, sigma, amplitude, offset = _one_bump(patch, (3.0, 3.0), 1.5, (0.3, 4.0))
+    assert center == pytest.approx((3.4, 2.8), abs=1e-6)
+    assert sigma == pytest.approx(1.8, abs=1e-6)
+    assert amplitude == pytest.approx(5.0, rel=1e-6)
+    assert offset == pytest.approx(0.3, abs=1e-6)
 
 
-def test_fit_gaussian_2d_respects_sigma_bounds():
-    img = gaussian_image((28, 28), (14.0, 14.0), 2.5, 4.0)
-    fit = _fit_window(img, (14, 14), init=(4.0, 1.5, 0.0), sigma_bounds=(1.0, 2.0))
-    assert fit.sigma <= 2.0 + 1e-9
+def test_fit_bumps_keeps_sigma_inside_its_band():
+    rng = np.random.default_rng(8)
+    patch = gaussian_image((9, 9), (4.2, 3.9), 2.5, 4.0) + rng.normal(0.0, 0.05, size=(9, 9))
+    free = _one_bump(patch, (4.0, 4.0), 2.0, (0.3, 6.0))[1]
+    assert free == pytest.approx(2.5, abs=0.1)
+    for sigma0, band in [(1.5, (1.0, 2.0)), (3.5, (3.0, 4.0)), (0.5, (1.0, 2.0)), (9.0, (3.0, 4.0))]:
+        sigma = _one_bump(patch, (4.0, 4.0), sigma0, band)[1]
+        assert band[0] <= sigma <= band[1], (sigma0, band, sigma)
+    # the band nearest the free width pins the fit to that edge
+    assert _one_bump(patch, (4.0, 4.0), 1.5, (1.0, 2.0))[1] == 2.0
+    assert _one_bump(patch, (4.0, 4.0), 3.5, (3.0, 4.0))[1] == 3.0
 
 
-def test_fit_gaussian_2d_flat_window_falls_back():
-    fit = _fit_window(np.zeros((20, 20)), (10, 10))
-    assert not fit.ok
-    # the flat window's centroid fallback is the window center, width 1
-    assert fit.center == (10.0, 10.0)
-    assert (fit.sigma, fit.amplitude, fit.offset) == (1.0, 0.0, 0.0)
-    assert fit == _reference_fit(np.zeros((20, 20)), (10, 10))
+def _bits_of(fit):
+    return [np.asarray(part).tobytes() for part in fit]
 
 
-def test_fit_gaussian_2d_nonpositive_amplitude_falls_back_at_once():
-    img = gaussian_image((20, 20), (10.3, 9.8), 1.6, 3.0, offset=0.2)
-    for a0 in (0.0, -1.0):
-        fit = _fit_window(img, (10, 10), init=(a0, 1.6, 0.2))
-        assert not fit.ok
-        assert fit.n_iter == 0 and fit.residuals == ()
-        assert fit == _reference_fit(img, (10, 10), init=(a0, 1.6, 0.2))
-
-
-def test_fit_gaussian_2d_band_rejecting_every_step_falls_back():
-    img = gaussian_image((20, 20), (10.3, 9.8), 1.6, 3.0, offset=0.2)
-    # a zero-width band rejects any step that moves sigma at all
-    fit = _fit_window(img, (10, 10), init=(3.0, 1.2, 0.2), sigma_bounds=(1.2, 1.2))
-    assert not fit.ok
-    assert fit.n_iter == 1 and len(fit.residuals) == 1
-    ref = _reference_fit(img, (10, 10), init=(3.0, 1.2, 0.2), sigma_bounds=(1.2, 1.2))
-    assert fit == ref
-
-
-def _assert_same_fit(fit, ref):
-    assert (fit.ok, fit.n_iter, len(fit.residuals)) == (ref.ok, ref.n_iter, len(ref.residuals))
-    assert np.allclose(fit.center, ref.center, rtol=0, atol=1e-9)
-    assert np.allclose(
-        [fit.sigma, fit.amplitude, fit.offset], [ref.sigma, ref.amplitude, ref.offset],
-        rtol=1e-9, atol=1e-12,
-    )
-    assert np.allclose(fit.residuals, ref.residuals, rtol=1e-9, atol=1e-12)
-
-
-def test_fit_gaussian_2d_matches_reference_on_noisy_windows():
-    rng = np.random.default_rng(5)
-    for shift, scale in [(0.6, 1.0)] * 40 + [(5.0, 1.0)] * 40 + [(0.6, 1e-4)] * 20:
-        # shift 5 puts many bumps outside the window, so some fits walk
-        # out of it and must fall back; on faint bumps the center columns
-        # of the Jacobian are tiny, so the damping floor shows
-        center = rng.uniform(8.0, 12.0, size=2)
-        img = gaussian_image((20, 20), center, rng.uniform(0.8, 2.5), scale * rng.uniform(0.2, 4.0))
-        img += rng.normal(0.0, 0.1 * scale, size=img.shape)
-        start = tuple(np.round(center + rng.uniform(-shift, shift, size=2), 1))
-        band = (rng.uniform(0.3, 1.0), rng.uniform(1.5, 3.0))
-        _assert_same_fit(
-            _fit_window(img, start, sigma_bounds=band),
-            _reference_fit(img, start, sigma_bounds=band),
-        )
-
-
-def test_fit_gaussian_2d_matches_reference_in_narrow_sigma_bands():
-    # the narrower the band, the more damping a step needs to stay in it,
-    # so these widths walk the accepted try through all twelve
-    img = gaussian_image((20, 20), (10.3, 9.8), 1.6, 3.0, offset=0.2)
-    img += np.random.default_rng(6).normal(0.0, 0.05, size=img.shape)
-    for width in np.logspace(-12, -1, 45):
-        band = (1.3 - width, 1.3 + width)
-        _assert_same_fit(
-            _fit_window(img, (10, 10), init=(2.5, 1.3, 0.2), sigma_bounds=band),
-            _reference_fit(img, (10, 10), init=(2.5, 1.3, 0.2), sigma_bounds=band),
-        )
-
-
-def test_batched_fits_are_isolated_from_a_failing_window():
+def test_batched_fits_have_the_bits_of_fitting_each_alone():
     rng = np.random.default_rng(9)
-    good = [
-        gaussian_image((7, 7), (3.0 + dr, 3.0 + dc), s, a, offset=0.1)
-        + rng.normal(0.0, 0.05, size=(7, 7))
+    patches = [
+        gaussian_image((7, 7), (3.0 + dr, 3.0 + dc), s, a, offset=0.1) + rng.normal(0.0, 0.05, size=(7, 7))
         for dr, dc, s, a in ((0.3, -0.2, 1.4, 2.0), (-0.4, 0.1, 1.9, 1.0), (0.1, 0.4, 1.1, 3.0))
     ]
-    starts = [[2.0, 3.0, 3.0, 1.5, 0.1], [1.0, 3.0, 3.0, 1.5, 0.1], [3.0, 3.0, 3.0, 1.5, 0.1]]
-    bands = [[0.3, 4.0]] * 3
-    alone = [_fit_windows(p[None], [s], [b]) for p, s, b in zip(good, starts, bands)]
-    assert all(f.ok[0] for f in alone)
-    failing = [
-        (np.zeros((7, 7)), [0.0, 3.0, 3.0, 1.5, 0.0], [0.3, 4.0]),  # falls back at once
-        (good[0], [2.0, 3.0, 3.0, 1.2, 0.1], [1.2, 1.2]),  # every step rejected
-    ]
-    for patch, start, band in failing:
-        for at in range(4):
-            patches = good[:at] + [patch] + good[at:]
-            batch = _fit_windows(
-                np.stack(patches),
-                starts[:at] + [start] + starts[at:],
-                bands[:at] + [band] + bands[at:],
-            )
-            assert not batch.ok[at]
-            others = [i for i in range(4) if i != at]
-            for i, one in zip(others, alone):
-                assert batch.ok[i] and batch.n_iter[i] == one.n_iter[0]
-                assert batch.n_norms[i] == one.n_norms[0]
-                assert np.allclose(batch.params[i], one.params[0], rtol=1e-12, atol=1e-12)
+    anchors = [[[3.0, 3.0]], [[2.6, 3.4]], [[3.0, 4.0]]]
+    sigma0 = [1.5, 1.2, 2.5]
+    bands = [(0.3, 4.0), (0.5, 3.0), (0.3, 2.0)]
+    # a flat patch, and a zero-width band that pins the width
+    patches += [np.zeros((7, 7)), patches[0]]
+    anchors += [[[3.0, 3.0]], [[3.0, 3.0]]]
+    sigma0 += [1.5, 1.2]
+    bands += [(0.3, 4.0), (1.2, 1.2)]
+    alone = [_fit_bumps(p[None], [a], s, b) for p, a, s, b in zip(patches, anchors, sigma0, bands)]
+    assert alone[4][1][0] == 1.2
+    for order in (range(5), [3, 0, 4, 2, 1], [4, 3, 2, 1, 0]):
+        order = list(order)
+        batch = _fit_bumps(
+            np.stack([patches[i] for i in order]),
+            [anchors[i] for i in order],
+            [sigma0[i] for i in order],
+            [bands[i] for i in order],
+        )
+        for row, i in enumerate(order):
+            assert _bits_of(part[row] for part in batch) == _bits_of(part[0] for part in alone[i]), (order, i)
+
+
+def test_a_singular_system_solves_to_nan_without_sinking_the_rest():
+    a = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 0.0], [0.0, 5.0]]])
+    b = np.array([[1.0, 2.0], [1.0, 1.0], [8.0, 10.0]])
+    x = _solve_each(a, b)
+    assert np.isnan(x[1]).all()
+    for i in (0, 2):
+        assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
+
+
+def test_fit_bumps_fits_several_bumps_of_one_width():
+    shape = (16, 18)
+    truth = [((4.3, 5.1), 2.0), ((4.8, 11.6), 1.2), ((11.2, 8.4), 3.0)]
+    img = sum(gaussian_image(shape, c, 1.7, a) for c, a in truth) + 0.25
+    centers, sigmas, amps, offsets = _fit_bumps(img[None], [[(4, 5), (5, 12), (11, 8)]], 2.0, (0.3, 4.0))
+    assert np.abs(centers[0] - [c for c, _ in truth]).max() < 1e-6
+    assert sigmas[0] == pytest.approx(1.7, abs=1e-7)
+    assert amps[0] == pytest.approx([a for _, a in truth], rel=1e-6)
+    assert offsets[0] == pytest.approx(0.25, abs=1e-7)
 
 
 # ------------------------------------------------------------ grid
@@ -486,11 +421,9 @@ def test_gaussian_fit_agrees_with_curve_fit():
     true = dict(center=(10.32, 11.78), sigma=1.95, amplitude=4.2, offset=0.4)
     img = gaussian_image((21, 21), **true) + rng.normal(0, 0.02, size=(21, 21))
 
-    fit = _fit_window(img, (10, 12), window_px=15)
-    assert fit.ok
-
-    rs, cs = np.mgrid[3:18, 5:20]  # same window the fitter uses
+    rs, cs = np.mgrid[3:18, 5:20]  # a 15 x 15 window
     patch = img[3:18, 5:20]
+    center, sigma, amplitude, offset = _one_bump(patch, (7.0, 7.0), 1.5, (0.3, 7.0))
 
     def model(_, r0, c0, sigma, amp, off):
         return (amp * np.exp(-((rs - r0) ** 2 + (cs - c0) ** 2) / (2 * sigma**2)) + off).ravel()
@@ -498,128 +431,24 @@ def test_gaussian_fit_agrees_with_curve_fit():
     popt, _ = curve_fit(
         model, None, patch.ravel(), p0=(10.0, 12.0, 1.5, patch.max(), 0.0)
     )
-    assert fit.center[0] == pytest.approx(popt[0], abs=1e-4)
-    assert fit.center[1] == pytest.approx(popt[1], abs=1e-4)
-    assert fit.sigma == pytest.approx(abs(popt[2]), abs=1e-4)
-    assert fit.amplitude == pytest.approx(popt[3], rel=1e-3)
-    assert fit.offset == pytest.approx(popt[4], abs=1e-3)
+    assert 3 + center[0] == pytest.approx(popt[0], abs=1e-4)
+    assert 5 + center[1] == pytest.approx(popt[1], abs=1e-4)
+    assert sigma == pytest.approx(abs(popt[2]), abs=1e-4)
+    assert amplitude == pytest.approx(popt[3], rel=1e-3)
+    assert offset == pytest.approx(popt[4], abs=1e-3)
 
 
-# ------------------------------------------- reference: one window at a time
+# ------------------------------------------------- reference: scipy fits
 #
-# Localization fits all its confirmation windows as one batch. These are
-# the per-window fitter and a locate_sites built on it and on scipy's
-# joint fit, kept as the reference the batched path must match.
+# Localization fits the joint model and its confirmation windows with one
+# batched fitter. These are scipy's fit of the same model and a
+# locate_sites built on it, kept as the reference the fitter must match.
 
 
-def _reference_centroid_fallback(patch, r_lo, c_lo, n_iter, residuals):
-    w = patch - patch.min()
-    total = w.sum()
-    rr, cc = np.mgrid[0 : patch.shape[0], 0 : patch.shape[1]]
-    if total <= 0:
-        r0, c0 = (patch.shape[0] - 1) / 2.0, (patch.shape[1] - 1) / 2.0
-        sigma = 1.0
-    else:
-        r0 = float((w * rr).sum() / total)
-        c0 = float((w * cc).sum() / total)
-        var = float((w * ((rr - r0) ** 2 + (cc - c0) ** 2)).sum() / total)
-        sigma = float(np.sqrt(max(var / 2.0, 0.25)))
-    return _Fit(
-        center=(r_lo + r0, c_lo + c0),
-        sigma=sigma,
-        amplitude=float(patch.max() - patch.min()),
-        offset=float(patch.min()),
-        ok=False,
-        n_iter=n_iter,
-        residuals=tuple(residuals),
-    )
-
-
-def _reference_fit(image, initial_center, window_px=7, *, init=None, sigma_bounds=None):
-    img = np.asarray(image, dtype=np.float64)
-    r_pk = int(np.floor(initial_center[0] + 0.5))
-    c_pk = int(np.floor(initial_center[1] + 0.5))
-    half = window_px // 2
-    r_lo, c_lo = r_pk - half, c_pk - half
-    if r_lo < 0 or c_lo < 0 or r_lo + window_px > img.shape[0] or c_lo + window_px > img.shape[1]:
-        raise ConfigError(f"{window_px}x{window_px} window at {initial_center} leaves the image")
-    patch = img[r_lo : r_lo + window_px, c_lo : c_lo + window_px]
-    rr, cc = np.mgrid[0:window_px, 0:window_px].astype(np.float64)
-    sig_lo, sig_hi = sigma_bounds if sigma_bounds is not None else (0.0, np.inf)
-    if init is not None:
-        a0, s0, b0 = (float(v) for v in init)
-    else:
-        b0 = float(patch.min())
-        a0 = float(patch.max()) - b0
-        s0 = max(window_px / 4.0, 1.0)
-    if a0 <= 0:
-        return _reference_centroid_fallback(patch, r_lo, c_lo, 0, [])
-    s0 = float(np.clip(s0, sig_lo if sig_lo > 0 else s0, sig_hi))
-    p = np.array([a0, initial_center[0] - r_lo, initial_center[1] - c_lo, s0, b0])
-
-    def residual(params):
-        amp, r0, c0, sig, off = params
-        g = np.exp(-((rr - r0) ** 2 + (cc - c0) ** 2) / (2.0 * sig**2))
-        return (amp * g + off - patch).ravel(), g
-
-    lam = 1e-3
-    res, g = residual(p)
-    norms = [float(np.linalg.norm(res))]
-    n_iter = 0
-    for n_iter in range(1, 101):
-        amp, r0, c0, sig, _ = p
-        dr, dc = rr - r0, cc - c0
-        jac = np.stack(
-            [
-                g.ravel(),
-                (amp * g * dr / sig**2).ravel(),
-                (amp * g * dc / sig**2).ravel(),
-                (amp * g * (dr**2 + dc**2) / sig**3).ravel(),
-                np.ones(patch.size),
-            ],
-            axis=1,
-        )
-        gram = jac.T @ jac
-        grad = jac.T @ res
-        step = None
-        for _ in range(12):
-            try:
-                cand = np.linalg.solve(gram + lam * np.eye(5), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = p + cand
-            if trial[3] <= 0 or not sig_lo <= trial[3] <= sig_hi or not np.all(np.isfinite(trial)):
-                lam *= 10.0
-                continue
-            trial_res, trial_g = residual(trial)
-            trial_norm = float(np.linalg.norm(trial_res))
-            if trial_norm <= norms[-1]:
-                step = cand
-                p, res, g = trial, trial_res, trial_g
-                norms.append(trial_norm)
-                lam = max(lam / 10.0, 1e-12)
-                break
-            lam *= 10.0
-        if step is None:
-            return _reference_centroid_fallback(patch, r_lo, c_lo, n_iter, norms)
-        if float(np.linalg.norm(step)) < 1e-6:
-            break
-
-    amp, r0, c0, sig, off = (float(v) for v in p)
-    in_window = -1.0 <= r0 <= window_px and -1.0 <= c0 <= window_px
-    if sig <= 0 or not np.all(np.isfinite(p)) or not in_window:
-        return _reference_centroid_fallback(patch, r_lo, c_lo, n_iter, norms)
-    return _Fit(
-        center=(r_lo + r0, c_lo + c0), sigma=sig, amplitude=amp, offset=off, ok=True,
-        n_iter=n_iter, residuals=tuple(norms),
-    )
-
-
-def _reference_bump(fit, shape):
-    rr = np.arange(shape[0], dtype=np.float64)[:, None] - fit.center[0]
-    cc = np.arange(shape[1], dtype=np.float64)[None, :] - fit.center[1]
-    return fit.amplitude * np.exp(-(rr**2 + cc**2) / (2.0 * fit.sigma**2))
+def _reference_bump(center, sigma, amplitude, shape):
+    rr = np.arange(shape[0], dtype=np.float64)[:, None] - center[0]
+    cc = np.arange(shape[1], dtype=np.float64)[None, :] - center[1]
+    return amplitude * np.exp(-(rr**2 + cc**2) / (2.0 * sigma**2))
 
 
 def _reference_joint_fit(img, anchors, sigma0, sigma_band):
@@ -670,9 +499,9 @@ def _reference_joint_fit(img, anchors, sigma0, sigma_band):
 
 
 def _reference_locate_sites(mean_img, diff_imgs, window_px=7):
-    """locate_sites with scipy's joint fit (_reference_joint_fit) and one
-    confirmation refit per window, so no production fit, batched or
-    joint, is on both sides of a comparison with locate_sites."""
+    """locate_sites with scipy's joint fit (_reference_joint_fit), which
+    also confirms each site alone on its window, so no production fit is
+    on either side of a comparison with locate_sites."""
     img = np.asarray(mean_img, dtype=np.float64)
     n_sites = len(diff_imgs)
     anchors = [np.unravel_index(np.argmax(d), img.shape) for d in diff_imgs]
@@ -684,27 +513,21 @@ def _reference_locate_sites(mean_img, diff_imgs, window_px=7):
         raise DataError("sites could not be located in the mean image")
 
     amplitudes = np.maximum(amps, 1e-12)
-    bump_stack = [
-        _reference_bump(_Fit(tuple(c), sig_shared, float(a), off, True, 0, ()), img.shape)
-        for c, a in zip(centers, amplitudes)
-    ]
+    bump_stack = [_reference_bump(c, sig_shared, a, img.shape) for c, a in zip(centers, amplitudes)]
     total = np.sum(bump_stack, axis=0)
     fallbacks = []
     for i in range(n_sites):
-        confirmed = False
-        try:
-            trial = _reference_fit(
-                img - (total - bump_stack[i]),
-                tuple(centers[i]),
-                window_px,
-                init=(float(amplitudes[i]), sig_shared, off),
-                sigma_bounds=(0.8 * sig_shared, 1.25 * sig_shared),
-            )
-            drift = np.hypot(trial.center[0] - centers[i][0], trial.center[1] - centers[i][1])
-            confirmed = trial.ok and drift <= 0.75
-        except ConfigError:
-            pass
-        fallbacks.append(not confirmed)
+        r_lo, c_lo = (int(np.floor(v + 0.5)) - window_px // 2 for v in centers[i])
+        if r_lo < 0 or c_lo < 0 or r_lo + window_px > img.shape[0] or c_lo + window_px > img.shape[1]:
+            fallbacks.append(True)
+            continue
+        window = (img - (total - bump_stack[i]))[r_lo : r_lo + window_px, c_lo : c_lo + window_px]
+        (refit,), *_ = _reference_joint_fit(
+            window, [centers[i] - (r_lo, c_lo)], sig_shared, (0.8 * sig_shared, 1.25 * sig_shared)
+        )
+        in_window = np.all((-1.0 <= refit) & (refit <= window_px))
+        drift = np.hypot(*(refit + (r_lo, c_lo) - centers[i]))
+        fallbacks.append(not (in_window and drift <= 0.75))
     return SiteGeometry(
         centers=centers,
         sigmas=np.full(n_sites, sig_shared),
@@ -827,5 +650,5 @@ def test_joint_fit_damping_keeps_a_dark_sites_center_near_the_frame():
         img = sum(gaussian_image((28, 28), c, 1.8, float(i != 4)) for i, c in enumerate(centers))
         img = img + rng.normal(0.0, 0.05, size=img.shape)
         anchors = centers + rng.integers(-1, 2, size=centers.shape)
-        fitted, *_ = _joint_refine(img, anchors, 2.1, (0.3, 4.8))
+        (fitted,), *_ = _fit_bumps(img[None], anchors[None], 2.1, (0.3, 4.8))
         assert np.abs(fitted - centers).max() < 28.0, seed

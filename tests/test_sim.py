@@ -163,6 +163,8 @@ def test_config_validation():
         default_config(attenuation=0.0)
     with pytest.raises(ConfigError):
         default_config(read_noise_sigma=-1.0)
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        default_config(seed=-1)
     geo = ArrayGeometry(rows=3, cols=3, spacing_px=13.0, origin_px=(2.0, 2.0), psf_sigma_px=1.8)
     with pytest.raises(ConfigError):
         default_config(geometry=geo)  # centers leave the 28x28 frame

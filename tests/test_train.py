@@ -68,6 +68,8 @@ def test_split_rejects_bad_inputs():
         split_dataset(100, fractions=(0.5, 0.3, 0.1))
     with pytest.raises(DataError):
         split_dataset(3, fractions=(0.98, 0.01, 0.01))
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        split_dataset(100, seed=-1)
 
 
 # -------------------------------------------------------------- ridge
