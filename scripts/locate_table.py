@@ -17,7 +17,9 @@ stack's outcome (centers, sigmas, fallbacks or the error) as JSON.
 --against reads such a file, written by another checkout, and prints per
 preset and size how many stacks kept bit-identical centers and sigmas, the
 largest center and sigma difference over the stacks both sides located,
-and every stack whose raise or fallback outcome changed. One BLAS thread.
+and every stack whose raise or fallback outcome changed; it exits 1 when
+any stack's centers or sigmas differ or its raise or fallback outcome
+changed, and 0 otherwise. One BLAS thread.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ def summary(rows: list[dict]) -> str:
     return f"raise {len(raised):2d}/{len(rows)}  {located}  {ms:6.1f} ms/call{seeds}"
 
 
-def comparison(rows: list[dict], prev: dict) -> str:
+def comparison(rows: list[dict], prev: dict) -> tuple[str, bool]:
+    """The --against lines of one block of rows, and whether every row
+    matches its previous outcome bit for bit."""
     same, d_center, d_sigma, changed = 0, 0.0, 0.0, []
     for r in rows:
         p = prev[r["preset"], r["frames"], r["seed"]]
@@ -105,14 +109,18 @@ def comparison(rows: list[dict], prev: dict) -> str:
             continue
         dc = np.abs(np.subtract(r["centers"], p["centers"])).max()
         ds = np.abs(np.subtract(r["sigmas"], p["sigmas"])).max()
-        same += int(dc == 0.0 and ds == 0.0)
+        if dc == 0.0 and ds == 0.0:
+            same += 1
+        else:
+            changed.append(f"seed {r['seed']} centers or sigmas differ")
         d_center, d_sigma = max(d_center, dc), max(d_sigma, ds)
         if r["fallbacks"] != p["fallbacks"]:
             changed.append(f"seed {r['seed']} fallbacks {p['fallbacks']} -> {r['fallbacks']}")
-    return (
+    text = (
         f"  against: bit-identical {same:2d}/{len(rows)}  max center diff {d_center:.1e} px  "
         f"max sigma diff {d_sigma:.1e} px" + "".join(f"\n    {c}" for c in changed)
     )
+    return text, not changed
 
 
 def main(argv=None) -> int:
@@ -124,17 +132,19 @@ def main(argv=None) -> int:
     if args.against is not None:
         prev = {(r["preset"], r["frames"], r["seed"]): r for r in json.loads(args.against.read_text())}
 
-    rows = []
+    rows, matched = [], True
     for preset in PRESETS:
         for n_images in FRAMES:
             block = [locate_one(preset, n_images, seed) for seed in SEEDS]
             print(f"{preset:9s} {n_images:5d}  {summary(block)}", flush=True)
             if prev is not None:
-                print(comparison(block, prev), flush=True)
+                text, same = comparison(block, prev)
+                print(text, flush=True)
+                matched &= same
             rows.extend(block)
     if args.out is not None:
         args.out.write_text(json.dumps(rows, indent=1) + "\n")
-    return 0
+    return 0 if matched else 1
 
 
 if __name__ == "__main__":

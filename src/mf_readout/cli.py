@@ -151,7 +151,11 @@ def cmd_locate(args) -> int:
     geometry = locate_sites(mean_image(train), difference_images(train, labels[split.train_idx]))
     for i, used in enumerate(geometry.fallbacks):
         if used:
-            print(f"warning: site {i + 1}: per-site refit did not confirm the joint fit", file=sys.stderr)
+            print(
+                f"warning: site {i + 1}: joint fit not confirmed: its window leaves the image"
+                " or its center lies far from its anchor",
+                file=sys.stderr,
+            )
     geometry.save(args.out)
     print(f"located {geometry.n_sites} sites -> {args.out}")
     return 0

@@ -6,12 +6,11 @@ and fit every site's bump on the mean image at once from those anchors.
 The difference images are built from the train block's column sums and
 its product X^T Y with the labels (label_sums); the pipeline forms those
 once per shuffle, and the training moments take their bias row and R
-from the same sums. Every bump fit goes through one batched
-Levenberg-Marquardt fitter, _fit_bumps, which fits k independent
-problems by the same rules: the joint fit is one problem of every site's
-bump on the whole image, and the confirmation of the sites is one
-problem per site, a bump on its window. A fit window is placed and
-checked by the filters' window rule (window_origin, window_fits), and
+from the same sums. The joint fit of every site's bump on the whole
+image is one Levenberg-Marquardt fit (_fit_bumps), and each site is
+confirmed against its own anchor: the fit must leave its center near
+the peak of its difference image, and its fit window, placed and
+checked by the filters' window rule (window_fits), inside the image. The
 located centers must pass the same in-frame check as the simulated ones
 (centers_inside). Normalization statistics always come from the
 training split alone and are then applied unchanged to every split.
@@ -26,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, MFReadoutError
-from .filters import centers_inside, frame_blocks, window_fits, window_origin
+from .filters import centers_inside, frame_blocks, window_fits
 from .sim import LabeledImageStack, SimConfig
 from .util import cast_fields, read_dataclass, read_json
 
@@ -176,49 +175,34 @@ def difference_images(frames, labels) -> np.ndarray:
     return label_sums(frames, labels).difference_images()
 
 
-def _solve_each(a, b):
-    """Solve each system of the stack; a singular one gets a row of NaN
-    and does not sink the rest."""
-    try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        x = np.full_like(b, np.nan)
-        for i in range(len(a)):
-            try:
-                x[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return x
+def _fit_bumps(patch, anchors, sigma0, sigma_band):
+    """Levenberg-Marquardt fit of a sum of Gaussian bumps to one patch.
 
-
-def _fit_bumps(patches, anchors, sigma0, sigma_bands):
-    """Levenberg-Marquardt fit of k independent sums of Gaussian bumps.
-
-    patches is a (k, h, w) stack and anchors a (k, n, 2) array of start
-    centers in patch coordinates. Problem i models its patch as n bumps
+    patch is an (h, w) image and anchors an (n, 2) array of start centers
+    in patch coordinates. The patch is modelled as n bumps
     A_j exp(-d_j^2 / 2 sigma^2) plus one offset: every bump has a free
     center and amplitude, and they share one width, which starts at
-    sigma0 and stays clipped into the problem's band (sigma0 and
-    sigma_bands broadcast to k values and k (low, high) pairs, low > 0).
+    sigma0 and stays clipped into sigma_band = (low, high), low > 0.
     The amplitudes and offset start at their linear least-squares values.
     Each parameter is damped by its own curvature, floored at 1e-3 of the
     largest: plain Marquardt scaling leaves a center undamped once its
     amplitude nears zero, and such a center can be flung far away. An
     iteration tries up to 12 steps and takes the first that is finite and
-    does not raise the squared residual (lambda / 3 on accept, floored at
-    1e-10, x 10 on reject). A problem stops after an iteration that takes
-    no step or moves no center and the width by 1e-6 or more, or after
-    80; each keeps its own lambda and leaves the batch when it stops, so
-    its fit has the bits of fitting it alone. Returns (centers (k, n, 2),
-    sigmas (k,), amplitudes (k, n), offsets (k,)).
+    does not raise the squared residual (a singular system is a rejected
+    try; lambda / 3 on accept, floored at 1e-10, x 10 on reject). The fit
+    stops after an iteration that takes no step or moves no center and
+    the width by 1e-6 or more, or after 80. Returns (centers (n, 2),
+    sigma, amplitudes (n,), offset).
     """
-    y = np.asarray(patches, dtype=np.float64)
-    k, h, w = y.shape
-    y = y.reshape(k, h * w)
+    h, w = np.shape(patch)
+    # the arrays keep a leading axis of one problem: the 2-D forms of the
+    # products and the solve may round otherwise, and the localization
+    # parity checks hold these bits
+    y = np.asarray(patch, dtype=np.float64).reshape(1, h * w)
     anchors = np.asarray(anchors, dtype=np.float64)
-    n = anchors.shape[1]
+    n = len(anchors)
     s = 2 * n  # the width's column; the amplitudes follow it, the offset is last
-    lo, hi = np.broadcast_to(np.asarray(sigma_bands, dtype=np.float64), (k, 2)).T
+    lo, hi = sigma_band
     grid_r, grid_c = np.indices((h, w), dtype=np.float64).reshape(2, -1, 1)
 
     def bumps(p):
@@ -227,75 +211,56 @@ def _fit_bumps(patches, anchors, sigma0, sigma_bands):
         d2 = dr * dr + dc * dc
         return np.exp(-d2 / (2.0 * p[:, s] * p[:, s])[:, None, None]), dr, dc, d2
 
-    def residual(p, g, y):
+    def residual(p, g):
         amps = np.ascontiguousarray(p[:, s + 1 : -1, None])
         r = y - ((g @ amps)[:, :, 0] + p[:, -1:])
-        return (r[:, None, :] @ r[:, :, None])[:, 0, 0], r
+        return (r[:, None, :] @ r[:, :, None])[0, 0, 0], r
 
-    p = np.empty((k, 3 * n + 2))
-    p[:, :n], p[:, n:s] = anchors[:, :, 0], anchors[:, :, 1]
-    p[:, s] = np.clip(np.broadcast_to(sigma0, k), lo, hi)
+    p = np.empty((1, 3 * n + 2))
+    p[0, :n], p[0, n:s] = anchors.T
+    p[0, s] = np.clip(sigma0, lo, hi)
     g, dr, dc, d2 = bumps(p)
-    for i in range(k):
-        design = np.column_stack([g[i], np.ones(h * w)])
-        p[i, s + 1 :] = np.linalg.lstsq(design, y[i], rcond=None)[0]
-    out = np.empty_like(p)
-    sse, res = residual(p, g, y)
-    lam = np.full(k, 1e-3)
-    act = np.arange(k)  # the problem of each row of the running state
+    p[0, s + 1 :] = np.linalg.lstsq(np.column_stack([g[0], np.ones(h * w)]), y[0], rcond=None)[0]
+    sse, res = residual(p, g)
+    lam = 1e-3
     diag = np.arange(3 * n + 2)
-    ones = np.ones((k, h * w, 1))
+    ones = np.ones((1, h * w, 1))
     # a step may fling a center far away; the finite checks reject it, so
     # let the overflow on the way pass
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(80):
-            if not act.size:
-                break
-            m = act.size
-            # Python powers: numpy's array power rounds some cubes otherwise
-            sig2, sig3 = np.array([(v**2, v**3) for v in p[:, s].tolist()]).T[:, :, None, None]
+            # Python powers: numpy's power rounds some cubes otherwise
+            sig = float(p[0, s])
+            sig2, sig3 = sig**2, sig**3
             ag = g * p[:, None, s + 1 : -1]
             sig_col = (ag * d2).sum(axis=2, keepdims=True) / sig3
-            jac = np.concatenate([ag * dr / sig2, ag * dc / sig2, sig_col, g, ones[:m]], axis=2)
+            jac = np.concatenate([ag * dr / sig2, ag * dc / sig2, sig_col, g, ones], axis=2)
             jac_t = jac.transpose(0, 2, 1)
             jtj = jac_t @ jac
-            jtr = (jac_t @ res[:, :, None])[:, :, 0]
+            jtr = jac_t @ res[:, :, None]
             curv = jtj[:, diag, diag]
             damping = np.zeros_like(jtj)
             damping[:, diag, diag] = np.maximum(curv, 1e-3 * curv.max(axis=1, keepdims=True))
-            step = np.zeros(m)  # stays 0 for a row that takes no step
-            pending = np.arange(m)
+            step = 0.0  # stays 0 when no try is taken
             for _ in range(12):
-                rows = pending if pending.size < m else slice(None)  # no gather on a first try
-                delta = _solve_each(jtj[rows] + lam[rows, None, None] * damping[rows], jtr[rows])
-                trial = p[rows] + delta
-                trial[:, s] = np.clip(trial[:, s], lo[rows], hi[rows])
+                try:
+                    delta = np.linalg.solve(jtj + lam * damping, jtr)[:, :, 0]
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                trial = p + delta
+                trial[0, s] = np.clip(trial[0, s], lo, hi)
                 t_bumps = bumps(trial)
-                t_sse, t_res = residual(trial, t_bumps[0], y[rows])
-                better = np.isfinite(delta).all(axis=1) & np.isfinite(t_sse) & (t_sse <= sse[rows])
-                take = pending[better]
-                step[take] = np.maximum(
-                    np.abs(delta[better, :s]).max(axis=1), np.abs(trial[better, s] - p[take, s])
-                )
-                if take.size == m:  # every row took its first try
+                t_sse, t_res = residual(trial, t_bumps[0])
+                if np.isfinite(delta).all() and np.isfinite(t_sse) and t_sse <= sse:
+                    step = max(np.abs(delta[0, :s]).max(), abs(trial[0, s] - p[0, s]))
                     p, sse, res, (g, dr, dc, d2) = trial, t_sse, t_res, t_bumps
-                else:
-                    p[take], sse[take], res[take] = trial[better], t_sse[better], t_res[better]
-                    for kept, new in zip((g, dr, dc, d2), t_bumps):
-                        kept[take] = new[better]
-                lam[take] = np.maximum(lam[take] / 3.0, 1e-10)
-                pending = pending[~better]
-                lam[pending] *= 10.0
-                if not pending.size:
+                    lam = max(lam / 3.0, 1e-10)
                     break
-            done = step < 1e-6
-            if done.any():
-                out[act[done]] = p[done]
-                live = ~done
-                act, p, sse, res, lam, y, lo, hi = (a[live] for a in (act, p, sse, res, lam, y, lo, hi))
-                g, dr, dc, d2 = g[live], dr[live], dc[live], d2[live]
-    out[act] = p
-    return np.stack([out[:, :n], out[:, n:s]], axis=2), out[:, s], out[:, s + 1 : -1], out[:, -1]
+                lam *= 10.0
+            if step < 1e-6:
+                break
+    return np.column_stack([p[0, :n], p[0, n:s]]), float(p[0, s]), p[0, s + 1 : -1], float(p[0, -1])
 
 
 @dataclass
@@ -303,10 +268,11 @@ class SiteGeometry:
     """Fitted site positions and widths, sites numbered row-major from 1.
 
     fallbacks[i] is True for a site that locate_sites could not confirm:
-    its 7 x 7 window leaves the image, or the refit of its bump alone on
-    that window leaves the window or moves the center more than 0.75 px.
-    Such a site still holds its joint-fit center. A geometry built
-    without flags, or read from a file, has every flag False.
+    its 7 x 7 window leaves the image, or its joint-fit center lies more
+    than half the anchors' median spacing from its anchor, the peak of
+    its own difference image. Such a site still holds its joint-fit
+    center. A geometry built without flags, or read from a file, has
+    every flag False.
     """
 
     centers: np.ndarray  # (n_sites, 2) subpixel (row, col)
@@ -433,13 +399,12 @@ def locate_sites(mean_img, diff_imgs) -> SiteGeometry:
     they share one optical system, and fitting the whole frame in one
     model removes the neighbor-leakage bias that per-window fits suffer
     on blended arrays. Centers that leave the frame (or, in SiteGeometry,
-    come within 2 px of each other) raise DataError. The same fitter then
-    refits each site alone, all in one batch, on its 7 x 7 window of the
-    mean image minus the other sites' joint bumps, its width banded to
-    0.8-1.25 times the shared one. A site is a fallback unless its window
-    lies inside the image and its refit center stays within 1 px of the
-    window and within 0.75 px of the joint center; every site keeps its
-    joint center and amplitude and the shared sigma.
+    come within 2 px of each other) raise DataError. A site is a fallback
+    unless its 7 x 7 window lies inside the image and its joint center
+    lies within half the anchors' median spacing of its own anchor (any
+    distance for a lone site), so a site the fit parked on a neighbor's
+    bump is flagged; every site keeps its joint center and amplitude and
+    the shared sigma.
 
     Sites come back in the order of diff_imgs: the label order, which is
     row-major for simulated data.
@@ -451,40 +416,22 @@ def locate_sites(mean_img, diff_imgs) -> SiteGeometry:
     n_sites = len(diffs)
     peaks = diffs.reshape(n_sites, -1).argmax(axis=1)
     anchors = np.column_stack(np.unravel_index(peaks, img.shape)).astype(np.float64)
+    spacing = _median_spacing(anchors)  # inf for a lone site
     if n_sites > 1:
         if _nearest_distances(anchors).min() < 2.0:
             raise DataError("two sites' difference images peak within 2 px of each other")
-        spacing = _median_spacing(anchors)
         sig0, band = 0.35 * spacing, (0.3, 0.8 * spacing)
     else:
         sig0, band = 0.3 * FIT_WINDOW, (0.3, 0.9 * FIT_WINDOW)
-    (centers,), (sig,), (amps,), _ = _fit_bumps(img[None], anchors[None], sig0, band)
+    centers, sig, amps, _ = _fit_bumps(img, anchors, sig0, band)
     if not centers_inside(centers, img.shape):
         raise DataError("sites could not be located in the mean image")
-    sig = float(sig)
-
-    amplitudes = np.maximum(amps, 1e-12)
-    # confirmation only: a truncated-window fit at low contrast drifts to
-    # its sigma bound, so the shared-width joint estimates always win; the
-    # per-site refit just has to land close to flag the site as trusted
-    rr = np.arange(img.shape[0], dtype=np.float64)[:, None] - centers[:, 0, None, None]
-    cc = np.arange(img.shape[1], dtype=np.float64)[None, :] - centers[:, 1, None, None]
-    bumps = amplitudes[:, None, None] * np.exp(-(rr**2 + cc**2) / (2.0 * sig**2))
-    alone = img - (bumps.sum(axis=0) - bumps)
-    sel = np.flatnonzero([window_fits(c, FIT_WINDOW, img.shape) for c in centers])
-    origin = np.array([window_origin(c, FIT_WINDOW) for c in centers[sel]], dtype=np.int64).reshape(-1, 2)
-    span = np.arange(FIT_WINDOW)
-    windows = alone[sel[:, None, None], origin[:, :1, None] + span[:, None], origin[:, 1:, None] + span]
-    refit = _fit_bumps(windows, (centers[sel] - origin)[:, None], sig, (0.8 * sig, 1.25 * sig))[0][:, 0]
-    # False for a non-finite center too
-    in_window = ((-1.0 <= refit) & (refit <= FIT_WINDOW)).all(axis=1)
-    drift = np.hypot(*(refit + origin - centers[sel]).T)
-    confirmed = np.zeros(n_sites, dtype=bool)
-    confirmed[sel] = in_window & (drift <= 0.75)
+    near_anchor = np.hypot(*(centers - anchors).T) <= 0.5 * spacing
+    confirmed = near_anchor & [window_fits(c, FIT_WINDOW, img.shape) for c in centers]
 
     return SiteGeometry(
         centers=centers,
         sigmas=np.full(n_sites, sig),
-        amplitudes=amplitudes,
+        amplitudes=np.maximum(amps, 1e-12),
         fallbacks=tuple(bool(b) for b in ~confirmed),
     )

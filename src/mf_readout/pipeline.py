@@ -53,6 +53,7 @@ from .util import (
     cast_fields,
     content_hash,
     derive_seed,
+    finite_fields,
     read_dataclass,
     read_json,
     release_free_heap,
@@ -60,6 +61,11 @@ from .util import (
 )
 
 LABEL_SOURCES = ("label", "truth")
+
+
+def exposure_dir(exposure: float) -> str:
+    """The name of an exposure's artifact directory under output_dir."""
+    return f"exp_{exposure:g}ms"
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,7 @@ class RunConfig:
         cast_fields(self, float, "alpha")
         cast_fields(self, int, "n_shuffles", "seed", "crossfid_frames")
         cast_fields(self, lambda values: tuple(map(float, values)), "exposure_sweep_ms", "theta_grid")
+        finite_fields(self, "alpha", "exposure_sweep_ms", "theta_grid")
         object.__setattr__(self, "kinds", tuple(TOKEN_KINDS.get(k, k) for k in self.kinds))
         for name in ("crop", "s_grid"):
             if getattr(self, name) is not None:
@@ -107,8 +114,11 @@ class RunConfig:
             raise ConfigError("exposure sweep is empty")
         if any(e <= 0 for e in self.exposure_sweep_ms):
             raise ConfigError(f"exposures must be positive: {self.exposure_sweep_ms}")
-        if len(set(self.exposure_sweep_ms)) != len(self.exposure_sweep_ms):
-            raise ConfigError(f"duplicate exposure in sweep: {self.exposure_sweep_ms}")
+        dirs = {}
+        for e in self.exposure_sweep_ms:
+            if (name := exposure_dir(e)) in dirs:
+                raise ConfigError(f"exposures {dirs[name]!r} and {e!r} ms would both write {name}/")
+            dirs[name] = e
         if not self.kinds:
             raise ConfigError("kinds is empty")
         for k in self.kinds:
@@ -392,7 +402,7 @@ def _sweep(run: RunConfig) -> SweepReport:
         except MFReadoutError as exc:
             raise type(exc)(f"exposure {exposure:g} ms, dataset stage: {exc}") from exc
 
-        exp_dir = out_dir / f"exp_{exposure:g}ms"
+        exp_dir = out_dir / exposure_dir(exposure)
         exp_dir.mkdir(parents=True, exist_ok=True)
         audit = {
             "exposure_ms": float(exposure),

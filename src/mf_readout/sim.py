@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .filters import centers_inside, gaussian_weight_map, unsupervised_threshold
-from .util import cast_fields, read_dataclass, stream
+from .util import cast_fields, finite_fields, read_dataclass, stream
 
 # Frames per rendered block, the unit of work of the render pool: enough
 # that the per-block stream set-up is small against the draws, few enough
@@ -61,6 +61,7 @@ class ArrayGeometry:
         cast_fields(self, float, "spacing_px", "psf_sigma_px")
         row, col = self.origin_px
         object.__setattr__(self, "origin_px", (float(row), float(col)))
+        finite_fields(self, "spacing_px", "origin_px", "psf_sigma_px")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError("array must have at least one row and one column")
         if self.spacing_px <= 0:
@@ -113,10 +114,12 @@ class SimConfig:
 
     def __post_init__(self):
         cast_fields(self, int, "image_height", "image_width", "seed", "n_images")
-        cast_fields(
-            self, float, "exposure_ms", "bright_photon_rate", "attenuation", "dark_count_rate",
+        floats = (
+            "exposure_ms", "bright_photon_rate", "attenuation", "dark_count_rate",
             "read_noise_sigma", "p_bright", "decay_prob_per_ms",
         )
+        cast_fields(self, float, *floats)
+        finite_fields(self, *floats)
         if self.exposure_ms <= 0:
             raise ConfigError("exposure_ms must be positive")
         if not 0.0 <= self.p_bright <= 1.0:

@@ -56,7 +56,7 @@ from .filters import (
     window_index,
 )
 from .locate import LabelSums, SiteGeometry, _median_spacing, grid_shape, label_sums
-from .util import read_json, round_half_up
+from .util import read_json, require_finite, round_half_up
 
 S_GRID = tuple(range(2, 15))
 
@@ -69,6 +69,7 @@ def theta_grid_default(lo: float = 0.01, hi: float = 0.99, step: float = 0.01) -
     to clean decimals; the last is the largest that does not pass hi. A
     learned model's threshold lies in (0, 1), so a grid that reaches 0 or
     1 is rejected before any tuning."""
+    require_finite("theta grid", (lo, hi, step))
     if step <= 0 or hi < lo:
         raise ConfigError(f"theta grid ({lo}, {hi}, {step}) needs step > 0 and hi >= lo")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -458,6 +459,7 @@ def _check_request(data: TrainingData, kind: str, s_grid, theta_grid, alpha: flo
     if len(theta_grid) == 0:
         raise ConfigError("empty search grid")
     s_grid = check_window_grid(s_grid)
+    require_finite("alpha", alpha)
     if alpha < 0:
         raise ConfigError("alpha must be non-negative")
     return s_grid, theta_grid

@@ -1,7 +1,7 @@
 """Small shared helpers: seeded RNG streams, canonical hashing, the one
-JSON file reader, the one config dict reader, atomic file writes, stable
-number formatting, and handing freed heap memory back to the operating
-system."""
+JSON file reader, the one config dict reader, the one finiteness rule
+for config numbers, atomic file writes, stable number formatting, and
+handing freed heap memory back to the operating system."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MFReadoutError
+from .errors import ConfigError, DataError, MFReadoutError
 
 
 def _key_words(part) -> tuple[int, ...]:
@@ -99,6 +99,21 @@ def cast_fields(obj, cast, *names) -> None:
     so a config built in code and one read from JSON hold the same types."""
     for name in names:
         object.__setattr__(obj, name, cast(getattr(obj, name)))
+
+
+def require_finite(name: str, value) -> None:
+    """ConfigError naming name when value, a number or a sequence of
+    numbers, holds a NaN or an infinity. Python's JSON reader accepts
+    both, and numpy would only fail on them deep inside a run, if at all.
+    """
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def finite_fields(obj, *names) -> None:
+    """require_finite on each named field of obj."""
+    for name in names:
+        require_finite(name, getattr(obj, name))
 
 
 def write_atomic(path, *chunks) -> None:

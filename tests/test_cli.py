@@ -153,6 +153,43 @@ def test_a_negative_seed_exits_2_for_every_stage_command(chain, tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, value, message", [
+    ("simulate", "nan", "exposure_ms must be finite"),
+    ("simulate", "inf", "exposure_ms must be finite"),
+    ("train", "--theta 0.1:nan:0.1", "theta grid must be finite"),
+    ("train", "--alpha nan", "alpha must be finite"),
+], ids=["simulate-nan", "simulate-inf", "train-theta", "train-alpha"])
+def test_a_non_finite_number_exits_2_naming_its_field(chain, tmp_path, capsys, command, value, message):
+    out = tmp_path / "out"
+    if command == "simulate":
+        args = ["simulate", "--preset", "default", "--n-images", "20", "--exposure-ms", value, "--out", str(out)]
+    else:
+        args = [
+            "train", "--in", str(chain / "pre"), "--kind", "mfsite", "--geometry", str(chain / "geometry.json"),
+            "--labels", "truth", *value.split(), "--out", str(out),
+        ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exposures, message", [
+    ([float("nan")], "exposure_sweep_ms must be finite"),
+    ([10.0, 10.0000001], "exposures 10.0 and 10.0000001 ms would both write exp_10ms/"),
+], ids=["nan", "one-directory"])
+def test_a_sweep_over_bad_exposures_exits_2_and_writes_nothing(tmp_path, capsys, exposures, message):
+    run = RunConfig(
+        sim=default_config(n_images=200, seed=3), output_dir=str(tmp_path / "out"),
+        exposure_sweep_ms=(20.0,), kinds=("square",), n_shuffles=1,
+    ).to_dict() | {"exposure_sweep_ms": exposures}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run))  # Python's JSON spells a NaN NaN, and reads it back
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_window_sizes_below_2_exit_as_config_errors(chain, tmp_path, capsys):
     rc = main([
         "train", "--in", str(chain / "pre"), "--kind", "mfsite",

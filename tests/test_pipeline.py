@@ -64,6 +64,7 @@ def test_run_config_validation(tmp_path):
         dict(exposure_sweep_ms=()),
         dict(exposure_sweep_ms=(0.0,)),
         dict(exposure_sweep_ms=(10.0, 10.0)),
+        dict(exposure_sweep_ms=(10.0, 10.0000001)),  # both would write exp_10ms/
         dict(kinds=()),
         dict(kinds=("square", "parquet")),
         dict(kinds=("square", "square")),
@@ -89,6 +90,16 @@ def test_run_config_validation(tmp_path):
     for bad in cases:
         with pytest.raises(ConfigError):
             replace(ok, **bad)
+    nan, inf = float("nan"), float("inf")
+    for field, value in [
+        ("exposure_sweep_ms", (nan,)),
+        ("exposure_sweep_ms", (10.0, inf)),
+        ("alpha", nan),
+        ("alpha", inf),
+        ("theta_grid", (0.1, nan, 0.1)),
+    ]:
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            replace(ok, **{field: value})
 
 
 def test_run_config_rejects_a_repeated_window_size(tmp_path):

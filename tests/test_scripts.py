@@ -2,10 +2,13 @@
 renames or deletes a name they use would go unnoticed until someone runs
 them. Parse each with ast and check that every mf_readout name it
 imports, and every attribute it reads or rebinds on an imported
-mf_readout module or name, exists."""
+mf_readout module or name, exists. locate_table's --against check also
+runs here, on synthetic rows."""
 
 import ast
 import importlib
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,39 @@ def test_the_check_finds_a_missing_name(tmp_path):
     assert _missing_names(script) == [
         "TrainingData.missing_method", "mf.nope", "mf_readout.gone", "train._fill_solves",
     ]
+
+
+def _locate_table(monkeypatch):
+    """scripts/locate_table.py as a module, over one preset, one stack
+    size and two seeds."""
+    spec = importlib.util.spec_from_file_location("locate_table", SCRIPTS / "locate_table.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "PRESETS", {"default": None})
+    monkeypatch.setattr(module, "FRAMES", (600,))
+    monkeypatch.setattr(module, "SEEDS", range(2))
+    return module
+
+
+@pytest.mark.parametrize("flip, exit_code", [(None, 0), ("fallbacks", 1), ("centers", 1), ("error", 1)])
+def test_locate_table_against_exits_1_when_an_outcome_changes(tmp_path, monkeypatch, capsys, flip, exit_code):
+    module = _locate_table(monkeypatch)
+
+    def row(preset, n_images, seed):
+        return {
+            "preset": preset, "frames": n_images, "seed": seed, "ms": 1.0, "centers": [[8.0, 8.0], [8.0, 14.0]],
+            "sigmas": [1.8, 1.8], "fallbacks": [False, False], "center_err": 0.1, "sigma_err": 0.01,
+        }
+
+    prev = [row("default", 600, seed) for seed in range(2)]
+    if flip == "fallbacks":
+        prev[1]["fallbacks"] = [False, True]
+    elif flip == "centers":
+        prev[1]["centers"] = [[8.0, 8.0], [8.0, 14.000000000000002]]
+    elif flip == "error":
+        prev[1] = {"preset": "default", "frames": 600, "seed": 1, "ms": 1.0, "error": "sites could not be located"}
+    against = tmp_path / "prev.json"
+    against.write_text(json.dumps(prev))
+    monkeypatch.setattr(module, "locate_one", row)
+    assert module.main(["--against", str(against)]) == exit_code
+    assert ("seed 1" in capsys.readouterr().out) == (exit_code == 1)

@@ -168,6 +168,14 @@ def test_config_validation():
     geo = ArrayGeometry(rows=3, cols=3, spacing_px=13.0, origin_px=(2.0, 2.0), psf_sigma_px=1.8)
     with pytest.raises(ConfigError):
         default_config(geometry=geo)  # centers leave the 28x28 frame
+    # a NaN or infinite number is named, not passed on to numpy
+    for field in ("exposure_ms", "bright_photon_rate", "dark_count_rate", "read_noise_sigma", "decay_prob_per_ms"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                default_config(**{field: value})
+    for field, value in [("psf_sigma_px", float("nan")), ("spacing_px", float("inf")), ("origin_px", (8.0, float("nan")))]:
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            replace(default_config().geometry, **{field: value})
 
 
 def test_config_round_trip():

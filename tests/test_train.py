@@ -192,6 +192,9 @@ def test_theta_grid_default_has_99_values():
     assert theta_grid_default(0.2, 0.6, 0.2) == (0.2, 0.4, 0.6)
     with pytest.raises(ConfigError):
         theta_grid_default(0.5, 0.4, 0.1)
+    for bad in ((0.1, float("nan"), 0.1), (float("-inf"), 0.9, 0.1), (0.1, 0.9, float("inf"))):
+        with pytest.raises(ConfigError, match="theta grid must be finite"):
+            theta_grid_default(*bad)
 
 
 def test_theta_grid_default_stops_at_hi_and_stays_inside_zero_one():
@@ -990,6 +993,8 @@ def test_fixed_pass_matches_the_per_site_scores(small_training, kind, s_grid):
     dict(s_grid=()),
     dict(theta_grid=()),
     dict(alpha=-1.0),
+    dict(alpha=float("nan")),
+    dict(alpha=float("inf")),
     dict(s_grid=(1, 3)),
     dict(kind="square", s_grid=(1,)),
 ])
