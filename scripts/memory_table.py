@@ -18,16 +18,14 @@ prints ru_maxrss before and after it. It then runs the shuffle again
 under tracemalloc and prints the traced peak of each stage: normalize
 (fit_stats and every apply_stats), locate (mean_image, label_sums,
 whose column and label sums serve localization and the moments alike,
-and locate_sites), moments (empty_gram, which allocates the learned
-kinds' pixel Gram before localization, and
-TrainingData.release_train_block, which completes the moments from the
-Gram and the sums and frees the float64 train block; the Gram's product
-runs on a helper thread in between and allocates nothing), train (the
-largest train_all_sites call) and evaluate (_evaluate_sets), and the whole
-shuffle's peak, in MB and as a multiple of the stack's float64 size.
-Since the Gram is held from before localization, the normalize, locate
-and train stages count it too. Traced figures leave out the float32
-stack itself, which is allocated before tracing starts. One BLAS thread.
+and locate_sites), moments (TrainingData.release_train_block, which
+allocates the learned kinds' pixel Gram after the fixed kinds, completes
+the moments from it and the sums and frees the float64 train block),
+train (the largest train_all_sites call) and evaluate (_evaluate_sets),
+and the whole shuffle's peak, in MB and as a multiple of the stack's
+float64 size. The Gram is held from the moments stage on, so the train
+stage counts it too. Traced figures leave out the float32 stack itself,
+which is allocated before tracing starts. One BLAS thread.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ def stage_functions() -> dict:
     return {
         "normalize": (pipeline.fit_stats, pipeline.apply_stats),
         "locate": (pipeline.mean_image, pipeline.label_sums, pipeline.locate_sites),
-        "moments": (pipeline.empty_gram, pipeline.TrainingData.release_train_block),
+        "moments": (pipeline.TrainingData.release_train_block,),
         "train": (pipeline.train_all_sites,),
         "evaluate": (pipeline._evaluate_sets,),
     }

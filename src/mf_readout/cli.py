@@ -184,7 +184,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    model = FilterModel.from_dict(read_json(args.model))
+    model = FilterModel.load(args.model)
     stack = _read_stem(args.in_stem)
     scores = model.scores(stack.images)
     rows = [

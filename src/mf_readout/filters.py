@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import round_half_up
+from .util import read_json, require_finite, round_half_up
 
 KINDS = ("square", "gaussian", "mf-site", "mf-array")
 
@@ -279,6 +279,9 @@ class FilterModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown filter kind {self.kind!r}")
+        for name in ("center", "theta", "sigma", "weights", "all_centers"):
+            if getattr(self, name) is not None:
+                require_finite(name, getattr(self, name))
         if self.kind == "gaussian" and (self.sigma is None or self.sigma <= 0):
             raise ConfigError("gaussian filter needs a positive sigma")
         if self.neighbors and self.kind != "mf-array":
@@ -388,6 +391,15 @@ class FilterModel:
             d["neighbors"] = [int(k) + 1 for k in self.neighbors]
             d["all_centers"] = [[float(r), float(c)] for r, c in self.all_centers]
         return d
+
+    @staticmethod
+    def load(path) -> "FilterModel":
+        """The model in the JSON file at path; DataError naming the path."""
+        d = read_json(path)
+        try:
+            return FilterModel.from_dict(d)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     @staticmethod
     def from_dict(d: dict) -> "FilterModel":

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DataError, MFReadoutError
 from .filters import centers_inside, frame_blocks, window_fits
 from .sim import LabeledImageStack, SimConfig
-from .util import cast_fields, read_dataclass, read_json
+from .util import cast_fields, finite_fields, read_dataclass, read_json, require_finite
 
 FIT_WINDOW = 7
 
@@ -73,6 +73,7 @@ class PreprocessStats:
 
     def __post_init__(self):
         cast_fields(self, float, "train_mean", "train_range")
+        finite_fields(self, "train_mean", "train_range", error=DataError)
         if not self.train_range > 0:
             raise DataError(f"train_range must be positive, got {self.train_range}")
 
@@ -289,6 +290,8 @@ class SiteGeometry:
             raise DataError("geometry arrays disagree on the number of sites")
         if not self.fallbacks:
             self.fallbacks = (False,) * n
+        for name, value in (("center", self.centers), ("sigma", self.sigmas), ("amplitude", self.amplitudes)):
+            require_finite(f"every site's {name}", value, DataError)
         if np.any(self.sigmas <= 0):
             raise DataError("fitted sigma must be positive for every site")
         if n > 1 and (nearest := _nearest_distances(self.centers).min()) < 2.0:
@@ -322,17 +325,17 @@ class SiteGeometry:
         try:
             unknown = sorted(set().union(*entries) - {"site", "center", "sigma", "amplitude"})
             if unknown:
-                raise DataError(f"{path}: unknown site key(s): {', '.join(map(repr, unknown))}")
+                raise DataError(f"unknown site key(s): {', '.join(map(repr, unknown))}")
             entries = sorted(entries, key=lambda e: e["site"])
             if [e["site"] for e in entries] != list(range(1, len(entries) + 1)):
-                raise DataError(f"{path}: site numbers must be 1..{len(entries)}, each once")
+                raise DataError(f"site numbers must be 1..{len(entries)}, each once")
             return SiteGeometry(
                 centers=[e["center"] for e in entries],
                 sigmas=[e["sigma"] for e in entries],
                 amplitudes=[e["amplitude"] for e in entries],
             )
-        except MFReadoutError:
-            raise
+        except MFReadoutError as exc:
+            raise DataError(f"{path}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad site entry: {exc}") from exc
 

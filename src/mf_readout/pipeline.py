@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -42,8 +41,6 @@ from .train import (
     TOKEN_KINDS,
     TrainingData,
     check_window_grid,
-    empty_gram,
-    pixel_gram,
     split_dataset,
     theta_grid_default,
     train_all_sites,
@@ -230,54 +227,43 @@ def _one_shuffle(run: RunConfig, images, labels, split_seed: int):
     the normalized whole stack: the cast is exact and apply_stats is
     elementwise. The train block's stats are fitted on it before it is
     normalized. Its readers are fit_stats, mean_image, label_sums (with
-    the train labels), the fixed kinds' tuning and the pixel Gram. The
-    column and label sums are formed once: localization reads the
-    difference images built from them, and the learned kinds' moments
-    are completed from them and the Gram without another read of the
-    frames. Then the block is dropped (TrainingData.release_train_block),
-    so the nested solves, their fallback and the learned tuning run from
-    the moments alone. The test block is gathered after the
-    TrainingData, with its cached moments and solves, has been released.
-    So every frame is held in float64 at most once, and the train and
-    test blocks never together. sets keep run.kinds order.
-
-    When run.kinds holds a learned kind, the moments' pixel Gram, their
-    largest product, is computed on one helper thread (pixel_gram, which
-    releases the GIL) while localization, the validation block and the
-    fixed kinds run here. The Gram is allocated on this thread, so the
-    helper allocates nothing, and the helper only reads the normalized
-    train block, which nothing writes meanwhile; the pool is joined on
-    every path, errors included, before the moments are completed here.
-    So the Gram has the bits of the serial moments and every traced
-    call stays on this thread. A run without learned kinds starts no
-    helper and builds no moments.
+    the train labels), the fixed kinds' tuning and the learned kinds'
+    moments. The column and label sums are formed once: localization
+    reads the difference images built from them, and the moments are
+    completed from them and the pixel Gram when the block is dropped
+    (TrainingData.release_train_block), so the nested solves, their
+    fallback and the learned tuning run from the moments alone. The
+    Gram is allocated only then, after the fixed kinds. The test block
+    is gathered after the TrainingData, with its cached moments and
+    solves, has been released. So every frame is held in float64 at
+    most once, and the train and test blocks never together. A run
+    without learned kinds builds no moments, and a shuffle starts no
+    thread. sets keep run.kinds order.
     """
     split = split_dataset(images.shape[0], seed=split_seed)
     train = gather_frames(images, split.train_idx)
     stats = fit_stats(train)
     apply_stats(train, stats, out=train)
     train_labels = labels[split.train_idx]
+    sums = label_sums(train, train_labels)
+    geometry = locate_sites(mean_image(train), sums.difference_images())
+    val = gather_frames(images, split.val_idx)
+    data = TrainingData(
+        train_images=train,
+        train_labels=train_labels,
+        val_images=apply_stats(val, stats, out=val),
+        val_labels=labels[split.val_idx],
+        geometry=geometry,
+    )
+    del train, val
+    grids = (run.s_grid, theta_grid_default(*run.theta_grid), run.alpha)
+    sets = {kind: train_all_sites(data, kind, *grids) for kind in run.kinds if kind not in LEARNED_KINDS}
     learned = [kind for kind in run.kinds if kind in LEARNED_KINDS]
-    with ThreadPoolExecutor(1, thread_name_prefix="gram") if learned else contextlib.nullcontext() as pool:
-        gram_job = pool.submit(pixel_gram, train, empty_gram(train)) if learned else None
-        sums = label_sums(train, train_labels)
-        geometry = locate_sites(mean_image(train), sums.difference_images())
-        val = gather_frames(images, split.val_idx)
-        data = TrainingData(
-            train_images=train,
-            train_labels=train_labels,
-            val_images=apply_stats(val, stats, out=val),
-            val_labels=labels[split.val_idx],
-            geometry=geometry,
-        )
-        del train, val
-        grids = (run.s_grid, theta_grid_default(*run.theta_grid), run.alpha)
-        sets = {kind: train_all_sites(data, kind, *grids) for kind in run.kinds if kind not in LEARNED_KINDS}
     if learned:
-        data.release_train_block(gram_job.result(), sums)
+        data.release_train_block(sums)
         sets |= {kind: train_all_sites(data, kind, *grids) for kind in learned}
     sets = {kind: sets[kind] for kind in run.kinds}
-    del data, gram_job
+    del data
     test = gather_frames(images, split.test_idx)
     reports = _evaluate_sets(sets, apply_stats(test, stats, out=test), labels[split.test_idx])
     return split, stats, geometry, sets, reports

@@ -5,13 +5,11 @@ The matched filters are tuned from moments of the train frames, computed
 once per TrainingData: the pixel Gram matrix with a bias row and column,
 [X, c]^T [X, c], and its products with every site's labels. They are the
 learned kinds' only read of the train frames, which can be dropped once
-the moments are complete (release_train_block). Their largest product,
-the pixel Gram X^T X (pixel_gram), reads nothing but the frames, so a
-caller may compute it on another thread; the bias row and column and
-the label products come from the frames' column and label sums
+the moments are complete (release_train_block). The bias row and column
+and the label products come from the frames' column and label sums
 (locate.label_sums), which the pipeline forms once for localization and
-the moments, so the Gram is the moments' only read of the frames. The
-fixed kinds never touch the moments.
+the moments, so the pixel Gram X^T X is the moments' only read of the
+frames (_complete_moments). The fixed kinds never touch the moments.
 Each training request, a window grid and an alpha, builds its window
 systems once (_window_systems), and both learned kinds read them. The
 window means A_s of every size meet the moments in one product. A site's
@@ -56,7 +54,7 @@ from .filters import (
     window_index,
 )
 from .locate import LabelSums, SiteGeometry, _median_spacing, grid_shape, label_sums
-from .util import read_json, require_finite, round_half_up
+from .util import require_finite, round_half_up
 
 S_GRID = tuple(range(2, 15))
 
@@ -249,29 +247,6 @@ def _frame_rows(images) -> np.ndarray:
     return np.asarray(images, dtype=np.float64).reshape(images.shape[0], -1)
 
 
-def empty_gram(images) -> np.ndarray:
-    """An uninitialized float64 Gram for a stack of frames of p pixels:
-    (p + 1, p + 1), the bias slot last."""
-    p = int(np.prod(images.shape[1:]))
-    return np.empty((p + 1, p + 1))
-
-
-def pixel_gram(images, gram: np.ndarray) -> np.ndarray:
-    """gram, an empty_gram of the frames, with X^T X of the frames X, one
-    row per frame and pixels row-major, in its leading p x p block; the
-    bias row and column are left to TrainingData's moments.
-
-    BLAS writes the strided block in place, so with float64 frames
-    nothing is allocated, and it releases the GIL: the pipeline runs this
-    on a helper thread while localization and the fixed kinds run on the
-    calling thread.
-    """
-    x = _frame_rows(images)
-    p = x.shape[1]
-    np.matmul(x.T, x, out=gram[:p, :p])
-    return gram
-
-
 @dataclass(frozen=True)
 class TrainingData:
     """Train and validation material for tuning; test frames stay outside.
@@ -312,39 +287,37 @@ class TrainingData:
             raise DataError("the train frames were released after the moments were cached (release_train_block)")
         return self.train_images
 
-    def release_train_block(self, gram: np.ndarray, sums: LabelSums) -> None:
-        """Complete the moments from gram, the train frames' pixel_gram,
-        and sums, their label_sums with the train labels, then drop the
-        frames: nothing that trains the learned kinds reads them again,
-        and the fixed kinds, which do, must train before this. The
-        pipeline computes gram on a helper thread while localization and
-        the fixed kinds run, and sums once for localization and the
-        moments alike; only their assembly and the finite check are left
-        to do here (_complete_moments).
+    def release_train_block(self, sums: LabelSums) -> None:
+        """Complete the moments from the train frames and sums, their
+        label_sums with the train labels, then drop the frames: nothing
+        that trains the learned kinds reads them again, and the fixed
+        kinds, which do, must train before this. The pipeline forms sums
+        once for localization and the moments alike.
         """
-        self.__dict__["_moments"] = self._complete_moments(gram, sums)
+        self.__dict__["_moments"] = self._complete_moments(self.train_block(), sums)
         object.__setattr__(self, "train_images", None)
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, R) of the train frames, the pixel Gram included: see
-        _complete_moments."""
+        """(G, R) of the train frames: see _complete_moments."""
         x = self.train_block()
-        return self._complete_moments(pixel_gram(x, empty_gram(x)), label_sums(x, self.train_labels))
+        return self._complete_moments(x, label_sums(x, self.train_labels))
 
-    def _complete_moments(self, gram: np.ndarray, sums: LabelSums) -> tuple[np.ndarray, np.ndarray]:
+    def _complete_moments(self, images, sums: LabelSums) -> tuple[np.ndarray, np.ndarray]:
         """(G, R): G = [X, c]^T [X, c] and R = [X, c]^T Y over the train
         frames X (one row per frame, pixels row-major) with the bias slot
-        last, both float64, from gram, their pixel_gram, which becomes G,
-        and sums, their label_sums with the train labels Y.
+        last, both float64, from the frames and sums, their label_sums
+        with the train labels Y.
 
-        The bias row and column of G are the column sums and R's pixel
-        rows are X^T Y, so no train frame is read here and the stack is
-        never copied with a bias column appended.
+        BLAS writes X^T X in place into G's leading block, so with
+        float64 frames nothing else is allocated. The bias row and column
+        of G are the column sums and R's pixel rows are X^T Y, so the
+        stack is read once and never copied with a bias column appended.
         """
-        p = sums.columns.size
-        if gram.shape != (p + 1, p + 1):
-            raise DataError(f"a pixel Gram of shape {gram.shape} does not fit frames of {p} pixels")
+        x = _frame_rows(images)
+        p = x.shape[1]
+        gram = np.empty((p + 1, p + 1))
+        np.matmul(x.T, x, out=gram[:p, :p])
         gram[p, :p] = gram[:p, p] = BIAS_C * sums.columns
         gram[p, p] = BIAS_C * BIAS_C * sums.shape[0]
         cross = np.empty((p + 1, sums.bright.shape[1]))
@@ -823,7 +796,7 @@ def load_models(model_dir) -> dict[str, ModelSet]:
     sets: dict[str, dict[int, FilterModel]] = {}
     paths: dict[tuple[str, int], Path] = {}
     for path in sorted(model_dir.glob("*.json")):
-        model = FilterModel.from_dict(read_json(path))
+        model = FilterModel.load(path)
         first = paths.setdefault((model.kind, model.site), path)
         if first != path:
             raise DataError(f"{first} and {path} both hold the {model.kind} model of site {model.site + 1}")

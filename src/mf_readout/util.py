@@ -1,6 +1,6 @@
 """Small shared helpers: seeded RNG streams, canonical hashing, the one
 JSON file reader, the one config dict reader, the one finiteness rule
-for config numbers, atomic file writes, stable number formatting, and
+for config and data numbers, atomic file writes, stable number formatting, and
 handing freed heap memory back to the operating system."""
 
 from __future__ import annotations
@@ -101,19 +101,20 @@ def cast_fields(obj, cast, *names) -> None:
         object.__setattr__(obj, name, cast(getattr(obj, name)))
 
 
-def require_finite(name: str, value) -> None:
-    """ConfigError naming name when value, a number or a sequence of
-    numbers, holds a NaN or an infinity. Python's JSON reader accepts
-    both, and numpy would only fail on them deep inside a run, if at all.
+def require_finite(name: str, value, error=ConfigError) -> None:
+    """error (a package error class) naming name when value, a number or a
+    sequence of numbers, holds a NaN or an infinity. Python's JSON reader
+    accepts both, and numpy would only fail on them deep inside a run, if
+    at all.
     """
     if not np.isfinite(value).all():
-        raise ConfigError(f"{name} must be finite, got {value}")
+        raise error(f"{name} must be finite, got {value}")
 
 
-def finite_fields(obj, *names) -> None:
+def finite_fields(obj, *names, error=ConfigError) -> None:
     """require_finite on each named field of obj."""
     for name in names:
-        require_finite(name, getattr(obj, name))
+        require_finite(name, getattr(obj, name), error)
 
 
 def write_atomic(path, *chunks) -> None:

@@ -328,6 +328,20 @@ def test_malformed_input_files_exit_with_their_error_codes(chain, tmp_path, caps
     assert rc == 3
     assert "error:" in capsys.readouterr().err
 
+    # a NaN center or sigma, which Python's JSON reader accepts: 3, naming
+    # the file and the field, before a model is written
+    for kind, key, value in [("square", "center", [float("nan"), 14.0]), ("gaussian", "sigma", float("nan"))]:
+        geometry = json.loads((chain / "geometry.json").read_text())
+        geometry[4][key] = value
+        bad_geometry.write_text(json.dumps(geometry))
+        rc = main([
+            "train", "--in", str(chain / "pre"), "--kind", kind, "--geometry", str(bad_geometry),
+            "--labels", "truth", "--out", str(tmp_path / f"nan_{kind}"),
+        ])
+        assert rc == 3, key
+        assert f"error: {bad_geometry}: every site's {key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / f"nan_{kind}").exists()
+
     # a sweep table with a cell that is not a finite number, a negative
     # spread or an exposure that is not positive: 3, before any chart
     header = "exposure_ms,kind,mean_infidelity,stderr\n10,square,0.2,0.01\n"
@@ -388,6 +402,37 @@ def test_malformed_input_files_exit_with_their_error_codes(chain, tmp_path, caps
         model_path.write_text(json.dumps(model))
         assert main(["classify", "--model", str(model_path), "--in", pre, "--out", preds]) == 3, message
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("gaussian", "sigma", float("nan")),
+    ("gaussian", "theta", float("nan")),
+    ("gaussian", "center", [float("inf"), 14.0]),
+    ("mf-site", "weights", [1.0] * 8 + [float("nan")]),
+    ("mf-array", "all_centers", [[8.0, 8.0]] * 8 + [[float("nan"), 20.0]]),
+], ids=["gaussian-sigma", "gaussian-theta", "gaussian-center", "mf-site-weights", "mf-array-all_centers"])
+def test_a_model_file_with_a_non_finite_field_exits_3_naming_it(chain, tmp_path, capsys, kind, key, value):
+    # Python's JSON reader accepts NaN and Infinity; a model holding one
+    # would read every frame dark, so classify and evaluate refuse it
+    centers = [site["center"] for site in json.loads((chain / "geometry.json").read_text())]
+    model = FilterModel(
+        kind=kind, site=4, center=tuple(centers[4]), s=2, theta=0.5, image_shape=(28, 28),
+        sigma=1.2 if kind == "gaussian" else None,
+        weights=None if kind == "gaussian" else np.ones(4 + (8 if kind == "mf-array" else 0) + 1),
+        neighbors=neighbor_sites(3, 3, 4) if kind == "mf-array" else (),
+        all_centers=centers if kind == "mf-array" else None,
+    ).to_dict()
+    models = tmp_path / "models"
+    models.mkdir()
+    path = models / "site5.json"
+    path.write_text(json.dumps({**model, key: value}))
+    pre = str(chain / "pre")
+    for argv in (
+        ["classify", "--model", str(path), "--in", pre, "--out", str(tmp_path / "preds.csv")],
+        ["evaluate", "--models", str(models), "--in", pre, "--labels", "truth", "--out", str(tmp_path / "r")],
+    ):
+        assert main(argv) == 3, argv[0]
+        assert f"error: {path}: bad filter model dict: {key} must be finite" in capsys.readouterr().err
 
 
 SUBCOMMANDS = {"simulate", "preprocess", "locate", "train", "classify",

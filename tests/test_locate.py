@@ -107,6 +107,11 @@ def test_stats_dict_round_trips_and_rejects_unknown_keys():
     for bad in [{"train_mean": 0.25}, {"train_mean": 0.25, "train_range": "abc"}, [0.25, 2.0]]:
         with pytest.raises(DataError):
             PreprocessStats.from_dict(bad)
+    # NaN and Infinity, which Python's JSON reader accepts
+    for field, bad in [("train_mean", {"train_mean": float("nan"), "train_range": 2.0}),
+                       ("train_range", {"train_mean": 0.25, "train_range": float("inf")})]:
+        with pytest.raises(DataError, match=f"{field} must be finite"):
+            PreprocessStats.from_dict(bad)
 
 
 def test_apply_stats_uses_train_statistics_only(small_training):

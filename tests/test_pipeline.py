@@ -3,7 +3,6 @@ import hashlib
 import json
 import struct
 import threading
-import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -612,31 +611,18 @@ def test_no_train_block_is_alive_while_the_learned_kinds_train(shuffle_stacks, m
     ]
 
 
-@pytest.mark.parametrize("preset", ["default", "crosstalk"])
-def test_moments_from_the_helpers_gram_equal_the_serial_moments(shuffle_stacks, preset, monkeypatch):
-    """The pixel Gram computed on the helper thread, while localization and
-    the fixed kinds run, completes to the bits of TrainingData._moments
-    computed whole on the calling thread from the same train frames."""
-    stack = shuffle_stacks[preset]
-    threads, pairs = [], []
-    pixel_gram, release = pipeline_mod.pixel_gram, train_mod.TrainingData.release_train_block
+def test_a_shuffle_starts_no_thread(shuffle_stacks, monkeypatch):
+    """A four-kind shuffle, the learned kinds' moments included, runs on
+    the calling thread alone: starting any thread fails it."""
+    def must_not_start(thread):
+        raise AssertionError(f"the shuffle started thread {thread.name!r}")
 
-    def gram_on(*args):
-        threads.append(threading.current_thread())
-        return pixel_gram(*args)
-
-    def released(data, *args):
-        serial = replace(data)._moments
-        release(data, *args)
-        pairs.append((data._moments, serial))
-
-    monkeypatch.setattr(pipeline_mod, "pixel_gram", gram_on)
-    monkeypatch.setattr(train_mod.TrainingData, "release_train_block", released)
-    pipeline_mod._one_shuffle(_shuffle_run(stack), stack.images, stack.truth, 0)
-    assert len(threads) == 1 and threads[0] is not threading.current_thread()
-    [(fast, serial)] = pairs
-    for got, want in zip(fast, serial):
-        assert np.array_equal(got, want) and _bits(got) == _bits(want)
+    stack = shuffle_stacks["default"]
+    run = _shuffle_run(stack)
+    assert set(run.kinds) == set(KINDS)
+    monkeypatch.setattr(threading.Thread, "start", must_not_start)
+    _, _, _, sets, _ = pipeline_mod._one_shuffle(run, stack.images, stack.truth, 0)
+    assert list(sets) == list(run.kinds)
 
 
 def test_a_shuffle_forms_the_train_label_sums_once(shuffle_stacks, monkeypatch):
@@ -663,17 +649,17 @@ def test_a_shuffle_forms_the_train_label_sums_once(shuffle_stacks, monkeypatch):
 
 @pytest.mark.parametrize("preset", ["default", "crosstalk"])
 def test_the_moments_are_completed_without_the_train_frames(shuffle_stacks, preset, monkeypatch):
-    """The train frames are unreadable when release_train_block runs, and
-    the moments still come out with the bits of the lazy moments of the
-    same frames."""
+    """release_train_block completes the moments from the train frames and
+    the shuffle's one label_sums, then drops the frames, and the moments
+    have the bits of the lazy moments of the same frames."""
     stack = shuffle_stacks[preset]
     pairs = []
     release = train_mod.TrainingData.release_train_block
 
     def released(data, *args):
         lazy = replace(data)._moments
-        object.__setattr__(data, "train_images", None)
         release(data, *args)
+        assert data.train_images is None
         pairs.append((data._moments, lazy))
 
     monkeypatch.setattr(train_mod.TrainingData, "release_train_block", released)
@@ -683,33 +669,17 @@ def test_the_moments_are_completed_without_the_train_frames(shuffle_stacks, pres
         assert _bits(got) == _bits(want)
 
 
-def test_a_failure_beside_the_gram_names_the_shuffle_and_joins_the_helper(tmp_path, monkeypatch):
-    """locate_sites raises while the helper computes the pixel Gram: the
-    error still names the exposure, the shuffle and its split seed, and the
-    helper has finished its product and is gone before the error leaves."""
-    started, helpers, done = threading.Event(), [], []
-    pixel_gram = pipeline_mod.pixel_gram
-
-    def slow_gram(*args):
-        helpers.append(threading.current_thread())
-        started.set()
-        time.sleep(0.05)
-        out = pixel_gram(*args)
-        done.append(True)
-        return out
-
+def test_a_failure_in_a_shuffle_names_the_exposure_shuffle_and_split_seed(tmp_path, monkeypatch):
+    """locate_sites raises in a run with a learned kind: the error names
+    the exposure, the shuffle and its split seed."""
     def failing_locate(*args):
-        assert started.wait(10)
         raise DataError("no lattice found")
 
-    monkeypatch.setattr(pipeline_mod, "pixel_gram", slow_gram)
     monkeypatch.setattr(pipeline_mod, "locate_sites", failing_locate)
     run = _tiny_run(tmp_path, kinds=("square", "mf-site"))
     split_seed = derive_seed(run.seed, "split", repr(20.0), 0)
     with pytest.raises(DataError, match=rf"^exposure 20 ms, shuffle 0 \(split seed {split_seed}\): no lattice found$"):
         run_pipeline(run)
-    assert done == [True]
-    assert helpers[0] is not threading.current_thread() and not helpers[0].is_alive()
 
 
 def test_fallback_fits_from_the_moments_after_the_release(small_training, tmp_path, monkeypatch):

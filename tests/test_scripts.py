@@ -2,8 +2,8 @@
 renames or deletes a name they use would go unnoticed until someone runs
 them. Parse each with ast and check that every mf_readout name it
 imports, and every attribute it reads or rebinds on an imported
-mf_readout module or name, exists. locate_table's --against check also
-runs here, on synthetic rows."""
+mf_readout module or name, exists. The --against checks of locate_table
+and sweep_parity also run here, on synthetic rows and manifests."""
 
 import ast
 import importlib
@@ -108,3 +108,24 @@ def test_locate_table_against_exits_1_when_an_outcome_changes(tmp_path, monkeypa
     monkeypatch.setattr(module, "locate_one", row)
     assert module.main(["--against", str(against)]) == exit_code
     assert ("seed 1" in capsys.readouterr().out) == (exit_code == 1)
+
+
+@pytest.mark.parametrize("change, exit_code", [(None, 0), ("digest", 1), ("missing", 1)])
+def test_sweep_parity_against_exits_1_when_a_file_differs(tmp_path, monkeypatch, capsys, change, exit_code):
+    spec = importlib.util.spec_from_file_location("sweep_parity", SCRIPTS / "sweep_parity.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    prev = {"default/sweep.csv": "a" * 64, "default/cache/0123.qimg": "b" * 64}
+    now = dict(prev)
+    if change == "digest":
+        now["default/sweep.csv"] = "c" * 64
+    elif change == "missing":
+        del now["default/cache/0123.qimg"]
+    against = tmp_path / "prev.json"
+    against.write_text(json.dumps(prev))
+    monkeypatch.setattr(module, "sweep_manifest", lambda: now)
+    assert module.main(["--against", str(against), "--out", str(tmp_path / "now.json")]) == exit_code
+    assert json.loads((tmp_path / "now.json").read_text()) == now
+    out = capsys.readouterr().out
+    assert ("changed: default/sweep.csv" in out) == (change == "digest")
+    assert ("missing: default/cache/0123.qimg" in out) == (change == "missing")

@@ -1,6 +1,5 @@
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -516,15 +515,13 @@ def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, or
 
 @pytest.mark.parametrize("rows, cols, origin, pitch", _shape_params(with_largest=False))
 def test_the_helpers_gram_completes_to_the_lazy_moments_across_array_shapes(rows, cols, origin, pitch):
-    # the pixel Gram on a worker thread, as the pipeline's shuffle computes
-    # it, then completed by release_train_block, against the moments
+    # the moments release_train_block completes from the frames and their
+    # label sums, as the pipeline's shuffle does, against the moments
     # TrainingData builds on first use
     lazy = _shape_training(rows, cols, origin, pitch)[0]
     released = replace(lazy)
     x = released.train_images
-    with ThreadPoolExecutor(1) as pool:
-        gram = pool.submit(train.pixel_gram, x, train.empty_gram(x)).result()
-    released.release_train_block(gram, label_sums(x, released.train_labels))
+    released.release_train_block(label_sums(x, released.train_labels))
     assert released.train_images is None
     for got, want in zip(released._moments, lazy._moments):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -893,7 +890,7 @@ def test_released_training_data_trains_the_learned_kinds_alone(small_training):
     data = replace(small_training.data)
     shape = data.image_shape
     x = data.train_images
-    data.release_train_block(train.pixel_gram(x, train.empty_gram(x)), label_sums(x, data.train_labels))
+    data.release_train_block(label_sums(x, data.train_labels))
     assert data.train_images is None
     assert data.image_shape == shape
     for kind in ("square", "gaussian"):
@@ -1029,7 +1026,8 @@ def test_the_moments_take_a_one_class_train_site(small_training):
 
 
 def test_a_square_only_shuffle_starts_no_helper_and_builds_no_moments(small_training, monkeypatch):
-    # the pixel Gram's helper thread serves only the learned kinds
+    # the moments serve only the learned kinds, and no shuffle starts a
+    # thread
     def must_not_run(*args, **kwargs):
         raise AssertionError("the moments were built")
 
@@ -1042,7 +1040,6 @@ def test_a_square_only_shuffle_starts_no_helper_and_builds_no_moments(small_trai
         return locate_sites(*args)
 
     monkeypatch.setattr(pipeline, "locate_sites", located)
-    monkeypatch.setattr(pipeline, "pixel_gram", must_not_run)
     monkeypatch.setattr(train.TrainingData, "_complete_moments", must_not_run)
     run = pipeline.RunConfig(
         sim=stack.config, output_dir="unused", exposure_sweep_ms=(stack.config.exposure_ms,),
