@@ -17,9 +17,11 @@ solving the site's whole system from the moments.
 
 --out also writes every site's learned (s, theta) and weights for both
 matched filters, per preset, seed and alpha, as JSON. --against reads
-such a file, from this or another checkout, and prints how many choices
-differ and the worst weight difference relative to each site's max |w|.
-One BLAS thread.
+such a file, from this or another checkout, prints how many choices
+differ and the worst weight difference relative to each site's max |w|,
+and exits 1 when any site's (s, theta) differs, the site fits on one
+side and fails on the other, or the file lacks it, and 0 otherwise. One
+BLAS thread.
 """
 
 from __future__ import annotations
@@ -127,22 +129,26 @@ def learned(data: TrainingData, alpha: float) -> dict:
     return out
 
 
-def compare(rows: dict, saved: dict) -> str:
-    """Choices that differ and the worst |dw| / max |w| over shared keys."""
+def compare(rows: dict, saved: dict) -> tuple[str, int]:
+    """The --against line and how many site models differ: in (s, theta),
+    by fitting on one side and failing on the other, or by missing from
+    saved. The line also gives the worst |dw| / max |w|."""
     differ, worst, n = 0, 0.0, 0
     for key, kinds in rows.items():
         for kind, sites in kinds.items():
             for site, got in sites.items():
                 ref = saved.get(key, {}).get(kind, {}).get(site)
-                if ref is None:
-                    continue
                 n += 1
-                if "error" in got or "error" in ref or (got["s"], got["theta"]) != (ref["s"], ref["theta"]):
+                if ref is None:
                     differ += 1
-                    continue
-                w, w_ref = np.array(got["weights"]), np.array(ref["weights"])
-                worst = max(worst, float(np.abs(w - w_ref).max() / np.abs(w_ref).max()))
-    return f"{n} site models compared: {differ} differ in (s, theta), worst |dw| / max |w| {worst:.2e}"
+                elif "error" in got or "error" in ref:
+                    differ += ("error" in got) != ("error" in ref)
+                elif (got["s"], got["theta"]) != (ref["s"], ref["theta"]):
+                    differ += 1
+                else:
+                    w, w_ref = np.array(got["weights"]), np.array(ref["weights"])
+                    worst = max(worst, float(np.abs(w - w_ref).max() / np.abs(w_ref).max()))
+    return f"{n} site models compared: {differ} differ in (s, theta) or fit, worst |dw| / max |w| {worst:.2e}", differ
 
 
 def main(argv=None) -> int:
@@ -168,7 +174,9 @@ def main(argv=None) -> int:
     if args.out is not None:
         args.out.write_text(json.dumps(rows) + "\n")
     if args.against is not None:
-        print(compare(rows, json.loads(args.against.read_text())))
+        text, differ = compare(rows, json.loads(args.against.read_text()))
+        print(text)
+        return 1 if differ else 0
     return 0
 
 

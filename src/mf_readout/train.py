@@ -21,10 +21,12 @@ weights from these solves; mf-array's follow by block elimination
 through a small Schur complement over the neighbor means. Every
 (site, window) whose Cholesky pivots fail is solved whole, its system
 read from the same moments, by fit_ridge's rule (_solve_gram).
-Every kind is tuned by one pass over all sites (_tune_all): each
-candidate is a full-frame map column and a bias, the map FilterModel
-scores with, so one product scores the validation frames of them all,
-and the fidelity of every threshold is counted from the sorted scores.
+Every kind is tuned by one pass over all sites (_tune_all). A learned
+candidate is a full-frame map column and a bias, so one product scores
+the validation frames of them all at every threshold of the grid; a
+fixed candidate is its own FilterModel, whose span kernel scores the
+train frames for its threshold and the validation frames for its
+fidelity. train.py builds no map of its own.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ from .filters import (
     FilterModel,
     extract_array_features,  # noqa: F401  kept in this namespace: the traced benchmark rebinds it by name
     extract_site_features,  # noqa: F401  kept for the same reason
-    gaussian_score,  # noqa: F401  kept for the same reason: the traced benchmark
-    gaussian_weight_map,
+    gaussian_score,  # noqa: F401  kept for the same reason
+    gaussian_weight_map,  # noqa: F401  kept for the same reason
     learned_weight_map,
     neighbor_means,
     neighbor_sites,
-    square_score,  # noqa: F401  rebinds train.square_score and train.gaussian_score
+    square_score,  # noqa: F401  kept for the same reason
     unsupervised_threshold,
     window_fits,
     window_index,
@@ -644,79 +646,72 @@ def _learned_candidates(data: TrainingData, kind: str, s_grid, alpha: float) -> 
     return out, failed
 
 
-def _fixed_candidates(data: TrainingData, kind: str, s_grid) -> tuple[list, dict]:
-    """(candidates, failed) of a fixed kind. The candidates (site, s, map
-    column, 0, None) run site-major: the indicator of each window that
-    fits (square, one per s) or the point-spread map (gaussian, one,
-    s = 0). failed holds the exception of each site whose sigma is not
-    positive.
-    """
+def _learned_cells(data: TrainingData, kind: str, s_grid, theta_grid, alpha: float) -> tuple[dict, dict]:
+    """(cells, failed): each site's cells (s, thetas, fidelities, weights)
+    in window order and the exception of each failed site. One product
+    scores the validation frames of every _learned_candidates map."""
+    candidates, failed = _learned_candidates(data, kind, s_grid, alpha)
+    cells = {k: [] for k in range(data.geometry.n_sites)}
+    if candidates:
+        _, _, columns, biases, _ = zip(*candidates)
+        val_scores = _frame_rows(data.val_images) @ np.stack(columns, axis=1) + np.array(biases)
+    grid = np.asarray(theta_grid, dtype=np.float64)
+    for j, (site, s, _, _, weights) in enumerate(candidates):
+        if site in failed:
+            continue
+        try:
+            if not np.all(np.isfinite(weights)):
+                raise NumericalError(_NON_FINITE)
+            curve = _fidelity_curve(val_scores[:, j], data.val_labels[:, site], grid)
+        except (DataError, NumericalError) as exc:
+            failed[site] = exc
+            continue
+        cells[site].append((s, grid, curve, weights))
+    return cells, failed
+
+
+def _fixed_cells(data: TrainingData, kind: str, s_grid) -> tuple[dict, dict]:
+    """(cells, failed) as _learned_cells gives them. A site's candidates
+    are the FilterModel of each window that fits (square, one per s) or
+    of its point spread (gaussian, one, s = 0); each one's span kernel
+    scores the train frames, whose class intersection is its one theta,
+    and the validation frames."""
     geometry, shape = data.geometry, data.image_shape
-    failed: dict[int, Exception] = {}
-    out = []
+    train, val = _frame_rows(data.train_block()), _frame_rows(data.val_images)
+    cells, failed = {k: [] for k in range(geometry.n_sites)}, {}
     for site in range(geometry.n_sites):
         center = tuple(geometry.centers[site])
-        if kind == "gaussian":
-            try:
-                column = gaussian_weight_map(center, float(geometry.sigmas[site]), shape).ravel()
-            except ConfigError as exc:
-                failed[site] = exc
-            else:
-                out.append((site, 0, column, 0.0, None))
-            continue
-        for s in s_grid:
-            if window_fits(center, s, shape):
-                column = np.zeros(shape[0] * shape[1])
-                column[window_index(center, s, shape)] = 1.0
-                out.append((site, s, column, 0.0, None))
-    return out, failed
+        sigma = float(geometry.sigmas[site]) if kind == "gaussian" else None
+        bright = data.train_labels[:, site].astype(bool)
+        windows = (0,) if kind == "gaussian" else [s for s in s_grid if window_fits(center, s, shape)]
+        try:
+            for s in windows:
+                model = FilterModel(kind=kind, site=site, center=center, s=s, theta=0.0, sigma=sigma, image_shape=shape)
+                scores = model._span_scores(train)
+                theta = np.array([unsupervised_threshold(scores[~bright], scores[bright])])
+                curve = _fidelity_curve(model._span_scores(val), data.val_labels[:, site], theta)
+                cells[site].append((s, theta, curve, None))
+        except (ConfigError, DataError) as exc:
+            failed[site] = exc
+    return cells, failed
 
 
 def _tune_all(data: TrainingData, kind: str, s_grid, theta_grid, alpha: float) -> dict:
     """Tune one kind for every site at once: {site: TuneResult, or the
     exception that failed the site}, in site order.
 
-    Each kind family supplies its candidates (_learned_candidates,
-    _fixed_candidates); one product then scores the validation frames of
-    every candidate through its map and bias. The learned kinds count the
-    fidelity of every theta of the grid. The fixed kinds, whose scores
-    are raw sums not trained toward 0/1, take one threshold each, the
-    intersection of the candidate's train-score classes, from one product
-    over the train frames. A site fails alone, at its first failing
-    candidate in window order: its neighbors cannot be found, its sigma
-    is not positive, its weights are not finite, a train class is too
-    small or has no spread, or its validation labels hold one class; a
-    site with no candidate fails because no window fits it.
+    The learned kinds score every (s, theta) cell of the grids
+    (_learned_cells); the fixed kinds take one threshold per window from
+    their own models' train scores (_fixed_cells). A site fails alone, at
+    its first failing candidate in window order: its neighbors cannot be
+    found, its sigma is not positive, its weights are not finite, a train
+    class is too small or has no spread, or its validation labels hold
+    one class; a site with no candidate fails because no window fits it.
     """
-    learned = kind in LEARNED_KINDS
-    if learned:
-        candidates, failed = _learned_candidates(data, kind, s_grid, alpha)
+    if kind in LEARNED_KINDS:
+        cells, failed = _learned_cells(data, kind, s_grid, theta_grid, alpha)
     else:
-        candidates, failed = _fixed_candidates(data, kind, s_grid)
-    if candidates:
-        _, _, columns, biases, _ = zip(*candidates)
-        maps, biases = np.stack(columns, axis=1), np.array(biases)
-        val_scores = _frame_rows(data.val_images) @ maps + biases
-        if not learned:
-            train_scores = _frame_rows(data.train_block()) @ maps + biases
-    grid = np.asarray(theta_grid, dtype=np.float64)
-    cells: dict[int, list] = {k: [] for k in range(data.geometry.n_sites)}  # (s, thetas, curve, weights)
-    for j, (site, s, _, _, weights) in enumerate(candidates):
-        if site in failed:
-            continue
-        try:
-            if not learned:
-                bright = data.train_labels[:, site].astype(bool)
-                thetas = np.array([unsupervised_threshold(train_scores[~bright, j], train_scores[bright, j])])
-            elif np.all(np.isfinite(weights)):
-                thetas = grid
-            else:
-                raise NumericalError(_NON_FINITE)
-            curve = _fidelity_curve(val_scores[:, j], data.val_labels[:, site], thetas)
-        except (DataError, NumericalError) as exc:
-            failed[site] = exc
-            continue
-        cells[site].append((s, thetas, curve, weights))
+        cells, failed = _fixed_cells(data, kind, s_grid)
     out = {}
     for site, found in cells.items():
         if site in failed:
@@ -738,14 +733,16 @@ def tune(
 ) -> TuneResult:
     """Pick the window size and threshold maximizing validation fidelity.
 
-    For the learned kinds every (s, theta) cell is scored and ties go to
-    the smaller s, then the smaller theta (the earlier one in each grid).
-    The fixed kinds take their threshold from the training-score
-    intersection instead of the theta grid (their scores are raw sums,
-    not trained toward 0/1), so for them the search runs over s only
-    (square, whose library grid, s_grid None, is the lattice pitch alone
-    so the baseline stays untrained) or is a single candidate (gaussian,
-    whose footprint is set by the fitted sigma).
+    The learned kinds score every (s, theta) cell, from one product of
+    the validation frames with every candidate's map; ties go to the
+    smaller s, then the smaller theta (the earlier one in each grid). The
+    fixed kinds score through their own FilterModel and take its threshold
+    from the intersection of its train-score classes, not the theta grid
+    (their scores are raw sums, not trained toward 0/1), so for them the
+    search runs over s only (square, whose library grid, s_grid None, is
+    the lattice pitch alone so the baseline stays untrained) or is a
+    single candidate (gaussian, whose footprint is set by the fitted
+    sigma).
 
     This is one site's entry to the pass train_all_sites makes over all
     sites (_tune_all), and it raises the exception that failed the site.

@@ -139,6 +139,17 @@ def preset_training():
 
 
 @pytest.fixture(scope="session")
+def preset_training_3000():
+    """Split-seed-0 TrainingData of 3000-frame stacks of both presets,
+    with true-state labels."""
+    out = {}
+    for name, config in (("default", default_config), ("crosstalk", crosstalk_config)):
+        stack = generate_dataset(config(n_images=3000, seed=5))
+        out[name] = build_training(stack, stack.truth, 0)[-1]
+    return out
+
+
+@pytest.fixture(scope="session")
 def crosstalk_study():
     """Ten-shuffle training pass on the crosstalk-dominated dataset.
 

@@ -2,8 +2,9 @@
 renames or deletes a name they use would go unnoticed until someone runs
 them. Parse each with ast and check that every mf_readout name it
 imports, and every attribute it reads or rebinds on an imported
-mf_readout module or name, exists. The --against checks of locate_table
-and sweep_parity also run here, on synthetic rows and manifests."""
+mf_readout module or name, exists. The --against checks of locate_table,
+sweep_parity and solve_table also run here, on synthetic rows and
+manifests."""
 
 import ast
 import importlib
@@ -129,3 +130,28 @@ def test_sweep_parity_against_exits_1_when_a_file_differs(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     assert ("changed: default/sweep.csv" in out) == (change == "digest")
     assert ("missing: default/cache/0123.qimg" in out) == (change == "missing")
+
+
+def _solve_rows(theta=0.5, error=None):
+    site = {"error": error} if error else {"s": 3, "theta": theta, "weights": [1.0, -2.0]}
+    return {"default seed 0 alpha 0": {"mf-site": {"0": site, "1": {"error": "no window fits"}}}}
+
+
+@pytest.mark.parametrize("now, saved, differ", [
+    (_solve_rows(), _solve_rows(), 0),
+    (_solve_rows(theta=0.51), _solve_rows(), 1),
+    (_solve_rows(error="ridge solve produced non-finite weights"), _solve_rows(), 1),
+    (_solve_rows(), {}, 2),
+])
+def test_solve_table_against_exits_1_when_a_choice_changes(monkeypatch, tmp_path, now, saved, differ):
+    spec = importlib.util.spec_from_file_location("solve_table", SCRIPTS / "solve_table.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    text, count = module.compare(now, saved)
+    assert count == differ
+    assert text.startswith(f"2 site models compared: {differ} differ")
+    monkeypatch.setattr(module, "PRESETS", {})
+    monkeypatch.setattr(module, "compare", lambda rows, prev: ("", differ))
+    against = tmp_path / "prev.json"
+    against.write_text(json.dumps(saved))
+    assert module.main(["--against", str(against)]) == (1 if differ else 0)

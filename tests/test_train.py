@@ -40,6 +40,7 @@ from mf_readout import (
 from mf_readout import pipeline, train
 from mf_readout.filters import FilterModel, window_fits, window_index, window_slice
 from mf_readout.locate import grid_shape, label_sums
+from mf_readout.metrics import confusion, fidelity
 from mf_readout.train import KIND_TOKENS, LEARNED_KINDS, S_GRID, _fidelity_curve
 
 
@@ -1012,6 +1013,30 @@ def test_fixed_kinds_never_build_the_moments(small_training, kind):
     data = replace(small_training.data)
     train_all_sites(data, kind)
     assert "_moments" not in data.__dict__
+
+
+@pytest.mark.parametrize("preset", ["default", "crosstalk"])
+def test_a_fixed_model_carries_the_threshold_of_its_own_train_scores(preset_training_3000, preset):
+    # tuning scores a fixed candidate with the saved model's span kernel,
+    # so theta is the intersection of model.scores(train) bit for bit
+    data = preset_training_3000[preset]
+    for kind in ("square", "gaussian"):
+        for site, model in train_all_sites(data, kind).models.items():
+            scores = model.scores(data.train_images)
+            bright = data.train_labels[:, site].astype(bool)
+            assert model.theta == unsupervised_threshold(scores[~bright], scores[bright]), (kind, site)
+
+
+@pytest.mark.parametrize("preset", ["default", "crosstalk"])
+def test_tuned_validation_fidelity_is_the_saved_models_readout(preset_training_3000, preset):
+    # the learned kinds' validation product flips no decision of the
+    # saved model's kernel, and the fixed kinds score with that kernel
+    data = preset_training_3000[preset]
+    for kind in KIND_TOKENS:
+        model_set = train_all_sites(data, kind)
+        for site, model in model_set.models.items():
+            counts = confusion(model.predict(data.val_images), data.val_labels[:, site])
+            assert model_set.tune_results[site].val_fidelity == fidelity(counts), (kind, site)
 
 
 def test_the_moments_take_a_one_class_train_site(small_training):
