@@ -26,15 +26,16 @@ candidate is a full-frame map column and a bias, so one product scores
 the validation frames of them all at every threshold of the grid; a
 fixed candidate is its own FilterModel, whose span kernel scores the
 train frames for its threshold and the validation frames for its
-fidelity. train.py builds no map of its own.
+fidelity. train.py builds no map of its own. A site's tune result holds
+its FilterModel, built once at the chosen cell.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -341,16 +342,13 @@ LEARNED_KINDS = ("mf-site", "mf-array")
 
 @dataclass(eq=False)
 class TuneResult:
-    """The chosen cell of one site's search and the table it came from.
-
-    windows lists the window sizes scored (0 for gaussian, which has
-    none), thetas and fidelities are (len(windows), n_theta) arrays, one
-    row per window (square and gaussian score one threshold per window).
+    """One site's FilterModel, at the chosen cell, and the table it was
+    chosen from: windows lists the window sizes scored (0 for gaussian),
+    thetas and fidelities are (len(windows), n_theta) arrays, one row per
+    window (square and gaussian score one threshold per window).
     """
 
-    best_s: int
-    best_theta: float
-    weights: np.ndarray | None
+    model: FilterModel
     val_fidelity: float
     windows: tuple[int, ...]
     thetas: np.ndarray
@@ -359,16 +357,14 @@ class TuneResult:
 
 def _best_cell(cells) -> TuneResult:
     """The first maximum of one site's fidelity table, from its cells
-    (s, thresholds, fidelities, weights) in window order, thresholds in
+    (s, thresholds, fidelities, model_at) in window order, thresholds in
     grid order: ties go to the earlier window, then the earlier
-    threshold."""
-    windows, thetas, fidelities, weights = zip(*cells)
+    threshold. Only the chosen window's model_at(theta=...) is called."""
+    windows, thetas, fidelities, model_at = zip(*cells)
     thetas, fidelities = np.array(thetas), np.array(fidelities)
     i, j = np.unravel_index(np.argmax(fidelities), fidelities.shape)
     return TuneResult(
-        best_s=int(windows[i]),
-        best_theta=float(thetas[i, j]),
-        weights=weights[i],
+        model=model_at[i](theta=float(thetas[i, j])),
         val_fidelity=float(fidelities[i, j]),
         windows=tuple(int(s) for s in windows),
         thetas=thetas,
@@ -423,7 +419,8 @@ def _check_request(data: TrainingData, kind: str, s_grid, theta_grid, alpha: flo
     the window and threshold grids with the defaults filled in. The
     library window grid is S_GRID, except for square on a lattice of two
     or more sites: one window, the lattice pitch (square_boundary_default),
-    so the baseline stays untrained."""
+    so the baseline stays untrained. A learned kind's thresholds must lie
+    in (0, 1); the fixed kinds take none from the grid."""
     if kind not in KIND_TOKENS:
         raise ConfigError(f"unknown filter kind {kind!r}")
     if s_grid is None:
@@ -433,6 +430,8 @@ def _check_request(data: TrainingData, kind: str, s_grid, theta_grid, alpha: flo
         theta_grid = theta_grid_default()
     if len(theta_grid) == 0:
         raise ConfigError("empty search grid")
+    if kind in LEARNED_KINDS and not all(0 < t < 1 for t in theta_grid):
+        raise ConfigError(f"{kind} thresholds must lie in (0, 1), got the theta grid {tuple(theta_grid)}")
     s_grid = check_window_grid(s_grid)
     require_finite("alpha", alpha)
     if alpha < 0:
@@ -609,16 +608,18 @@ def _fallback_weights(data: TrainingData, window: _Window, site: int, pix, nbr, 
 
 def _learned_candidates(data: TrainingData, kind: str, s_grid, alpha: float) -> tuple[list, dict]:
     """(candidates, failed) of a learned kind. The candidates (site, s,
-    map column, bias, weights) run s-major, then grouped by neighbor
-    count: every window size at which a site and all its neighbors fit.
-    They read the window systems of the request (_window_systems); the
-    sites of one size with the same number of neighbors get their weights
-    as one stack (_learned_weights), and each candidate's weights are
-    spread into the full-frame map FilterModel scores with. failed holds
+    map column, bias, weights, model_at) run s-major, then grouped by
+    neighbor count: every window size at which a site and all its
+    neighbors fit. They read the window systems of the request
+    (_window_systems); the sites of one size with the same number of
+    neighbors get their weights as one stack (_learned_weights), and each
+    candidate's weights are spread into the full-frame map FilterModel
+    scores with; model_at(theta=...) builds its FilterModel. failed holds
     the exception of each site whose neighbors cannot be found, and of
     every site when the train frames are not finite.
     """
-    geometry = data.geometry
+    geometry, shape = data.geometry, data.image_shape
+    all_centers = geometry.centers if kind == "mf-array" else None
     failed: dict[int, Exception] = {}
     neighbors: dict[int, tuple[int, ...]] = {}
     for site in range(geometry.n_sites):
@@ -642,21 +643,24 @@ def _learned_candidates(data: TrainingData, kind: str, s_grid, alpha: float) -> 
             for j, site in enumerate(group.tolist()):
                 w = weights[j]
                 column_map = learned_weight_map(w, window.pix[column[site], :-1], window.a_s[:, nbr[j]])
-                out.append((site, s, column_map, BIAS_C * w[-1], w))
+                model_at = partial(FilterModel, kind=kind, site=site, center=tuple(geometry.centers[site]), s=s,
+                                   weights=w, neighbors=neighbors[site], all_centers=all_centers, image_shape=shape)
+                out.append((site, s, column_map, BIAS_C * w[-1], w, model_at))
     return out, failed
 
 
 def _learned_cells(data: TrainingData, kind: str, s_grid, theta_grid, alpha: float) -> tuple[dict, dict]:
-    """(cells, failed): each site's cells (s, thetas, fidelities, weights)
-    in window order and the exception of each failed site. One product
-    scores the validation frames of every _learned_candidates map."""
+    """(cells, failed): each site's cells (s, thetas, fidelities,
+    model_at) in window order and the exception of each failed site. One
+    product scores the validation frames of every _learned_candidates
+    map."""
     candidates, failed = _learned_candidates(data, kind, s_grid, alpha)
     cells = {k: [] for k in range(data.geometry.n_sites)}
     if candidates:
-        _, _, columns, biases, _ = zip(*candidates)
+        _, _, columns, biases, _, _ = zip(*candidates)
         val_scores = _frame_rows(data.val_images) @ np.stack(columns, axis=1) + np.array(biases)
     grid = np.asarray(theta_grid, dtype=np.float64)
-    for j, (site, s, _, _, weights) in enumerate(candidates):
+    for j, (site, s, _, _, weights, model_at) in enumerate(candidates):
         if site in failed:
             continue
         try:
@@ -666,7 +670,7 @@ def _learned_cells(data: TrainingData, kind: str, s_grid, theta_grid, alpha: flo
         except (DataError, NumericalError) as exc:
             failed[site] = exc
             continue
-        cells[site].append((s, grid, curve, weights))
+        cells[site].append((s, grid, curve, model_at))
     return cells, failed
 
 
@@ -675,7 +679,7 @@ def _fixed_cells(data: TrainingData, kind: str, s_grid) -> tuple[dict, dict]:
     are the FilterModel of each window that fits (square, one per s) or
     of its point spread (gaussian, one, s = 0); each one's span kernel
     scores the train frames, whose class intersection is its one theta,
-    and the validation frames."""
+    and the validation frames; its model_at replaces the theta."""
     geometry, shape = data.geometry, data.image_shape
     train, val = _frame_rows(data.train_block()), _frame_rows(data.val_images)
     cells, failed = {k: [] for k in range(geometry.n_sites)}, {}
@@ -690,7 +694,7 @@ def _fixed_cells(data: TrainingData, kind: str, s_grid) -> tuple[dict, dict]:
                 scores = model._span_scores(train)
                 theta = np.array([unsupervised_threshold(scores[~bright], scores[bright])])
                 curve = _fidelity_curve(model._span_scores(val), data.val_labels[:, site], theta)
-                cells[site].append((s, theta, curve, None))
+                cells[site].append((s, theta, curve, partial(replace, model)))
         except (ConfigError, DataError) as exc:
             failed[site] = exc
     return cells, failed
@@ -742,13 +746,16 @@ def tune(
     search runs over s only (square, whose library grid, s_grid None, is
     the lattice pitch alone so the baseline stays untrained) or is a
     single candidate (gaussian, whose footprint is set by the fitted
-    sigma).
+    sigma). The result holds the site's FilterModel. A bad request, the
+    site index and theta grid included, raises ConfigError first.
 
     This is one site's entry to the pass train_all_sites makes over all
     sites (_tune_all), and it raises the exception that failed the site.
     Every call makes that whole pass; only the learned kinds' moments and
     solves are cached on data. To tune every site, call train_all_sites.
     """
+    if not 0 <= site < data.geometry.n_sites:
+        raise ConfigError(f"site {site} is not one of the {data.geometry.n_sites} sites")
     s_grid, theta_grid = _check_request(data, kind, s_grid, theta_grid, alpha)
     outcome = _tune_all(data, kind, s_grid, theta_grid, alpha)[site]
     if isinstance(outcome, Exception):
@@ -826,37 +833,19 @@ def train_all_sites(
     """Tune one model per site; per-site failures are collected, not fatal.
 
     s_grid and theta_grid None mean the library grids (see tune). A bad
-    request (unknown kind, empty grid, negative alpha) raises
-    ConfigError before any site is tuned. Every kind tunes all sites in
-    one pass (_tune_all), whose outcome for a site is what tune returns
-    or raises for it.
+    request (unknown kind, empty grid, a learned threshold outside (0, 1),
+    negative alpha) raises ConfigError before any site is tuned. Every
+    kind tunes all sites in one pass (_tune_all), whose outcome for a
+    site is what tune returns or raises for it: the TuneResult holding
+    the site's model, or the failure.
     """
     s_grid, theta_grid = _check_request(data, kind, s_grid, theta_grid, alpha)
-    geometry = data.geometry
     outcomes = _tune_all(data, kind, s_grid, theta_grid, alpha)
-    models: dict[int, FilterModel] = {}
-    tune_results: dict[int, TuneResult] = {}
-    failures: dict[int, str] = {}
-    array = kind == "mf-array"
-    for site, result in outcomes.items():
-        if isinstance(result, Exception):
-            failures[site] = str(result)
-            continue
-        try:
-            models[site] = FilterModel(
-                kind=kind, site=site, center=tuple(geometry.centers[site]), s=result.best_s,
-                theta=result.best_theta,
-                sigma=float(geometry.sigmas[site]) if kind == "gaussian" else None,
-                weights=result.weights,
-                neighbors=_array_neighbors(geometry, site) if array else (),
-                all_centers=geometry.centers if array else None,
-                image_shape=data.image_shape,
-            )
-            tune_results[site] = result
-        except (ConfigError, DataError, NumericalError) as exc:
-            failures[site] = str(exc)
-    if not models:
+    tune_results = {k: r for k, r in outcomes.items() if isinstance(r, TuneResult)}
+    failures = {k: str(r) for k, r in outcomes.items() if k not in tune_results}
+    if not tune_results:
         raise DataError(f"training failed for every site: {failures}")
+    models = {k: r.model for k, r in tune_results.items()}
     return ModelSet(kind=kind, models=models, tune_results=tune_results, failures=failures)
 
 

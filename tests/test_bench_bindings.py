@@ -37,7 +37,7 @@ def test_every_traced_target_is_bound_in_its_module(monkeypatch):
 
 def test_every_traced_call_runs_on_the_calling_thread(monkeypatch, tmp_path):
     # the tracer keeps one span stack, so a target called on a worker
-    # thread (the render pool, the pixel Gram's helper) would corrupt it
+    # thread (the render pool) would corrupt it
     calls = []
 
     def recorded(name, inner):

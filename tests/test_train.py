@@ -295,8 +295,8 @@ def test_tune_prefers_smallest_window_and_threshold():
     data = _separable_data()
     result = tune(data, 0, "mf-site", s_grid=(3, 4, 5), theta_grid=(0.2, 0.5, 0.8))
     # every cell separates perfectly, so the first candidate wins outright
-    assert result.best_s == 3
-    assert result.best_theta == 0.2
+    assert result.model.s == 3
+    assert result.model.theta == 0.2
     assert result.val_fidelity == pytest.approx(1.0)
     assert len(_cells(result)) == 3 * 3
 
@@ -304,15 +304,15 @@ def test_tune_prefers_smallest_window_and_threshold():
 def test_tune_gaussian_is_a_single_candidate():
     data = _separable_data()
     result = tune(data, 0, "gaussian")
-    assert result.best_s == 0
-    assert result.weights is None
+    assert result.model.s == 0
+    assert result.model.weights is None
     assert len(_cells(result)) == 1
 
 
 def test_tune_square_searches_windows_only():
     data = _separable_data()
     result = tune(data, 0, "square", s_grid=(3, 4))
-    assert result.best_s in (3, 4)
+    assert result.model.s in (3, 4)
     assert len(_cells(result)) == 2  # one threshold per window, not a grid
 
 
@@ -326,10 +326,64 @@ def test_tune_rejects_bad_requests():
         tune(data, 0, "mf-site", s_grid=(25,))  # wider than the frame
 
 
+def _no_tuning(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a site was tuned")
+
+    monkeypatch.setattr(train, "_tune_all", must_not_run)
+
+
+@pytest.mark.parametrize("theta_grid", [(1.5,), (0.0,), (float("nan"),), (0.5, 1.5)])
+@pytest.mark.parametrize("kind", LEARNED_KINDS)
+def test_a_learned_theta_grid_outside_zero_one_is_a_bad_request(small_training, monkeypatch, kind, theta_grid):
+    # no learned model holds such a threshold, so the request fails before
+    # any site is tuned rather than every site failing after it
+    data = small_training.data
+    _no_tuning(monkeypatch)
+    with pytest.raises(ConfigError, match=rf"{kind} thresholds must lie in \(0, 1\)"):
+        tune(data, 0, kind, s_grid=(3,), theta_grid=theta_grid)
+    with pytest.raises(ConfigError, match=rf"{kind} thresholds must lie in \(0, 1\)"):
+        train_all_sites(data, kind, s_grid=(3,), theta_grid=theta_grid)
+
+
+def test_the_fixed_kinds_ignore_the_theta_grid():
+    data = _separable_data()
+    for kind in ("square", "gaussian"):
+        ignored = tune(data, 0, kind, s_grid=(3,), theta_grid=(1.5,))
+        assert ignored.model.theta == tune(data, 0, kind, s_grid=(3,)).model.theta
+
+
+@pytest.mark.parametrize("site", [9, -1])
+def test_tune_rejects_a_site_outside_the_array_before_tuning(small_training, monkeypatch, site):
+    _no_tuning(monkeypatch)
+    with pytest.raises(ConfigError, match=rf"site {site} is not one of the 9 sites"):
+        tune(small_training.data, site, "mf-site", s_grid=(3,))
+
+
+@pytest.mark.parametrize("kind", KIND_TOKENS)
+def test_training_builds_each_chosen_model_once(small_training, monkeypatch, kind):
+    # a learned site's model is built from its chosen weights alone, never
+    # for every candidate; a fixed site's candidates are models, and the
+    # chosen one is built once more at its threshold
+    built = []
+    post_init = FilterModel.__post_init__
+
+    def counted(self):
+        built.append((self.site, self.s))
+        post_init(self)
+
+    monkeypatch.setattr(FilterModel, "__post_init__", counted)
+    model_set = train_all_sites(replace(small_training.data), kind, s_grid=(3, 4, 5), theta_grid=(0.3, 0.5, 0.7))
+    assert not model_set.failures
+    candidates = 0 if kind in LEARNED_KINDS else sum(len(r.windows) for r in model_set.tune_results.values())
+    assert len(built) == candidates + len(model_set.models)
+    assert all(model_set.models[k] is model_set.tune_results[k].model for k in model_set.models)
+
+
 def test_tune_skips_windows_that_do_not_fit():
     data = _separable_data()
     result = tune(data, 0, "mf-site", s_grid=(3, 25), theta_grid=(0.5,))
-    assert result.best_s == 3
+    assert result.model.s == 3
     assert all(s == 3 for s, _, _ in _cells(result))
 
 
@@ -385,8 +439,8 @@ def _feature_path_tune(data, site, kind, s_grid=S_GRID, theta_grid=None, alpha=0
 
 def _assert_same_choice(result, reference, rel_tol=1e-9):
     fid, s, theta, w = reference
-    assert (result.best_s, result.best_theta, result.val_fidelity) == (s, theta, fid)
-    assert np.abs(result.weights - w).max() <= rel_tol * np.abs(w).max()
+    assert (result.model.s, result.model.theta, result.val_fidelity) == (s, theta, fid)
+    assert np.abs(result.model.weights - w).max() <= rel_tol * np.abs(w).max()
 
 
 def _count_fallback_fits(monkeypatch):
@@ -440,8 +494,8 @@ def test_moment_path_is_minimum_norm_when_rank_deficient():
     # component, the failure this guards against, is off by order one
     sv = np.linalg.svd(x, compute_uv=False)
     tol = np.finfo(float).eps * (sv[0] / sv[-1]) ** 2 * np.abs(expected).max()
-    assert np.abs(result.weights - expected).max() <= tol
-    assert np.abs(result.weights - fit_ridge(x, y)).max() <= tol
+    assert np.abs(result.model.weights - expected).max() <= tol
+    assert np.abs(result.model.weights - fit_ridge(x, y)).max() <= tol
 
 
 # ------------------------------------------------------- array shapes
@@ -515,7 +569,7 @@ def test_learned_kinds_match_the_feature_path_across_array_shapes(rows, cols, or
 
 
 @pytest.mark.parametrize("rows, cols, origin, pitch", _shape_params(with_largest=False))
-def test_the_helpers_gram_completes_to_the_lazy_moments_across_array_shapes(rows, cols, origin, pitch):
+def test_released_moments_equal_the_lazy_moments_across_array_shapes(rows, cols, origin, pitch):
     # the moments release_train_block completes from the frames and their
     # label sums, as the pipeline's shuffle does, against the moments
     # TrainingData builds on first use
@@ -588,10 +642,10 @@ def test_batch_matches_feature_path(small_training, monkeypatch, kind):
 
 
 def _assert_same_result(batched, alone):
-    assert (batched.best_s, batched.best_theta, batched.val_fidelity) == (
-        alone.best_s, alone.best_theta, alone.val_fidelity,
+    assert (batched.model.s, batched.model.theta, batched.val_fidelity) == (
+        alone.model.s, alone.model.theta, alone.val_fidelity,
     )
-    assert np.array_equal(batched.weights, alone.weights)
+    assert np.array_equal(batched.model.weights, alone.model.weights)
     assert _cells(batched) == _cells(alone)
 
 
@@ -732,7 +786,8 @@ def test_mf_array_alone_equals_mf_array_after_mf_site(small_training):
     for site in range(9):
         _assert_same_result(ridge.tune_results[site], ridge_alone.tune_results[site])
     assert not any(
-        np.array_equal(ridge.tune_results[site].weights, after.tune_results[site].weights) for site in range(9)
+        np.array_equal(ridge.tune_results[site].model.weights, after.tune_results[site].model.weights)
+        for site in range(9)
     )
     assert sorted(data._systems) == [(grids["s_grid"], a) for a in (0.0, 0.1)]
 
@@ -1050,7 +1105,7 @@ def test_the_moments_take_a_one_class_train_site(small_training):
     assert cross[-1, 6] == len(labels)
 
 
-def test_a_square_only_shuffle_starts_no_helper_and_builds_no_moments(small_training, monkeypatch):
+def test_a_square_only_shuffle_starts_no_thread_and_builds_no_moments(small_training, monkeypatch):
     # the moments serve only the learned kinds, and no shuffle starts a
     # thread
     def must_not_run(*args, **kwargs):
